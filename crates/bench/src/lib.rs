@@ -1,13 +1,14 @@
 //! Experiment-regeneration harness: one function per table/figure of the
 //! paper's evaluation.
 //!
-//! Each function returns the formatted experiment output as a `String`; the
-//! `src/bin/*` binaries print them, the integration tests assert on their
-//! contents, and EXPERIMENTS.md records the paper-vs-measured diff. Run
-//! everything with:
+//! Each function returns the formatted experiment output as a `String`;
+//! the [`EXPERIMENTS`] registry names them for `albireo experiment`, the
+//! integration tests assert on their contents, and EXPERIMENTS.md records
+//! the paper-vs-measured diff. Run one, or everything, with:
 //!
 //! ```text
-//! cargo run -p albireo-bench --bin all_experiments
+//! cargo run -p albireo-cli -- experiment fig3
+//! cargo run -p albireo-cli -- experiment all
 //! ```
 
 pub mod experiments;

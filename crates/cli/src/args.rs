@@ -108,9 +108,24 @@ impl Args {
         default: T,
         expected: &'static str,
     ) -> Result<T, ArgError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| ArgError::Invalid {
+        Ok(self.get_where(name, expected, |_| true)?.unwrap_or(default))
+    }
+
+    /// An optional parsed option that must satisfy `ok`; a value that
+    /// does not parse, or parses outside `ok`, is reported as
+    /// `Invalid` with the `expected` description.
+    pub fn get_where<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        expected: &'static str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, ArgError> {
+        let Some(raw) = self.get(name) else {
+            return Ok(None);
+        };
+        match raw.parse() {
+            Ok(v) if ok(&v) => Ok(Some(v)),
+            _ => Err(ArgError::Invalid {
                 option: name.to_string(),
                 value: raw.to_string(),
                 expected,

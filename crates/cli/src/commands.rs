@@ -69,6 +69,13 @@ impl From<ArgError> for CliError {
     }
 }
 
+/// Spec-grammar and library errors are `String`s; all are usage errors.
+impl From<String> for CliError {
+    fn from(e: String) -> CliError {
+        CliError::Unknown(e)
+    }
+}
+
 /// The top-level usage text.
 pub const USAGE: &str = "\
 albireo — silicon-photonic CNN accelerator simulator (ISCA 2021 reproduction)
@@ -187,15 +194,14 @@ fn parse_network(name: &str) -> Result<Model, CliError> {
     }
 }
 
-fn parse_estimate(name: &str) -> Result<TechnologyEstimate, CliError> {
-    match name.to_ascii_lowercase().as_str() {
-        "c" | "conservative" => Ok(TechnologyEstimate::Conservative),
-        "m" | "moderate" => Ok(TechnologyEstimate::Moderate),
-        "a" | "aggressive" => Ok(TechnologyEstimate::Aggressive),
-        other => Err(CliError::Unknown(format!(
-            "unknown estimate `{other}` (try: conservative, moderate, aggressive)"
-        ))),
-    }
+/// A finite positive float flag value.
+fn positive(v: &f64) -> bool {
+    v.is_finite() && *v > 0.0
+}
+
+/// A count flag value of at least one.
+fn at_least_one(n: &usize) -> bool {
+    *n >= 1
 }
 
 /// An `Obs` handle for a command run: enabled only when a trace export
@@ -263,10 +269,9 @@ fn write_trace_outputs(
 }
 
 fn chip_from(args: &Args) -> Result<ChipConfig, CliError> {
-    let ng = args.get_parsed_or("ng", 9usize, "a positive integer")?;
-    if ng == 0 {
-        return Err(CliError::Unknown("--ng must be at least 1".into()));
-    }
+    let ng = args
+        .get_where("ng", "a positive integer", at_least_one)?
+        .unwrap_or(9);
     let mut chip = ChipConfig::with_ng(ng);
     if args.flag("no-stride-penalty") {
         chip.model_stride_penalty = false;
@@ -298,7 +303,7 @@ pub fn evaluate(args: &Args) -> Result<String, CliError> {
         .first()
         .ok_or_else(|| CliError::Unknown("evaluate needs a network name".into()))?;
     let model = parse_network(name)?;
-    let estimate = parse_estimate(args.get_or("estimate", "conservative"))?;
+    let estimate = args.get_parsed_or("estimate", TechnologyEstimate::Conservative, "C, M or A")?;
     let chip = chip_from(args)?;
     let obs = trace_obs(args);
     let eval =
@@ -385,7 +390,7 @@ pub fn evaluate(args: &Args) -> Result<String, CliError> {
 /// `albireo power [...]`
 pub fn power(args: &Args) -> Result<String, CliError> {
     let chip = chip_from(args)?;
-    let estimate = parse_estimate(args.get_or("estimate", "conservative"))?;
+    let estimate = args.get_parsed_or("estimate", TechnologyEstimate::Conservative, "C, M or A")?;
     let b = PowerBreakdown::for_chip(&chip, estimate);
     let rows: Vec<Vec<String>> = b
         .rows()
@@ -430,16 +435,12 @@ pub fn area(args: &Args) -> Result<String, CliError> {
 
 /// `albireo precision [...]`
 pub fn precision(args: &Args) -> Result<String, CliError> {
-    let k2 = args.get_parsed_or("k2", 0.03f64, "a coupling coefficient in (0,1)")?;
-    if !(0.0..1.0).contains(&k2) || k2 == 0.0 {
-        return Err(CliError::Unknown(format!(
-            "--k2 must be in (0,1), got {k2}"
-        )));
-    }
-    let n = args.get_parsed_or("wavelengths", 21usize, "a wavelength count")?;
-    if n == 0 {
-        return Err(CliError::Unknown("--wavelengths must be at least 1".into()));
-    }
+    let coupling = |k: &f64| *k > 0.0 && *k < 1.0;
+    let k2 = args.get_where("k2", "a coupling coefficient in (0,1)", coupling)?;
+    let k2 = k2.unwrap_or(0.03);
+    let n = args
+        .get_where("wavelengths", "a wavelength count >= 1", at_least_one)?
+        .unwrap_or(21);
     let laser_mw = args.get_parsed_or("laser-mw", 2.0f64, "a power in mW")?;
     let params = OpticalParams::paper();
     let ring = Microring::with_k2(&params, k2);
@@ -467,14 +468,12 @@ pub fn precision(args: &Args) -> Result<String, CliError> {
 
 /// `albireo trace [...]`
 pub fn trace(args: &Args) -> Result<String, CliError> {
-    let rows = args.get_parsed_or("rows", 1usize, "a row count")?;
-    let cols = args.get_parsed_or("cols", 12usize, "a column count")?;
-    let channels = args.get_parsed_or("channels", 9usize, "a channel count")?;
-    if rows == 0 || cols == 0 || channels == 0 {
-        return Err(CliError::Unknown(
-            "trace dimensions must be positive".into(),
-        ));
-    }
+    let dim = |name, default| -> Result<usize, ArgError> {
+        Ok(args
+            .get_where(name, "a positive count", at_least_one)?
+            .unwrap_or(default))
+    };
+    let (rows, cols, channels) = (dim("rows", 1)?, dim("cols", 12)?, dim("channels", 9)?);
     let chip = chip_from(args)?;
     let cycles = trace_kernel(&chip, 0, rows, cols, channels);
     let mut out = String::new();
@@ -501,7 +500,7 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
         .get_list("values", "comma-separated integers")?
         .ok_or(ArgError::MissingOption("values".into()))?;
     let network = parse_network(args.get_or("network", "vgg16"))?;
-    let estimate = parse_estimate(args.get_or("estimate", "conservative"))?;
+    let estimate = args.get_parsed_or("estimate", TechnologyEstimate::Conservative, "C, M or A")?;
     let points = match param {
         "ng" => sweep_ng(&values, estimate, &network),
         "nd" => sweep_nd(&values, estimate, &network),
@@ -586,24 +585,38 @@ pub fn bench(args: &Args) -> Result<String, CliError> {
     }
 }
 
-/// Splits a fault-scenario token on `@`, returning the head and the time.
-fn parse_at(entry: &str, what: &str) -> Result<(String, f64), CliError> {
-    let (head, at) = entry
-        .split_once('@')
-        .ok_or_else(|| CliError::Unknown(format!("{what} entry `{entry}` needs `@<time_s>`")))?;
-    let at_s: f64 = at
-        .trim()
-        .parse()
-        .map_err(|_| CliError::Unknown(format!("bad time in {what} entry `{entry}`")))?;
-    if !(at_s.is_finite() && at_s >= 0.0) {
-        return Err(CliError::Unknown(format!(
-            "{what} time must be finite and non-negative in `{entry}`"
-        )));
+/// The `--networks` list as an equal-weight mix over `models`, matched
+/// by name ignoring case; `accept` vets each network against the mix so
+/// far (`serve` checks fleet support, `plan` rejects repeats).
+fn network_mix(
+    args: &Args,
+    models: &[Model],
+    accept: impl Fn(&str, usize, &[(usize, f64)]) -> Result<(), CliError>,
+) -> Result<Vec<(usize, f64)>, CliError> {
+    let mut mix = Vec::new();
+    for name in args.get_or("networks", "alexnet").split(',').map(str::trim) {
+        if name.is_empty() {
+            continue;
+        }
+        let Some(idx) = models
+            .iter()
+            .position(|m| m.name().eq_ignore_ascii_case(name))
+        else {
+            let offered: Vec<&str> = models.iter().map(Model::name).collect();
+            return Err(CliError::Unknown(format!(
+                "unknown network `{name}` (try: {})",
+                offered.join(", ")
+            )));
+        };
+        accept(name, idx, &mix)?;
+        mix.push((idx, 1.0));
     }
-    Ok((head.trim().to_string(), at_s))
+    if mix.is_empty() {
+        return Err(CliError::Unknown("--networks names no network".into()));
+    }
+    Ok(mix)
 }
 
-/// `albireo serve [...]` — run the multi-chip serving simulation.
 /// Parses the shared arrival-process flags — `--arrival` plus its
 /// shape parameters (`--burst`, `--amplitude`/`--period`,
 /// `--spike*`) or `--trace-jsonl` — used by both `serve` and `plan`.
@@ -618,276 +631,134 @@ fn parse_arrival(args: &Args, rate: f64) -> Result<albireo_runtime::ArrivalProce
         }
         return Ok(ArrivalProcess::TraceFile { path: path.into() });
     }
-    match args.get_or("arrival", "poisson") {
-        "poisson" => Ok(ArrivalProcess::Poisson { rate_rps: rate }),
-        "bursty" => {
-            let burst = args.get_parsed_or("burst", 4.0f64, "a burst multiplier > 1")?;
-            if burst <= 1.0 || !burst.is_finite() {
-                return Err(CliError::Unknown("--burst must exceed 1".into()));
-            }
-            Ok(ArrivalProcess::Bursty {
-                rate_rps: rate,
-                burst,
-                on_s: 0.01,
-                off_s: 0.04,
-            })
+    let shape = |name: &str, default: f64| args.get_parsed_or(name, default, "a number");
+    let process = match args.get_or("arrival", "poisson") {
+        "poisson" => ArrivalProcess::Poisson { rate_rps: rate },
+        "bursty" => ArrivalProcess::Bursty {
+            rate_rps: rate,
+            burst: shape("burst", 4.0)?,
+            on_s: 0.01,
+            off_s: 0.04,
+        },
+        "diurnal" => ArrivalProcess::Diurnal {
+            rate_rps: rate,
+            amplitude: shape("amplitude", 0.5)?,
+            period_s: shape("period", 1.0)?,
+        },
+        "flash" => ArrivalProcess::FlashCrowd {
+            rate_rps: rate,
+            spike: shape("spike", 8.0)?,
+            at_s: shape("spike-at", 0.05)?,
+            decay_s: shape("spike-decay", 0.1)?,
+        },
+        other => {
+            return Err(CliError::Unknown(format!(
+                "unknown arrival process `{other}` (try: poisson, bursty, diurnal, flash)"
+            )))
         }
-        "diurnal" => {
-            let amplitude = args.get_parsed_or("amplitude", 0.5f64, "an amplitude in [0, 1]")?;
-            if !(0.0..=1.0).contains(&amplitude) {
-                return Err(CliError::Unknown("--amplitude must lie in [0, 1]".into()));
-            }
-            let period_s = args.get_parsed_or("period", 1.0f64, "a period in seconds")?;
-            if !(period_s.is_finite() && period_s > 0.0) {
-                return Err(CliError::Unknown("--period must be positive".into()));
-            }
-            Ok(ArrivalProcess::Diurnal {
-                rate_rps: rate,
-                amplitude,
-                period_s,
-            })
-        }
-        "flash" => {
-            let spike = args.get_parsed_or("spike", 8.0f64, "a spike multiplier > 1")?;
-            if spike <= 1.0 || !spike.is_finite() {
-                return Err(CliError::Unknown("--spike must exceed 1".into()));
-            }
-            let at_s = args.get_parsed_or("spike-at", 0.05f64, "an onset time in seconds")?;
-            if !(at_s.is_finite() && at_s >= 0.0) {
-                return Err(CliError::Unknown("--spike-at must be non-negative".into()));
-            }
-            let decay_s =
-                args.get_parsed_or("spike-decay", 0.1f64, "a decay constant in seconds")?;
-            if !(decay_s.is_finite() && decay_s > 0.0) {
-                return Err(CliError::Unknown("--spike-decay must be positive".into()));
-            }
-            Ok(ArrivalProcess::FlashCrowd {
-                rate_rps: rate,
-                spike,
-                at_s,
-                decay_s,
-            })
-        }
-        other => Err(CliError::Unknown(format!(
-            "unknown arrival process `{other}` (try: poisson, bursty, diurnal, flash)"
-        ))),
-    }
+    };
+    process.validate()?;
+    Ok(process)
 }
 
+/// `albireo serve [...]` — run the multi-chip serving simulation.
 pub fn serve(args: &Args) -> Result<String, CliError> {
     use albireo_runtime::{
         replicate, resume_checkpointed, simulate_checkpointed, simulate_observed,
-        trace_track_names, AdmissionControl, AutoscalePolicy, BatchPolicy, ClassSpec, FaultKind,
-        FaultScenario, FaultSpec, FleetConfig, ServeConfig, ServeOutcome, SimSnapshot, Workload,
+        trace_track_names, AdmissionControl, AlertPolicy, AutoscalePolicy, BatchPolicy, ClassSpec,
+        FaultSpec, FleetConfig, ServeConfig, ServeOutcome, SimSnapshot, Workload,
     };
 
-    let requests = args.get_parsed_or("requests", 1000usize, "a request count")?;
-    if requests == 0 {
-        return Err(CliError::Unknown("--requests must be at least 1".into()));
-    }
+    let requests = args
+        .get_where("requests", "a request count >= 1", at_least_one)?
+        .unwrap_or(1000);
     let seed = args.get_parsed_or("seed", 42u64, "a seed")?;
-    let rate = args.get_parsed_or("rate", 2000.0f64, "a rate in requests/s")?;
-    if !(rate.is_finite() && rate > 0.0) {
-        return Err(CliError::Unknown("--rate must be positive".into()));
-    }
-    let replicas = args.get_parsed_or("replicas", 1usize, "a replica count")?;
-    if replicas == 0 {
-        return Err(CliError::Unknown("--replicas must be at least 1".into()));
-    }
+    let rate = args
+        .get_where("rate", "a positive rate in requests/s", positive)?
+        .unwrap_or(2000.0);
+    let replicas = args
+        .get_where("replicas", "a replica count >= 1", at_least_one)?
+        .unwrap_or(1);
 
     // The serving model table: the paper's four benchmarks at indices
     // 0–3 (so existing mixes, goldens, and digests are unchanged) plus
     // the dense extension workloads the winograd/gemm chips open up.
     let models = zoo::serving_models();
-    let fleet = FleetConfig::parse(args.get_or("fleet", "albireo_9:C,albireo_27:C"), models)
-        .map_err(CliError::Unknown)?;
-    let policy =
-        BatchPolicy::parse(args.get_or("policy", "immediate")).map_err(CliError::Unknown)?;
-    let queue_cap = args.get_parsed_or("queue-cap", 64usize, "a capacity (0 = unbounded)")?;
-    let admission = if queue_cap == 0 {
-        AdmissionControl::unbounded()
-    } else {
-        AdmissionControl::bounded(queue_cap)
-    };
-
-    // Equal-weight network mix by name, resolved against the fleet's
-    // model table.
-    let mut mix = Vec::new();
-    for name in args.get_or("networks", "alexnet").split(',') {
-        let name = name.trim();
-        if name.is_empty() {
-            continue;
+    let fleet = FleetConfig::parse(args.get_or("fleet", "albireo_9:C,albireo_27:C"), models)?;
+    let mix = network_mix(args, &fleet.models, |name, idx, _| {
+        if fleet.supports(&fleet.models[idx]) {
+            return Ok(());
         }
-        let idx = fleet
-            .models
-            .iter()
-            .position(|m| m.name().eq_ignore_ascii_case(name))
-            .ok_or_else(|| {
-                CliError::Unknown(format!(
-                    "unknown network `{name}` (serving fleet offers: {})",
-                    fleet
-                        .models
-                        .iter()
-                        .map(|m| m.name())
-                        .collect::<Vec<&str>>()
-                        .join(", ")
-                ))
-            })?;
-        if !fleet.supports(&fleet.models[idx]) {
-            return Err(CliError::Unknown(format!(
-                "no chip in fleet `{}` supports network `{name}` \
-                 (reported-number chips only serve their published benchmarks; \
-                 gemm chips only serve dense/pointwise networks)",
-                fleet.label()
-            )));
-        }
-        mix.push((idx, 1.0));
-    }
-    if mix.is_empty() {
-        return Err(CliError::Unknown("--networks names no network".into()));
-    }
-
-    let process = parse_arrival(args, rate)?;
+        Err(CliError::Unknown(format!(
+            "no chip in fleet `{}` supports network `{name}` \
+             (reported-number chips only serve their published benchmarks; \
+             gemm chips only serve dense/pointwise networks)",
+            fleet.label()
+        )))
+    })?;
 
     // Multi-tenant request classes: `--classes name:weight[:slo_ms],...`
     // plus `--slo MS` as the default target (alone it wraps all traffic
     // in one `default` class).
-    let default_slo = match args.get("slo") {
-        Some(v) => {
-            let slo: f64 = v
-                .parse()
-                .map_err(|_| CliError::Unknown("--slo needs a latency in ms".into()))?;
-            if !(slo.is_finite() && slo > 0.0) {
-                return Err(CliError::Unknown("--slo must be positive".into()));
-            }
-            Some(slo)
-        }
-        None => None,
-    };
+    let default_slo = args.get_where("slo", "a positive latency in ms", positive)?;
     let classes = match args.get("classes") {
-        Some(list) => ClassSpec::parse_list(list, default_slo)
-            .map_err(|e| CliError::Unknown(format!("--classes: {e}")))?,
+        Some(list) => ClassSpec::parse_list(list, default_slo)?,
         None => match default_slo {
             Some(slo) => vec![ClassSpec::with_slo("default", 1.0, slo)],
             None => Vec::new(),
         },
     };
 
-    let autoscale =
-        AutoscalePolicy::parse(args.get_or("autoscale", "none")).map_err(CliError::Unknown)?;
-
-    let record_cap = args.get_parsed_or(
-        "record-cap",
-        0usize,
-        "a per-request record cap (0 = none retained)",
-    )?;
-
-    let chip_index = |tok: &str, entry: &str| -> Result<usize, CliError> {
-        let idx: usize = tok
-            .parse()
-            .map_err(|_| CliError::Unknown(format!("bad chip index in `{entry}`")))?;
-        if idx >= fleet.chips.len() {
-            return Err(CliError::Unknown(format!(
-                "chip index {idx} outside the {}-chip fleet",
-                fleet.chips.len()
-            )));
-        }
-        Ok(idx)
-    };
-    let mut faults = FaultScenario::none();
-    if let Some(list) = args.get("fail") {
-        for entry in list.split(',').filter(|e| !e.trim().is_empty()) {
-            let (chip, at_s) = parse_at(entry, "--fail")?;
-            let chip = chip_index(&chip, entry)?;
-            faults = faults.with(at_s, FaultKind::ChipOffline { chip });
-        }
-    }
-    if let Some(list) = args.get("recover") {
-        for entry in list.split(',').filter(|e| !e.trim().is_empty()) {
-            let (chip, at_s) = parse_at(entry, "--recover")?;
-            let chip = chip_index(&chip, entry)?;
-            faults = faults.with(at_s, FaultKind::ChipOnline { chip });
-        }
-    }
-    if let Some(list) = args.get("degrade") {
-        for entry in list.split(',').filter(|e| !e.trim().is_empty()) {
-            let (head, at_s) = parse_at(entry, "--degrade")?;
-            let (chip, count) = head.split_once(':').ok_or_else(|| {
-                CliError::Unknown(format!("--degrade entry `{entry}` needs CHIP:K@T"))
-            })?;
-            let chip = chip_index(chip.trim(), entry)?;
-            let count: usize = count
-                .trim()
-                .parse()
-                .map_err(|_| CliError::Unknown(format!("bad PLCG count in `{entry}`")))?;
-            if count == 0 {
-                return Err(CliError::Unknown(
-                    "--degrade must retire at least one PLCG".into(),
-                ));
-            }
-            faults = faults.with(at_s, FaultKind::PlcgOffline { chip, count });
+    // The per-chip flags are `fail:`/`recover:`/`degrade:` clauses of
+    // the fault grammar, naming chips of this concrete fleet.
+    let mut legacy = FaultSpec::none();
+    for flag in ["--fail", "--recover", "--degrade"] {
+        if let Some(list) = args.get(&flag[2..]) {
+            legacy = legacy.with_flag(flag, list, fleet.chips.len())?;
         }
     }
     // `--faults` takes the full correlated-scenario grammar (rack
     // groups, thermal epochs, repair crews) and merges with the legacy
     // per-chip flags above.
-    if let Some(spec) = args.get("faults") {
-        let parsed = FaultSpec::parse(spec).map_err(CliError::Unknown)?;
-        faults = faults.merged(parsed.compile(fleet.chips.len()));
-    }
+    let correlated = args
+        .get("faults")
+        .map_or(Ok(FaultSpec::none()), FaultSpec::parse)?;
+    let faults = legacy
+        .compile(fleet.chips.len())
+        .merged(correlated.compile(fleet.chips.len()));
 
     // Burn-rate alerting objective: `--slo-target 0.999` (the default)
     // sets the per-class SLO objective the in-sim alert rules burn
     // against; inert unless the workload defines SLO classes.
-    let alert = match args.get("slo-target") {
-        Some(raw) => {
-            let target: f64 = raw
-                .parse()
-                .map_err(|_| CliError::Unknown("--slo-target needs a fraction".into()))?;
-            if !(target.is_finite() && (0.0..1.0).contains(&target)) {
-                return Err(CliError::Unknown(
-                    "--slo-target must be in [0, 1), e.g. 0.999".into(),
-                ));
-            }
-            albireo_runtime::AlertPolicy::with_target(target)
-        }
-        None => albireo_runtime::AlertPolicy::standard(),
-    };
+    let target = |t: &f64| (0.0..1.0).contains(t);
+    let target = args.get_where("slo-target", "a fraction in [0, 1), e.g. 0.999", target)?;
 
     let cfg = ServeConfig {
         workload: Workload {
-            process,
+            process: parse_arrival(args, rate)?,
             mix,
             classes,
         },
         requests,
         seed,
-        policy,
-        admission,
+        policy: BatchPolicy::parse(args.get_or("policy", "immediate"))?,
+        admission: match args.get_parsed_or("queue-cap", 64, "a capacity (0 = unbounded)")? {
+            0 => AdmissionControl::unbounded(),
+            cap => AdmissionControl::bounded(cap),
+        },
         faults,
-        record_cap,
-        autoscale,
-        alert,
+        record_cap: args.get_parsed_or("record-cap", 0, "a per-request record cap (0 = none)")?,
+        autoscale: AutoscalePolicy::parse(args.get_or("autoscale", "none"))?,
+        alert: target.map_or_else(AlertPolicy::standard, AlertPolicy::with_target),
     };
     // Checkpoint/resume flags. `--checkpoint-every` runs the single
     // simulation through the checkpoint-boundary machinery; `--resume`
     // restarts one from a snapshot file written by `--checkpoint-out`.
-    let checkpoint_every = match args.get("checkpoint-every") {
-        Some(raw) => {
-            let every: f64 = raw.parse().map_err(|_| {
-                CliError::Unknown(
-                    "--checkpoint-every needs an interval in simulated seconds".into(),
-                )
-            })?;
-            if !(every.is_finite() && every > 0.0) {
-                return Err(CliError::Unknown(
-                    "--checkpoint-every must be positive".into(),
-                ));
-            }
-            Some(every)
-        }
-        None => None,
-    };
+    let checkpoint_every = args.get_where(
+        "checkpoint-every",
+        "a positive simulated-seconds interval",
+        positive,
+    )?;
     let resume_path = args.get("resume");
     let checkpoint_out = args.get("checkpoint-out");
     let report_jsonl = args.get("report-jsonl");
@@ -953,7 +824,7 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
             Some(path) => {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-                Some(SimSnapshot::parse(&text).map_err(CliError::Unknown)?)
+                Some(SimSnapshot::parse(&text)?)
             }
             None => None,
         };
@@ -995,8 +866,7 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
                 snapshot,
                 checkpoint_every.unwrap_or(0.0),
                 on_checkpoint,
-            )
-            .map_err(CliError::Unknown)?,
+            )?,
             None => simulate_checkpointed(
                 &fleet,
                 &cfg,
@@ -1120,8 +990,8 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
 /// a plan from its canonical one-line echo.
 pub fn plan(args: &Args) -> Result<String, CliError> {
     use albireo_obs::Obs;
-    use albireo_plan::{parse_policy, PlanSpec, SloSpec};
-    use albireo_runtime::{AutoscalePolicy, FaultSpec, Workload};
+    use albireo_plan::{PlanSpec, SloSpec};
+    use albireo_runtime::{AutoscalePolicy, BatchPolicy, ClassSpec, FaultSpec, Workload};
 
     let spec = match args.get("spec") {
         Some(line) => {
@@ -1155,117 +1025,73 @@ pub fn plan(args: &Args) -> Result<String, CliError> {
                     "--spec already fixes the whole plan; drop --{conflict}"
                 )));
             }
-            PlanSpec::parse(line).map_err(CliError::Unknown)?
+            PlanSpec::parse(line)?
         }
         None => {
-            let rate = args.get_parsed_or("rate", 2000.0f64, "a rate in requests/s")?;
-            if !(rate.is_finite() && rate > 0.0) {
-                return Err(CliError::Unknown("--rate must be positive".into()));
-            }
-            let slo = args
-                .get("slo")
-                .ok_or_else(|| CliError::Args(ArgError::MissingOption("slo".to_string())))
-                .and_then(|raw| SloSpec::parse(raw).map_err(CliError::Unknown))?;
-            let requests = args.get_parsed_or("requests", 2000usize, "a request count")?;
-            if requests == 0 {
-                return Err(CliError::Unknown("--requests must be at least 1".into()));
-            }
-            let screen_requests = args.get_parsed_or(
-                "screen-requests",
-                requests.min(300),
-                "a screening run length",
-            )?;
-            let seed = args.get_parsed_or("seed", 42u64, "a seed")?;
-            let replicas = args.get_parsed_or("replicas", 1usize, "a replica count")?;
-
-            // Equal-weight network mix by name over the model zoo (the
-            // fleet varies per candidate, so unsupported networks
-            // surface as infeasible candidates, not errors).
-            let models = zoo::serving_models();
-            let mut mix = Vec::new();
-            for name in args.get_or("networks", "alexnet").split(',') {
-                let name = name.trim();
-                if name.is_empty() {
-                    continue;
-                }
-                let idx = models
-                    .iter()
-                    .position(|m| m.name().eq_ignore_ascii_case(name))
-                    .ok_or_else(|| {
-                        CliError::Unknown(format!(
-                            "unknown network `{name}` (the planner serves: {})",
-                            models
-                                .iter()
-                                .map(|m| m.name())
-                                .collect::<Vec<&str>>()
-                                .join(", ")
-                        ))
-                    })?;
-                if mix.iter().any(|&(seen, _)| seen == idx) {
-                    return Err(CliError::Unknown(format!(
+            let rate = args
+                .get_where("rate", "a positive rate in requests/s", positive)?
+                .unwrap_or(2000.0);
+            let missing_slo = || ArgError::MissingOption("slo".into());
+            let slo = SloSpec::parse(args.get("slo").ok_or_else(missing_slo)?)?;
+            let requests = args
+                .get_where("requests", "a request count >= 1", at_least_one)?
+                .unwrap_or(2000);
+            // The fleet varies per candidate, so unsupported networks
+            // surface as infeasible candidates, not errors.
+            let mix = network_mix(args, &zoo::serving_models(), |name, idx, mix| {
+                match mix.iter().any(|&(seen, _)| seen == idx) {
+                    true => Err(CliError::Unknown(format!(
                         "network `{name}` appears twice in --networks"
-                    )));
+                    ))),
+                    false => Ok(()),
                 }
-                mix.push((idx, 1.0));
-            }
-            if mix.is_empty() {
-                return Err(CliError::Unknown("--networks names no network".into()));
-            }
-
-            let process = parse_arrival(args, rate)?;
-            let classes = match args.get("classes") {
-                Some(list) => albireo_runtime::ClassSpec::parse_list(list, None)
-                    .map_err(|e| CliError::Unknown(format!("--classes: {e}")))?,
-                None => Vec::new(),
-            };
-
-            let list = |raw: &str| -> Vec<String> {
+            })?;
+            // Search-axis lists take `|` or `,` between entries.
+            let list = |flag: &str, default: &'static str| {
+                let raw = args.get(flag).unwrap_or(default);
                 raw.split(['|', ','])
                     .map(str::trim)
                     .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect()
             };
-            let chip_kinds = list(args.get_or("chips", "albireo_9:C"));
-            let max_chips = args.get_parsed_or("max-chips", 3usize, "a fleet size")?;
-            let mut policies = Vec::new();
-            for p in list(args.get_or("policies", "immediate")) {
-                policies.push(parse_policy(&p).map_err(CliError::Unknown)?);
-            }
-            let mut autoscale = Vec::new();
-            for a in list(args.get_or("autoscale", "static")) {
-                autoscale.push(AutoscalePolicy::parse(&a).map_err(CliError::Unknown)?);
-            }
-            let queue_cap =
-                args.get_parsed_or("queue-cap", 64usize, "a capacity (0 = unbounded)")?;
-            let faults = match args.get("faults") {
-                Some(raw) => FaultSpec::parse(raw).map_err(CliError::Unknown)?,
-                None => FaultSpec::none(),
-            };
-
             let spec = PlanSpec {
                 workload: Workload {
-                    process,
+                    process: parse_arrival(args, rate)?,
                     mix,
-                    classes,
+                    classes: match args.get("classes") {
+                        Some(list) => ClassSpec::parse_list(list, None)?,
+                        None => Vec::new(),
+                    },
                 },
                 requests,
-                screen_requests,
-                seed,
-                replicas,
+                screen_requests: args.get_parsed_or(
+                    "screen-requests",
+                    requests.min(300),
+                    "a screening run length",
+                )?,
+                seed: args.get_parsed_or("seed", 42u64, "a seed")?,
+                replicas: args.get_parsed_or("replicas", 1usize, "a replica count")?,
                 slo,
-                chip_kinds,
-                max_chips,
-                policies,
-                queue_capacity: if queue_cap == 0 {
-                    usize::MAX
-                } else {
-                    queue_cap
+                chip_kinds: list("chips", "albireo_9:C").map(str::to_string).collect(),
+                max_chips: args.get_parsed_or("max-chips", 3usize, "a fleet size")?,
+                policies: list("policies", "immediate")
+                    .map(BatchPolicy::parse)
+                    .collect::<Result<_, _>>()?,
+                queue_capacity: match args.get_parsed_or(
+                    "queue-cap",
+                    64,
+                    "a capacity (0 = unbounded)",
+                )? {
+                    0 => usize::MAX,
+                    cap => cap,
                 },
-                autoscale,
-                faults,
+                autoscale: list("autoscale", "static")
+                    .map(AutoscalePolicy::parse)
+                    .collect::<Result<_, _>>()?,
+                faults: args
+                    .get("faults")
+                    .map_or(Ok(FaultSpec::none()), FaultSpec::parse)?,
             };
-            spec.validate().map_err(CliError::Unknown)?;
+            spec.validate()?;
             spec
         }
     };
@@ -1275,8 +1101,7 @@ pub fn plan(args: &Args) -> Result<String, CliError> {
         Parallelism::global(),
         &Obs::disabled(),
         args.flag("exhaustive"),
-    )
-    .map_err(CliError::Unknown)?;
+    )?;
 
     if let Some(path) = args.get("csv-out") {
         std::fs::write(path, report.to_csv())
@@ -1349,48 +1174,33 @@ pub fn compare(args: &Args) -> Result<String, CliError> {
 /// and report the error impact on a reference convolution.
 pub fn faults(args: &Args) -> Result<String, CliError> {
     use albireo_core::analog::{AnalogEngine, AnalogSimConfig, Fault, FaultSet};
+    use albireo_runtime::grammar::Lexer;
     use albireo_tensor::conv::{conv2d, ConvSpec};
     use albireo_tensor::{Tensor3, Tensor4};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     let mut set = FaultSet::new();
-    if let Some(parts) = args.get_list::<usize>("dead-ring", "R,C,O integers")? {
-        if parts.len() != 3 {
-            return Err(CliError::Unknown("--dead-ring needs R,C,O".into()));
-        }
+    if let Some(raw) = args.get("dead-ring") {
+        let mut lx = Lexer::new("--dead-ring", raw, ',');
         set.push(Fault::DeadRing {
-            row: parts[0],
-            col: parts[1],
-            output: parts[2],
+            row: lx.field("row R")?,
+            col: lx.field("column C")?,
+            output: lx.field("output O")?,
         });
+        lx.end()?;
     }
-    if let Some(raw) = args.get("dead-channel") {
-        let column: usize = raw.trim().parse().map_err(|_| {
-            CliError::Unknown(format!(
-                "bad --dead-channel value `{raw}` (need a column index)"
-            ))
-        })?;
+    if let Some(column) = args.get_where("dead-channel", "a column index", |_| true)? {
         set.push(Fault::DeadChannel { column });
     }
     if let Some(raw) = args.get("stuck-mzm") {
-        let parts: Vec<&str> = raw.split(',').collect();
-        if parts.len() != 3 {
-            return Err(CliError::Unknown("--stuck-mzm needs R,C,W".into()));
-        }
-        let row = parts[0]
-            .trim()
-            .parse()
-            .map_err(|_| CliError::Unknown("bad R".into()))?;
-        let col = parts[1]
-            .trim()
-            .parse()
-            .map_err(|_| CliError::Unknown("bad C".into()))?;
-        let weight = parts[2]
-            .trim()
-            .parse()
-            .map_err(|_| CliError::Unknown("bad W".into()))?;
-        set.push(Fault::StuckMzm { row, col, weight });
+        let mut lx = Lexer::new("--stuck-mzm", raw, ',');
+        set.push(Fault::StuckMzm {
+            row: lx.field("row R")?,
+            col: lx.field("column C")?,
+            weight: lx.field("weight W")?,
+        });
+        lx.end()?;
     }
 
     let chip = chip_from(args)?;
@@ -1430,39 +1240,20 @@ pub fn experiment(args: &Args) -> Result<String, CliError> {
         .first()
         .map(String::as_str)
         .unwrap_or("all");
-    let out = match name {
-        "all" => albireo_bench::all_experiments(),
-        "fig3" => albireo_bench::fig3_noise_precision(),
-        "fig4a" => albireo_bench::fig4a_spectrum(),
-        "fig4b" => albireo_bench::fig4b_temporal(),
-        "fig4c" => albireo_bench::fig4c_crosstalk_precision(),
-        "fig7" => albireo_bench::fig7_dataflow_trace(),
-        "fig8" => albireo_bench::fig8_photonic_comparison(),
-        "fig9" => albireo_bench::fig9_area_breakdown(),
-        "table1" => albireo_bench::table1_device_powers(),
-        "table2" => albireo_bench::table2_optical_params(),
-        "table3" => albireo_bench::table3_power_breakdown(),
-        "table4" => albireo_bench::table4_electronic_comparison(),
-        "wdm" => albireo_bench::wdm_efficiency(),
-        "summary" => albireo_bench::summary_ratios(),
-        "ablations" => albireo_bench::ablation_report(),
-        "thermal" => albireo_bench::thermal_sensitivity(),
-        "timing" => albireo_bench::timing_closure(),
-        "power-delivery" => albireo_bench::power_delivery_study(),
-        "weights" => albireo_bench::weight_distribution_study(),
-        "scaling" => albireo_bench::scaling_study(),
-        "fidelity" => albireo_bench::inference_fidelity(),
-        "dataflow" => albireo_bench::dataflow_alternatives(),
-        "allocation" => albireo_bench::allocation_study(),
-        other => {
-            return Err(CliError::Unknown(format!(
-                "unknown experiment `{other}` (try: all, fig3, fig4a, fig4b, fig4c, fig7, fig8, \
-                 fig9, table1..table4, wdm, summary, ablations, thermal, timing, \
-                 power-delivery, weights, scaling, fidelity, dataflow, allocation)"
-            )))
-        }
-    };
-    Ok(out)
+    if name == "all" {
+        return Ok(albireo_bench::all_experiments());
+    }
+    match albireo_bench::EXPERIMENTS.iter().find(|e| e.0 == name) {
+        Some((_, _, run)) => Ok(run()),
+        None => Err(CliError::Unknown(format!(
+            "unknown experiment `{name}` (try: all, {})",
+            albireo_bench::EXPERIMENTS
+                .iter()
+                .map(|e| e.0)
+                .collect::<Vec<&str>>()
+                .join(", ")
+        ))),
+    }
 }
 
 /// Dispatches a subcommand, returning its printable output.
@@ -1486,8 +1277,7 @@ pub fn perf_diff(args: &Args) -> Result<String, CliError> {
         std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))
     };
     let diff =
-        albireo_bench::perfdiff::PerfDiff::compare(&read(old_path)?, &read(new_path)?, threshold)
-            .map_err(CliError::Unknown)?;
+        albireo_bench::perfdiff::PerfDiff::compare(&read(old_path)?, &read(new_path)?, threshold)?;
     if diff.rows.is_empty() {
         return Err(CliError::Unknown(format!(
             "no comparable performance metrics between {old_path} and {new_path}"
@@ -1725,7 +1515,10 @@ mod tests {
     fn experiment_dispatch() {
         let out = experiment(&args(&["fig9"])).unwrap();
         assert!(out.contains("area breakdown"));
-        assert!(experiment(&args(&["nonsense"])).is_err());
+        let err = experiment(&args(&["nonsense"])).unwrap_err().to_string();
+        // The hint lists every registered name, in section order.
+        assert!(err.contains("try: all, table1, table2, fig3"), "{err}");
+        assert!(err.ends_with("fidelity, summary)"), "{err}");
     }
 
     #[test]

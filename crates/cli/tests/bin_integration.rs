@@ -418,3 +418,27 @@ fn bench_writes_json_file() {
     assert!(written.contains("albireo.bench.parallel/v1"));
     std::fs::remove_file(&path).ok();
 }
+
+/// Exit code and stderr of a run expected to fail.
+fn run_failing(args: &[&str]) -> (i32, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_albireo"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let code = out.status.code().expect("exited, not killed by a signal");
+    (code, String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn non_finite_batching_policies_exit_2() {
+    for policy in ["deadline:nan", "deadline:inf:4", "deadline:100:6:99"] {
+        let (code, stderr) = run_failing(&["serve", "--requests", "50", "--policy", policy]);
+        assert_eq!(code, 2, "{policy}: {stderr}");
+        assert!(stderr.contains(&format!("policy `{policy}`")), "{stderr}");
+    }
+    let spec = "rate=2000;slo=p99<5ms;chips=albireo_9:C;requests=50;screen=10;\
+                policies=immediate|deadline:nan";
+    let (code, stderr) = run_failing(&["plan", "--spec", spec]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("expected finite deadline"), "{stderr}");
+}

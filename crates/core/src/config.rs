@@ -200,6 +200,23 @@ impl TechnologyEstimate {
     }
 }
 
+impl std::str::FromStr for TechnologyEstimate {
+    type Err = String;
+
+    /// Parses the suffix (`C`, `M`, `A`) or the full name, ignoring
+    /// ASCII case — the `--estimate` flag and the fleet-entry tag.
+    fn from_str(s: &str) -> Result<TechnologyEstimate, String> {
+        match s.to_ascii_uppercase().as_str() {
+            "C" | "CONSERVATIVE" => Ok(TechnologyEstimate::Conservative),
+            "M" | "MODERATE" => Ok(TechnologyEstimate::Moderate),
+            "A" | "AGGRESSIVE" => Ok(TechnologyEstimate::Aggressive),
+            _ => Err(format!(
+                "unknown estimate `{s}` (try: C, M, A, conservative, moderate, aggressive)"
+            )),
+        }
+    }
+}
+
 /// Per-device electrical powers (paper Table I), in watts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DevicePowers {
@@ -222,6 +239,16 @@ pub struct DevicePowers {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn estimates_parse_by_suffix_or_name() {
+        for e in TechnologyEstimate::all() {
+            assert_eq!(e.suffix().parse::<TechnologyEstimate>(), Ok(e));
+            let name = format!("{e:?}").to_lowercase();
+            assert_eq!(name.parse::<TechnologyEstimate>(), Ok(e));
+        }
+        assert!("x".parse::<TechnologyEstimate>().is_err());
+    }
 
     #[test]
     fn paper_plcu_geometry() {

@@ -15,6 +15,7 @@
 //! processes are intentionally outside the grammar — a plan must be
 //! reproducible from its one-line spec alone.
 
+use albireo_runtime::grammar::Lexer;
 use albireo_runtime::{
     ArrivalProcess, AutoscalePolicy, BatchPolicy, ClassSpec, FaultSpec, Workload,
 };
@@ -58,52 +59,37 @@ impl SloSpec {
 
     /// Parses the `p99<..` grammar documented on the type.
     pub fn parse(spec: &str) -> Result<SloSpec, String> {
-        let mut p99_ms = None;
-        let mut min_attainment = None;
-        let mut max_shed_rate = None;
-        for part in spec.split(',') {
-            let part = part.trim();
-            if let Some(v) = part.strip_prefix("p99<") {
+        let mut lx = Lexer::new("slo", spec, ',');
+        let (mut p99_ms, mut min_attainment, mut max_shed_rate) = (None, None, None);
+        while let Some(clause) = lx.next() {
+            let (slot, value) = if let Some(v) = clause.strip_prefix("p99<") {
                 let v = v.strip_suffix("ms").unwrap_or(v);
-                let t: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad p99 bound in SLO `{spec}`"))?;
-                if !(t.is_finite() && t > 0.0) {
-                    return Err(format!("p99 bound must be positive in SLO `{spec}`"));
-                }
-                if p99_ms.replace(t).is_some() {
-                    return Err(format!("duplicate p99 clause in SLO `{spec}`"));
-                }
-            } else if let Some(v) = part.strip_prefix("attain>=") {
-                let a: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad attainment floor in SLO `{spec}`"))?;
-                if !(a.is_finite() && a > 0.0 && a <= 1.0) {
-                    return Err(format!(
-                        "attainment floor must be in (0, 1] in SLO `{spec}`"
-                    ));
-                }
-                if min_attainment.replace(a).is_some() {
-                    return Err(format!("duplicate attain clause in SLO `{spec}`"));
-                }
-            } else if let Some(v) = part.strip_prefix("shed<=") {
-                let s: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad shed bound in SLO `{spec}`"))?;
-                if !(s.is_finite() && (0.0..1.0).contains(&s)) {
-                    return Err(format!("shed bound must be in [0, 1) in SLO `{spec}`"));
-                }
-                if max_shed_rate.replace(s).is_some() {
-                    return Err(format!("duplicate shed clause in SLO `{spec}`"));
-                }
+                let ok = |t: &f64| t.is_finite() && *t > 0.0;
+                (
+                    &mut p99_ms,
+                    lx.parse_where(v, "finite p99 bound in ms > 0", ok)?,
+                )
+            } else if let Some(v) = clause.strip_prefix("attain>=") {
+                let ok = |a: &f64| *a > 0.0 && *a <= 1.0;
+                (
+                    &mut min_attainment,
+                    lx.parse_where(v, "attainment floor in (0, 1]", ok)?,
+                )
+            } else if let Some(v) = clause.strip_prefix("shed<=") {
+                let ok = |s: &f64| (0.0..1.0).contains(s);
+                (
+                    &mut max_shed_rate,
+                    lx.parse_where(v, "shed bound in [0, 1)", ok)?,
+                )
             } else {
-                return Err(format!(
-                    "unknown SLO clause `{part}` (try: p99<5ms, attain>=0.95, shed<=0.01)"
-                ));
+                return Err(lx.expected(clause, "p99<MS[ms], attain>=A or shed<=S"));
+            };
+            if slot.replace(value).is_some() {
+                return Err(lx.reject(clause, "duplicate clause"));
             }
         }
         Ok(SloSpec {
-            p99_ms: p99_ms.ok_or_else(|| format!("SLO `{spec}` needs a p99<..ms clause"))?,
+            p99_ms: p99_ms.ok_or_else(|| lx.missing("a p99<MS[ms] clause"))?,
             min_attainment,
             max_shed_rate: max_shed_rate.unwrap_or(0.0),
         })
@@ -191,162 +177,6 @@ pub struct PlanSpec {
     pub faults: FaultSpec,
 }
 
-/// Canonical exact serialization of a batching policy: `immediate`,
-/// `size:<N>`, or `deadline_s:<SECONDS>:<MAX>` (seconds via `{}` so the
-/// float round-trips bit-exactly — the CLI's microsecond form divides
-/// by 1e6, which is not an exact inverse of multiplication).
-pub fn policy_spec(policy: &BatchPolicy) -> String {
-    match policy {
-        BatchPolicy::Immediate => "immediate".to_string(),
-        BatchPolicy::SizeN { size } => format!("size:{size}"),
-        BatchPolicy::Deadline {
-            max_wait_s,
-            max_size,
-        } => format!("deadline_s:{max_wait_s}:{max_size}"),
-    }
-}
-
-/// Parses [`policy_spec`]'s grammar plus everything
-/// [`BatchPolicy::parse`] accepts.
-pub fn parse_policy(spec: &str) -> Result<BatchPolicy, String> {
-    if let Some(rest) = spec.trim().strip_prefix("deadline_s:") {
-        let mut parts = rest.split(':');
-        let max_wait_s: f64 = parts
-            .next()
-            .unwrap_or("")
-            .parse()
-            .map_err(|_| format!("bad deadline in policy `{spec}`"))?;
-        if !(max_wait_s.is_finite() && max_wait_s > 0.0) {
-            return Err(format!("deadline must be positive in policy `{spec}`"));
-        }
-        let max_size: usize = parts
-            .next()
-            .ok_or_else(|| format!("policy `{spec}` needs deadline_s:<SECONDS>:<MAX>"))?
-            .parse()
-            .map_err(|_| format!("bad max batch size in policy `{spec}`"))?;
-        if max_size == 0 {
-            return Err("max batch size must be at least 1".to_string());
-        }
-        if parts.next().is_some() {
-            return Err(format!("too many fields in policy `{spec}`"));
-        }
-        return Ok(BatchPolicy::Deadline {
-            max_wait_s,
-            max_size,
-        });
-    }
-    BatchPolicy::parse(spec)
-}
-
-fn arrival_spec(process: &ArrivalProcess) -> String {
-    match process {
-        ArrivalProcess::Poisson { .. } => "poisson".to_string(),
-        ArrivalProcess::Bursty {
-            burst, on_s, off_s, ..
-        } => format!("bursty:{burst}:{on_s}:{off_s}"),
-        ArrivalProcess::Diurnal {
-            amplitude,
-            period_s,
-            ..
-        } => format!("diurnal:{amplitude}:{period_s}"),
-        ArrivalProcess::FlashCrowd {
-            spike,
-            at_s,
-            decay_s,
-            ..
-        } => format!("flash:{spike}:{at_s}:{decay_s}"),
-        // Outside the reproducible grammar; `validate` rejects these.
-        ArrivalProcess::Trace { .. } => "trace".to_string(),
-        ArrivalProcess::TraceFile { path } => format!("trace_file:{path}"),
-    }
-}
-
-fn parse_arrival(spec: &str, rate_rps: f64) -> Result<ArrivalProcess, String> {
-    let field = |parts: &mut std::str::Split<'_, char>, name: &str| -> Result<f64, String> {
-        parts
-            .next()
-            .ok_or_else(|| format!("arrival `{spec}` is missing its {name} field"))?
-            .parse::<f64>()
-            .map_err(|_| format!("bad {name} in arrival `{spec}`"))
-    };
-    let done = |parts: &mut std::str::Split<'_, char>| -> Result<(), String> {
-        if parts.next().is_some() {
-            Err(format!("too many fields in arrival `{spec}`"))
-        } else {
-            Ok(())
-        }
-    };
-    if spec == "poisson" {
-        return Ok(ArrivalProcess::Poisson { rate_rps });
-    }
-    if let Some(rest) = spec.strip_prefix("bursty:") {
-        let mut parts = rest.split(':');
-        let burst = field(&mut parts, "burst")?;
-        let on_s = field(&mut parts, "on_s")?;
-        let off_s = field(&mut parts, "off_s")?;
-        done(&mut parts)?;
-        if !(burst.is_finite() && burst > 1.0) {
-            return Err(format!("burst must exceed 1 in arrival `{spec}`"));
-        }
-        if !(on_s.is_finite() && on_s > 0.0 && off_s.is_finite() && off_s > 0.0) {
-            return Err(format!(
-                "phase durations must be positive in arrival `{spec}`"
-            ));
-        }
-        return Ok(ArrivalProcess::Bursty {
-            rate_rps,
-            burst,
-            on_s,
-            off_s,
-        });
-    }
-    if let Some(rest) = spec.strip_prefix("diurnal:") {
-        let mut parts = rest.split(':');
-        let amplitude = field(&mut parts, "amplitude")?;
-        let period_s = field(&mut parts, "period_s")?;
-        done(&mut parts)?;
-        if !(amplitude.is_finite() && amplitude > 0.0 && amplitude <= 1.0) {
-            return Err(format!("amplitude must be in (0, 1] in arrival `{spec}`"));
-        }
-        if !(period_s.is_finite() && period_s > 0.0) {
-            return Err(format!("period must be positive in arrival `{spec}`"));
-        }
-        return Ok(ArrivalProcess::Diurnal {
-            rate_rps,
-            amplitude,
-            period_s,
-        });
-    }
-    if let Some(rest) = spec.strip_prefix("flash:") {
-        let mut parts = rest.split(':');
-        let spike = field(&mut parts, "spike")?;
-        let at_s = field(&mut parts, "at_s")?;
-        let decay_s = field(&mut parts, "decay_s")?;
-        done(&mut parts)?;
-        if !(spike.is_finite() && spike > 1.0) {
-            return Err(format!("spike must exceed 1 in arrival `{spec}`"));
-        }
-        if !(at_s.is_finite() && at_s >= 0.0) {
-            return Err(format!(
-                "spike onset must be non-negative in arrival `{spec}`"
-            ));
-        }
-        if !(decay_s.is_finite() && decay_s > 0.0) {
-            return Err(format!("decay must be positive in arrival `{spec}`"));
-        }
-        return Ok(ArrivalProcess::FlashCrowd {
-            rate_rps,
-            spike,
-            at_s,
-            decay_s,
-        });
-    }
-    Err(format!(
-        "unknown arrival `{spec}` (try: poisson, bursty:<BURST>:<ON_S>:<OFF_S>, \
-         diurnal:<AMPLITUDE>:<PERIOD_S>, flash:<SPIKE>:<AT_S>:<DECAY_S>)"
-    ))
-}
-
 impl PlanSpec {
     /// A p99-only plan over Poisson arrivals of network 0, searching
     /// fleets of up to `max_chips` copies of one chip kind under
@@ -370,154 +200,91 @@ impl PlanSpec {
 
     /// Parses the `key=value;...` grammar documented on the type.
     pub fn parse(spec: &str) -> Result<PlanSpec, String> {
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for part in spec.split(';') {
-            let part = part.trim();
+        let mut lx = Lexer::new("plan spec", spec, ';');
+        let mut pairs: Vec<(&str, &str)> = Vec::new();
+        while let Some(part) = lx.next() {
             if part.is_empty() {
                 continue;
             }
-            let (k, v) = part
-                .split_once('=')
-                .ok_or_else(|| format!("plan spec entry `{part}` is not key=value"))?;
-            let k = k.trim().to_string();
-            if pairs.iter().any(|(seen, _)| *seen == k) {
-                return Err(format!("duplicate key `{k}` in plan spec"));
+            let mut entry = lx.split(part, ';');
+            let key = entry
+                .prefix('=')
+                .ok_or_else(|| lx.expected(part, "key=value"))?;
+            if pairs.iter().any(|&(seen, _)| seen == key) {
+                return Err(lx.reject(key, format_args!("duplicate key `{key}`")));
             }
-            pairs.push((k, v.trim().to_string()));
+            pairs.push((key, entry.rest("value")?.trim()));
         }
-        let mut take = |key: &str| -> Option<String> {
-            let at = pairs.iter().position(|(k, _)| k == key)?;
+        let mut take = |key: &str| -> Option<&str> {
+            let at = pairs.iter().position(|&(k, _)| k == key)?;
             Some(pairs.remove(at).1)
         };
+        let positive = |v: &f64| v.is_finite() && *v > 0.0;
+        let number = |value: Option<&str>, what: &str, default: usize| match value {
+            Some(v) => lx.parse(v, what),
+            None => Ok(default),
+        };
 
-        let rate_rps: f64 = take("rate")
-            .ok_or("plan spec needs rate=<RPS>")?
-            .parse()
-            .map_err(|_| "bad rate in plan spec".to_string())?;
-        if !(rate_rps.is_finite() && rate_rps > 0.0) {
-            return Err("rate must be positive".to_string());
-        }
-        let process = parse_arrival(take("arrival").as_deref().unwrap_or("poisson"), rate_rps)?;
+        let rate = take("rate").ok_or_else(|| lx.missing("rate=<RPS>"))?;
+        let rate_rps = lx.parse_where(rate, "finite rate > 0", positive)?;
+        let process = ArrivalProcess::parse(take("arrival").unwrap_or("poisson"), rate_rps)?;
 
         let mut mix: Vec<(usize, f64)> = Vec::new();
-        for entry in take("mix").as_deref().unwrap_or("0:1").split(',') {
-            let entry = entry.trim();
-            let (idx, weight) = entry
-                .split_once(':')
-                .ok_or_else(|| format!("mix entry `{entry}` needs NETWORK:WEIGHT"))?;
-            let idx: usize = idx
-                .parse()
-                .map_err(|_| format!("bad network index in mix entry `{entry}`"))?;
-            let weight: f64 = weight
-                .parse()
-                .map_err(|_| format!("bad weight in mix entry `{entry}`"))?;
-            if !(weight.is_finite() && weight > 0.0) {
-                return Err(format!("mix weight must be positive in entry `{entry}`"));
-            }
+        let mix_list = take("mix").unwrap_or("0:1");
+        for entry in lx.split(mix_list, ',') {
+            let mut e = lx.split(entry, ':');
+            let idx = e.field("network index")?;
             if mix.iter().any(|&(seen, _)| seen == idx) {
-                return Err(format!("duplicate network {idx} in mix"));
+                return Err(lx.reject(entry, format_args!("duplicate network {idx} in mix")));
             }
-            mix.push((idx, weight));
+            mix.push((idx, e.positive("mix weight")?));
+            e.end()?;
         }
 
         let classes = match take("classes") {
-            Some(list) => ClassSpec::parse_list(&list, None)?,
+            Some(list) => ClassSpec::parse_list(list, None)?,
             None => Vec::new(),
         };
-
-        let parse_usize = |key: &str, value: Option<String>, default: usize| match value {
-            Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| format!("bad {key} in plan spec")),
-            None => Ok(default),
-        };
-        let requests = parse_usize("requests", take("requests"), 2000)?;
-        let screen_requests = parse_usize("screen", take("screen"), 300)?;
-        let seed: u64 = match take("seed") {
-            Some(v) => v.parse().map_err(|_| "bad seed in plan spec".to_string())?,
-            None => 42,
-        };
-        let replicas = parse_usize("replicas", take("replicas"), 1)?;
-        let slo = SloSpec::parse(&take("slo").ok_or("plan spec needs slo=p99<..ms")?)?;
-
-        let mut chip_kinds: Vec<String> = Vec::new();
-        for kind in take("chips")
-            .ok_or("plan spec needs chips=<ENTRY>|..")?
-            .split('|')
-        {
-            let kind = kind.trim();
-            if kind.is_empty() {
-                return Err("empty chip kind in plan spec".to_string());
-            }
-            if chip_kinds.iter().any(|seen| seen == kind) {
-                return Err(format!("duplicate chip kind `{kind}` in plan spec"));
-            }
-            chip_kinds.push(kind.to_string());
-        }
-        let max_chips = parse_usize("max-chips", take("max-chips"), 3)?;
-
-        let mut policies: Vec<BatchPolicy> = Vec::new();
-        for p in take("policies")
-            .as_deref()
-            .unwrap_or("immediate")
-            .split('|')
-        {
-            let policy = parse_policy(p)?;
-            if policies.contains(&policy) {
-                return Err(format!(
-                    "duplicate policy `{}` in plan spec",
-                    policy.label()
-                ));
-            }
-            policies.push(policy);
-        }
-
-        let queue_capacity = match take("queue-cap").as_deref() {
-            None => 64,
-            Some("unbounded") => usize::MAX,
-            Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| "bad queue-cap in plan spec (try an integer or `unbounded`)")?,
-        };
-
-        let mut autoscale: Vec<AutoscalePolicy> = Vec::new();
-        for a in take("autoscale").as_deref().unwrap_or("static").split('|') {
-            let policy = AutoscalePolicy::parse(a)?;
-            if autoscale.contains(&policy) {
-                return Err(format!(
-                    "duplicate autoscale policy `{policy}` in plan spec"
-                ));
-            }
-            autoscale.push(policy);
-        }
-
-        let faults = match take("faults") {
-            Some(v) => FaultSpec::parse(&v)?,
-            None => FaultSpec::none(),
-        };
-
-        if let Some((k, _)) = pairs.first() {
-            return Err(format!("unknown plan spec key `{k}`"));
-        }
-
         let plan = PlanSpec {
             workload: Workload {
                 process,
                 mix,
                 classes,
             },
-            requests,
-            screen_requests,
-            seed,
-            replicas,
-            slo,
-            chip_kinds,
-            max_chips,
-            policies,
-            queue_capacity,
-            autoscale,
-            faults,
+            requests: number(take("requests"), "requests", 2000)?,
+            screen_requests: number(take("screen"), "screen", 300)?,
+            seed: take("seed").map_or(Ok(42), |v| lx.parse(v, "seed"))?,
+            replicas: number(take("replicas"), "replicas", 1)?,
+            slo: SloSpec::parse(take("slo").ok_or_else(|| lx.missing("slo=p99<..ms"))?)?,
+            chip_kinds: distinct(
+                &lx,
+                take("chips").ok_or_else(|| lx.missing("chips=<ENTRY>|.."))?,
+                |kind| match kind.is_empty() {
+                    true => Err(lx.expected(kind, "a chip kind")),
+                    false => Ok(kind.to_string()),
+                },
+            )?,
+            max_chips: number(take("max-chips"), "max-chips", 3)?,
+            policies: distinct(
+                &lx,
+                take("policies").unwrap_or("immediate"),
+                BatchPolicy::parse,
+            )?,
+            queue_capacity: match take("queue-cap") {
+                None => 64,
+                Some("unbounded") => usize::MAX,
+                Some(v) => lx.parse(v, "queue-cap (an integer or `unbounded`)")?,
+            },
+            autoscale: distinct(
+                &lx,
+                take("autoscale").unwrap_or("static"),
+                AutoscalePolicy::parse,
+            )?,
+            faults: take("faults").map_or(Ok(FaultSpec::none()), FaultSpec::parse)?,
         };
+        if let Some(&(key, _)) = pairs.first() {
+            return Err(lx.reject(key, format_args!("unknown plan spec key `{key}`")));
+        }
         plan.validate()?;
         Ok(plan)
     }
@@ -577,6 +344,23 @@ impl PlanSpec {
     }
 }
 
+/// Parses a `|`-separated list whose items must be distinct.
+fn distinct<'a, T: PartialEq>(
+    lx: &Lexer<'a>,
+    list: &'a str,
+    parse: impl Fn(&'a str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut items = Vec::new();
+    for item in lx.split(list, '|') {
+        let value = parse(item)?;
+        if items.contains(&value) {
+            return Err(lx.reject(item, "duplicate entry"));
+        }
+        items.push(value);
+    }
+    Ok(items)
+}
+
 impl fmt::Display for PlanSpec {
     /// The canonical spec line: every key emitted (except `classes` when
     /// empty), floats via `{}` so `parse` reproduces the value exactly.
@@ -584,7 +368,7 @@ impl fmt::Display for PlanSpec {
         write!(
             f,
             "arrival={};rate={}",
-            arrival_spec(&self.workload.process),
+            self.workload.process.spec(),
             self.workload.process.mean_rate_rps()
         )?;
         write!(f, ";mix=")?;
@@ -608,7 +392,7 @@ impl fmt::Display for PlanSpec {
         write!(f, ";chips={}", self.chip_kinds.join("|"))?;
         write!(f, ";max-chips={};policies=", self.max_chips)?;
         for (i, p) in self.policies.iter().enumerate() {
-            write!(f, "{}{}", if i > 0 { "|" } else { "" }, policy_spec(p))?;
+            write!(f, "{}{p}", if i > 0 { "|" } else { "" })?;
         }
         if self.queue_capacity == usize::MAX {
             write!(f, ";queue-cap=unbounded")?;
@@ -751,11 +535,11 @@ mod tests {
             max_wait_s: 0.000123456789,
             max_size: 6,
         };
-        let spec = policy_spec(&policy);
-        assert_eq!(parse_policy(&spec).unwrap(), policy);
+        let spec = policy.to_string();
+        assert_eq!(BatchPolicy::parse(&spec).unwrap(), policy);
         // The CLI microsecond grammar still parses.
         assert_eq!(
-            parse_policy("deadline:100:6").unwrap(),
+            BatchPolicy::parse("deadline:100:6").unwrap(),
             BatchPolicy::Deadline {
                 max_wait_s: 100.0 / 1e6,
                 max_size: 6

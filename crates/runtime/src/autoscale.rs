@@ -27,6 +27,7 @@
 //!
 //! [`idle_power_w`]: albireo_core::accel::Accelerator::idle_power_w
 
+use crate::grammar::Lexer;
 use std::fmt;
 
 /// The fleet provisioning policy of a serving run.
@@ -69,53 +70,30 @@ impl AutoscalePolicy {
     /// `elastic:<UP_DEPTH>:<WARMUP_S>[:<MIN_CHIPS>]` (warm-up in
     /// seconds, `min_chips` defaulting to 1).
     pub fn parse(spec: &str) -> Result<AutoscalePolicy, String> {
-        let spec = spec.trim();
-        if spec.eq_ignore_ascii_case("none") {
-            return Ok(AutoscalePolicy::None);
-        }
-        if spec.eq_ignore_ascii_case("static") {
-            return Ok(AutoscalePolicy::Static);
-        }
-        if let Some(rest) = spec.strip_prefix("elastic:") {
-            let mut parts = rest.split(':');
-            let up_depth: usize = parts
-                .next()
-                .unwrap_or("")
-                .parse()
-                .map_err(|_| format!("bad up-depth in autoscale policy `{spec}`"))?;
-            if up_depth == 0 {
-                return Err("autoscale up-depth must be at least 1".to_string());
+        let mut lx = Lexer::new("autoscale policy", spec, ':');
+        let kind = lx.token("autoscale kind")?;
+        let policy = if kind.eq_ignore_ascii_case("none") {
+            AutoscalePolicy::None
+        } else if kind.eq_ignore_ascii_case("static") {
+            AutoscalePolicy::Static
+        } else if kind == "elastic" {
+            AutoscalePolicy::Elastic {
+                up_depth: lx.nonzero("up-depth")?,
+                warmup_s: lx.non_negative("warm-up in s")?,
+                min_chips: if lx.at_end() {
+                    1
+                } else {
+                    lx.nonzero("min-chips")?
+                },
             }
-            let warmup_s: f64 = parts
-                .next()
-                .ok_or_else(|| format!("autoscale policy `{spec}` is missing the warm-up"))?
-                .parse()
-                .map_err(|_| format!("bad warm-up in autoscale policy `{spec}`"))?;
-            if !warmup_s.is_finite() || warmup_s < 0.0 {
-                return Err("autoscale warm-up must be finite and non-negative".to_string());
-            }
-            let min_chips: usize = match parts.next() {
-                Some(m) => m
-                    .parse()
-                    .map_err(|_| format!("bad min-chips in autoscale policy `{spec}`"))?,
-                None => 1,
-            };
-            if min_chips == 0 {
-                return Err("autoscale min-chips must be at least 1".to_string());
-            }
-            if parts.next().is_some() {
-                return Err(format!("trailing fields in autoscale policy `{spec}`"));
-            }
-            return Ok(AutoscalePolicy::Elastic {
-                up_depth,
-                warmup_s,
-                min_chips,
-            });
-        }
-        Err(format!(
-            "unknown autoscale policy `{spec}` \
-             (try: none, static, elastic:<UP_DEPTH>:<WARMUP_S>[:<MIN_CHIPS>])"
-        ))
+        } else {
+            return Err(lx.expected(
+                kind,
+                "none, static or elastic:<UP_DEPTH>:<WARMUP_S>[:<MIN_CHIPS>]",
+            ));
+        };
+        lx.end()?;
+        Ok(policy)
     }
 }
 

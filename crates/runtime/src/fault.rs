@@ -28,6 +28,7 @@
 //! fleet into a plain [`FaultScenario`]. DESIGN.md §13 documents the
 //! model.
 
+use crate::grammar::Lexer;
 use albireo_core::analog::{Fault, FaultSet};
 use albireo_parallel::{split_seed, stream_id};
 use rand::rngs::StdRng;
@@ -279,23 +280,61 @@ impl FaultSpec {
     /// Parses a comma-joined clause list (see the type docs for the
     /// grammar). An empty string is the empty spec.
     pub fn parse(s: &str) -> Result<FaultSpec, String> {
+        let mut list = Lexer::new("fault spec", s, ',');
         let mut clauses = Vec::new();
-        for raw in s.split(',') {
-            let clause = raw.trim();
+        while let Some(clause) = list.next() {
             if clause.is_empty() {
                 continue;
             }
-            clauses.push(parse_clause(clause)?);
-        }
-        if clauses
-            .iter()
-            .filter(|c| matches!(c, FaultClause::Crews { .. }))
-            .count()
-            > 1
-        {
-            return Err("at most one crews: clause per fault spec".to_string());
+            let clause = parse_clause(list.split(clause, ':'))?;
+            let crews = |c: &FaultClause| matches!(c, FaultClause::Crews { .. });
+            if crews(&clause) && clauses.iter().any(crews) {
+                return Err(list.missing("at most one crews: clause"));
+            }
+            clauses.push(clause);
         }
         Ok(FaultSpec { clauses })
+    }
+
+    /// Appends the entries of one of `serve`'s per-chip fault flags —
+    /// `--fail` and `--recover` take `CHIP@T,...`, `--degrade` takes
+    /// `CHIP:N@T,...` — as the matching `fail:`/`recover:`/`degrade:`
+    /// clauses. Unlike spec clauses, which a planner clips per fleet,
+    /// these name chips of one concrete fleet, so a chip index outside
+    /// the `fleet_size`-chip fleet is an error.
+    pub fn with_flag(
+        mut self,
+        flag: &'static str,
+        list: &str,
+        fleet_size: usize,
+    ) -> Result<FaultSpec, String> {
+        let mut entries = Lexer::new(flag, list, ',');
+        while let Some(entry) = entries.next() {
+            if entry.is_empty() {
+                continue;
+            }
+            let mut lx = entries.split(entry, '@');
+            let chip_sep = if flag == "--degrade" { ':' } else { '@' };
+            let chip: usize = lx.to(chip_sep).field("chip index")?;
+            if chip >= fleet_size {
+                return Err(entries.reject(
+                    entry,
+                    format_args!("chip index {chip} outside the {fleet_size}-chip fleet"),
+                ));
+            }
+            let count = match flag {
+                "--degrade" => lx.nonzero("PLCG count")?,
+                _ => 0,
+            };
+            let at_s = lx.non_negative("time in s")?;
+            lx.end()?;
+            self.clauses.push(match flag {
+                "--fail" => FaultClause::Fail { chip, at_s },
+                "--recover" => FaultClause::Recover { chip, at_s },
+                _ => FaultClause::Degrade { chip, at_s, count },
+            });
+        }
+        Ok(self)
     }
 
     /// Expands the spec against a concrete fleet of `fleet_size` chips.
@@ -385,113 +424,66 @@ fn dispatch_crews(scenario: FaultScenario, crews: usize, mean_s: f64, seed: u64)
     out
 }
 
-fn parse_clause(clause: &str) -> Result<FaultClause, String> {
-    let err = |msg: &str| format!("fault clause `{clause}`: {msg}");
-    let (kind, rest) = clause
-        .split_once(':')
-        .ok_or_else(|| err("expected kind:args"))?;
-    let parse_usize =
-        |s: &str, what: &str| s.parse::<usize>().map_err(|_| err(&format!("bad {what}")));
-    let parse_time = |s: &str, what: &str| {
-        let t = s.parse::<f64>().map_err(|_| err(&format!("bad {what}")))?;
-        if t.is_finite() && t >= 0.0 {
-            Ok(t)
-        } else {
-            Err(err(&format!("{what} must be finite and non-negative")))
-        }
-    };
-    let parse_range = |s: &str| -> Result<(usize, usize), String> {
-        let (a, b) = s.split_once('-').ok_or_else(|| err("expected A-B range"))?;
-        let (from, to) = (parse_usize(a, "range start")?, parse_usize(b, "range end")?);
-        if from > to {
-            return Err(err("range start exceeds range end"));
-        }
+/// Parses one `kind:args` clause from a `:`-splitting lexer over it.
+fn parse_clause(mut lx: Lexer<'_>) -> Result<FaultClause, String> {
+    let kind = lx.token("fault clause kind")?;
+    // `A-B@`: a chip range whose start does not exceed its end.
+    let range = |lx: &mut Lexer<'_>| -> Result<(usize, usize), String> {
+        let from = lx.to('-').field("range start")?;
+        let to = lx
+            .to('@')
+            .field_where("range end >= start", |to: &usize| *to >= from)?;
         Ok((from, to))
     };
-    match kind {
-        "fail" | "recover" => {
-            let (chip, at) = rest.split_once('@').ok_or_else(|| err("expected CHIP@T"))?;
-            let chip = parse_usize(chip, "chip index")?;
-            let at_s = parse_time(at, "time")?;
-            Ok(if kind == "fail" {
-                FaultClause::Fail { chip, at_s }
-            } else {
-                FaultClause::Recover { chip, at_s }
-            })
-        }
-        "degrade" => {
-            let (chip, rest) = rest
-                .split_once('@')
-                .ok_or_else(|| err("expected CHIP@T:N"))?;
-            let (at, n) = rest.split_once(':').ok_or_else(|| err("expected T:N"))?;
-            let count = parse_usize(n, "PLCG count")?;
-            if count == 0 {
-                return Err(err("PLCG count must be at least 1"));
-            }
-            Ok(FaultClause::Degrade {
-                chip: parse_usize(chip, "chip index")?,
-                at_s: parse_time(at, "time")?,
-                count,
-            })
-        }
+    let clause = match kind {
+        "fail" => FaultClause::Fail {
+            chip: lx.to('@').field("chip index")?,
+            at_s: lx.non_negative("time in s")?,
+        },
+        "recover" => FaultClause::Recover {
+            chip: lx.to('@').field("chip index")?,
+            at_s: lx.non_negative("time in s")?,
+        },
+        "degrade" => FaultClause::Degrade {
+            chip: lx.to('@').field("chip index")?,
+            at_s: lx.non_negative("time in s")?,
+            count: lx.nonzero("PLCG count")?,
+        },
         "rack" => {
-            let (range, at) = rest.split_once('@').ok_or_else(|| err("expected A-B@T"))?;
-            let (from, to) = parse_range(range)?;
-            Ok(FaultClause::Rack {
+            let (from, to) = range(&mut lx)?;
+            FaultClause::Rack {
                 from,
                 to,
-                at_s: parse_time(at, "time")?,
-            })
+                at_s: lx.non_negative("time in s")?,
+            }
         }
         "thermal" => {
-            let (range, rest) = rest
-                .split_once('@')
-                .ok_or_else(|| err("expected A-B@T1-T2:N"))?;
-            let (from, to) = parse_range(range)?;
-            let (window, n) = rest
-                .split_once(':')
-                .ok_or_else(|| err("expected T1-T2:N"))?;
-            let (t1, t2) = window
-                .split_once('-')
-                .ok_or_else(|| err("expected T1-T2 window"))?;
-            let (start_s, end_s) = (parse_time(t1, "epoch start")?, parse_time(t2, "epoch end")?);
-            if start_s >= end_s {
-                return Err(err("epoch start must precede epoch end"));
-            }
-            let count = parse_usize(n, "PLCG count")?;
-            if count == 0 {
-                return Err(err("PLCG count must be at least 1"));
-            }
-            Ok(FaultClause::Thermal {
+            let (from, to) = range(&mut lx)?;
+            let start_s = lx.to('-').non_negative("epoch start in s")?;
+            FaultClause::Thermal {
                 from,
                 to,
                 start_s,
-                end_s,
-                count,
-            })
+                end_s: lx.field_where("epoch end after its start", |end: &f64| {
+                    end.is_finite() && *end > start_s
+                })?,
+                count: lx.nonzero("PLCG count")?,
+            }
         }
-        "crews" => {
-            let parts: Vec<&str> = rest.split(':').collect();
-            if parts.len() != 3 {
-                return Err(err("expected K:MEAN_S:SEED"));
-            }
-            let crews = parse_usize(parts[0], "crew count")?;
-            if crews == 0 {
-                return Err(err("crew count must be at least 1"));
-            }
-            let mean_s = parse_time(parts[1], "mean repair time")?;
-            if mean_s <= 0.0 {
-                return Err(err("mean repair time must be positive"));
-            }
-            let seed = parts[2].parse::<u64>().map_err(|_| err("bad crew seed"))?;
-            Ok(FaultClause::Crews {
-                crews,
-                mean_s,
-                seed,
-            })
+        "crews" => FaultClause::Crews {
+            crews: lx.nonzero("crew count")?,
+            mean_s: lx.positive("mean repair time in s")?,
+            seed: lx.field("crew seed")?,
+        },
+        _ => {
+            return Err(lx.expected(
+                kind,
+                "fault clause kind (fail, recover, degrade, rack, thermal, crews)",
+            ))
         }
-        _ => Err(err("unknown clause kind")),
-    }
+    };
+    lx.end()?;
+    Ok(clause)
 }
 
 impl fmt::Display for FaultSpec {
@@ -655,6 +647,30 @@ mod tests {
             "crews:1:0.5:7,crews:2:0.5:8",
         ] {
             assert!(FaultSpec::parse(bad).is_err(), "accepted `{bad}`");
+        }
+    }
+
+    #[test]
+    fn cli_flags_lower_to_the_matching_clauses() {
+        let flags = FaultSpec::none()
+            .with_flag("--fail", "1@0.005", 2)
+            .and_then(|s| s.with_flag("--degrade", " 0:4@0.002 ,", 2))
+            .unwrap();
+        let spec = FaultSpec::parse("fail:1@0.005,degrade:0@0.002:4").unwrap();
+        assert_eq!(flags, spec);
+        let err = FaultSpec::none()
+            .with_flag("--fail", "7@0.1", 2)
+            .unwrap_err();
+        assert!(
+            err.contains("chip index 7 outside the 2-chip fleet"),
+            "{err}"
+        );
+        for (flag, bad) in [
+            ("--degrade", "0:0@0.1"),
+            ("--fail", "0"),
+            ("--recover", "0@-1"),
+        ] {
+            assert!(FaultSpec::none().with_flag(flag, bad, 2).is_err(), "{bad}");
         }
     }
 

@@ -13,6 +13,7 @@
 //! pass — ~31% of AlexNet's inference latency on Albireo-9, ~3% of
 //! VGG16's, which is exactly why batching pays on small networks.
 
+use crate::grammar::Lexer;
 use albireo_baselines::{reported_accelerators, DeapCnn, Pixel};
 use albireo_core::accel::{Accelerator, AlbireoAccelerator};
 use albireo_core::config::{ChipConfig, TechnologyEstimate};
@@ -132,130 +133,100 @@ impl FleetConfig {
     /// *unaliased* duplicate entries stay legal (two `albireo_9:C`
     /// entries are simply a two-chip fleet).
     pub fn parse(spec: &str, models: Vec<Model>) -> Result<FleetConfig, String> {
+        let mut list = Lexer::new("fleet", spec, ',');
         let mut chips: Vec<ChipSpec> = Vec::new();
-        let mut aliases: Vec<String> = Vec::new();
-        for entry in spec.split(',') {
-            let entry = entry.trim();
+        let mut aliases: Vec<&str> = Vec::new();
+        while let Some(entry) = list.next() {
             if entry.is_empty() {
                 continue;
             }
-            let (alias, entry) = match entry.split_once('=') {
-                Some((a, rest)) => {
-                    let a = a.trim();
-                    if a.is_empty()
-                        || !a
-                            .chars()
-                            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-                    {
-                        return Err(format!("bad chip alias `{a}` in fleet entry `{entry}`"));
-                    }
-                    (Some(a.to_string()), rest.trim())
+            let mut lx = list.split(entry, ':');
+            let alias = lx.prefix('=');
+            if let Some(a) = alias {
+                let valid = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
+                if a.is_empty() || !a.chars().all(valid) {
+                    return Err(list.expected(a, "chip alias of [A-Za-z0-9_-]"));
                 }
-                None => (None, entry),
-            };
-            let (chip_name, est_tag) = match entry.split_once(':') {
-                Some((c, e)) => (c.trim(), Some(e.trim())),
-                None => (entry, None),
-            };
-            let estimate = match est_tag.unwrap_or("C").to_ascii_uppercase().as_str() {
-                "C" | "CONSERVATIVE" => TechnologyEstimate::Conservative,
-                "M" | "MODERATE" => TechnologyEstimate::Moderate,
-                "A" | "AGGRESSIVE" => TechnologyEstimate::Aggressive,
-                other => return Err(format!("unknown estimate `{other}` in fleet spec")),
-            };
-            let named = |accel: Arc<dyn Accelerator>| ChipSpec {
-                name: format!("{}_{}", chip_name, estimate.suffix()),
-                accel,
+            }
+            let chip_name = lx.token("chip kind")?;
+            let tag = lx.next();
+            lx.end()?;
+            let estimate: TechnologyEstimate = match tag {
+                Some(tag) => lx.parse(tag, "estimate C, M or A")?,
+                None => TechnologyEstimate::Conservative,
             };
             let lower = chip_name.to_ascii_lowercase();
-            let spec = match lower.as_str() {
-                "albireo_9" | "albireo9" => named(Arc::new(AlbireoAccelerator::new(
-                    chip_name,
-                    ChipConfig::albireo_9(),
-                    estimate,
-                ))),
-                "albireo_27" | "albireo27" => named(Arc::new(AlbireoAccelerator::new(
-                    chip_name,
-                    ChipConfig::albireo_27(),
-                    estimate,
-                ))),
-                "winograd" | "winograd_9" | "winograd9" => named(Arc::new(
-                    WinogradAccelerator::new(chip_name, ChipConfig::albireo_9(), estimate),
-                )),
-                "winograd_27" | "winograd27" => named(Arc::new(WinogradAccelerator::new(
-                    chip_name,
-                    ChipConfig::albireo_27(),
-                    estimate,
-                ))),
-                "gemm" | "gemm_9" | "gemm9" => named(Arc::new(GemmMode::new(
-                    chip_name,
-                    ChipConfig::albireo_9(),
-                    estimate,
-                ))),
-                "gemm_27" | "gemm27" => named(Arc::new(GemmMode::new(
-                    chip_name,
-                    ChipConfig::albireo_27(),
-                    estimate,
-                ))),
-                "pixel" => named(Arc::new(Pixel::scaled_to_power(
-                    BASELINE_BUDGET_W,
-                    estimate,
-                ))),
-                "deap" | "deap-cnn" | "deapcnn" => named(Arc::new(DeapCnn::scaled_to_power(
-                    BASELINE_BUDGET_W,
-                    estimate,
-                ))),
-                "eyeriss" | "envision" | "unpu" => {
-                    if est_tag.is_some() {
-                        return Err(format!(
-                            "`{chip_name}` uses reported numbers and takes no estimate tag"
-                        ));
-                    }
-                    let accel = reported_accelerators()
+            let electronic = matches!(lower.as_str(), "eyeriss" | "envision" | "unpu");
+            if let (true, Some(tag)) = (electronic, tag) {
+                let why =
+                    format_args!("`{chip_name}` uses reported numbers and takes no estimate tag");
+                return Err(list.reject(tag, why));
+            }
+            let albireo = |cfg: ChipConfig| -> Arc<dyn Accelerator> {
+                Arc::new(AlbireoAccelerator::new(chip_name, cfg, estimate))
+            };
+            let winograd = |cfg: ChipConfig| -> Arc<dyn Accelerator> {
+                Arc::new(WinogradAccelerator::new(chip_name, cfg, estimate))
+            };
+            let gemm = |cfg: ChipConfig| -> Arc<dyn Accelerator> {
+                Arc::new(GemmMode::new(chip_name, cfg, estimate))
+            };
+            let (nine, twenty_seven) = (ChipConfig::albireo_9(), ChipConfig::albireo_27());
+            let accel: Arc<dyn Accelerator> = match lower.as_str() {
+                "albireo_9" | "albireo9" => albireo(nine),
+                "albireo_27" | "albireo27" => albireo(twenty_seven),
+                "winograd" | "winograd_9" | "winograd9" => winograd(nine),
+                "winograd_27" | "winograd27" => winograd(twenty_seven),
+                "gemm" | "gemm_9" | "gemm9" => gemm(nine),
+                "gemm_27" | "gemm27" => gemm(twenty_seven),
+                "pixel" => Arc::new(Pixel::scaled_to_power(BASELINE_BUDGET_W, estimate)),
+                "deap" | "deap-cnn" | "deapcnn" => {
+                    Arc::new(DeapCnn::scaled_to_power(BASELINE_BUDGET_W, estimate))
+                }
+                _ if electronic => Arc::new(
+                    reported_accelerators()
                         .into_iter()
                         .find(|a| a.name.eq_ignore_ascii_case(chip_name))
-                        .expect("reported accelerator exists");
-                    ChipSpec {
-                        name: lower.clone(),
-                        accel: Arc::new(accel),
-                    }
+                        .expect("reported accelerator exists"),
+                ),
+                ng if ng.starts_with("ng") => {
+                    let ok = |n: &usize| *n >= 1;
+                    albireo(ChipConfig::with_ng(lx.parse_where(
+                        &chip_name[2..],
+                        "PLCG count >= 1",
+                        ok,
+                    )?))
                 }
-                other => match other.strip_prefix("ng") {
-                    Some(n) => {
-                        let ng: usize = n
-                            .parse()
-                            .map_err(|_| format!("bad PLCG count in fleet entry `{entry}`"))?;
-                        if ng == 0 {
-                            return Err("fleet chips need at least one PLCG".to_string());
-                        }
-                        named(Arc::new(AlbireoAccelerator::new(
-                            chip_name,
-                            ChipConfig::with_ng(ng),
-                            estimate,
-                        )))
-                    }
-                    None => return Err(format!("unknown chip `{other}` in fleet spec")),
-                },
+                _ => {
+                    return Err(list.expected(
+                        chip_name,
+                        "chip kind (albireo_9, albireo_27, winograd[_9|_27], gemm[_9|_27], \
+                         pixel, deap, ng<N>, eyeriss, envision, unpu)",
+                    ))
+                }
             };
-            let spec = match alias {
+            // Estimate-taking chips are named by their full coordinate;
+            // reported-number chips keep their bare name.
+            let name = match alias {
                 Some(alias) => {
-                    aliases.push(alias.clone());
-                    ChipSpec {
-                        name: alias,
-                        accel: spec.accel,
-                    }
+                    aliases.push(alias);
+                    alias.to_string()
                 }
-                None => spec,
+                None if electronic => lower,
+                None => format!("{chip_name}_{}", estimate.suffix()),
             };
-            chips.push(spec);
+            chips.push(ChipSpec { name, accel });
         }
         if chips.is_empty() {
-            return Err("fleet spec names no chips".to_string());
+            return Err(list.missing("at least one chip"));
         }
-        for alias in &aliases {
-            if chips.iter().filter(|c| &c.name == alias).count() > 1 {
-                return Err(format!(
-                    "duplicate chip alias `{alias}` in fleet spec (aliases must be unique)"
+        for alias in aliases {
+            if chips.iter().filter(|c| c.name == alias).count() > 1 {
+                return Err(list.reject(
+                    alias,
+                    format_args!(
+                        "duplicate chip alias `{alias}` in fleet spec (aliases must be unique)"
+                    ),
                 ));
             }
         }

@@ -27,6 +27,9 @@
 //!   [`fleet::ServiceOracle`] that turns `(chip, active groups, network)`
 //!   into latency/energy through the `Accelerator` trait;
 //! * [`policy`] — micro-batching policies and admission control;
+//! * [`grammar`] — the shared lexer every spec grammar (fleet, policy,
+//!   autoscale, fault, class, arrival, snapshot) reads its fields
+//!   through, with one error format;
 //! * [`autoscale`] — fleet provisioning: static idle-power accounting
 //!   and queue-depth-driven elastic spin-up/park with warm-up latency;
 //! * [`alerts`] — deterministic multi-window SLO burn-rate alerting on
@@ -60,6 +63,7 @@ pub mod alerts;
 pub mod autoscale;
 pub mod fault;
 pub mod fleet;
+pub mod grammar;
 pub mod policy;
 pub mod queue;
 pub mod report;

@@ -10,6 +10,9 @@
 //! (head-of-line semantics are intentional and documented — a released
 //! chip never skips the oldest waiting request's network).
 
+use crate::grammar::Lexer;
+use std::fmt;
+
 /// When the dispatcher may form a batch from the queue head.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BatchPolicy {
@@ -46,53 +49,49 @@ impl BatchPolicy {
         }
     }
 
-    /// Parses a policy spec: `immediate`, `size:<N>`, or
+    /// Parses a policy spec: `immediate`, `size:<N>`,
     /// `deadline:<USEC>[:<MAX>]` (deadline in microseconds, default max
-    /// batch 8).
+    /// batch 8), or the exact canonical form `deadline_s:<SECONDS>:<MAX>`
+    /// (seconds via `{}` round-trip bit-exactly; dividing microseconds
+    /// by 1e6 does not).
     pub fn parse(spec: &str) -> Result<BatchPolicy, String> {
-        let spec = spec.trim();
-        if spec.eq_ignore_ascii_case("immediate") {
-            return Ok(BatchPolicy::Immediate);
-        }
-        if let Some(n) = spec
-            .strip_prefix("size:")
-            .or_else(|| spec.strip_prefix("size"))
-        {
-            let size: usize = n
-                .parse()
-                .map_err(|_| format!("bad batch size in policy `{spec}`"))?;
-            if size == 0 {
-                return Err("batch size must be at least 1".to_string());
-            }
-            return Ok(BatchPolicy::SizeN { size });
-        }
-        if let Some(rest) = spec.strip_prefix("deadline:") {
-            let mut parts = rest.split(':');
-            let usec: f64 = parts
-                .next()
-                .unwrap_or("")
-                .parse()
-                .map_err(|_| format!("bad deadline in policy `{spec}`"))?;
-            if usec <= 0.0 {
-                return Err("deadline must be positive".to_string());
-            }
-            let max_size: usize = match parts.next() {
-                Some(m) => m
-                    .parse()
-                    .map_err(|_| format!("bad max batch size in policy `{spec}`"))?,
-                None => 8,
-            };
-            if max_size == 0 {
-                return Err("max batch size must be at least 1".to_string());
-            }
-            return Ok(BatchPolicy::Deadline {
-                max_wait_s: usec / 1e6,
-                max_size,
-            });
-        }
-        Err(format!(
-            "unknown policy `{spec}` (try: immediate, size:<N>, deadline:<USEC>[:<MAX>])"
-        ))
+        let mut lx = Lexer::new("policy", spec, ':');
+        let kind = lx.token("policy kind")?;
+        let policy = match kind {
+            "deadline" => BatchPolicy::Deadline {
+                // The microsecond form must still be a positive number
+                // of seconds once scaled.
+                max_wait_s: lx.field_where("finite deadline in us > 0", |us: &f64| {
+                    us.is_finite() && us / 1e6 > 0.0
+                })? / 1e6,
+                max_size: if lx.at_end() {
+                    8
+                } else {
+                    lx.nonzero("max batch size")?
+                },
+            },
+            "deadline_s" => BatchPolicy::Deadline {
+                max_wait_s: lx.positive("deadline in s")?,
+                max_size: lx.nonzero("max batch size")?,
+            },
+            _ if kind.eq_ignore_ascii_case("immediate") => BatchPolicy::Immediate,
+            _ => match kind.strip_prefix("size") {
+                Some("") => BatchPolicy::SizeN {
+                    size: lx.nonzero("batch size")?,
+                },
+                Some(n) => BatchPolicy::SizeN {
+                    size: lx.parse_where(n, "batch size >= 1", |n: &usize| *n >= 1)?,
+                },
+                None => {
+                    return Err(lx.expected(
+                        kind,
+                        "immediate, size:<N>, deadline:<USEC>[:<MAX>] or deadline_s:<S>:<MAX>",
+                    ))
+                }
+            },
+        };
+        lx.end()?;
+        Ok(policy)
     }
 
     /// The largest batch this policy ever dispatches.
@@ -101,6 +100,23 @@ impl BatchPolicy {
             BatchPolicy::Immediate => 1,
             BatchPolicy::SizeN { size } => *size,
             BatchPolicy::Deadline { max_size, .. } => *max_size,
+        }
+    }
+}
+
+impl fmt::Display for BatchPolicy {
+    /// The canonical exact spec — `immediate`, `size:<N>`, or
+    /// `deadline_s:<SECONDS>:<MAX>` — that [`BatchPolicy::parse`]
+    /// inverts bit-exactly (seconds print via `{}`; the microsecond
+    /// form divides by 1e6, which does not invert multiplication).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BatchPolicy::Immediate => write!(f, "immediate"),
+            BatchPolicy::SizeN { size } => write!(f, "size:{size}"),
+            BatchPolicy::Deadline {
+                max_wait_s,
+                max_size,
+            } => write!(f, "deadline_s:{max_wait_s}:{max_size}"),
         }
     }
 }
@@ -160,10 +176,43 @@ mod tests {
             }
         );
         assert_eq!(d.label(), "deadline100us_max6");
+        assert_eq!(BatchPolicy::parse(&d.to_string()).unwrap(), d);
         assert_eq!(BatchPolicy::parse("deadline:50").unwrap().max_batch(), 8);
         assert!(BatchPolicy::parse("size:0").is_err());
         assert!(BatchPolicy::parse("deadline:0").is_err());
         assert!(BatchPolicy::parse("fifo").is_err());
+        assert_eq!(
+            BatchPolicy::parse("size4").unwrap(),
+            BatchPolicy::SizeN { size: 4 }
+        );
+        assert_eq!(
+            BatchPolicy::parse("deadline_s:0.000123456789:6").unwrap(),
+            BatchPolicy::Deadline {
+                max_wait_s: 0.000123456789,
+                max_size: 6
+            }
+        );
+    }
+
+    #[test]
+    fn non_finite_and_over_long_policies_are_rejected() {
+        for bad in [
+            "deadline:nan",
+            "deadline:inf:4",
+            "deadline:-1",
+            "deadline:1e-320",
+            "deadline:100:6:99",
+            "deadline_s:nan:4",
+            "deadline_s:0.1",
+            "size:4:1",
+            "immediate:1",
+        ] {
+            assert!(BatchPolicy::parse(bad).is_err(), "accepted `{bad}`");
+        }
+        assert_eq!(
+            BatchPolicy::parse("deadline:nan").unwrap_err(),
+            "policy `deadline:nan`: expected finite deadline in us > 0 at byte 9"
+        );
     }
 
     #[test]

@@ -27,10 +27,12 @@ use crate::alerts::{
     AlertBook, AlertEvent, AlertPolicy, AlertRule, BurnRule, ClassAlertState, WindowCounts,
 };
 use crate::fault::FaultKind;
+use crate::grammar::Lexer;
 use crate::report::{ClassTotals, RequestRecord, RunTotals};
 use crate::sim::{ChipState, EventKind};
 use crate::workload::Request;
 use albireo_core::report::json;
+use albireo_obs::sketch::MAX_BUCKETS;
 use albireo_obs::{fnv1a, QuantileSketch};
 use std::fmt::Write as _;
 
@@ -399,13 +401,22 @@ impl SimSnapshot {
     /// Parses an `albireo.snapshot/v1` text snapshot, verifying the
     /// trailing self-digest before interpreting a single field.
     pub fn parse(text: &str) -> Result<SimSnapshot, String> {
-        let stripped = text.strip_suffix('\n').unwrap_or(text);
+        // Every writer ends the digest line with a newline, so a missing
+        // one means a torn write.
+        let stripped = text
+            .strip_suffix('\n')
+            .ok_or("snapshot does not end with a newline (truncated write)")?;
         let (head, last) = stripped
             .rsplit_once('\n')
             .ok_or_else(|| "snapshot too short".to_string())?;
         let digest_hex = last
             .strip_prefix("digest ")
-            .ok_or_else(|| format!("last line must be `digest <hex>`, found `{last}`"))?;
+            // Exactly the 16 lowercase digits the writer emits, so a
+            // case flip in the digest line cannot parse to the same value.
+            .filter(|hex| {
+                hex.len() == 16 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+            })
+            .ok_or_else(|| format!("last line must be `digest <16 hex>`, found `{last}`"))?;
         let want = u64::from_str_radix(digest_hex, 16)
             .map_err(|e| format!("bad digest `{digest_hex}`: {e}"))?;
         let body = &text[..head.len() + 1];
@@ -417,9 +428,13 @@ impl SimSnapshot {
             ));
         }
 
+        // fnv1a detects corruption but does not authenticate: a
+        // re-digested file is trusted, so every count and index below is
+        // range-checked before it sizes or indexes anything.
         let mut cur = Cursor {
             lines: body.lines(),
             lineno: 0,
+            left: body.lines().count(),
         };
         let schema = cur.next_line()?;
         if schema != SNAPSHOT_SCHEMA {
@@ -427,177 +442,158 @@ impl SimSnapshot {
                 "unsupported snapshot schema `{schema}` (this build reads {SNAPSHOT_SCHEMA})"
             ));
         }
-        let fingerprint = p_hex(cur.tagged("fingerprint")?)?;
-        let requests = p_usize(cur.tagged("requests")?)?;
-        let seed = p_u64(cur.tagged("seed")?)?;
-        let at_s = f64::from_bits(p_hex(cur.tagged("at")?)?);
-        let checkpoints = p_u64(cur.tagged("checkpoints")?)?;
-        let seq = p_u64(cur.tagged("seq")?)?;
-        let peak_event_queue = p_usize(cur.tagged("peak_events")?)?;
-        let arrival_rest = cur.tagged("next_arrival")?;
-        let next_arrival = if arrival_rest == "none" {
-            None
-        } else {
-            let mut t = arrival_rest.split_whitespace();
-            Some(Request {
-                id: p_u64(tok(&mut t, "arrival id")?)?,
-                arrival_s: f64::from_bits(p_hex(tok(&mut t, "arrival time")?)?),
-                network: p_usize(tok(&mut t, "arrival network")?)?,
-                class: p_usize(tok(&mut t, "arrival class")?)?,
-            })
+        let fingerprint = cur.tagged("fingerprint")?.hex("fingerprint")?;
+        let requests = cur.tagged("requests")?.field("requests")?;
+        let seed = cur.tagged("seed")?.field("seed")?;
+        let at_s = cur.tagged("at")?.bits("at")?;
+        let checkpoints = cur.tagged("checkpoints")?.field("checkpoints")?;
+        let seq = cur
+            .tagged("seq")?
+            .field_where("seq < 2^56", |s: &u64| *s < 1 << 56)?;
+        let peak_event_queue = cur.tagged("peak_events")?.field("peak_events")?;
+        let mut t = cur.tagged("next_arrival")?;
+        let next_arrival = match t.clone().next() {
+            Some("none") => None,
+            _ => Some(request(&mut t)?),
         };
-        let totals_rest = cur.tagged("totals")?;
-        let mut t = totals_rest.split_whitespace();
+        let mut t = cur.tagged("totals")?;
         let mut totals = RunTotals::new(Vec::new());
-        totals.offered = p_u64(tok(&mut t, "offered")?)?;
-        totals.shed = p_u64(tok(&mut t, "shed")?)?;
-        totals.rec_fold = p_hex(tok(&mut t, "rec_fold")?)?;
-        totals.rec_count = p_u64(tok(&mut t, "rec_count")?)?;
-        totals.latency_sum_ms = f64::from_bits(p_hex(tok(&mut t, "latency_sum")?)?);
-        totals.wait_sum_ms = f64::from_bits(p_hex(tok(&mut t, "wait_sum")?)?);
-        totals.max_finish_s = f64::from_bits(p_hex(tok(&mut t, "max_finish")?)?);
-        totals.last_arrival_s = f64::from_bits(p_hex(tok(&mut t, "last_arrival")?)?);
-        totals.max_queue_depth = p_usize(tok(&mut t, "max_queue_depth")?)?;
+        totals.offered = t.field("offered")?;
+        totals.shed = t.field("shed")?;
+        totals.rec_fold = t.hex("rec_fold")?;
+        totals.rec_count = t.field("rec_count")?;
+        totals.latency_sum_ms = t.bits("latency_sum")?;
+        totals.wait_sum_ms = t.bits("wait_sum")?;
+        totals.max_finish_s = t.bits("max_finish")?;
+        totals.last_arrival_s = t.bits("last_arrival")?;
+        totals.max_queue_depth = t.field("max_queue_depth")?;
         totals.latency_ms = parse_sketch(cur.tagged("sketch")?)?;
-        let n_classes = p_usize(cur.tagged("classes")?)?;
+        let n_classes: usize = cur.tagged("classes")?.field("classes")?;
         for _ in 0..n_classes {
-            let rest = cur.tagged("class")?;
-            let mut parts = rest.splitn(6, ' ');
-            let completed = p_u64(tok(&mut parts, "class completed")?)?;
-            let shed = p_u64(tok(&mut parts, "class shed")?)?;
-            let slo_hits = p_u64(tok(&mut parts, "class slo_hits")?)?;
-            let latency_sum_ms = f64::from_bits(p_hex(tok(&mut parts, "class latency_sum")?)?);
-            let slo_tok = tok(&mut parts, "class slo")?;
-            let slo_ms = if slo_tok == "-" {
-                None
-            } else {
-                Some(f64::from_bits(p_hex(slo_tok)?))
-            };
-            let name = tok(&mut parts, "class name")?;
-            let mut c = ClassTotals::new(name, slo_ms);
-            c.completed = completed;
-            c.shed = shed;
-            c.slo_hits = slo_hits;
-            c.latency_sum_ms = latency_sum_ms;
-            c.latency_ms = parse_sketch(cur.tagged("sketch")?)?;
-            totals.classes.push(c);
+            let mut t = cur.tagged("class")?;
+            totals.classes.push(ClassTotals {
+                completed: t.field("class completed")?,
+                shed: t.field("class shed")?,
+                slo_hits: t.field("class slo_hits")?,
+                latency_sum_ms: t.bits("class latency_sum")?,
+                slo_ms: match t.clone().next() {
+                    Some("-") => t.next().and(None),
+                    _ => Some(t.bits("class slo")?),
+                },
+                name: t.rest("class name")?.to_string(),
+                latency_ms: parse_sketch(cur.tagged("sketch")?)?,
+            });
         }
-        let n_records = p_usize(cur.tagged("records")?)?;
+        let n_records: usize = cur.tagged("records")?.field("records")?;
         for _ in 0..n_records {
-            let rest = cur.tagged("record")?;
-            let mut t = rest.split_whitespace();
+            let mut t = cur.tagged("record")?;
             totals.records.push(RequestRecord {
-                id: p_u64(tok(&mut t, "record id")?)?,
-                network: p_usize(tok(&mut t, "record network")?)?,
-                chip: p_usize(tok(&mut t, "record chip")?)?,
-                arrival_s: f64::from_bits(p_hex(tok(&mut t, "record arrival")?)?),
-                start_s: f64::from_bits(p_hex(tok(&mut t, "record start")?)?),
-                finish_s: f64::from_bits(p_hex(tok(&mut t, "record finish")?)?),
+                id: t.field("record id")?,
+                network: t.field("record network")?,
+                chip: t.field("record chip")?,
+                arrival_s: t.bits("record arrival")?,
+                start_s: t.bits("record start")?,
+                finish_s: t.bits("record finish")?,
             });
         }
-        let n_queued = p_usize(cur.tagged("queued")?)?;
-        let mut queue = Vec::with_capacity(n_queued);
+        let n_queued: usize = cur.tagged("queued")?.field("queued")?;
+        let mut queue = Vec::with_capacity(cur.capacity(n_queued));
         for _ in 0..n_queued {
-            let rest = cur.tagged("req")?;
-            let mut t = rest.split_whitespace();
-            queue.push(Request {
-                id: p_u64(tok(&mut t, "queued id")?)?,
-                arrival_s: f64::from_bits(p_hex(tok(&mut t, "queued arrival")?)?),
-                network: p_usize(tok(&mut t, "queued network")?)?,
-                class: p_usize(tok(&mut t, "queued class")?)?,
-            });
+            queue.push(request(&mut cur.tagged("req")?)?);
         }
-        let n_events = p_usize(cur.tagged("events")?)?;
-        let mut events = Vec::with_capacity(n_events);
+        let n_events: usize = cur.tagged("events")?.field("events")?;
+        let mut events = Vec::with_capacity(cur.capacity(n_events));
         for _ in 0..n_events {
-            let rest = cur.tagged("event")?;
-            let mut t = rest.split_whitespace();
-            let time_bits = p_hex(tok(&mut t, "event time")?)?;
-            let class = p_u64(tok(&mut t, "event class")?)? as u8;
-            let ev_seq = p_u64(tok(&mut t, "event seq")?)?;
-            let kind = match tok(&mut t, "event kind")? {
+            let mut t = cur.tagged("event")?;
+            let time_bits = t.hex("event time")?;
+            let class: u8 = t.field("event class")?;
+            let ev_seq = t.field_where("event seq < 2^56", |s: &u64| *s < 1 << 56)?;
+            let kind = match t.token("event kind")? {
                 "fault" => {
-                    let which = tok(&mut t, "fault kind")?;
-                    let chip = p_usize(tok(&mut t, "fault chip")?)?;
-                    match which {
-                        "chip_offline" => EventKind::Fault(FaultKind::ChipOffline { chip }),
-                        "chip_online" => EventKind::Fault(FaultKind::ChipOnline { chip }),
-                        "plcg_offline" => EventKind::Fault(FaultKind::PlcgOffline {
+                    let which = t.token("fault kind")?;
+                    let chip = t.field("fault chip")?;
+                    EventKind::Fault(match which {
+                        "chip_offline" => FaultKind::ChipOffline { chip },
+                        "chip_online" => FaultKind::ChipOnline { chip },
+                        "plcg_offline" => FaultKind::PlcgOffline {
                             chip,
-                            count: p_usize(tok(&mut t, "fault count")?)?,
-                        }),
-                        "plcg_restore" => EventKind::Fault(FaultKind::PlcgRestore {
+                            count: t.field("fault count")?,
+                        },
+                        "plcg_restore" => FaultKind::PlcgRestore {
                             chip,
-                            count: p_usize(tok(&mut t, "fault count")?)?,
-                        }),
-                        other => return Err(format!("unknown fault kind `{other}`")),
-                    }
+                            count: t.field("fault count")?,
+                        },
+                        other => return Err(t.expected(other, "fault kind")),
+                    })
                 }
                 "completion" => EventKind::Completion {
-                    chip: p_usize(tok(&mut t, "completion chip")?)?,
+                    chip: t.field("completion chip")?,
                 },
                 "warmed" => EventKind::WarmedUp {
-                    chip: p_usize(tok(&mut t, "warmed chip")?)?,
+                    chip: t.field("warmed chip")?,
                 },
                 "timer" => EventKind::Timer,
-                other => return Err(format!("unknown event kind `{other}`")),
+                other => return Err(t.expected(other, "event kind")),
             };
             events.push((time_bits, class, ev_seq, kind));
         }
-        let n_chips = p_usize(cur.tagged("chips")?)?;
-        let mut chips = Vec::with_capacity(n_chips);
+        let n_chips: usize = cur.tagged("chips")?.field("chips")?;
+        let mut chips = Vec::with_capacity(cur.capacity(n_chips));
         for _ in 0..n_chips {
-            let rest = cur.tagged("chip")?;
-            let mut t = rest.split_whitespace();
+            let mut t = cur.tagged("chip")?;
             chips.push(ChipState {
-                online: p_u64(tok(&mut t, "chip online")?)? != 0,
-                plcgs_down: p_usize(tok(&mut t, "chip plcgs_down")?)?,
-                busy: p_u64(tok(&mut t, "chip busy")?)? != 0,
-                busy_s: f64::from_bits(p_hex(tok(&mut t, "chip busy_s")?)?),
-                energy_j: f64::from_bits(p_hex(tok(&mut t, "chip energy")?)?),
-                served: p_u64(tok(&mut t, "chip served")?)?,
-                batches: p_u64(tok(&mut t, "chip batches")?)?,
-                parked: p_u64(tok(&mut t, "chip parked")?)? != 0,
-                warming: p_u64(tok(&mut t, "chip warming")?)? != 0,
-                provisioned_s: f64::from_bits(p_hex(tok(&mut t, "chip provisioned_s")?)?),
-                provisioned_at_s: f64::from_bits(p_hex(tok(&mut t, "chip provisioned_at")?)?),
-                spin_ups: p_u64(tok(&mut t, "chip spin_ups")?)?,
+                online: t.field::<u64>("chip online")? != 0,
+                plcgs_down: t.field("chip plcgs_down")?,
+                busy: t.field::<u64>("chip busy")? != 0,
+                busy_s: t.bits("chip busy_s")?,
+                energy_j: t.bits("chip energy")?,
+                served: t.field("chip served")?,
+                batches: t.field("chip batches")?,
+                parked: t.field::<u64>("chip parked")? != 0,
+                warming: t.field::<u64>("chip warming")? != 0,
+                provisioned_s: t.bits("chip provisioned_s")?,
+                provisioned_at_s: t.bits("chip provisioned_at")?,
+                spin_ups: t.field("chip spin_ups")?,
             });
         }
-        // Optional burn-rate alert section (absent on classless runs
-        // and on snapshots from pre-alerting builds).
-        if let Some(rest) = cur.maybe_tagged("alerts") {
-            let mut t = rest.split_whitespace();
+        // The burn-rate alert section, the only lines after the chips,
+        // is absent on classless runs and from pre-alerting builds.
+        if cur.left > 0 {
+            let mut t = cur.tagged("alerts")?;
             let policy = AlertPolicy {
-                target: f64::from_bits(p_hex(tok(&mut t, "alert target")?)?),
+                target: t.bits("alert target")?,
                 fast: BurnRule {
-                    short_s: f64::from_bits(p_hex(tok(&mut t, "fast short")?)?),
-                    long_s: f64::from_bits(p_hex(tok(&mut t, "fast long")?)?),
-                    factor: f64::from_bits(p_hex(tok(&mut t, "fast factor")?)?),
+                    short_s: t.bits("fast short")?,
+                    long_s: t.bits("fast long")?,
+                    factor: t.bits("fast factor")?,
                 },
                 slow: BurnRule {
-                    short_s: f64::from_bits(p_hex(tok(&mut t, "slow short")?)?),
-                    long_s: f64::from_bits(p_hex(tok(&mut t, "slow long")?)?),
-                    factor: f64::from_bits(p_hex(tok(&mut t, "slow factor")?)?),
+                    short_s: t.bits("slow short")?,
+                    long_s: t.bits("slow long")?,
+                    factor: t.bits("slow factor")?,
                 },
             };
-            let n_states = p_usize(tok(&mut t, "alert states")?)?;
-            let n_events = p_usize(tok(&mut t, "alert events")?)?;
-            let dropped = p_u64(tok(&mut t, "alert dropped")?)?;
+            let windows = [policy.fast, policy.slow].map(|r| [r.short_s, r.long_s]);
+            if !(0.0..1.0).contains(&policy.target)
+                || !windows
+                    .as_flattened()
+                    .iter()
+                    .all(|w| w.is_finite() && *w > 0.0)
+            {
+                return Err(t.missing("an alert target in [0, 1) and finite positive windows"));
+            }
+            let n_states: usize = t.field("alert states")?;
+            let n_events: usize = t.field("alert events")?;
+            let dropped = t.field("alert dropped")?;
             let mut states: Vec<Option<ClassAlertState>> = vec![None; totals.classes.len()];
             for _ in 0..n_states {
-                let rest = cur.tagged("astate")?;
-                let mut t = rest.split_whitespace();
-                let class = p_usize(tok(&mut t, "astate class")?)?;
-                if class >= states.len() {
-                    return Err(format!(
-                        "alert state for class {class} outside the {}-class table",
-                        states.len()
-                    ));
-                }
+                let mut t = cur.tagged("astate")?;
+                let class = t.field_where("astate class inside the class table", |c: &usize| {
+                    *c < states.len()
+                })?;
                 let mut st = ClassAlertState::new(&policy);
-                st.fast_firing = p_u64(tok(&mut t, "astate fast")?)? != 0;
-                st.slow_firing = p_u64(tok(&mut t, "astate slow")?)? != 0;
+                st.fast_firing = t.field::<u64>("astate fast")? != 0;
+                st.slow_firing = t.field::<u64>("astate slow")? != 0;
                 for w in [
                     &mut st.fast_short,
                     &mut st.fast_long,
@@ -608,21 +604,20 @@ impl SimSnapshot {
                 }
                 states[class] = Some(st);
             }
-            let mut events = Vec::with_capacity(n_events);
+            let mut events = Vec::with_capacity(cur.capacity(n_events));
             for _ in 0..n_events {
-                let rest = cur.tagged("aevent")?;
-                let mut t = rest.split_whitespace();
+                let mut t = cur.tagged("aevent")?;
                 events.push(AlertEvent {
-                    class: p_usize(tok(&mut t, "aevent class")?)?,
-                    rule: match tok(&mut t, "aevent rule")? {
+                    class: t.field("aevent class")?,
+                    rule: match t.token("aevent rule")? {
                         "fast" => AlertRule::Fast,
                         "slow" => AlertRule::Slow,
-                        other => return Err(format!("unknown alert rule `{other}`")),
+                        other => return Err(t.expected(other, "alert rule fast or slow")),
                     },
-                    fire: p_u64(tok(&mut t, "aevent fire")?)? != 0,
-                    at_s: f64::from_bits(p_hex(tok(&mut t, "aevent at")?)?),
-                    burn_short: f64::from_bits(p_hex(tok(&mut t, "aevent burn_short")?)?),
-                    burn_long: f64::from_bits(p_hex(tok(&mut t, "aevent burn_long")?)?),
+                    fire: t.field::<u64>("aevent fire")? != 0,
+                    at_s: t.bits("aevent at")?,
+                    burn_short: t.bits("aevent burn_short")?,
+                    burn_long: t.bits("aevent burn_long")?,
                 });
             }
             totals.alerts = AlertBook {
@@ -649,6 +644,17 @@ impl SimSnapshot {
     }
 }
 
+/// A `<id> <arrival bits> <network> <class>` request record (the
+/// `next_arrival` and `req` lines).
+fn request(t: &mut Lexer<'_>) -> Result<Request, String> {
+    Ok(Request {
+        id: t.field("request id")?,
+        arrival_s: t.bits("request arrival")?,
+        network: t.field("request network")?,
+        class: t.field("request class")?,
+    })
+}
+
 /// One trailing-window ring as `awin <cur> <k> slot:total:miss ...`
 /// (nonzero slots only; bucket width is derived from the policy).
 fn write_window(out: &mut String, w: &WindowCounts) {
@@ -668,19 +674,15 @@ fn write_window(out: &mut String, w: &WindowCounts) {
 }
 
 /// Fills a policy-initialized [`WindowCounts`] from its `awin` line.
-fn parse_window(rest: &str, w: &mut WindowCounts) -> Result<(), String> {
-    let mut t = rest.split_whitespace();
-    w.cur = p_u64(tok(&mut t, "awin cur")?)?;
-    let n = p_usize(tok(&mut t, "awin slots")?)?;
+fn parse_window(mut t: Lexer<'_>, w: &mut WindowCounts) -> Result<(), String> {
+    w.cur = t.field("awin cur")?;
+    let n: usize = t.field("awin slots")?;
     for _ in 0..n {
-        let triple = tok(&mut t, "awin slot")?;
-        let mut parts = triple.split(':');
-        let slot = p_usize(tok(&mut parts, "awin slot index")?)?;
-        if slot >= w.total.len() {
-            return Err(format!("awin slot {slot} outside the ring"));
-        }
-        w.total[slot] = p_u64(tok(&mut parts, "awin total")?)?;
-        w.miss[slot] = p_u64(tok(&mut parts, "awin miss")?)?;
+        let triple = t.token("awin slot")?;
+        let mut s = t.split(triple, ':');
+        let slot = s.field_where("awin slot inside the ring", |i: &usize| *i < w.total.len())?;
+        w.total[slot] = s.field("awin total")?;
+        w.miss[slot] = s.field("awin miss")?;
     }
     Ok(())
 }
@@ -702,22 +704,18 @@ fn write_sketch(out: &mut String, s: &QuantileSketch) {
     out.push('\n');
 }
 
-fn parse_sketch(rest: &str) -> Result<QuantileSketch, String> {
-    let mut t = rest.split_whitespace();
-    let zeros = p_u64(tok(&mut t, "sketch zeros")?)?;
-    let invalid = p_u64(tok(&mut t, "sketch invalid")?)?;
-    let min_bits = p_hex(tok(&mut t, "sketch min")?)?;
-    let max_bits = p_hex(tok(&mut t, "sketch max")?)?;
-    let n = p_usize(tok(&mut t, "sketch buckets")?)?;
-    let mut buckets = Vec::with_capacity(n);
+fn parse_sketch(mut t: Lexer<'_>) -> Result<QuantileSketch, String> {
+    let zeros = t.field("sketch zeros")?;
+    let invalid = t.field("sketch invalid")?;
+    let min_bits = t.hex("sketch min")?;
+    let max_bits = t.hex("sketch max")?;
+    let n: usize = t.field("sketch buckets")?;
+    let mut buckets = Vec::new();
     for _ in 0..n {
-        let pair = tok(&mut t, "sketch bucket")?;
-        let (idx, count) = pair
-            .split_once(':')
-            .ok_or_else(|| format!("bad sketch bucket `{pair}`"))?;
-        let idx: u16 = idx.parse().map_err(|e| format!("bad bucket index: {e}"))?;
-        let count = p_u64(count)?;
-        buckets.push((idx, count));
+        let pair = t.token("sketch bucket")?;
+        let mut p = t.split(pair, ':');
+        let idx = p.field_where("sketch bucket index", |i: &u16| (*i as usize) < MAX_BUCKETS)?;
+        buckets.push((idx, p.field("sketch bucket count")?));
     }
     Ok(QuantileSketch::from_parts(
         &buckets, zeros, invalid, min_bits, max_bits,
@@ -727,58 +725,37 @@ fn parse_sketch(rest: &str) -> Result<QuantileSketch, String> {
 struct Cursor<'a> {
     lines: std::str::Lines<'a>,
     lineno: usize,
+    /// Lines not yet read — the bound on any preallocation, since every
+    /// counted record takes a line of its own.
+    left: usize,
 }
 
 impl<'a> Cursor<'a> {
     fn next_line(&mut self) -> Result<&'a str, String> {
         self.lineno += 1;
+        self.left = self.left.saturating_sub(1);
         self.lines
             .next()
             .ok_or_else(|| format!("line {}: unexpected end of snapshot", self.lineno))
     }
 
-    /// The next line, stripped of its expected `tag ` prefix.
-    fn tagged(&mut self, tag: &str) -> Result<&'a str, String> {
+    /// The fields of the next line, which must start with `tag`.
+    fn tagged(&mut self, tag: &str) -> Result<Lexer<'a>, String> {
         let line = self.next_line()?;
-        if line == tag {
-            return Ok("");
+        let mut fields = Lexer::new("snapshot", line, ' ');
+        match fields.next() {
+            Some(found) if found == tag => Ok(fields),
+            _ => Err(format!(
+                "line {}: expected `{tag} ...`, found `{line}`",
+                self.lineno
+            )),
         }
-        line.strip_prefix(tag)
-            .and_then(|r| r.strip_prefix(' '))
-            .ok_or_else(|| format!("line {}: expected `{tag} ...`, found `{line}`", self.lineno))
     }
 
-    /// Consumes the next line only if it carries `tag` — for optional
-    /// trailing sections. Returns `None` (without advancing) at end of
-    /// input or on a different tag.
-    fn maybe_tagged(&mut self, tag: &str) -> Option<&'a str> {
-        let mut ahead = self.lines.clone();
-        let line = ahead.next()?;
-        let rest = if line == tag {
-            Some("")
-        } else {
-            line.strip_prefix(tag).and_then(|r| r.strip_prefix(' '))
-        }?;
-        self.lines = ahead;
-        self.lineno += 1;
-        Some(rest)
+    /// A preallocation for `n` records, bounded by the lines left.
+    fn capacity(&self, n: usize) -> usize {
+        n.min(self.left)
     }
-}
-
-fn tok<'a>(t: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<&'a str, String> {
-    t.next().ok_or_else(|| format!("missing {what}"))
-}
-
-fn p_u64(s: &str) -> Result<u64, String> {
-    s.parse().map_err(|e| format!("bad integer `{s}`: {e}"))
-}
-
-fn p_usize(s: &str) -> Result<usize, String> {
-    s.parse().map_err(|e| format!("bad integer `{s}`: {e}"))
-}
-
-fn p_hex(s: &str) -> Result<u64, String> {
-    u64::from_str_radix(s, 16).map_err(|e| format!("bad hex `{s}`: {e}"))
 }
 
 #[cfg(test)]
@@ -908,6 +885,48 @@ mod tests {
         let rewritten = format!("{body}digest {digest:016x}\n");
         let err = SimSnapshot::parse(&rewritten).unwrap_err();
         assert!(err.contains("unsupported snapshot schema"), "{err}");
+    }
+
+    /// `text` with `from` replaced by `to` and the digest line rewritten
+    /// to match — a forged snapshot fnv1a cannot catch.
+    fn redigested(text: &str, from: &str, to: &str) -> String {
+        let body = text.rsplit_once("digest ").unwrap().0.replacen(from, to, 1);
+        assert_ne!(
+            body,
+            text.rsplit_once("digest ").unwrap().0,
+            "`{from}` not found"
+        );
+        format!(
+            "{body}digest {:016x}\n",
+            albireo_obs::fnv1a(body.as_bytes())
+        )
+    }
+
+    #[test]
+    fn redigested_counts_and_indices_are_range_checked() {
+        let text = sample().to_text();
+        let past_the_sketch = format!(" 2 {MAX_BUCKETS}:1 ");
+        for (from, to) in [
+            // A forged count must not preallocate past the file.
+            ("queued 1\n", "queued 18446744073709551615\n"),
+            ("events 4\n", "events 18446744073709551615\n"),
+            // A bucket index past MAX_BUCKETS would trip the sketch.
+            (" 2 2056:1 ", past_the_sketch.as_str()),
+        ] {
+            let forged = redigested(&text, from, to);
+            assert!(SimSnapshot::parse(&forged).is_err(), "accepted {to:?}");
+        }
+        let forged = redigested(&text, " 1 12 completion", " 256 12 completion");
+        let err = SimSnapshot::parse(&forged).unwrap_err();
+        assert!(err.contains("expected event class"), "{err}");
+    }
+
+    #[test]
+    fn truncations_are_rejected() {
+        let text = sample().to_text();
+        for cut in 0..text.len() {
+            assert!(SimSnapshot::parse(&text[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -44,6 +44,7 @@
 //! function of `(spec, seed)` — independent of thread count, host, call
 //! site, or whether the stream is consumed lazily or collected.
 
+use crate::grammar::Lexer;
 use albireo_parallel::{split_seed, stream_id};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,48 +108,38 @@ impl ClassSpec {
     /// `default_slo_ms`. Duplicate class names are rejected — per-class
     /// attainment reports would silently merge tenants otherwise.
     pub fn parse_list(list: &str, default_slo_ms: Option<f64>) -> Result<Vec<ClassSpec>, String> {
+        let mut entries = Lexer::new("classes", list, ',');
         let mut classes: Vec<ClassSpec> = Vec::new();
-        for entry in list.split(',').filter(|e| !e.trim().is_empty()) {
-            let mut parts = entry.trim().splitn(3, ':');
-            let name = parts.next().unwrap_or("").trim();
+        while let Some(entry) = entries.next() {
+            if entry.is_empty() {
+                continue;
+            }
+            let mut lx = entries.split(entry, ':');
+            let name = lx.token("class name")?;
             if name.is_empty() {
-                return Err(format!("class entry `{entry}` needs NAME:WEIGHT[:SLO_MS]"));
+                return Err(lx.expected(name, "NAME:WEIGHT[:SLO_MS]"));
             }
             if classes.iter().any(|c| c.name == name) {
-                return Err(format!(
-                    "duplicate class name `{name}` (each tenant class may appear once)"
+                return Err(lx.reject(
+                    name,
+                    format_args!(
+                        "duplicate class name `{name}` (each tenant class may appear once)"
+                    ),
                 ));
             }
-            let weight: f64 = parts
-                .next()
-                .ok_or_else(|| format!("class entry `{entry}` needs a weight"))?
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad weight in `{entry}`"))?;
-            if !(weight.is_finite() && weight > 0.0) {
-                return Err(format!("class weight must be positive in `{entry}`"));
-            }
-            let slo_ms = match parts.next() {
-                Some(s) => {
-                    let slo: f64 = s
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("bad SLO in `{entry}`"))?;
-                    if !(slo.is_finite() && slo > 0.0) {
-                        return Err(format!("class SLO must be positive in `{entry}`"));
-                    }
-                    Some(slo)
-                }
-                None => default_slo_ms,
-            };
             classes.push(ClassSpec {
                 name: name.to_string(),
-                weight,
-                slo_ms,
+                weight: lx.positive("class weight")?,
+                slo_ms: if lx.at_end() {
+                    default_slo_ms
+                } else {
+                    Some(lx.positive("class SLO in ms")?)
+                },
             });
+            lx.end()?;
         }
         if classes.is_empty() {
-            return Err("class list names no class".to_string());
+            return Err(entries.missing("at least one NAME:WEIGHT[:SLO_MS] class"));
         }
         Ok(classes)
     }
@@ -182,7 +173,7 @@ pub enum ArrivalProcess {
     Diurnal {
         /// Long-run mean arrival rate, requests/s.
         rate_rps: f64,
-        /// Peak-to-mean swing, in `(0, 1]`.
+        /// Peak-to-mean swing, in `[0, 1]` (0 is a constant rate).
         amplitude: f64,
         /// Cycle period, s (a "day" on the simulation clock).
         period_s: f64,
@@ -232,6 +223,116 @@ impl ArrivalProcess {
                 times_s.len() as f64 / span
             }
             ArrivalProcess::TraceFile { .. } => 0.0,
+        }
+    }
+
+    /// Parses the one-line shape grammar — `poisson`,
+    /// `bursty:<BURST>:<ON_S>:<OFF_S>`, `diurnal:<AMPLITUDE>:<PERIOD_S>`,
+    /// or `flash:<SPIKE>:<AT_S>:<DECAY_S>` — at mean rate `rate_rps`, and
+    /// [`validate`](ArrivalProcess::validate)s the result. Trace-backed
+    /// processes are outside the grammar: a spec line must reproduce its
+    /// stream alone.
+    pub fn parse(spec: &str, rate_rps: f64) -> Result<ArrivalProcess, String> {
+        let mut lx = Lexer::new("arrival", spec, ':');
+        let kind = lx.token("arrival kind")?;
+        let process = match kind {
+            "poisson" => ArrivalProcess::Poisson { rate_rps },
+            "bursty" => ArrivalProcess::Bursty {
+                rate_rps,
+                burst: lx.field("burst")?,
+                on_s: lx.field("on_s")?,
+                off_s: lx.field("off_s")?,
+            },
+            "diurnal" => ArrivalProcess::Diurnal {
+                rate_rps,
+                amplitude: lx.field("amplitude")?,
+                period_s: lx.field("period_s")?,
+            },
+            "flash" => ArrivalProcess::FlashCrowd {
+                rate_rps,
+                spike: lx.field("spike")?,
+                at_s: lx.field("at_s")?,
+                decay_s: lx.field("decay_s")?,
+            },
+            _ => {
+                return Err(lx.expected(
+                    kind,
+                    "poisson, bursty:<BURST>:<ON_S>:<OFF_S>, diurnal:<AMPLITUDE>:<PERIOD_S> \
+                     or flash:<SPIKE>:<AT_S>:<DECAY_S>",
+                ))
+            }
+        };
+        lx.end()?;
+        process.validate().map_err(|e| lx.reject(kind, e))?;
+        Ok(process)
+    }
+
+    /// The canonical [`parse`](ArrivalProcess::parse) form (the rate is
+    /// carried separately). Floats print via `{}`, so parsing the spec
+    /// back reproduces every bit.
+    pub fn spec(&self) -> String {
+        match self {
+            ArrivalProcess::Poisson { .. } => "poisson".to_string(),
+            ArrivalProcess::Bursty {
+                burst, on_s, off_s, ..
+            } => format!("bursty:{burst}:{on_s}:{off_s}"),
+            ArrivalProcess::Diurnal {
+                amplitude,
+                period_s,
+                ..
+            } => format!("diurnal:{amplitude}:{period_s}"),
+            ArrivalProcess::FlashCrowd {
+                spike,
+                at_s,
+                decay_s,
+                ..
+            } => format!("flash:{spike}:{at_s}:{decay_s}"),
+            ArrivalProcess::Trace { .. } => "trace".to_string(),
+            ArrivalProcess::TraceFile { path } => format!("trace_file:{path}"),
+        }
+    }
+
+    /// Checks the shape parameters every stream relies on: a finite
+    /// positive rate, burst and spike factors above 1, a diurnal
+    /// amplitude in `[0, 1]`, and finite positive durations (a flash
+    /// onset may be 0). The spec grammar and the CLI's shape flags both
+    /// validate through here.
+    pub fn validate(&self) -> Result<(), String> {
+        let pos = |x: f64| x.is_finite() && x > 0.0;
+        let above_one = |x: f64| x.is_finite() && x > 1.0;
+        let (ok, needs) = match *self {
+            ArrivalProcess::Poisson { rate_rps } => (pos(rate_rps), "a positive rate"),
+            ArrivalProcess::Bursty {
+                rate_rps: r,
+                burst,
+                on_s,
+                off_s,
+            } => (
+                pos(r) && above_one(burst) && pos(on_s) && pos(off_s),
+                "a positive rate, burst > 1 and positive phase durations",
+            ),
+            ArrivalProcess::Diurnal {
+                rate_rps: r,
+                amplitude: a,
+                period_s,
+            } => (
+                pos(r) && (0.0..=1.0).contains(&a) && pos(period_s),
+                "a positive rate, amplitude in [0, 1] and a positive period",
+            ),
+            ArrivalProcess::FlashCrowd {
+                rate_rps: r,
+                spike,
+                at_s,
+                decay_s,
+            } => (
+                pos(r) && above_one(spike) && (0.0..f64::INFINITY).contains(&at_s) && pos(decay_s),
+                "a positive rate, spike > 1, onset >= 0 and a positive decay",
+            ),
+            ArrivalProcess::Trace { .. } | ArrivalProcess::TraceFile { .. } => (true, ""),
+        };
+        match ok {
+            true => Ok(()),
+            false => Err(format!("{} arrivals need {needs}", self.label())),
         }
     }
 
@@ -297,23 +398,17 @@ impl Workload {
                 || (class_weight > 0.0 && self.classes.iter().all(|c| c.weight >= 0.0)),
             "class weights must be non-negative and not all 0"
         );
+        if let Err(e) = self.process.validate() {
+            panic!("{e}");
+        }
         let source = match &self.process {
-            ArrivalProcess::Poisson { rate_rps } => {
-                assert!(*rate_rps > 0.0, "arrival rate must be positive");
-                Source::Poisson { rate: *rate_rps }
-            }
+            ArrivalProcess::Poisson { rate_rps } => Source::Poisson { rate: *rate_rps },
             ArrivalProcess::Bursty {
                 rate_rps,
                 burst,
                 on_s,
                 off_s,
             } => {
-                assert!(*rate_rps > 0.0, "arrival rate must be positive");
-                assert!(*burst > 1.0, "burst factor must exceed 1");
-                assert!(
-                    *on_s > 0.0 && *off_s > 0.0,
-                    "phase durations must be positive"
-                );
                 // Low rate chosen so the duty-cycle-weighted mean is rate_rps;
                 // clamped at a trickle so the off phase still terminates.
                 let period = on_s + off_s;
@@ -333,36 +428,22 @@ impl Workload {
                 rate_rps,
                 amplitude,
                 period_s,
-            } => {
-                assert!(*rate_rps > 0.0, "arrival rate must be positive");
-                assert!(
-                    *amplitude > 0.0 && *amplitude <= 1.0,
-                    "diurnal amplitude must be in (0, 1]"
-                );
-                assert!(*period_s > 0.0, "diurnal period must be positive");
-                Source::Diurnal {
-                    rate: *rate_rps,
-                    amplitude: *amplitude,
-                    period_s: *period_s,
-                }
-            }
+            } => Source::Diurnal {
+                rate: *rate_rps,
+                amplitude: *amplitude,
+                period_s: *period_s,
+            },
             ArrivalProcess::FlashCrowd {
                 rate_rps,
                 spike,
                 at_s,
                 decay_s,
-            } => {
-                assert!(*rate_rps > 0.0, "arrival rate must be positive");
-                assert!(*spike > 1.0, "spike factor must exceed 1");
-                assert!(*at_s >= 0.0, "spike onset must be non-negative");
-                assert!(*decay_s > 0.0, "spike decay must be positive");
-                Source::Flash {
-                    rate: *rate_rps,
-                    spike: *spike,
-                    at_s: *at_s,
-                    decay_s: *decay_s,
-                }
-            }
+            } => Source::Flash {
+                rate: *rate_rps,
+                spike: *spike,
+                at_s: *at_s,
+                decay_s: *decay_s,
+            },
             ArrivalProcess::Trace { times_s } => {
                 let mut t: Vec<f64> = times_s.iter().take(n).cloned().collect();
                 t.sort_by(|a, b| a.partial_cmp(b).expect("trace times must be finite"));
