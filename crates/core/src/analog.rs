@@ -25,7 +25,7 @@ use crate::config::ChipConfig;
 use albireo_parallel::{split_seed, stream_id, Parallelism};
 use albireo_photonics::link::LinkBudget;
 use albireo_photonics::mrr::Microring;
-use albireo_photonics::noise::NoiseParams;
+use albireo_photonics::noise::{NoiseParams, PreparedNoise};
 use albireo_photonics::photodiode::BalancedPd;
 use albireo_photonics::precision::PrecisionModel;
 use albireo_tensor::conv::ConvSpec;
@@ -199,7 +199,8 @@ pub struct AnalogEngine {
     cfg: AnalogSimConfig,
     ring: Microring,
     pd: BalancedPd,
-    noise: NoiseParams,
+    /// Receiver noise with its per-detection constants evaluated once.
+    noise: PreparedNoise,
     /// Per-wavelength optical power arriving at the photodiodes, W.
     p_channel: f64,
     /// Drop-port gain of an on-resonance switching ring (calibrated out of
@@ -229,7 +230,7 @@ impl AnalogEngine {
             cfg,
             ring,
             pd: BalancedPd::from_params(&params),
-            noise: NoiseParams::paper(),
+            noise: NoiseParams::paper().prepared(),
             p_channel,
             main_gain: ring.drop_peak(),
             off_leakage: ring.drop_transmission(ring.fsr() / 2.0),
@@ -298,7 +299,8 @@ impl AnalogEngine {
 
     /// Crosstalk (drop transmission) from a channel `offset` wavelength
     /// slots away, with all `wavelengths_per_plcu` channels uniformly
-    /// spaced in one FSR.
+    /// spaced in one FSR. A convolution evaluates it once per offset, into
+    /// the table its [`ConvPlan`] builds its planes from.
     fn crosstalk(&self, offset: isize, enabled: bool) -> f64 {
         if offset == 0 {
             return self.main_gain;
@@ -315,71 +317,6 @@ impl AnalogEngine {
         };
         self.ring
             .drop_at_phase(self.ring.phase_detuning(slots * spacing))
-    }
-
-    /// Simulates one PLCU cycle: one kernel channel applied to `nd_eff`
-    /// overlapping receptive fields.
-    ///
-    /// `rows[r][c]` is the normalized (∈ [0,1]) input element of kernel row
-    /// `r`, multicast column `c` (`c < nd_eff + wx − 1`); `weights[r][k]` is
-    /// the *signed, normalized* kernel weight of row `r`, column `k`.
-    ///
-    /// Returns per-output-column `(positive_rail_w, negative_rail_w)`.
-    fn plcu_rails(
-        &self,
-        rows: &[Vec<f64>],
-        weights: &[Vec<f64>],
-        nd_eff: usize,
-        with_crosstalk: bool,
-    ) -> Vec<(f64, f64)> {
-        let mut rails = vec![(0.0, 0.0); nd_eff];
-        for (r, wrow) in weights.iter().enumerate() {
-            let arow = &rows[r];
-            for (k, w_programmed) in wrow.iter().enumerate() {
-                let w = self.faults.mzm_override(r, k).unwrap_or(*w_programmed);
-                if w == 0.0 {
-                    continue;
-                }
-                let mag = w.abs().min(1.0);
-                for (d, rail) in rails.iter_mut().enumerate() {
-                    if self.faults.ring_dead(r, k, d) {
-                        continue;
-                    }
-                    let target = d + k;
-                    // Main term plus crosstalk from the row's other
-                    // channels, all scaled by the shared MZM weight.
-                    let mut dropped = 0.0;
-                    for (c, &a) in arow.iter().enumerate() {
-                        if self.faults.channel_dead(c) {
-                            continue;
-                        }
-                        let t = self.crosstalk(c as isize - target as isize, with_crosstalk);
-                        if t != 0.0 {
-                            dropped += t * a;
-                        }
-                    }
-                    let p_dropped = dropped * mag * self.p_channel;
-                    // The matching-sign ring drops onto its rail; the
-                    // opposite-rail ring is detuned but leaks a little.
-                    let leak = if with_crosstalk && !self.faults.channel_dead(target) {
-                        arow.get(target).copied().unwrap_or(0.0)
-                            * mag
-                            * self.off_leakage
-                            * self.p_channel
-                    } else {
-                        0.0
-                    };
-                    if w > 0.0 {
-                        rail.0 += p_dropped;
-                        rail.1 += leak;
-                    } else {
-                        rail.1 += p_dropped;
-                        rail.0 += leak;
-                    }
-                }
-            }
-        }
-        rails
     }
 
     /// Converts rail powers to a balanced, noise-sampled, ADC-quantized
@@ -512,78 +449,59 @@ impl AnalogEngine {
         if a_max == 0.0 || w_max == 0.0 {
             return out;
         }
-        // Overlapping receptive fields (the multicast pattern) exist only
-        // at stride 1; otherwise columns are processed one at a time.
-        let nd_eff = if spec.stride == 1 {
-            self.chip.plcu.nd
-        } else {
-            1
-        };
+        let plan = ConvPlan::new(self, input, kernels, spec, (a_max, w_max));
+        let nd_eff = plan.nd_eff;
         let nu = self.chip.nu;
-        let pad = spec.padding as isize;
         let scale = a_max * w_max;
         let full_scale_terms = nm_cap * nu;
+        // The plan holds a crosstalk-off plane exactly when compensating.
+        let compensate = !plan.ideal.is_empty();
 
         self.par
-            .fill_slices(out.as_mut_slice(), (by * bx).max(1), |m, plane| {
+            .fill_slices(out.as_mut_slice(), (by * bx).max(1), |m, outputs| {
+                // Scratch for every PLCU cycle of this kernel, indexed by
+                // receptive field.
+                let mut rails = vec![(0.0, 0.0); nd_eff];
+                let mut ideal = vec![(0.0, 0.0); nd_eff];
+                let mut p_pos = vec![0.0; nd_eff];
+                let mut p_neg = vec![0.0; nd_eff];
+                // Predicted crosstalk excess (signed rail power) for digital
+                // pre-compensation.
+                let mut excess = vec![0.0; nd_eff];
+                let mut totals = vec![0.0; nd_eff];
                 for yb in 0..by {
                     let mut rng = self.item_rng(pass, m, yb);
-                    let ya = yb as isize * spec.stride as isize - pad;
-                    let mut xb = 0;
-                    while xb < bx {
+                    for block in 0..plan.blocks {
+                        let xb = block * nd_eff;
                         let cols = nd_eff.min(bx - xb);
-                        let xa = xb as isize * spec.stride as isize - pad;
-                        let row_len = cols + wx - 1;
-                        let mut totals = vec![0.0; cols];
-                        let compensate =
-                            self.cfg.crosstalk_compensation && self.cfg.enable_crosstalk;
+                        let totals = &mut totals[..cols];
+                        totals.fill(0.0);
                         // Depth-first aggregation over Nu-channel groups.
                         let mut z0 = 0;
                         while z0 < az {
                             let group = nu.min(az - z0);
-                            let mut p_pos = vec![0.0; cols];
-                            let mut p_neg = vec![0.0; cols];
-                            // Predicted crosstalk excess (signed rail power)
-                            // for digital pre-compensation.
-                            let mut excess = vec![0.0; cols];
+                            let (p_pos, p_neg) = (&mut p_pos[..cols], &mut p_neg[..cols]);
+                            let excess = &mut excess[..cols];
+                            p_pos.fill(0.0);
+                            p_neg.fill(0.0);
+                            excess.fill(0.0);
                             // One wall-clock scope per Nu-group: the MRR/MZM
-                            // transfer-function evaluation (row prep + rails).
+                            // transfer of the group's PLCU cycles.
                             let rails_prof = albireo_obs::profile::scope("analog.rails");
-                            for u in 0..group {
-                                let z = z0 + u;
-                                let rows: Vec<Vec<f64>> = (0..wy)
-                                    .map(|r| {
-                                        (0..row_len)
-                                            .map(|c| {
-                                                input.get_padded(
-                                                    z,
-                                                    ya + r as isize,
-                                                    xa + c as isize,
-                                                ) / a_max
-                                            })
-                                            .collect()
-                                    })
-                                    .collect();
-                                let weights: Vec<Vec<f64>> = (0..wy)
-                                    .map(|r| {
-                                        (0..wx).map(|k| kernels[(m, z, r, k)] / w_max).collect()
-                                    })
-                                    .collect();
-                                let rails = self.plcu_rails(
-                                    &rows,
-                                    &weights,
-                                    cols,
-                                    self.cfg.enable_crosstalk,
-                                );
+                            for z in z0..z0 + group {
+                                let cycle = Cycle { m, z, yb, block };
+                                let rails = &mut rails[..cols];
+                                plan.rails(false, cycle, rails);
                                 if compensate {
-                                    let ideal = self.plcu_rails(&rows, &weights, cols, false);
-                                    for (d, ((p, n), (pi, ni))) in
-                                        rails.iter().zip(ideal.iter()).enumerate()
+                                    let ideal = &mut ideal[..cols];
+                                    plan.rails(true, cycle, ideal);
+                                    for (e, ((p, n), (pi, ni))) in
+                                        excess.iter_mut().zip(rails.iter().zip(ideal.iter()))
                                     {
-                                        excess[d] += (p - n) - (pi - ni);
+                                        *e += (p - n) - (pi - ni);
                                     }
                                 }
-                                for (d, (p, n)) in rails.into_iter().enumerate() {
+                                for (d, (p, n)) in rails.iter().enumerate() {
                                     // Currents from corresponding PDs across the
                                     // group's PLCUs add in the analog domain.
                                     p_pos[d] += p;
@@ -604,14 +522,228 @@ impl AnalogEngine {
                             }
                             z0 += group;
                         }
-                        for (d, t) in totals.into_iter().enumerate() {
-                            plane[yb * bx + xb + d] = t * scale;
+                        for (o, t) in outputs[yb * bx + xb..].iter_mut().zip(totals.iter()) {
+                            *o = t * scale;
                         }
-                        xb += cols;
                     }
                 }
             });
         out
+    }
+}
+
+/// One PLCU cycle of a convolution: channel `z` of kernel `m` applied to
+/// block `block`'s receptive fields at output row `yb`.
+#[derive(Debug, Clone, Copy)]
+struct Cycle {
+    m: usize,
+    z: usize,
+    yb: usize,
+    block: usize,
+}
+
+/// The physics of one convolution call, prepared once before its first
+/// PLCU cycle: the normalized operands, the fault masks, and the
+/// crosstalk-weighted input planes every cycle reads.
+///
+/// A ring tuned to multicast column `t` drops `Σ_c xt[c − t]·a[c]` from
+/// its row (main term plus crosstalk from the row's other channels),
+/// scaled by the shared MZM weight. That sum depends on the input row and
+/// `t` only — not on the kernel, the weight or the output row — so it is
+/// evaluated once per (channel, padded row, block, `t`) into a plane, and
+/// a PLCU cycle becomes `Wy·Wx·Nd` multiply-adds over it.
+///
+/// Outputs are bit-identical to evaluating the ring per element: each
+/// plane entry sums over `c` in ascending order with the same skips, and
+/// [`ConvPlan::rails`] accumulates in the same `(r, k, d)` order.
+struct ConvPlan {
+    /// Kernel rows, columns and depth.
+    wy: usize,
+    wx: usize,
+    wz: usize,
+    stride: usize,
+    /// Receptive fields per PLCU cycle: `Nd` at stride 1, where they
+    /// overlap (the multicast pattern), else 1.
+    nd_eff: usize,
+    /// Output columns.
+    bx: usize,
+    /// Blocks of `nd_eff` output columns per output row.
+    blocks: usize,
+    /// Multicast columns of a full block, `nd_eff + wx − 1`; a short last
+    /// block uses a prefix.
+    row_len: usize,
+    /// Padded input rows and columns, covering every receptive field.
+    py: usize,
+    px: usize,
+    /// The input, zero-padded and divided by `a_max`: `[z][py][px]`.
+    input: Vec<f64>,
+    /// Signed kernel weights divided by `w_max`, stuck MZMs applied:
+    /// `[m][z][r][k]`.
+    weights: Vec<f64>,
+    /// Dead switching rings: `[r][k][d]`.
+    dead_ring: Vec<bool>,
+    /// Dead multicast columns: `[c]`, `c < row_len`.
+    dead_channel: Vec<bool>,
+    /// Whether off-state rings leak onto the opposite rail (crosstalk on).
+    leak: bool,
+    /// Dropped power per unit weight and channel power: `[z][py][block][t]`.
+    plane: Vec<f64>,
+    /// The same with crosstalk off, for compensation's reference pass;
+    /// empty when compensation is off.
+    ideal: Vec<f64>,
+    p_channel: f64,
+    off_leakage: f64,
+}
+
+impl ConvPlan {
+    fn new(
+        engine: &AnalogEngine,
+        input: &Tensor3,
+        kernels: &Tensor4,
+        spec: &ConvSpec,
+        (a_max, w_max): (f64, f64),
+    ) -> ConvPlan {
+        let _prof = albireo_obs::profile::scope("analog.plan");
+        let (az, ay, ax) = input.dims();
+        let (_, wz, wy, wx) = kernels.dims();
+        let (stride, pad) = (spec.stride, spec.padding);
+        let by = output_extent(ay, wy, pad, stride);
+        let bx = output_extent(ax, wx, pad, stride);
+        let nd_eff = if stride == 1 { engine.chip.plcu.nd } else { 1 };
+        let row_len = nd_eff + wx - 1;
+        // Output extents round up, so the last field may overhang the
+        // padding; the overhang reads zeros.
+        let (py, px) = ((by - 1) * stride + wy, (bx - 1) * stride + wx);
+        let mut padded = vec![0.0; az * py * px];
+        for (i, row) in input.as_slice().chunks(ax).enumerate() {
+            let (z, y) = (i / ay, i % ay);
+            let dst = &mut padded[(z * py + y + pad) * px + pad..][..ax];
+            for (d, a) in dst.iter_mut().zip(row) {
+                *d = a / a_max;
+            }
+        }
+        let faults = &engine.faults;
+        let stuck: Vec<Option<f64>> = (0..wy * wx)
+            .map(|i| faults.mzm_override(i / wx, i % wx))
+            .collect();
+        let weights = kernels
+            .as_slice()
+            .iter()
+            .zip(stuck.iter().cycle())
+            .map(|(w, s)| s.unwrap_or(w / w_max))
+            .collect();
+        let dead_ring = (0..wy * wx * nd_eff)
+            .map(|i| faults.ring_dead(i / (wx * nd_eff), i / nd_eff % wx, i % nd_eff))
+            .collect();
+        let mut plan = ConvPlan {
+            wy,
+            wx,
+            wz,
+            stride,
+            nd_eff,
+            bx,
+            blocks: bx.div_ceil(nd_eff),
+            row_len,
+            py,
+            px,
+            input: padded,
+            weights,
+            dead_ring,
+            dead_channel: (0..row_len).map(|c| faults.channel_dead(c)).collect(),
+            leak: engine.cfg.enable_crosstalk,
+            plane: Vec::new(),
+            ideal: Vec::new(),
+            p_channel: engine.p_channel,
+            off_leakage: engine.off_leakage,
+        };
+        plan.plane = plan.crosstalk_plane(engine, engine.cfg.enable_crosstalk);
+        if engine.cfg.crosstalk_compensation && engine.cfg.enable_crosstalk {
+            plan.ideal = plan.crosstalk_plane(engine, false);
+        }
+        plan
+    }
+
+    /// The plane of dropped powers with crosstalk `enabled` or off: for
+    /// each channel, padded row, block and ring position `t`, the sum over
+    /// the block's live multicast columns `c` of `xt[c − t]·a[c]`.
+    fn crosstalk_plane(&self, engine: &AnalogEngine, enabled: bool) -> Vec<f64> {
+        let span = self.row_len - 1;
+        let xt: Vec<f64> = (0..=2 * span)
+            .map(|i| engine.crosstalk(i as isize - span as isize, enabled))
+            .collect();
+        let per_row = self.blocks * self.row_len;
+        let mut plane = vec![0.0; self.input.len() / self.px * per_row];
+        for (dst, row) in plane.chunks_mut(per_row).zip(self.input.chunks(self.px)) {
+            for block in 0..self.blocks {
+                let xb = block * self.nd_eff;
+                let len = self.nd_eff.min(self.bx - xb) + self.wx - 1;
+                let a = &row[xb * self.stride..][..len];
+                let dst = &mut dst[block * self.row_len..][..len];
+                for (t, dropped) in dst.iter_mut().enumerate() {
+                    let mut sum = 0.0;
+                    for (c, &a) in a.iter().enumerate() {
+                        if self.dead_channel[c] {
+                            continue;
+                        }
+                        let x = xt[span + c - t];
+                        if x != 0.0 {
+                            sum += x * a;
+                        }
+                    }
+                    *dropped = sum;
+                }
+            }
+        }
+        plane
+    }
+
+    /// Simulates one PLCU cycle, overwriting `rails[d]` with receptive
+    /// field `d`'s `(positive_rail_w, negative_rail_w)`. With `ideal` it
+    /// reads the crosstalk-off plane without off-state leakage:
+    /// compensation's reference pass.
+    fn rails(&self, ideal: bool, cycle: Cycle, rails: &mut [(f64, f64)]) {
+        let Cycle { m, z, yb, block } = cycle;
+        let (plane, leak) = if ideal {
+            (&self.ideal, false)
+        } else {
+            (&self.plane, self.leak)
+        };
+        let x0 = block * self.nd_eff * self.stride;
+        rails.fill((0.0, 0.0));
+        for r in 0..self.wy {
+            let y = z * self.py + yb * self.stride + r;
+            let dropped = &plane[(y * self.blocks + block) * self.row_len..][..self.row_len];
+            let arow = &self.input[y * self.px + x0..];
+            let w0 = ((m * self.wz + z) * self.wy + r) * self.wx;
+            for (k, &w) in self.weights[w0..w0 + self.wx].iter().enumerate() {
+                if w == 0.0 {
+                    continue;
+                }
+                let mag = w.abs().min(1.0);
+                let dead = &self.dead_ring[(r * self.wx + k) * self.nd_eff..];
+                for (d, rail) in rails.iter_mut().enumerate() {
+                    if dead[d] {
+                        continue;
+                    }
+                    let target = d + k;
+                    let p_dropped = dropped[target] * mag * self.p_channel;
+                    // The matching-sign ring drops onto its rail; the
+                    // opposite-rail ring is detuned but leaks a little.
+                    let leak = if leak && !self.dead_channel[target] {
+                        arow[target] * mag * self.off_leakage * self.p_channel
+                    } else {
+                        0.0
+                    };
+                    if w > 0.0 {
+                        rail.0 += p_dropped;
+                        rail.1 += leak;
+                    } else {
+                        rail.1 += p_dropped;
+                        rail.0 += leak;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -723,35 +855,22 @@ impl AnalogEngine {
         let by = output_extent(ay, wy, spec.padding, spec.stride);
         let bx = output_extent(ax, wx, spec.padding, spec.stride);
         let mut out = Tensor3::zeros(wm, by, bx);
+        // A group's channels, kernels and output planes are each one
+        // contiguous block of the row-major buffers.
+        let (sub_len, subk_len, part_len) = (
+            ch_per_group * ay * ax,
+            kn_per_group * wz * wy * wx,
+            kn_per_group * by * bx,
+        );
         for g in 0..groups {
-            let mut sub = Tensor3::zeros(ch_per_group, ay, ax);
-            for z in 0..ch_per_group {
-                for y in 0..ay {
-                    for x in 0..ax {
-                        sub.set(z, y, x, input[(g * ch_per_group + z, y, x)]);
-                    }
-                }
-            }
-            let mut subk = Tensor4::zeros(kn_per_group, wz, wy, wx);
-            for m in 0..kn_per_group {
-                for z in 0..wz {
-                    for y in 0..wy {
-                        for x in 0..wx {
-                            subk.set(m, z, y, x, kernels[(g * kn_per_group + m, z, y, x)]);
-                        }
-                    }
-                }
-            }
+            let sub = &input.as_slice()[g * sub_len..][..sub_len];
+            let subk = &kernels.as_slice()[g * subk_len..][..subk_len];
+            let sub = Tensor3::from_vec(ch_per_group, ay, ax, sub.to_vec());
+            let subk = Tensor4::from_vec(kn_per_group, wz, wy, wx, subk.to_vec());
             // Each group gets its own noise-stream block (a group never
             // tiles into more than 1024 decomposition passes).
             let part = self.conv2d_large_inner(&sub, &subk, spec, g as u64 * 1024);
-            for m in 0..kn_per_group {
-                for y in 0..by {
-                    for x in 0..bx {
-                        out.set(g * kn_per_group + m, y, x, part[(m, y, x)]);
-                    }
-                }
-            }
+            out.as_mut_slice()[g * part_len..][..part_len].copy_from_slice(part.as_slice());
         }
         out
     }

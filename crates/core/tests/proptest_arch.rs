@@ -10,7 +10,7 @@ use albireo_core::power::PowerBreakdown;
 use albireo_core::sched::layer_cycles;
 use albireo_core::trace::{summarize, trace_kernel};
 use albireo_nn::layer::{LayerInstance, LayerKind, VolumeShape};
-use albireo_tensor::conv::{conv2d, ConvSpec};
+use albireo_tensor::conv::{conv2d_grouped, ConvSpec};
 use albireo_tensor::{output_extent, Tensor3, Tensor4};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -124,22 +124,54 @@ proptest! {
         prop_assert_eq!(summary.writebacks, blocks);
     }
 
-    /// The analog engine, with ideal settings, reproduces the digital
-    /// reference for any random small convolution.
+    /// The analog engine, with ideal settings, reproduces the independent
+    /// digital reference for random layer shapes: kernels from 1×1 to
+    /// 11×11 (decomposed above `Nm`), strides 1–4, padding 0–2, one to
+    /// three groups, depthwise included. The only error left is the ADC's
+    /// half-LSB per detection, summed over the `⌈Wz/Nu⌉` cycles of every
+    /// decomposition pass.
     #[test]
-    fn analog_ideal_matches_reference(seed in 0u64..200, z in 1usize..5) {
+    fn analog_ideal_matches_reference(
+        seed in 0u64..200,
+        wz in 1usize..5,
+        groups in 1usize..4,
+        per_group in 1usize..3,
+        ky in 1usize..=11,
+        kx in 1usize..=11,
+        stride in 1usize..=4,
+        padding in 0usize..=2,
+        extra_y in 0usize..7,
+        extra_x in 0usize..12,
+    ) {
         let chip = ChipConfig::albireo_9();
+        let cfg = AnalogSimConfig::ideal();
         let mut rng = StdRng::seed_from_u64(seed);
-        let input = Tensor3::random_uniform(z, 6, 6, 0.0, 1.0, &mut rng);
-        let kernels = Tensor4::random_gaussian(2, z, 3, 3, 0.4, &mut rng);
-        let spec = ConvSpec::unit();
-        let reference = conv2d(&input, &kernels, &spec);
-        let mut engine = AnalogEngine::new(&chip, AnalogSimConfig::ideal());
-        let analog = engine.conv2d(&input, &kernels, &spec);
-        let fs = input.max_abs() * kernels.max_abs() * 27.0;
-        if fs > 0.0 {
-            prop_assert!(analog.max_abs_diff(&reference) / fs < 1e-3);
-        }
+        let extent = |k: usize, extra: usize| (k + extra).saturating_sub(2 * padding).max(1);
+        let (ay, ax) = (extent(ky, extra_y), extent(kx, extra_x));
+        let input = Tensor3::random_uniform(wz * groups, ay, ax, 0.0, 1.0, &mut rng);
+        let kernels = Tensor4::random_gaussian(per_group * groups, wz, ky, kx, 0.4, &mut rng);
+        let spec = ConvSpec::new(stride, padding);
+        let reference = conv2d_grouped(&input, &kernels, &spec, groups);
+        let mut engine = AnalogEngine::new(&chip, cfg);
+        let analog = engine.conv2d_grouped(&input, &kernels, &spec, groups);
+        // Decomposition passes and the MZM capacity each pass assumes.
+        let (nm, nu) = (chip.plcu.nm, chip.nu);
+        let (passes, nm_cap) = if ky * kx <= nm {
+            (1, nm)
+        } else if kx <= nm {
+            (ky.div_ceil(nm / kx), ky * kx)
+        } else {
+            (ky * kx.div_ceil(nm), ky * kx)
+        };
+        let max_code = ((1u64 << (cfg.adc_bits - 1)) - 1) as f64;
+        let half_lsb = 0.5 * (nm_cap * nu) as f64 / max_code;
+        let detections = (passes * wz.div_ceil(nu)) as f64;
+        let bound = input.max_abs() * kernels.max_abs() * detections * half_lsb;
+        let err = analog.max_abs_diff(&reference);
+        prop_assert!(
+            err <= bound * (1.0 + 1e-9),
+            "error {err} above {detections} half-LSBs = {bound} for input {ay}x{ax}"
+        );
     }
 
     /// The analog engine never produces non-finite outputs under any

@@ -69,17 +69,25 @@ impl NoiseParams {
     ///
     /// Panics if `n_channels` is zero.
     pub fn rin_variance(&self, i_pd: f64, n_channels: usize) -> f64 {
-        assert!(n_channels > 0, "need at least one wavelength channel");
-        let rin_lin = rin_dbc_to_linear(self.rin_dbc_per_hz);
-        i_pd * i_pd * rin_lin * self.bandwidth_hz / n_channels as f64
+        self.prepared().rin_variance(i_pd, n_channels)
     }
 
     /// Total noise standard deviation (A) at photocurrent `i_pd` on
     /// `n_channels` wavelengths: the three sources are independent, so the
     /// variances add.
     pub fn total_sigma(&self, i_pd: f64, n_channels: usize) -> f64 {
-        (self.shot_variance(i_pd) + self.thermal_variance() + self.rin_variance(i_pd, n_channels))
-            .sqrt()
+        self.prepared().total_sigma(i_pd, n_channels)
+    }
+
+    /// These parameters with the terms that do not depend on the
+    /// photocurrent (the thermal variance and the linear RIN) evaluated
+    /// once, for callers that sample noise per detection.
+    pub fn prepared(&self) -> PreparedNoise {
+        PreparedNoise {
+            params: *self,
+            thermal_variance: self.thermal_variance(),
+            rin_linear: rin_dbc_to_linear(self.rin_dbc_per_hz),
+        }
     }
 
     /// Breakdown of noise standard deviations `(rin, shot, thermal)` in A,
@@ -96,6 +104,37 @@ impl NoiseParams {
 impl Default for NoiseParams {
     fn default() -> NoiseParams {
         NoiseParams::paper()
+    }
+}
+
+/// [`NoiseParams`] with the photocurrent-independent terms precomputed
+/// (see [`NoiseParams::prepared`]). Values are bit-identical to the
+/// unprepared methods, which delegate here.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PreparedNoise {
+    params: NoiseParams,
+    thermal_variance: f64,
+    rin_linear: f64,
+}
+
+impl PreparedNoise {
+    /// RIN current variance (A²); see [`NoiseParams::rin_variance`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_channels` is zero.
+    pub fn rin_variance(&self, i_pd: f64, n_channels: usize) -> f64 {
+        assert!(n_channels > 0, "need at least one wavelength channel");
+        i_pd * i_pd * self.rin_linear * self.params.bandwidth_hz / n_channels as f64
+    }
+
+    /// Total noise standard deviation (A); see
+    /// [`NoiseParams::total_sigma`].
+    pub fn total_sigma(&self, i_pd: f64, n_channels: usize) -> f64 {
+        (self.params.shot_variance(i_pd)
+            + self.thermal_variance
+            + self.rin_variance(i_pd, n_channels))
+        .sqrt()
     }
 }
 
@@ -152,6 +191,17 @@ mod tests {
         let i_pd = 1.1 * 20.0 * 10e-6; // 20 channels × 10 µW × 1.1 A/W
         let (rin, shot, _thermal) = n.sigma_breakdown(i_pd, 20);
         assert!(rin < shot, "rin {rin} should be below shot {shot}");
+    }
+
+    #[test]
+    fn prepared_sigma_is_the_bitwise_variance_sum() {
+        let n = NoiseParams::paper().with_bandwidth(8e9);
+        let prepared = n.prepared();
+        for i_pd in [0.0, 1e-9, 3.7e-6, 2.2e-4, 0.1] {
+            let direct =
+                (n.shot_variance(i_pd) + n.thermal_variance() + n.rin_variance(i_pd, 21)).sqrt();
+            assert_eq!(prepared.total_sigma(i_pd, 21).to_bits(), direct.to_bits());
+        }
     }
 
     #[test]

@@ -105,7 +105,8 @@ impl PrecisionModel {
         // Trapezoid rule over f(I) = 1/σ(I); σ(0) = σ_thermal > 0 so the
         // integrand is bounded.
         let h = i_fs / INTEGRATION_STEPS as f64;
-        let f = |i: f64| 1.0 / self.noise.total_sigma(i, n_wavelengths);
+        let noise = self.noise.prepared();
+        let f = |i: f64| 1.0 / noise.total_sigma(i, n_wavelengths);
         let mut sum = 0.5 * (f(0.0) + f(i_fs));
         for k in 1..INTEGRATION_STEPS {
             sum += f(k as f64 * h);
