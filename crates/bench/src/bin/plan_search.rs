@@ -26,6 +26,7 @@
 //! Both searches are bit-deterministic at any `--threads` value; the
 //! digests printed at the end are the values to compare across runs.
 
+use albireo_obs::json::{Doc, Fixed, Obj};
 use albireo_obs::Obs;
 use albireo_parallel::Parallelism;
 use albireo_plan::{plan, PlanReport, PlanSpec, GOLDEN_PLAN_SPEC};
@@ -89,28 +90,29 @@ fn run_variant(spec_line: &str, par: Parallelism, label: &str) -> (TimedPlan, Ti
 /// The JSON object for one throughput variant. Field paths under
 /// `pruned`/`exhaustive` are consumed by CI's plan-smoke job — keep
 /// `pruned.candidates_per_s` and `exhaustive.candidates_per_s` stable.
-fn variant_json(pruned: &TimedPlan, exhaustive: &TimedPlan) -> String {
-    format!(
-        "{{\"spec\": \"{}\", \"candidates\": {}, \"feasible\": {}, \
-         \"screen_auto_disabled\": {}, \
-         \"pruned\": {{\"pruned\": {}, \"scored\": {}, \"wall_ms\": {:.1}, \
-         \"candidates_per_s\": {:.1}}}, \
-         \"exhaustive\": {{\"scored\": {}, \"wall_ms\": {:.1}, \"candidates_per_s\": {:.1}}}, \
-         \"speedup\": {:.3}, \"digest\": \"{}\"}}",
-        pruned.report.spec_line,
-        pruned.report.candidates_total,
-        pruned.report.frontier.len(),
-        pruned.report.screen_auto_disabled,
-        pruned.report.pruned,
-        pruned.report.scored,
-        pruned.wall_ms,
-        candidates_per_s(pruned),
-        exhaustive.report.scored,
-        exhaustive.wall_ms,
-        candidates_per_s(exhaustive),
-        exhaustive.wall_ms / pruned.wall_ms,
-        pruned.report.digest_hex(),
-    )
+fn variant_json(pruned: &TimedPlan, exhaustive: &TimedPlan) -> Obj {
+    Obj::new()
+        .field("spec", &pruned.report.spec_line)
+        .field("candidates", pruned.report.candidates_total)
+        .field("feasible", pruned.report.frontier.len())
+        .field("screen_auto_disabled", pruned.report.screen_auto_disabled)
+        .field(
+            "pruned",
+            Obj::new()
+                .field("pruned", pruned.report.pruned)
+                .field("scored", pruned.report.scored)
+                .field("wall_ms", Fixed(pruned.wall_ms, 1))
+                .field("candidates_per_s", Fixed(candidates_per_s(pruned), 1)),
+        )
+        .field(
+            "exhaustive",
+            Obj::new()
+                .field("scored", exhaustive.report.scored)
+                .field("wall_ms", Fixed(exhaustive.wall_ms, 1))
+                .field("candidates_per_s", Fixed(candidates_per_s(exhaustive), 1)),
+        )
+        .field("speedup", Fixed(exhaustive.wall_ms / pruned.wall_ms, 3))
+        .field("digest", pruned.report.digest_hex())
 }
 
 fn print_variant(label: &str, pruned: &TimedPlan, exhaustive: &TimedPlan) {
@@ -185,18 +187,21 @@ fn main() {
     let frontier_csv = format!("{out_dir}/golden_plan_frontier.csv");
     std::fs::write(&frontier_csv, golden.report.to_csv()).expect("write golden_plan_frontier.csv");
 
-    let json = format!(
-        "{{\n  \"schema\": \"albireo.bench.plan/v1\",\n  \"golden\": {{\"spec\": \"{}\", \
-         \"candidates\": {}, \"feasible\": {}, \"wall_ms\": {:.1}, \"digest\": \"{}\"}},\n  \
-         \"wide\": {},\n  \"deep\": {}\n}}\n",
-        golden.report.spec_line,
-        golden.report.candidates_total,
-        golden.report.frontier.len(),
-        golden.wall_ms,
-        golden.report.digest_hex(),
-        variant_json(&wide_pruned, &wide_exhaustive),
-        variant_json(&deep_pruned, &deep_exhaustive),
-    );
+    let json = Doc::new()
+        .field("schema", "albireo.bench.plan/v1")
+        .field(
+            "golden",
+            Obj::new()
+                .field("spec", &golden.report.spec_line)
+                .field("candidates", golden.report.candidates_total)
+                .field("feasible", golden.report.frontier.len())
+                .field("wall_ms", Fixed(golden.wall_ms, 1))
+                .field("digest", golden.report.digest_hex()),
+        )
+        .field("wide", variant_json(&wide_pruned, &wide_exhaustive))
+        .field("deep", variant_json(&deep_pruned, &deep_exhaustive))
+        .finish()
+        + "\n";
     std::fs::write(&json_path, &json).expect("write BENCH_plan.json");
 
     println!(

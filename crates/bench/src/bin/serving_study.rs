@@ -16,6 +16,7 @@
 //! The study is bit-deterministic at any `--threads` value; the combined
 //! digest printed at the end is the value to compare across runs.
 
+use albireo_obs::json::{num, Fixed, Obj};
 use albireo_obs::Obs;
 use albireo_parallel::Parallelism;
 use albireo_runtime::{
@@ -264,74 +265,53 @@ fn main() {
     let golden_csv = format!("{out_dir}/golden_serving_metrics.csv");
     std::fs::write(&study_csv, study.to_csv()).expect("write serving_study.csv");
     std::fs::write(&golden_csv, golden.to_csv()).expect("write golden_serving_metrics.csv");
-    let mut json = study.to_json();
-    let at = json
-        .rfind("  \"combined_digest\"")
-        .expect("study JSON has a combined digest");
-    json.insert_str(
-        at,
-        &format!(
-            "  \"obs_overhead\": {{\"reps\": {}, \"disabled_ms\": {:.3}, \
-             \"enabled_ms\": {:.3}, \"enabled_over_disabled\": {:.4}, \
-             \"trace_events_per_run\": {}}},\n",
-            overhead.reps,
-            overhead.disabled_ms,
-            overhead.enabled_ms,
-            overhead.ratio(),
-            overhead.trace_events
-        ),
-    );
-    let at = json
-        .rfind("  \"combined_digest\"")
-        .expect("study JSON has a combined digest");
-    json.insert_str(
-        at,
-        &format!(
-            "  \"serving_scale\": {{\"requests\": {}, \"completed\": {}, \"shed\": {}, \
-             \"wall_ms\": {:.1}, \"sim_requests_per_s\": {:.0}, \"peak_event_queue\": {}, \
-             \"sketch_buckets\": {}, \"p50_ms\": {:.4}, \"p999_ms\": {:.4}, \
-             \"digest\": \"{}\"}},\n",
-            scale.requests,
-            scale.completed,
-            scale.shed,
-            scale.wall_ms,
-            scale.sim_requests_per_s,
-            scale.peak_event_queue,
-            scale.sketch_buckets,
-            scale.p50_ms,
-            scale.p999_ms,
-            scale.digest_hex
-        ),
-    );
-    let at = json
-        .rfind("  \"combined_digest\"")
-        .expect("study JSON has a combined digest");
-    json.insert_str(
-        at,
-        &format!(
-            "  \"fault_scale\": {{\"requests\": {}, \"rate_rps\": {}, \"faults\": \"{}\", \
-             \"fault_events\": {}, \"completed\": {}, \"shed\": {}, \
-             \"availability\": {:.6}, \"healthy_availability\": {:.6}, \
-             \"wall_ms\": {:.1}, \"peak_event_queue\": {}, \
-             \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \"p999_ms\": {:.4}, \
-             \"healthy_p99_ms\": {:.4}, \"digest\": \"{}\"}},\n",
-            fault_scale.requests,
-            fault_scale.rate_rps,
-            FAULT_SCALE_SPEC,
-            fault_scale.fault_events,
-            fault_scale.completed,
-            fault_scale.shed,
-            fault_scale.availability,
-            fault_scale.healthy_availability,
-            fault_scale.wall_ms,
-            fault_scale.peak_event_queue,
-            fault_scale.p50_ms,
-            fault_scale.p99_ms,
-            fault_scale.p999_ms,
-            fault_scale.healthy_p99_ms,
-            fault_scale.digest_hex
-        ),
-    );
+    let json = study.to_json_with(|d| {
+        d.field(
+            "obs_overhead",
+            Obj::new()
+                .field("reps", overhead.reps)
+                .field("disabled_ms", Fixed(overhead.disabled_ms, 3))
+                .field("enabled_ms", Fixed(overhead.enabled_ms, 3))
+                .field("enabled_over_disabled", Fixed(overhead.ratio(), 4))
+                .field("trace_events_per_run", overhead.trace_events),
+        )
+        .field(
+            "serving_scale",
+            Obj::new()
+                .field("requests", scale.requests)
+                .field("completed", scale.completed)
+                .field("shed", scale.shed)
+                .field("wall_ms", Fixed(scale.wall_ms, 1))
+                .field("sim_requests_per_s", Fixed(scale.sim_requests_per_s, 0))
+                .field("peak_event_queue", scale.peak_event_queue)
+                .field("sketch_buckets", scale.sketch_buckets)
+                .field("p50_ms", Fixed(scale.p50_ms, 4))
+                .field("p999_ms", Fixed(scale.p999_ms, 4))
+                .field("digest", &scale.digest_hex),
+        )
+        .field(
+            "fault_scale",
+            Obj::new()
+                .field("requests", fault_scale.requests)
+                .field("rate_rps", Fixed(fault_scale.rate_rps, 0))
+                .field("faults", FAULT_SCALE_SPEC)
+                .field("fault_events", fault_scale.fault_events)
+                .field("completed", fault_scale.completed)
+                .field("shed", fault_scale.shed)
+                .field("availability", num(fault_scale.availability))
+                .field(
+                    "healthy_availability",
+                    num(fault_scale.healthy_availability),
+                )
+                .field("wall_ms", Fixed(fault_scale.wall_ms, 1))
+                .field("peak_event_queue", fault_scale.peak_event_queue)
+                .field("p50_ms", Fixed(fault_scale.p50_ms, 4))
+                .field("p99_ms", Fixed(fault_scale.p99_ms, 4))
+                .field("p999_ms", Fixed(fault_scale.p999_ms, 4))
+                .field("healthy_p99_ms", Fixed(fault_scale.healthy_p99_ms, 4))
+                .field("digest", &fault_scale.digest_hex),
+        )
+    });
     std::fs::write(&json_path, json).expect("write BENCH_serving.json");
 
     if let Some(path) = &profile_path {

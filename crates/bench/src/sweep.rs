@@ -25,7 +25,7 @@ use std::time::Instant;
 use albireo_core::analog::{AnalogEngine, AnalogSimConfig};
 use albireo_core::config::ChipConfig;
 use albireo_core::engine::{paper_grid, EvalEngine};
-use albireo_core::report::json;
+use albireo_obs::json::{num, Doc, Obj};
 use albireo_parallel::Parallelism;
 use albireo_photonics::precision::{fig3_noise_sweep, fig4c_crosstalk_sweep, PrecisionModel};
 use albireo_photonics::OpticalParams;
@@ -138,53 +138,41 @@ impl SweepReport {
             .fold(0.0, f64::max)
     }
 
-    /// Serializes the report as JSON (hand-rolled; the build environment
-    /// has no serde).
+    /// Serializes the report as JSON, one experiment per line.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"schema\": \"albireo.bench.parallel/v1\",\n  \
-               \"available_parallelism\": {},\n  \
-               \"thread_counts\": {},\n",
-            self.available_parallelism,
-            json::usize_array(&self.thread_counts)
-        ));
-        out.push_str("  \"experiments\": [\n");
-        for (i, e) in self.experiments.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"items\": {}, \"reps\": {}, \
-                 \"serial_wall_ms\": {},\n     \"runs\": [\n",
-                e.name,
-                e.items,
-                e.reps,
-                json::num(e.serial_wall_ms)
-            ));
-            for (j, r) in e.runs.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{\"threads\": {}, \"wall_ms\": {}, \"speedup\": {}, \
-                     \"deterministic\": {}}}{}\n",
-                    r.threads,
-                    json::num(r.wall_ms),
-                    json::num(r.speedup),
-                    r.deterministic,
-                    json::sep(j, e.runs.len())
-                ));
-            }
-            out.push_str(&format!(
-                "     ]}}{}\n",
-                json::sep(i, self.experiments.len())
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"total\": {{\"serial_wall_ms\": {}, \"best_speedup\": {}, \
-             \"deterministic\": {}}}\n",
-            json::num(self.total_serial_wall_ms()),
-            json::num(self.best_total_speedup()),
-            self.all_deterministic()
-        ));
-        out.push_str("}\n");
-        out
+        let experiments = self.experiments.iter().map(|e| {
+            let runs: Vec<Obj> = e
+                .runs
+                .iter()
+                .map(|r| {
+                    Obj::new()
+                        .field("threads", r.threads)
+                        .field("wall_ms", num(r.wall_ms))
+                        .field("speedup", num(r.speedup))
+                        .field("deterministic", r.deterministic)
+                })
+                .collect();
+            Obj::new()
+                .field("name", &e.name)
+                .field("items", e.items)
+                .field("reps", e.reps)
+                .field("serial_wall_ms", num(e.serial_wall_ms))
+                .field("runs", runs)
+        });
+        Doc::new()
+            .field("schema", "albireo.bench.parallel/v1")
+            .field("available_parallelism", self.available_parallelism)
+            .field("thread_counts", &self.thread_counts)
+            .rows("experiments", experiments)
+            .field(
+                "total",
+                Obj::new()
+                    .field("serial_wall_ms", num(self.total_serial_wall_ms()))
+                    .field("best_speedup", num(self.best_total_speedup()))
+                    .field("deterministic", self.all_deterministic()),
+            )
+            .finish()
+            + "\n"
     }
 }
 

@@ -10,6 +10,7 @@ use albireo_core::power::PowerBreakdown;
 use albireo_core::report::{format_joules, format_seconds, format_table, format_watts};
 use albireo_core::trace::{summarize, trace_kernel};
 use albireo_nn::{zoo, Model};
+use albireo_obs::json::{self, num, Fixed, Obj};
 use albireo_parallel::Parallelism;
 use albireo_photonics::mrr::Microring;
 use albireo_photonics::precision::PrecisionModel;
@@ -512,22 +513,16 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
         }
     };
     if args.flag("json") {
-        let mut out = String::from("[\n");
-        for (i, p) in points.iter().enumerate() {
-            out.push_str(&format!(
-                "  {{\"design\": \"{}\", \"power_w\": {:.6}, \"area_mm2\": {:.6}, \
-                 \"latency_s\": {:.9}, \"edp_mj_ms\": {:.6}, \"precision_bits\": {:.6}}}{}\n",
-                p.label,
-                p.power_w,
-                p.area_mm2,
-                p.latency_s,
-                p.edp_mj_ms,
-                p.precision_bits,
-                if i + 1 < points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("]\n");
-        return Ok(out);
+        let rows = points.iter().map(|p| {
+            Obj::new()
+                .field("design", &p.label)
+                .field("power_w", num(p.power_w))
+                .field("area_mm2", num(p.area_mm2))
+                .field("latency_s", Fixed(p.latency_s, 9))
+                .field("edp_mj_ms", num(p.edp_mj_ms))
+                .field("precision_bits", num(p.precision_bits))
+        });
+        return Ok(json::rows(rows) + "\n");
     }
     let rows: Vec<Vec<String>> = points
         .into_iter()
@@ -939,16 +934,7 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
                 None => reports[0].to_json(),
             }
         } else {
-            let mut s = String::from("[\n");
-            for (i, r) in reports.iter().enumerate() {
-                s.push_str(&r.to_json());
-                if i + 1 < reports.len() {
-                    s.truncate(s.trim_end().len());
-                    s.push_str(",\n");
-                }
-            }
-            s.push_str("]\n");
-            s
+            albireo_runtime::ServiceReport::to_json_array(&reports)
         }
     } else {
         let mut s = String::new();

@@ -285,10 +285,37 @@ fn serve_trace_is_byte_identical_across_thread_counts() {
     }
 }
 
+/// Tenant class names that need every kind of JSON escape: a quote, a
+/// backslash, a control character and non-ASCII.
+const HOSTILE_CLASSES: [&str; 3] = ["q\"uote", "back\\slash", "t\tab µs"];
+
 #[test]
 fn serve_json_end_to_end() {
-    let (stdout, _, ok) = run(&["serve", "--requests", "100", "--json"]);
-    assert!(ok, "{stdout}");
+    use albireo_obs::jsonv::{parse, Value};
+    let jsonl = std::env::temp_dir().join(format!("albireo_serve_{}.jsonl", std::process::id()));
+    let classes = format!(
+        "{}:3:5,{}:1,{}:1:2",
+        HOSTILE_CLASSES[0], HOSTILE_CLASSES[1], HOSTILE_CLASSES[2]
+    );
+    let (stdout, stderr, ok) = run(&[
+        "serve",
+        "--requests",
+        "2000",
+        "--rate",
+        "60000",
+        "--seed",
+        "7",
+        "--queue-cap",
+        "16",
+        "--classes",
+        &classes,
+        "--checkpoint-every",
+        "0.005",
+        "--report-jsonl",
+        jsonl.to_str().unwrap(),
+        "--json",
+    ]);
+    assert!(ok, "{stderr}");
     for key in [
         "\"schema\": \"albireo.bench.serving/v4\"",
         "\"latency_ms\"",
@@ -299,6 +326,36 @@ fn serve_json_end_to_end() {
     ] {
         assert!(stdout.contains(key), "missing {key} in {stdout}");
     }
+    let report = parse(&stdout).expect("serve --json is valid JSON");
+    let names: Vec<&str> = report
+        .get("classes")
+        .and_then(Value::as_arr)
+        .unwrap()
+        .iter()
+        .map(|c| c.get("name").and_then(Value::as_str).unwrap())
+        .collect();
+    assert_eq!(names, HOSTILE_CLASSES);
+    let alerts = report
+        .get("alerts")
+        .and_then(|a| a.get("events"))
+        .and_then(Value::as_arr)
+        .unwrap();
+    assert!(!alerts.is_empty(), "this overload must fire alerts");
+    for e in alerts {
+        let class = e.get("class").and_then(Value::as_str).unwrap();
+        assert!(HOSTILE_CLASSES.contains(&class), "{class:?}");
+    }
+    let text = std::fs::read_to_string(&jsonl).unwrap();
+    std::fs::remove_file(&jsonl).ok();
+    let mut alert_lines = 0;
+    for line in text.lines() {
+        let v = parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        if let Some(class) = v.get("class").and_then(Value::as_str) {
+            assert!(HOSTILE_CLASSES.contains(&class), "{class:?}");
+            alert_lines += 1;
+        }
+    }
+    assert_eq!(alert_lines, alerts.len(), "{text}");
 }
 
 #[test]
@@ -359,6 +416,10 @@ fn plan_writes_report_and_frontier_csv() {
     std::fs::create_dir_all(&dir).unwrap();
     let json_path = dir.join("plan.json");
     let csv_path = dir.join("frontier.csv");
+    let classes = format!(
+        "{}:3,{}:1,{}:1",
+        HOSTILE_CLASSES[0], HOSTILE_CLASSES[1], HOSTILE_CLASSES[2]
+    );
     let (stdout, _, ok) = run(&[
         "plan",
         "--slo",
@@ -369,6 +430,8 @@ fn plan_writes_report_and_frontier_csv() {
         "400",
         "--screen-requests",
         "100",
+        "--classes",
+        &classes,
         "--json",
         "--out",
         json_path.to_str().unwrap(),
@@ -380,6 +443,9 @@ fn plan_writes_report_and_frontier_csv() {
     assert!(stdout.contains("digest"), "{stdout}");
     let json = std::fs::read_to_string(&json_path).unwrap();
     assert!(json.contains("albireo.plan/v1"));
+    let plan = albireo_obs::jsonv::parse(&json).expect("plan --json is valid JSON");
+    let spec = plan.get("spec").and_then(|s| s.as_str()).unwrap();
+    assert!(spec.contains(&format!("classes={classes}")), "{spec}");
     let csv = std::fs::read_to_string(&csv_path).unwrap();
     assert!(
         csv.starts_with("rank,fleet,chips,policy,autoscale,"),
@@ -427,6 +493,17 @@ fn run_failing(args: &[&str]) -> (i32, String) {
         .expect("binary runs");
     let code = out.status.code().expect("exited, not killed by a signal");
     (code, String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn perf_diff_rejects_deeply_nested_json_with_exit_2() {
+    let path = std::env::temp_dir().join(format!("albireo_deep_{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(200_000) + &"]".repeat(200_000)).unwrap();
+    let deep = path.to_str().unwrap();
+    let (code, stderr) = run_failing(&["perf-diff", deep, deep]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
 }
 
 #[test]

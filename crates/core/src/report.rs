@@ -1,62 +1,4 @@
-//! Plain-text table formatting shared by the experiment harness bins,
-//! plus the [`json`] helpers every hand-rolled JSON emitter uses.
-
-/// Minimal hand-rolled JSON formatting helpers.
-///
-/// The build environment has no serde, so every machine-readable artifact
-/// (`BENCH_parallel.json`, `BENCH_serving.json`, the serve CLI's `--json`
-/// output) is emitted by hand. These helpers pin the shared conventions —
-/// floats as `{:.6}` with non-finite values mapped to `null`, arrays with
-/// `", "` separators — so the emitters stay byte-identical to each other
-/// and to their committed golden artifacts.
-pub mod json {
-    /// A finite float with the workspace's canonical six decimals;
-    /// non-finite values become `null`.
-    pub fn num(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:.6}")
-        } else {
-            "null".to_string()
-        }
-    }
-
-    /// `[a, b, c]` with `", "` separators.
-    pub fn usize_array(values: &[usize]) -> String {
-        let inner: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-        format!("[{}]", inner.join(", "))
-    }
-
-    /// The separator after element `i` of `len`: `","` between elements,
-    /// nothing after the last.
-    pub fn sep(i: usize, len: usize) -> &'static str {
-        if i + 1 < len {
-            ","
-        } else {
-            ""
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn num_formats_six_decimals_and_null() {
-            assert_eq!(num(1.25), "1.250000");
-            assert_eq!(num(0.0), "0.000000");
-            assert_eq!(num(f64::NAN), "null");
-            assert_eq!(num(f64::INFINITY), "null");
-        }
-
-        #[test]
-        fn arrays_and_separators() {
-            assert_eq!(usize_array(&[1, 2, 8]), "[1, 2, 8]");
-            assert_eq!(usize_array(&[]), "[]");
-            assert_eq!(sep(0, 2), ",");
-            assert_eq!(sep(1, 2), "");
-        }
-    }
-}
+//! Plain-text table formatting shared by the experiment harness bins.
 
 /// Formats a table with a header row, aligning columns to their widest cell.
 ///

@@ -12,48 +12,18 @@
 //! mandates) and rendered with a fixed `{:.3}` precision so equal
 //! virtual timestamps stay equal on disk.
 
+use crate::json::{Fixed, Obj, ToJson};
 use crate::span::{Event, Phase};
 
 /// Microseconds per virtual second in the Chrome export.
 const US_PER_S: f64 = 1.0e6;
 
-/// Escapes a string for embedding inside a JSON string literal. ASCII
-/// printables pass through; controls use the short escapes or `\uXXXX`;
-/// non-ASCII is `\uXXXX`-escaped (surrogate pairs beyond the BMP) so
-/// every exporter emits pure-ASCII, valid JSON regardless of what a
-/// span, counter, or class name contains.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c if (c as u32) > 0x7E => {
-                let mut units = [0u16; 2];
-                for unit in c.encode_utf16(&mut units) {
-                    out.push_str(&format!("\\u{:04x}", unit));
-                }
-            }
-            c => out.push(c),
-        }
+fn args_json(e: &Event) -> Obj {
+    let args = e.args.iter().fold(Obj::new(), |o, (k, v)| o.field(k, v));
+    match e.wall_ns {
+        Some(ns) => args.field("wall_ns", ns),
+        None => args,
     }
-    out
-}
-
-fn args_json(e: &Event) -> String {
-    let mut parts: Vec<String> = e
-        .args
-        .iter()
-        .map(|(k, v)| format!("\"{}\": {}", json_escape(k), v.to_json()))
-        .collect();
-    if let Some(ns) = e.wall_ns {
-        parts.push(format!("\"wall_ns\": {ns}"));
-    }
-    format!("{{{}}}", parts.join(", "))
 }
 
 /// One JSONL line per event: `{"ts": ..., "track": ..., "phase": ...,
@@ -68,16 +38,24 @@ pub fn to_jsonl(events: &[Event]) -> String {
             Phase::Instant => "i",
             Phase::Counter => "C",
         };
-        out.push_str(&format!(
-            "{{\"ts\": {:.9}, \"track\": {}, \"phase\": \"{}\", \"name\": \"{}\", \"args\": {}}}\n",
-            e.ts_s,
-            e.track,
-            phase,
-            json_escape(&e.name),
-            args_json(e),
-        ));
+        Obj::new()
+            .field("ts", Fixed(e.ts_s, 9))
+            .field("track", e.track)
+            .field("phase", phase)
+            .field("name", &e.name)
+            .field("args", args_json(e))
+            .write_json(&mut out);
+        out.push('\n');
     }
     out
+}
+
+/// A Chrome record's common head: phase, process and thread.
+fn record(ph: &str, track: u32) -> Obj {
+    Obj::new()
+        .field("ph", ph)
+        .field("pid", 1u32)
+        .field("tid", track)
 }
 
 /// Chrome/Perfetto `trace_event` JSON.
@@ -87,13 +65,22 @@ pub fn to_jsonl(events: &[Event]) -> String {
 /// scope; counters become `ph: "C"`. `track_names` adds
 /// `thread_name` metadata records so viewers label each track.
 pub fn to_chrome_trace(events: &[Event], track_names: &[(u32, String)]) -> String {
-    let mut records: Vec<String> = Vec::new();
+    const HEAD: &str = "{\"traceEvents\": [\n";
+    let mut out = String::from(HEAD);
+    let push = |out: &mut String, record: Obj| {
+        if out.len() > HEAD.len() {
+            out.push_str(",\n");
+        }
+        record.write_json(out);
+    };
     for (track, name) in track_names {
-        records.push(format!(
-            "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {track}, \"name\": \"thread_name\", \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            json_escape(name)
-        ));
+        let args = Obj::new().field("name", name);
+        push(
+            &mut out,
+            record("M", *track)
+                .field("name", "thread_name")
+                .field("args", args),
+        );
     }
     // Open-span stacks keyed by (track, name); keys ordered for determinism
     // although input order already fixes the output.
@@ -107,43 +94,34 @@ pub fn to_chrome_trace(events: &[Event], track_names: &[(u32, String)]) -> Strin
             Phase::End => {
                 let begin = open.get_mut(&(e.track, e.name.clone())).and_then(Vec::pop);
                 if let Some(b) = begin {
-                    let ts_us = b.ts_s * US_PER_S;
                     let dur_us = (e.ts_s - b.ts_s).max(0.0) * US_PER_S;
-                    records.push(format!(
-                        "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"ts\": {:.3}, \
-                         \"dur\": {:.3}, \"name\": \"{}\", \"args\": {}}}",
-                        b.track,
-                        ts_us,
-                        dur_us,
-                        json_escape(&b.name),
-                        args_json(b),
-                    ));
+                    push(
+                        &mut out,
+                        record("X", b.track)
+                            .field("ts", Fixed(b.ts_s * US_PER_S, 3))
+                            .field("dur", Fixed(dur_us, 3))
+                            .field("name", &b.name)
+                            .field("args", args_json(b)),
+                    );
                 }
             }
-            Phase::Instant => {
-                records.push(format!(
-                    "{{\"ph\": \"i\", \"pid\": 1, \"tid\": {}, \"ts\": {:.3}, \"s\": \"t\", \
-                     \"name\": \"{}\", \"args\": {}}}",
-                    e.track,
-                    e.ts_s * US_PER_S,
-                    json_escape(&e.name),
-                    args_json(e),
-                ));
-            }
-            Phase::Counter => {
-                records.push(format!(
-                    "{{\"ph\": \"C\", \"pid\": 1, \"tid\": {}, \"ts\": {:.3}, \
-                     \"name\": \"{}\", \"args\": {}}}",
-                    e.track,
-                    e.ts_s * US_PER_S,
-                    json_escape(&e.name),
-                    args_json(e),
-                ));
-            }
+            Phase::Instant => push(
+                &mut out,
+                record("i", e.track)
+                    .field("ts", Fixed(e.ts_s * US_PER_S, 3))
+                    .field("s", "t")
+                    .field("name", &e.name)
+                    .field("args", args_json(e)),
+            ),
+            Phase::Counter => push(
+                &mut out,
+                record("C", e.track)
+                    .field("ts", Fixed(e.ts_s * US_PER_S, 3))
+                    .field("name", &e.name)
+                    .field("args", args_json(e)),
+            ),
         }
     }
-    let mut out = String::from("{\"traceEvents\": [\n");
-    out.push_str(&records.join(",\n"));
     out.push_str("\n], \"displayTimeUnit\": \"ms\"}\n");
     out
 }

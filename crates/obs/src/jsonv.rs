@@ -1,7 +1,7 @@
 //! A minimal JSON reader for the workspace's own artifacts.
 //!
-//! The workspace writes all JSON by hand (no serde); `perf-diff` and
-//! the exporter round-trip tests need to *read* it back. This is a
+//! The workspace writes all JSON through [`crate::json`] (no serde);
+//! `perf-diff` and the exporter round-trip tests need to *read* it back. This is a
 //! strict recursive-descent parser over the JSON grammar — objects,
 //! arrays, strings (with `\uXXXX` escapes and surrogate pairs),
 //! numbers, booleans, null — with object key order preserved so
@@ -116,6 +116,13 @@ impl Value {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The
+/// workspace's deepest artifact nests 6 levels (serve report → `obs` →
+/// `histograms` → entry → `buckets` → pair); the cap turns a hostile
+/// file's unbounded recursion into a [`ParseError`] rather than a
+/// stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure, with the byte offset it occurred at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -139,6 +146,7 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -152,6 +160,8 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -192,8 +202,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -202,6 +212,19 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -433,6 +456,19 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn caps_nesting_depth() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH);
+        assert!(e.message.contains("nesting"), "{e}");
+        // Deep enough to overflow the stack without the cap.
+        assert!(parse(&nest(200_000)).is_err());
+        let objects = "{\"a\": ".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

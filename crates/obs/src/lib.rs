@@ -49,6 +49,7 @@
 //! ```
 
 pub mod export;
+pub mod json;
 pub mod jsonv;
 pub mod metrics;
 pub mod openmetrics;
@@ -56,7 +57,8 @@ pub mod profile;
 pub mod sketch;
 pub mod span;
 
-pub use export::{json_escape, to_chrome_trace, to_jsonl};
+pub use export::{to_chrome_trace, to_jsonl};
+pub use json::json_escape;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramData, MetricsSnapshot, Registry, SketchCell,
 };

@@ -20,6 +20,7 @@
 //! Snapshots ([`MetricsSnapshot`]) order every metric by name, so their
 //! JSON rendering and digest are byte-stable.
 
+use crate::json::{Doc, Obj, Sci};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -489,100 +490,48 @@ impl MetricsSnapshot {
         d
     }
 
-    /// Hand-rolled JSON under the `albireo.obs/v1` schema. Counters are
-    /// integers; gauges use scientific notation (oracle relative errors
-    /// span many decades); histograms list only non-empty buckets.
+    /// JSON under the `albireo.obs/v1` schema. Counters are integers;
+    /// gauges use scientific notation (oracle relative errors span many
+    /// decades); histograms list only non-empty buckets.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{}\",\n", crate::SCHEMA));
-        s.push_str("  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            s.push_str(&format!(
-                "\n    \"{}\": {v}{}",
-                crate::export::json_escape(name),
-                sep(i, self.counters.len())
-            ));
-        }
-        s.push_str(if self.counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        s.push_str("  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            s.push_str(&format!(
-                "\n    \"{}\": {}{}",
-                crate::export::json_escape(name),
-                sci(*v),
-                sep(i, self.gauges.len())
-            ));
-        }
-        s.push_str(if self.gauges.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        s.push_str("  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            s.push_str(&format!(
-                "\n    \"{}\": {{\"count\": {}, \"zeros\": {}, \"invalid\": {}, \
-                 \"min\": {}, \"max\": {}, \"mean_est\": {}, \"buckets\": [{}]}}{}",
-                crate::export::json_escape(name),
-                h.count(),
-                h.zeros,
-                h.invalid,
-                sci(h.min().unwrap_or(0.0)),
-                sci(h.max().unwrap_or(0.0)),
-                sci(h.mean_estimate()),
-                h.nonzero_buckets()
+        self.json_members(Doc::new()).finish()
+    }
+
+    /// Appends the [`to_json`](MetricsSnapshot::to_json) members to
+    /// `doc`, so a report can nest the snapshot as one of its members.
+    pub fn json_members(&self, doc: Doc) -> Doc {
+        doc.field("schema", crate::SCHEMA)
+            .doc("counters", |d| {
+                self.counters
                     .iter()
-                    .map(|(e, c)| format!("[{e}, {c}]"))
-                    .collect::<Vec<String>>()
-                    .join(", "),
-                sep(i, self.histograms.len())
-            ));
-        }
-        s.push_str(if self.histograms.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        s.push_str("  \"sketches\": {");
-        for (i, (name, sk)) in self.sketches.iter().enumerate() {
-            s.push_str(&format!(
-                "\n    \"{}\": {}{}",
-                crate::export::json_escape(name),
-                sk.to_json_fragment(),
-                sep(i, self.sketches.len())
-            ));
-        }
-        s.push_str(if self.sketches.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        s.push_str(&format!("  \"digest\": \"{:016x}\"\n", self.digest()));
-        s.push('}');
-        s
-    }
-}
-
-/// JSON float in deterministic scientific notation (`null` if non-finite).
-fn sci(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6e}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// `","` between elements, nothing after the last.
-fn sep(i: usize, len: usize) -> &'static str {
-    if i + 1 < len {
-        ","
-    } else {
-        ""
+                    .fold(d, |d, (name, v)| d.field(name, v))
+            })
+            .doc("gauges", |d| {
+                self.gauges
+                    .iter()
+                    .fold(d, |d, (name, v)| d.field(name, Sci(*v)))
+            })
+            .doc("histograms", |d| {
+                self.histograms.iter().fold(d, |d, (name, h)| {
+                    d.field(
+                        name,
+                        Obj::new()
+                            .field("count", h.count())
+                            .field("zeros", h.zeros)
+                            .field("invalid", h.invalid)
+                            .field("min", Sci(h.min().unwrap_or(0.0)))
+                            .field("max", Sci(h.max().unwrap_or(0.0)))
+                            .field("mean_est", Sci(h.mean_estimate()))
+                            .field("buckets", h.nonzero_buckets()),
+                    )
+                })
+            })
+            .doc("sketches", |d| {
+                self.sketches
+                    .iter()
+                    .fold(d, |d, (name, sk)| d.field(name, sk))
+            })
+            .field("digest", format!("{:016x}", self.digest()))
     }
 }
 

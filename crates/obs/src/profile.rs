@@ -39,6 +39,7 @@
 //! map probe (~100 ns) — instrument at batch granularity, not per
 //! element.
 
+use crate::json::{num, Doc, Obj};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -322,52 +323,36 @@ impl ProfileReport {
         }
     }
 
-    /// Hand-rolled `albireo.profile/v1` JSON: a root summary with
-    /// per-root coverage, then the flat path-keyed phase table
-    /// (`perf-diff` matches phases by `path`).
+    /// `albireo.profile/v1` JSON: a root summary with per-root
+    /// coverage, then the flat path-keyed phase table (`perf-diff`
+    /// matches phases by `path`).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{PROFILE_SCHEMA}\",\n"));
-        s.push_str(&format!(
-            "  \"attributed_fraction\": {:.6},\n",
-            self.attributed_fraction()
-        ));
-        let roots: Vec<&(String, PhaseStat)> = self.roots().collect();
-        s.push_str("  \"roots\": [");
-        for (i, (path, stat)) in roots.iter().enumerate() {
-            s.push_str(&format!(
-                "\n    {{\"name\": \"{}\", \"total_ns\": {}, \"self_ns\": {}, \
-                 \"coverage\": {:.6}}}{}",
-                crate::export::json_escape(path),
-                stat.total_ns,
-                stat.self_ns,
-                self.coverage(path).unwrap_or(0.0),
-                if i + 1 < roots.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(if roots.is_empty() { "],\n" } else { "\n  ],\n" });
-        s.push_str("  \"phases\": [");
-        for (i, (path, stat)) in self.phases.iter().enumerate() {
-            s.push_str(&format!(
-                "\n    {{\"path\": \"{}\", \"calls\": {}, \"total_ns\": {}, \
-                 \"self_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}{}",
-                crate::export::json_escape(path),
-                stat.calls,
-                stat.total_ns,
-                stat.self_ns,
-                if stat.calls == 0 { 0 } else { stat.min_ns },
-                stat.max_ns,
-                if i + 1 < self.phases.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(if self.phases.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        s.push('}');
-        s
+        Doc::new()
+            .field("schema", PROFILE_SCHEMA)
+            .field("attributed_fraction", num(self.attributed_fraction()))
+            .rows(
+                "roots",
+                self.roots().map(|(path, stat)| {
+                    Obj::new()
+                        .field("name", path)
+                        .field("total_ns", stat.total_ns)
+                        .field("self_ns", stat.self_ns)
+                        .field("coverage", num(self.coverage(path).unwrap_or(0.0)))
+                }),
+            )
+            .rows(
+                "phases",
+                self.phases.iter().map(|(path, stat)| {
+                    Obj::new()
+                        .field("path", path)
+                        .field("calls", stat.calls)
+                        .field("total_ns", stat.total_ns)
+                        .field("self_ns", stat.self_ns)
+                        .field("min_ns", if stat.calls == 0 { 0 } else { stat.min_ns })
+                        .field("max_ns", stat.max_ns)
+                }),
+            )
+            .finish()
     }
 }
 
@@ -507,7 +492,7 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         // Empty report still renders valid JSON.
         let empty = take_report().to_json();
-        assert!(empty.contains("\"phases\": []"));
+        assert!(empty.contains("\"phases\": [\n  ]"));
         assert_eq!(empty.matches('{').count(), empty.matches('}').count());
     }
 }

@@ -29,6 +29,7 @@
 //! 80 MB and O(n log n) to sort; the sketch costs a few KB and O(1)
 //! per observation.
 
+use crate::json::{Obj, Sci, ToJson};
 use std::collections::BTreeMap;
 
 /// Mantissa bits used for sub-bucketing (32 sub-buckets per octave).
@@ -288,33 +289,27 @@ impl QuantileSketch {
     /// One-line JSON fragment (an object, no trailing newline) used by
     /// [`crate::MetricsSnapshot::to_json`].
     pub fn to_json_fragment(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"zeros\": {}, \"invalid\": {}, \"min\": {}, \"max\": {}, \
-             \"p50\": {}, \"p95\": {}, \"p99\": {}, \"p999\": {}, \"buckets\": [{}]}}",
-            self.count(),
-            self.zeros,
-            self.invalid,
-            sci(self.min().unwrap_or(0.0)),
-            sci(self.max().unwrap_or(0.0)),
-            sci(self.quantile(0.50)),
-            sci(self.quantile(0.95)),
-            sci(self.quantile(0.99)),
-            sci(self.quantile(0.999)),
-            self.buckets
-                .iter()
-                .map(|(i, c)| format!("[{i}, {c}]"))
-                .collect::<Vec<String>>()
-                .join(", "),
-        )
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 }
 
-/// JSON float in deterministic scientific notation (`null` if non-finite).
-fn sci(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6e}")
-    } else {
-        "null".to_string()
+impl ToJson for QuantileSketch {
+    fn write_json(&self, out: &mut String) {
+        let buckets: Vec<(u16, u64)> = self.buckets.iter().map(|(&i, &c)| (i, c)).collect();
+        Obj::new()
+            .field("count", self.count())
+            .field("zeros", self.zeros)
+            .field("invalid", self.invalid)
+            .field("min", Sci(self.min().unwrap_or(0.0)))
+            .field("max", Sci(self.max().unwrap_or(0.0)))
+            .field("p50", Sci(self.quantile(0.50)))
+            .field("p95", Sci(self.quantile(0.95)))
+            .field("p99", Sci(self.quantile(0.99)))
+            .field("p999", Sci(self.quantile(0.999)))
+            .field("buckets", buckets)
+            .write_json(out);
     }
 }
 

@@ -15,6 +15,7 @@
 //! `(ts_bits, track, phase rank, seq)` — ends before begins at equal
 //! timestamps, so zero-gap adjacent spans nest correctly in viewers.
 
+use crate::json::{Fixed, ToJson};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -80,21 +81,16 @@ impl ArgValue {
             ArgValue::F64(v) => v.to_bits(),
         }
     }
+}
 
-    /// JSON rendering (floats via `{:.6}`-free shortest-stable form is
-    /// avoided; deterministic `{:.9}` keeps virtual quantities exact
-    /// enough and byte-stable).
-    pub fn to_json(self) -> String {
-        match self {
-            ArgValue::U64(v) => v.to_string(),
-            ArgValue::I64(v) => v.to_string(),
-            ArgValue::F64(v) => {
-                if v.is_finite() {
-                    format!("{v:.9}")
-                } else {
-                    "null".to_string()
-                }
-            }
+impl ToJson for ArgValue {
+    /// Integers as themselves; floats with a fixed nine decimals, which
+    /// keeps virtual quantities exact enough and byte-stable.
+    fn write_json(&self, out: &mut String) {
+        match *self {
+            ArgValue::U64(v) => v.write_json(out),
+            ArgValue::I64(v) => v.write_json(out),
+            ArgValue::F64(v) => Fixed(v, 9).write_json(out),
         }
     }
 }

@@ -1,12 +1,12 @@
 //! The ranked plan: the winning fleet, the full (energy, SLO) frontier,
 //! and its text / CSV / JSON renderings.
 //!
-//! Conventions follow the runtime's serving report: floats render
-//! through [`albireo_core::report::json`] (`{:.6}`), JSON is hand-rolled
-//! against a versioned schema string (`albireo.plan/v1`), and the digest
-//! is an order-sensitive fold (`d.rotate_left(13) ^ bits` here, distinct
-//! from the serving report's `rotl 7` so the two digest families cannot
-//! be confused).
+//! Conventions follow the runtime's serving report: the JSON renders
+//! through the workspace writer [`albireo_obs::json`] (floats as
+//! `{:.6}`, shared with the CSV) against a versioned schema string
+//! (`albireo.plan/v1`), and the digest is an order-sensitive fold
+//! (`d.rotate_left(13) ^ bits` here, distinct from the serving report's
+//! `rotl 7` so the two digest families cannot be confused).
 //!
 //! **Mode independence.** The JSON, CSV, and digest cover only fields
 //! that are identical between pruned and exhaustive searches: the spec,
@@ -17,7 +17,7 @@
 //! Search counters (`screened`, `pruned`, `scored`) appear only in the
 //! text rendering and obs metrics.
 
-use albireo_core::report::json;
+use albireo_obs::json::{num, Doc, Obj};
 
 /// One scored candidate's aggregate over its replicas.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,61 +126,47 @@ impl PlanReport {
         format!("0x{:016x}", self.digest())
     }
 
-    fn entry_json(entry: &CandidateOutcome, rank: usize) -> String {
-        format!(
-            "{{\"rank\": {rank}, \"fleet\": \"{}\", \"fleet_label\": \"{}\", \
-             \"chips\": {}, \"policy\": \"{}\", \"autoscale\": \"{}\", \
-             \"p99_ms\": {}, \"shed_rate\": {}, \"attainment\": {}, \
-             \"energy_total_j\": {}, \"energy_per_request_mj\": {}, \
-             \"goodput_rps\": {}, \"spin_ups\": {}, \"pareto\": {}, \
-             \"digest\": \"0x{:016x}\"}}",
-            entry.fleet_spec,
-            entry.fleet_label,
-            entry.chips,
-            entry.policy_label,
-            entry.autoscale_label,
-            json::num(entry.p99_ms),
-            json::num(entry.shed_rate),
-            json::num(entry.attainment),
-            json::num(entry.energy_total_j),
-            json::num(entry.energy_per_request_mj()),
-            json::num(entry.goodput_rps),
-            entry.spin_ups,
-            entry.pareto,
-            entry.digest,
-        )
+    fn entry_json(entry: &CandidateOutcome, rank: usize) -> Obj {
+        Obj::new()
+            .field("rank", rank)
+            .field("fleet", &entry.fleet_spec)
+            .field("fleet_label", &entry.fleet_label)
+            .field("chips", entry.chips)
+            .field("policy", &entry.policy_label)
+            .field("autoscale", &entry.autoscale_label)
+            .field("p99_ms", num(entry.p99_ms))
+            .field("shed_rate", num(entry.shed_rate))
+            .field("attainment", num(entry.attainment))
+            .field("energy_total_j", num(entry.energy_total_j))
+            .field("energy_per_request_mj", num(entry.energy_per_request_mj()))
+            .field("goodput_rps", num(entry.goodput_rps))
+            .field("spin_ups", entry.spin_ups)
+            .field("pareto", entry.pareto)
+            .field("digest", format!("0x{:016x}", entry.digest))
     }
 
     /// The machine-readable plan, schema `albireo.plan/v1`. Contains
     /// only mode-independent fields (see module docs), so pruned and
     /// exhaustive searches of the same spec emit identical bytes.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"albireo.plan/v1\",\n");
-        out.push_str(&format!("  \"spec\": \"{}\",\n", self.spec_line));
-        out.push_str(&format!("  \"slo\": \"{}\",\n", self.slo_line));
-        out.push_str(&format!("  \"candidates\": {},\n", self.candidates_total));
-        out.push_str(&format!("  \"replicas\": {},\n", self.replicas));
-        out.push_str(&format!("  \"feasible\": {},\n", self.frontier.len()));
-        match self.winner() {
-            Some(winner) => {
-                out.push_str(&format!("  \"winner\": {},\n", Self::entry_json(winner, 1)))
-            }
-            None => out.push_str("  \"winner\": null,\n"),
-        }
-        out.push_str("  \"frontier\": [\n");
-        for (i, entry) in self.frontier.iter().enumerate() {
-            out.push_str(&format!(
-                "    {}{}\n",
-                Self::entry_json(entry, i + 1),
-                json::sep(i, self.frontier.len())
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"digest\": \"{}\"\n", self.digest_hex()));
-        out.push_str("}\n");
-        out
+        Doc::new()
+            .field("schema", "albireo.plan/v1")
+            .field("spec", &self.spec_line)
+            .field("slo", &self.slo_line)
+            .field("candidates", self.candidates_total)
+            .field("replicas", self.replicas)
+            .field("feasible", self.frontier.len())
+            .field("winner", self.winner().map(|w| Self::entry_json(w, 1)))
+            .rows(
+                "frontier",
+                self.frontier
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| Self::entry_json(e, i + 1)),
+            )
+            .field("digest", self.digest_hex())
+            .finish()
+            + "\n"
     }
 
     /// The frontier CSV header.
@@ -201,12 +187,12 @@ impl PlanReport {
                 e.chips,
                 e.policy_label,
                 e.autoscale_label,
-                json::num(e.p99_ms),
-                json::num(e.shed_rate),
-                json::num(e.attainment),
-                json::num(e.energy_total_j),
-                json::num(e.energy_per_request_mj()),
-                json::num(e.goodput_rps),
+                num(e.p99_ms),
+                num(e.shed_rate),
+                num(e.attainment),
+                num(e.energy_total_j),
+                num(e.energy_per_request_mj()),
+                num(e.goodput_rps),
                 e.spin_ups,
                 e.pareto,
             ));

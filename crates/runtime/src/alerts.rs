@@ -27,6 +27,8 @@
 //! None of this state folds into the run digest: alerting *observes* the
 //! run, it never alters dispatch.
 
+use albireo_obs::json::{num, Obj};
+
 /// Ring-buffer buckets per window. 30 buckets keeps the trailing-window
 /// approximation within ~3% of the exact interval while holding O(1)
 /// memory per (class, window).
@@ -147,6 +149,20 @@ pub struct AlertEvent {
     pub burn_short: f64,
     /// Long-window burn rate at the transition.
     pub burn_long: f64,
+}
+
+impl AlertEvent {
+    /// Appends the transition's JSON members to `obj`, naming its class
+    /// `class` (the report's `alerts.events` rows and the
+    /// `albireo.serve.alert/v1` lines share them).
+    pub(crate) fn json_fields(&self, obj: Obj, class: &str) -> Obj {
+        obj.field("class", class)
+            .field("rule", self.rule.label())
+            .field("type", if self.fire { "fire" } else { "resolve" })
+            .field("at_s", num(self.at_s))
+            .field("burn_short", num(self.burn_short))
+            .field("burn_long", num(self.burn_long))
+    }
 }
 
 /// A trailing-window hit/miss counter: `WINDOW_BUCKETS` ring buckets of

@@ -1,14 +1,13 @@
 //! Service metrics: the per-run report, its text/CSV/JSON renderings,
 //! and the order-sensitive digest used by the determinism checks.
 //!
-//! Conventions mirror `albireo-bench`'s `BENCH_parallel.json`: floats are
-//! rendered through the shared [`albireo_core::report::json`] helpers
-//! (`{:.6}`), the digest folds values with
+//! Conventions mirror `albireo-bench`'s `BENCH_parallel.json`: the JSON
+//! renders through the workspace writer [`albireo_obs::json`] (floats
+//! as `{:.6}`) against a versioned schema string
+//! (`albireo.bench.serving/v4`), and the digest folds values with
 //! `digest.rotate_left(7) ^ bits` (order-sensitive, so it also certifies
-//! *dispatch order*, not just the multiset of results), and the JSON is
-//! hand-rolled against a versioned schema string
-//! (`albireo.bench.serving/v4`). The full field list is documented in
-//! DESIGN.md §8 and §11.
+//! *dispatch order*, not just the multiset of results). The full field
+//! list is documented in DESIGN.md §8 and §11.
 //!
 //! ## Streaming accumulation
 //!
@@ -25,7 +24,7 @@
 use crate::alerts::{AlertBook, AlertEvent, AlertPolicy};
 use crate::fleet::FleetConfig;
 use crate::sim::ServeConfig;
-use albireo_core::report::json;
+use albireo_obs::json::{self, num, Doc, Obj};
 use albireo_obs::QuantileSketch;
 
 /// One served request's lifecycle, in dispatch order.
@@ -591,173 +590,105 @@ impl ServiceReport {
         )
     }
 
-    /// Hand-rolled JSON digest of the run (schema
-    /// `albireo.bench.serving/v4`, documented in DESIGN.md §8/§11/§15;
-    /// v3 added the per-chip autoscaling fields, v4 the per-class
-    /// burn-rate alert summary and the `alerts` transition log). Does
-    /// not embed per-request records; the digest covers them.
+    /// JSON digest of the run (schema `albireo.bench.serving/v4`,
+    /// documented in DESIGN.md §8/§11/§15; v3 added the per-chip
+    /// autoscaling fields, v4 the per-class burn-rate alert summary and
+    /// the `alerts` transition log). Does not embed per-request records;
+    /// the digest covers them.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"albireo.bench.serving/v4\",\n");
-        s.push_str(&format!("  \"fleet\": \"{}\",\n", self.fleet_label));
-        s.push_str(&format!("  \"policy\": \"{}\",\n", self.policy_label));
-        s.push_str(&format!("  \"arrival\": \"{}\",\n", self.arrival_label));
-        s.push_str(&format!(
-            "  \"rate_rps\": {},\n",
-            json::num(self.offered_rate_rps)
-        ));
-        s.push_str(&format!(
-            "  \"queue_capacity\": \"{}\",\n",
-            self.capacity_label()
-        ));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"offered\": {},\n", self.offered));
-        s.push_str(&format!("  \"completed\": {},\n", self.completed));
-        s.push_str(&format!("  \"shed\": {},\n", self.shed));
-        s.push_str(&format!(
-            "  \"shed_rate\": {},\n",
-            json::num(self.shed_rate)
-        ));
-        s.push_str("  \"latency_ms\": {\n");
-        s.push_str(&format!("    \"p50\": {},\n", json::num(self.p50_ms)));
-        s.push_str(&format!("    \"p95\": {},\n", json::num(self.p95_ms)));
-        s.push_str(&format!("    \"p99\": {},\n", json::num(self.p99_ms)));
-        s.push_str(&format!("    \"p999\": {},\n", json::num(self.p999_ms)));
-        s.push_str(&format!(
-            "    \"mean\": {},\n",
-            json::num(self.mean_latency_ms)
-        ));
-        s.push_str(&format!(
-            "    \"mean_wait\": {}\n",
-            json::num(self.mean_wait_ms)
-        ));
-        s.push_str("  },\n");
-        s.push_str(&format!(
-            "  \"goodput_rps\": {},\n",
-            json::num(self.goodput_rps)
-        ));
-        s.push_str(&format!(
-            "  \"makespan_s\": {},\n",
-            json::num(self.makespan_s)
-        ));
-        s.push_str(&format!(
-            "  \"energy_total_j\": {},\n",
-            json::num(self.energy_total_j)
-        ));
-        s.push_str(&format!(
-            "  \"energy_per_request_mj\": {},\n",
-            json::num(self.energy_per_request_j * 1e3)
-        ));
-        s.push_str(&format!(
-            "  \"mean_batch_size\": {},\n",
-            json::num(self.mean_batch_size)
-        ));
-        s.push_str(&format!(
-            "  \"max_queue_depth\": {},\n",
-            self.max_queue_depth
-        ));
-        s.push_str(&format!(
-            "  \"peak_event_queue\": {},\n",
-            self.peak_event_queue
-        ));
-        s.push_str(&format!("  \"sketch_buckets\": {},\n", self.sketch_buckets));
-        s.push_str("  \"classes\": [\n");
-        for (i, c) in self.classes.iter().enumerate() {
-            let slo_ms = c
-                .slo_ms
-                .map_or("null".to_string(), |v| json::num(v).to_string());
-            let attained = c
-                .slo_attainment
-                .map_or("null".to_string(), |v| json::num(v).to_string());
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"slo_ms\": {}, \"completed\": {}, \"shed\": {}, \
-                 \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \"p999_ms\": {}, \
-                 \"mean_latency_ms\": {}, \"slo_attainment\": {}, \
-                 \"alerts_fired\": {}, \"alert_active\": {}}}{}\n",
-                c.name,
-                slo_ms,
-                c.completed,
-                c.shed,
-                json::num(c.p50_ms),
-                json::num(c.p95_ms),
-                json::num(c.p99_ms),
-                json::num(c.p999_ms),
-                json::num(c.mean_latency_ms),
-                attained,
-                c.alerts_fired,
-                c.alert_active,
-                json::sep(i, self.classes.len())
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"chips\": [\n");
-        for (i, c) in self.per_chip.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"served\": {}, \"batches\": {}, \"utilization\": {}, \"energy_j\": {}, \"idle_energy_j\": {}, \"provisioned_s\": {}, \"spin_ups\": {}, \"online\": {}, \"plcgs_down\": {}}}{}\n",
-                c.name,
-                c.served,
-                c.batches,
-                json::num(c.utilization(self.makespan_s)),
-                json::num(c.energy_j),
-                json::num(c.idle_energy_j),
-                json::num(c.provisioned_s),
-                c.spin_ups,
-                c.online_at_end,
-                c.plcgs_down,
-                json::sep(i, self.per_chip.len())
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"alerts\": {\n");
-        s.push_str(&format!("    \"policy\": \"{}\",\n", self.alert_policy));
-        s.push_str("    \"events\": [\n");
-        for (i, e) in self.alert_events.iter().enumerate() {
-            let class = self
-                .classes
-                .get(e.class)
-                .map(|c| c.name.as_str())
-                .unwrap_or("?");
-            s.push_str(&format!(
-                "      {{\"class\": \"{}\", \"rule\": \"{}\", \"type\": \"{}\", \
-                 \"at_s\": {}, \"burn_short\": {}, \"burn_long\": {}}}{}\n",
-                class,
-                e.rule.label(),
-                if e.fire { "fire" } else { "resolve" },
-                json::num(e.at_s),
-                json::num(e.burn_short),
-                json::num(e.burn_long),
-                json::sep(i, self.alert_events.len())
-            ));
-        }
-        s.push_str("    ],\n");
-        s.push_str(&format!("    \"dropped\": {}\n", self.alert_events_dropped));
-        s.push_str("  },\n");
-        s.push_str(&format!("  \"digest\": \"{}\"\n", self.digest_hex()));
-        s.push_str("}\n");
-        s
+        self.json_doc(None).finish() + "\n"
     }
 
     /// [`to_json`](ServiceReport::to_json) with an `"obs"` member — the
-    /// run's metrics snapshot under the `albireo.obs/v1` schema —
-    /// spliced in ahead of the digest. The default rendering is
-    /// unchanged; metrics appear only when a snapshot is supplied.
+    /// run's metrics snapshot under the `albireo.obs/v1` schema — ahead
+    /// of the digest. The default rendering is unchanged; metrics
+    /// appear only when a snapshot is supplied.
     pub fn to_json_with_metrics(&self, metrics: &albireo_obs::MetricsSnapshot) -> String {
-        let base = self.to_json();
-        let needle = "  \"digest\": ";
-        let idx = base.rfind(needle).expect("digest key present");
-        let mut s = String::with_capacity(base.len() + 512);
-        s.push_str(&base[..idx]);
-        s.push_str("  \"obs\": ");
-        for (i, line) in metrics.to_json().lines().enumerate() {
-            if i > 0 {
-                s.push_str("\n  ");
-            }
-            s.push_str(line);
-        }
-        s.push_str(",\n");
-        s.push_str(&base[idx..]);
-        s
+        self.json_doc(Some(metrics)).finish() + "\n"
+    }
+
+    /// Several reports (one per replica) as one top-level JSON array of
+    /// [`to_json`](ServiceReport::to_json) documents.
+    pub fn to_json_array(reports: &[ServiceReport]) -> String {
+        json::docs(reports.iter().map(|r| r.json_doc(None))) + "\n"
+    }
+
+    fn json_doc(&self, metrics: Option<&albireo_obs::MetricsSnapshot>) -> Doc {
+        let classes = self.classes.iter().map(|c| {
+            Obj::new()
+                .field("name", &c.name)
+                .field("slo_ms", c.slo_ms.map(num))
+                .field("completed", c.completed)
+                .field("shed", c.shed)
+                .field("p50_ms", num(c.p50_ms))
+                .field("p95_ms", num(c.p95_ms))
+                .field("p99_ms", num(c.p99_ms))
+                .field("p999_ms", num(c.p999_ms))
+                .field("mean_latency_ms", num(c.mean_latency_ms))
+                .field("slo_attainment", c.slo_attainment.map(num))
+                .field("alerts_fired", c.alerts_fired)
+                .field("alert_active", c.alert_active)
+        });
+        let chips = self.per_chip.iter().map(|c| {
+            Obj::new()
+                .field("name", &c.name)
+                .field("served", c.served)
+                .field("batches", c.batches)
+                .field("utilization", num(c.utilization(self.makespan_s)))
+                .field("energy_j", num(c.energy_j))
+                .field("idle_energy_j", num(c.idle_energy_j))
+                .field("provisioned_s", num(c.provisioned_s))
+                .field("spin_ups", c.spin_ups)
+                .field("online", c.online_at_end)
+                .field("plcgs_down", c.plcgs_down)
+        });
+        let alert_events = self.alert_events.iter().map(|e| {
+            let class = self.classes.get(e.class).map_or("?", |c| c.name.as_str());
+            e.json_fields(Obj::new(), class)
+        });
+        let doc = Doc::new()
+            .field("schema", "albireo.bench.serving/v4")
+            .field("fleet", &self.fleet_label)
+            .field("policy", &self.policy_label)
+            .field("arrival", &self.arrival_label)
+            .field("rate_rps", num(self.offered_rate_rps))
+            .field("queue_capacity", self.capacity_label())
+            .field("seed", self.seed)
+            .field("offered", self.offered)
+            .field("completed", self.completed)
+            .field("shed", self.shed)
+            .field("shed_rate", num(self.shed_rate))
+            .doc("latency_ms", |d| {
+                d.field("p50", num(self.p50_ms))
+                    .field("p95", num(self.p95_ms))
+                    .field("p99", num(self.p99_ms))
+                    .field("p999", num(self.p999_ms))
+                    .field("mean", num(self.mean_latency_ms))
+                    .field("mean_wait", num(self.mean_wait_ms))
+            })
+            .field("goodput_rps", num(self.goodput_rps))
+            .field("makespan_s", num(self.makespan_s))
+            .field("energy_total_j", num(self.energy_total_j))
+            .field(
+                "energy_per_request_mj",
+                num(self.energy_per_request_j * 1e3),
+            )
+            .field("mean_batch_size", num(self.mean_batch_size))
+            .field("max_queue_depth", self.max_queue_depth)
+            .field("peak_event_queue", self.peak_event_queue)
+            .field("sketch_buckets", self.sketch_buckets)
+            .rows("classes", classes)
+            .rows("chips", chips)
+            .doc("alerts", |d| {
+                d.field("policy", &self.alert_policy)
+                    .rows("events", alert_events)
+                    .field("dropped", self.alert_events_dropped)
+            });
+        let doc = match metrics {
+            Some(m) => doc.doc("obs", |d| m.json_members(d)),
+            None => doc,
+        };
+        doc.field("digest", self.digest_hex())
     }
 }
 

@@ -31,7 +31,7 @@ use crate::grammar::Lexer;
 use crate::report::{ClassTotals, RequestRecord, RunTotals};
 use crate::sim::{ChipState, EventKind};
 use crate::workload::Request;
-use albireo_core::report::json;
+use albireo_obs::json::{num, Obj};
 use albireo_obs::sketch::MAX_BUCKETS;
 use albireo_obs::{fnv1a, QuantileSketch};
 use std::fmt::Write as _;
@@ -148,18 +148,10 @@ impl SimSnapshot {
             .iter()
             .skip(from)
             .map(|e| {
-                format!(
-                    "{{\"schema\": \"albireo.serve.alert/v1\", \"checkpoint\": {}, \
-                     \"class\": \"{}\", \"rule\": \"{}\", \"type\": \"{}\", \
-                     \"at_s\": {}, \"burn_short\": {}, \"burn_long\": {}}}",
-                    self.checkpoints,
-                    name(e.class),
-                    e.rule.label(),
-                    if e.fire { "fire" } else { "resolve" },
-                    json::num(e.at_s),
-                    json::num(e.burn_short),
-                    json::num(e.burn_long),
-                )
+                let head = Obj::new()
+                    .field("schema", "albireo.serve.alert/v1")
+                    .field("checkpoint", self.checkpoints);
+                e.json_fields(head, name(e.class)).finish()
             })
             .collect()
     }
@@ -199,20 +191,18 @@ impl SimSnapshot {
     /// this boundary — the incremental-report record streamed to
     /// `--report-jsonl` (no trailing newline).
     pub fn progress_json(&self) -> String {
-        format!(
-            "{{\"schema\": \"albireo.serve.progress/v1\", \"checkpoint\": {}, \
-             \"at_s\": {}, \"offered\": {}, \"completed\": {}, \"shed\": {}, \
-             \"queued\": {}, \"events\": {}, \"p50_ms\": {}, \"p99_ms\": {}}}",
-            self.checkpoints,
-            json::num(self.at_s),
-            self.totals.offered,
-            self.totals.rec_count,
-            self.totals.shed,
-            self.queue.len(),
-            self.events.len(),
-            json::num(self.p50_ms()),
-            json::num(self.p99_ms()),
-        )
+        Obj::new()
+            .field("schema", "albireo.serve.progress/v1")
+            .field("checkpoint", self.checkpoints)
+            .field("at_s", num(self.at_s))
+            .field("offered", self.totals.offered)
+            .field("completed", self.totals.rec_count)
+            .field("shed", self.totals.shed)
+            .field("queued", self.queue.len())
+            .field("events", self.events.len())
+            .field("p50_ms", num(self.p50_ms()))
+            .field("p99_ms", num(self.p99_ms()))
+            .finish()
     }
 
     /// Serializes the snapshot to its `albireo.snapshot/v1` text form,

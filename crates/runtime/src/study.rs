@@ -13,8 +13,8 @@ use crate::policy::{AdmissionControl, BatchPolicy};
 use crate::report::ServiceReport;
 use crate::sim::{simulate, ServeConfig};
 use crate::workload::{ArrivalProcess, Workload};
-use albireo_core::report::json;
 use albireo_nn::zoo;
+use albireo_obs::json::{num, Doc, Fixed, Obj};
 use albireo_parallel::{split_seed, stream_id, Parallelism};
 
 /// Stream-id pass tag for serving replica seeds (shared by
@@ -166,46 +166,42 @@ impl ServingStudyReport {
         out
     }
 
-    /// Hand-rolled JSON for `BENCH_serving.json` (schema
+    /// JSON for `BENCH_serving.json` (schema
     /// `albireo.bench.serving_study/v1`, documented in DESIGN.md §8).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"schema\": \"albireo.bench.serving_study/v1\",\n");
-        s.push_str(&format!("  \"replicas\": {},\n", self.replicas));
-        s.push_str("  \"runs\": [\n");
-        for (i, run) in self.runs.iter().enumerate() {
+        self.to_json_with(|d| d)
+    }
+
+    /// [`to_json`](ServingStudyReport::to_json) with the members `extra`
+    /// appends between the runs and the closing combined digest.
+    pub fn to_json_with(&self, extra: impl FnOnce(Doc) -> Doc) -> String {
+        let runs = self.runs.iter().map(|run| {
             let r = &run.report;
-            s.push_str(&format!(
-                "    {{\"fleet\": \"{}\", \"policy\": \"{}\", \"rate_rps\": {:.3}, \
-                 \"replica\": {}, \"seed\": {}, \"completed\": {}, \"shed\": {}, \
-                 \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \"p999_ms\": {}, \
-                 \"goodput_rps\": {}, \"energy_per_request_mj\": {}, \
-                 \"mean_batch_size\": {}, \"digest\": \"{}\"}}{}\n",
-                r.fleet_label,
-                r.policy_label,
-                r.offered_rate_rps,
-                run.replica,
-                r.seed,
-                r.completed,
-                r.shed,
-                json::num(r.p50_ms),
-                json::num(r.p95_ms),
-                json::num(r.p99_ms),
-                json::num(r.p999_ms),
-                json::num(r.goodput_rps),
-                json::num(r.energy_per_request_j * 1e3),
-                json::num(r.mean_batch_size),
-                r.digest_hex(),
-                json::sep(i, self.runs.len())
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"combined_digest\": \"{}\"\n",
-            self.combined_digest_hex()
-        ));
-        s.push_str("}\n");
-        s
+            Obj::new()
+                .field("fleet", &r.fleet_label)
+                .field("policy", &r.policy_label)
+                .field("rate_rps", Fixed(r.offered_rate_rps, 3))
+                .field("replica", run.replica)
+                .field("seed", r.seed)
+                .field("completed", r.completed)
+                .field("shed", r.shed)
+                .field("p50_ms", num(r.p50_ms))
+                .field("p95_ms", num(r.p95_ms))
+                .field("p99_ms", num(r.p99_ms))
+                .field("p999_ms", num(r.p999_ms))
+                .field("goodput_rps", num(r.goodput_rps))
+                .field("energy_per_request_mj", num(r.energy_per_request_j * 1e3))
+                .field("mean_batch_size", num(r.mean_batch_size))
+                .field("digest", r.digest_hex())
+        });
+        let doc = Doc::new()
+            .field("schema", "albireo.bench.serving_study/v1")
+            .field("replicas", self.replicas)
+            .rows("runs", runs);
+        extra(doc)
+            .field("combined_digest", self.combined_digest_hex())
+            .finish()
+            + "\n"
     }
 }
 
