@@ -519,3 +519,45 @@ fn non_finite_batching_policies_exit_2() {
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("expected finite deadline"), "{stderr}");
 }
+
+#[test]
+fn resume_with_an_out_of_range_chip_exits_2() {
+    let path = std::env::temp_dir().join(format!("albireo_chip_{}.snap", std::process::id()));
+    let snap = path.to_str().unwrap();
+    // Overloaded, so batches are in flight at the first checkpoint.
+    let base = [
+        "serve",
+        "--requests",
+        "2000",
+        "--rate",
+        "60000",
+        "--seed",
+        "7",
+    ];
+    let mut argv = base.to_vec();
+    argv.extend_from_slice(&[
+        "--checkpoint-every",
+        "0.005",
+        "--checkpoint-out",
+        snap,
+        "--halt-after-checkpoints",
+        "1",
+    ]);
+    let (_, stderr, ok) = run(&argv);
+    assert!(ok, "{stderr}");
+    // Point an in-flight completion at chip 7 of the two-chip fleet and
+    // re-digest, so only the index check can refuse the file.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let (body, _) = text.rsplit_once("digest ").unwrap();
+    let at = body.find(" completion ").expect("a batch is in flight");
+    let end = at + body[at..].find('\n').unwrap();
+    let body = format!("{} completion 7{}", &body[..at], &body[end..]);
+    let digest = albireo_obs::fnv1a(body.as_bytes());
+    std::fs::write(&path, format!("{body}digest {digest:016x}\n")).unwrap();
+    let mut argv = base.to_vec();
+    argv.extend_from_slice(&["--resume", snap]);
+    let (code, stderr) = run_failing(&argv);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("names chip 7, fleet has 2"), "{stderr}");
+}

@@ -12,25 +12,29 @@
 //! is within [`RELATIVE_ERROR_BOUND`] ≈ 1.6 % of the exact nearest-rank
 //! value — at *any* stream length, for *any* distribution.
 //!
-//! The state is a sparse map of bucket counts plus exact `count`/`zeros`
-//! /`invalid`/`min`/`max`, so the sketch obeys the same **exact abelian
-//! monoid** discipline as [`crate::metrics::HistogramData`]: counts add,
-//! extrema take extrema, nothing is re-binned. Merge is associative and
+//! The state is one contiguous array of bucket counts over the occupied
+//! bucket-index window `[lowest, highest]` plus exact `zeros`/`invalid`/
+//! `min`/`max`, so the sketch obeys the same **exact abelian monoid**
+//! discipline as [`crate::metrics::HistogramData`]: counts add, extrema
+//! take extrema, nothing is re-binned. Both ends of the window hold a
+//! nonzero count, so equal states have equal arrays and `Eq` is the
+//! derived field-wise comparison. Merge is associative and
 //! commutative by construction, the identity is the empty sketch, and
 //! two states built from the same multiset of samples are `Eq` — hence
 //! digest-stable — no matter how the samples were sharded or in which
 //! order the shards were merged (property-tested in
 //! `tests/proptest_sketch.rs`).
 //!
-//! Memory is bounded by the bucket space, not the stream: at most
-//! [`MAX_BUCKETS`] (4096) occupied buckets cover the full positive
+//! Memory is bounded by the bucket space, not the stream: the window is
+//! at most [`MAX_BUCKETS`] (4096) counts wide over the full positive
 //! `f64` range, and a real latency distribution spanning six decades
-//! touches a few hundred. A `Vec<f64>` of 10⁷ latency samples costs
+//! spans a few hundred. A `Vec<f64>` of 10⁷ latency samples costs
 //! 80 MB and O(n log n) to sort; the sketch costs a few KB and O(1)
-//! per observation.
+//! per observation — one bounds check and one increment, except when a
+//! sample lands outside the window and widens it (at most once per
+//! bucket over the sketch's life).
 
 use crate::json::{Obj, Sci, ToJson};
-use std::collections::BTreeMap;
 
 /// Mantissa bits used for sub-bucketing (32 sub-buckets per octave).
 pub const SUBBUCKET_BITS: u32 = 5;
@@ -96,7 +100,11 @@ pub fn bucket_bounds(i: u16) -> (f64, f64) {
 /// (zero + positive) population.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantileSketch {
-    buckets: BTreeMap<u16, u64>,
+    /// Counts of buckets `lowest .. lowest + counts.len()`; empty when no
+    /// positive sample was seen, otherwise nonzero at both ends.
+    counts: Vec<u64>,
+    /// Bucket index of `counts[0]` (0 when `counts` is empty).
+    lowest: u16,
     zeros: u64,
     invalid: u64,
     /// Min over valid samples as bits (`u64::MAX` = empty); bit order
@@ -109,7 +117,8 @@ pub struct QuantileSketch {
 impl Default for QuantileSketch {
     fn default() -> QuantileSketch {
         QuantileSketch {
-            buckets: BTreeMap::new(),
+            counts: Vec::new(),
+            lowest: 0,
             zeros: 0,
             invalid: 0,
             min_bits: u64::MAX,
@@ -124,8 +133,8 @@ impl QuantileSketch {
         QuantileSketch::default()
     }
 
-    /// Records one sample. O(log occupied-buckets), O(1) amortized
-    /// memory (bucket space is capped at [`MAX_BUCKETS`]).
+    /// Records one sample. O(1): a bounds check and an increment, plus a
+    /// window widening the first time a bucket outside it is hit.
     pub fn observe(&mut self, v: f64) {
         if !v.is_finite() || v < 0.0 {
             self.invalid += 1;
@@ -134,16 +143,49 @@ impl QuantileSketch {
         if v == 0.0 {
             self.zeros += 1;
         } else {
-            *self.buckets.entry(bucket_index(v)).or_insert(0) += 1;
+            let idx = bucket_index(v);
+            let offset = (idx as usize).wrapping_sub(self.lowest as usize);
+            match self.counts.get_mut(offset) {
+                Some(c) => *c += 1,
+                None => *self.widen_to(idx) += 1,
+            }
         }
         let bits = v.to_bits();
         self.min_bits = self.min_bits.min(bits);
         self.max_bits = self.max_bits.max(bits);
     }
 
+    /// Widens the window to cover bucket `idx` (new slots count zero)
+    /// and returns that bucket's slot.
+    fn widen_to(&mut self, idx: u16) -> &mut u64 {
+        if self.counts.is_empty() {
+            self.lowest = idx;
+            self.counts.push(0);
+        } else if idx < self.lowest {
+            let grow = (self.lowest - idx) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.lowest = idx;
+        } else {
+            let len = (idx - self.lowest) as usize + 1;
+            if len > self.counts.len() {
+                self.counts.resize(len, 0);
+            }
+        }
+        &mut self.counts[(idx - self.lowest) as usize]
+    }
+
+    /// `(bucket index, count)` of every occupied bucket, ascending.
+    fn occupied(&self) -> impl Iterator<Item = (u16, u64)> + '_ {
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(i, &c)| (self.lowest + i as u16, c))
+    }
+
     /// Valid (non-negative finite) samples recorded.
     pub fn count(&self) -> u64 {
-        self.zeros + self.buckets.values().sum::<u64>()
+        self.zeros + self.counts.iter().sum::<u64>()
     }
 
     /// Samples exactly zero.
@@ -169,7 +211,7 @@ impl QuantileSketch {
     /// Occupied buckets — the sketch's resident size, bounded by
     /// [`MAX_BUCKETS`] regardless of stream length.
     pub fn occupied_buckets(&self) -> usize {
-        self.buckets.len()
+        self.occupied().count()
     }
 
     /// The nearest-rank `q`-quantile estimate (`q ∈ [0, 1]`), within
@@ -189,7 +231,7 @@ impl QuantileSketch {
             return 0.0;
         }
         let mut cum = self.zeros;
-        for (&idx, &c) in &self.buckets {
+        for (idx, c) in self.occupied() {
             cum += c;
             if cum >= rank {
                 let (lo, hi) = bucket_bounds(idx);
@@ -214,8 +256,14 @@ impl QuantileSketch {
 
     /// In-place [`QuantileSketch::merge`].
     pub fn merge_from(&mut self, other: &QuantileSketch) {
-        for (&idx, &c) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += c;
+        if let Some(span) = other.counts.len().checked_sub(1) {
+            // Widen to cover both windows, then add slot by slot.
+            self.widen_to(other.lowest);
+            self.widen_to(other.lowest + span as u16);
+            let at = (other.lowest - self.lowest) as usize;
+            for (mine, &theirs) in self.counts[at..].iter_mut().zip(&other.counts) {
+                *mine += theirs;
+            }
         }
         self.zeros += other.zeros;
         self.invalid += other.invalid;
@@ -225,7 +273,7 @@ impl QuantileSketch {
 
     /// `(bucket index, count)` for every occupied bucket, ascending.
     pub fn nonzero_buckets(&self) -> Vec<(u16, u64)> {
-        self.buckets.iter().map(|(&i, &c)| (i, c)).collect()
+        self.occupied().collect()
     }
 
     /// Min over valid samples as IEEE-754 bits (`u64::MAX` = empty).
@@ -245,7 +293,8 @@ impl QuantileSketch {
     /// `invalid`, [`min_bits`](QuantileSketch::min_bits), and
     /// [`max_bits`](QuantileSketch::max_bits). A sketch round-tripped
     /// through its parts is `Eq` to the original, so quantiles, digests,
-    /// and merges continue byte-identically.
+    /// and merges continue byte-identically. Zero counts are skipped, and
+    /// a repeated index keeps its last count.
     pub fn from_parts(
         buckets: &[(u16, u64)],
         zeros: u64,
@@ -253,20 +302,20 @@ impl QuantileSketch {
         min_bits: u64,
         max_bits: u64,
     ) -> QuantileSketch {
-        let mut map = BTreeMap::new();
-        for &(idx, c) in buckets {
-            assert!((idx as usize) < MAX_BUCKETS, "bucket index out of range");
-            if c > 0 {
-                map.insert(idx, c);
-            }
-        }
-        QuantileSketch {
-            buckets: map,
+        let mut sketch = QuantileSketch {
             zeros,
             invalid,
             min_bits,
             max_bits,
+            ..QuantileSketch::default()
+        };
+        for &(idx, c) in buckets {
+            assert!((idx as usize) < MAX_BUCKETS, "bucket index out of range");
+            if c > 0 {
+                *sketch.widen_to(idx) = c;
+            }
         }
+        sketch
     }
 
     /// Order-sensitive digest over the canonical (name-ordered) state,
@@ -279,7 +328,7 @@ impl QuantileSketch {
         d = crate::fold(d, self.invalid);
         d = crate::fold(d, self.min_bits);
         d = crate::fold(d, self.max_bits);
-        for (&idx, &c) in &self.buckets {
+        for (idx, c) in self.occupied() {
             d = crate::fold(d, idx as u64);
             d = crate::fold(d, c);
         }
@@ -297,7 +346,6 @@ impl QuantileSketch {
 
 impl ToJson for QuantileSketch {
     fn write_json(&self, out: &mut String) {
-        let buckets: Vec<(u16, u64)> = self.buckets.iter().map(|(&i, &c)| (i, c)).collect();
         Obj::new()
             .field("count", self.count())
             .field("zeros", self.zeros)
@@ -308,7 +356,7 @@ impl ToJson for QuantileSketch {
             .field("p95", Sci(self.quantile(0.95)))
             .field("p99", Sci(self.quantile(0.99)))
             .field("p999", Sci(self.quantile(0.999)))
-            .field("buckets", buckets)
+            .field("buckets", self.nonzero_buckets())
             .write_json(out);
     }
 }

@@ -10,13 +10,15 @@
 //! resume snapshot — and requires every grammar to return rather than
 //! panic: an `Ok` must be a value whose canonical form parses back to
 //! itself with every time finite, and a damaged snapshot must be an
-//! `Err`. CI runs it at `PROPTEST_CASES=2048`.
+//! `Err`. A snapshot re-digested around a rewritten chip, network or
+//! class index must resume or be refused — refused whenever the index
+//! is out of range. CI runs it at `PROPTEST_CASES=2048`.
 
 use albireo_nn::zoo;
 use albireo_plan::{PlanSpec, SloSpec};
 use albireo_runtime::{
-    simulate_checkpointed, ArrivalProcess, AutoscalePolicy, BatchPolicy, ClassSpec, FaultSpec,
-    FleetConfig, ServeConfig, SimSnapshot, Workload,
+    resume_checkpointed, simulate_checkpointed, ArrivalProcess, AutoscalePolicy, BatchPolicy,
+    ClassSpec, FaultSpec, FleetConfig, ServeConfig, SimSnapshot, Workload,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -452,6 +454,29 @@ fn snapshot_text() -> &'static str {
     })
 }
 
+/// An overloaded two-class run: its snapshot holds queued requests and
+/// in-flight batches, so every index a snapshot carries is present.
+fn busy_run() -> (FleetConfig, ServeConfig) {
+    let mut cfg = ServeConfig::poisson(40_000.0, 600, 9, 0);
+    cfg.workload.mix = vec![(0, 1.0), (1, 1.0)];
+    cfg.workload.classes = ClassSpec::parse_list("vip:3:2,batch:1", None).unwrap();
+    (FleetConfig::paper_pair(), cfg)
+}
+
+/// The snapshot of [`busy_run`] at its first checkpoint.
+fn busy_snapshot_text() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let (fleet, cfg) = busy_run();
+        let mut text = String::new();
+        simulate_checkpointed(&fleet, &cfg, 0.005, |snap| {
+            text = snap.to_text();
+            false
+        });
+        text
+    })
+}
+
 proptest! {
     /// Every grammar returns on damaged canonical lines, and whatever
     /// it still accepts re-renders and re-parses to itself.
@@ -512,5 +537,49 @@ proptest! {
         }
         let mutated = mutate(text, &m);
         prop_assert!(mutated == text || SimSnapshot::parse(&mutated).is_err(), "{m:?}");
+    }
+
+    /// A re-digested snapshot whose chip, network or class index was
+    /// rewritten to anything still parses, and resuming it returns
+    /// rather than panics — with an error whenever the index falls
+    /// outside the fleet or the class table.
+    #[test]
+    fn redigested_indices_resume_or_are_refused(
+        pick in 0usize..1024,
+        warmed in prop::bool::ANY,
+        value in prop_oneof![4 => 0usize..6, 1 => Just(usize::MAX)],
+    ) {
+        let (fleet, cfg) = busy_run();
+        let (body, _) = busy_snapshot_text().rsplit_once("digest ").unwrap();
+        let mut lines: Vec<String> = body.lines().map(str::to_string).collect();
+        // Every (line, field, table size) that holds an index: a request's
+        // network and class, a completion's chip.
+        let mut sites = Vec::new();
+        for (i, line) in lines.iter().enumerate() {
+            let fields: Vec<&str> = line.split(' ').collect();
+            match fields[0] {
+                "next_arrival" | "req" if fields.len() == 5 => {
+                    sites.push((i, 3, fleet.models.len()));
+                    sites.push((i, 4, cfg.workload.classes.len()));
+                }
+                "event" if fields[4] == "completion" => sites.push((i, 5, fleet.chips.len())),
+                _ => {}
+            }
+        }
+        prop_assert!(sites.len() >= 6, "the snapshot should hold requests and completions");
+        let (line, field, size) = sites[pick % sites.len()];
+        let mut fields: Vec<String> = lines[line].split(' ').map(str::to_string).collect();
+        fields[field] = value.to_string();
+        if field == 5 && warmed {
+            fields[4] = "warmed".to_string();
+        }
+        lines[line] = fields.join(" ");
+        let forged = lines.join("\n") + "\n";
+        let forged = format!("{forged}digest {:016x}\n", albireo_obs::fnv1a(forged.as_bytes()));
+        let snap = SimSnapshot::parse(&forged).map_err(TestCaseError::fail)?;
+        let resumed = resume_checkpointed(&fleet, &cfg, &snap, 0.0, |_| true);
+        if value >= size {
+            prop_assert!(resumed.is_err(), "index {value} of {size} at `{}`", lines[line]);
+        }
     }
 }

@@ -166,7 +166,8 @@ impl AlertEvent {
 }
 
 /// A trailing-window hit/miss counter: `WINDOW_BUCKETS` ring buckets of
-/// width `window_s / WINDOW_BUCKETS` advanced by virtual time.
+/// width `window_s / WINDOW_BUCKETS` advanced by virtual time, plus the
+/// running sums of both rings so the miss fraction costs O(1).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WindowCounts {
     /// Bucket width, s (derived from the policy; not serialized).
@@ -174,9 +175,13 @@ pub(crate) struct WindowCounts {
     /// Absolute index of the newest bucket (`floor(at_s / bucket_s)`).
     pub(crate) cur: u64,
     /// Per-slot observation counts (`slot = index % WINDOW_BUCKETS`).
-    pub(crate) total: Vec<u64>,
-    /// Per-slot miss counts.
-    pub(crate) miss: Vec<u64>,
+    total: [u64; WINDOW_BUCKETS],
+    /// Per-slot miss counts, each at most its slot's total.
+    miss: [u64; WINDOW_BUCKETS],
+    /// Sum of `total` (kept exact: integer adds and subtracts).
+    total_sum: u64,
+    /// Sum of `miss`.
+    miss_sum: u64,
 }
 
 impl WindowCounts {
@@ -185,14 +190,17 @@ impl WindowCounts {
         WindowCounts {
             bucket_s: window_s / WINDOW_BUCKETS as f64,
             cur: 0,
-            total: vec![0; WINDOW_BUCKETS],
-            miss: vec![0; WINDOW_BUCKETS],
+            total: [0; WINDOW_BUCKETS],
+            miss: [0; WINDOW_BUCKETS],
+            total_sum: 0,
+            miss_sum: 0,
         }
     }
 
-    /// Rolls the ring forward to the bucket containing `at_s`, zeroing
-    /// every bucket the clock skipped. Observation instants are
-    /// nondecreasing (DES event order), so the ring never rolls back.
+    /// Rolls the ring forward to the bucket containing `at_s`, evicting
+    /// every bucket the clock skipped from the ring and from the sums.
+    /// Observation instants are nondecreasing (DES event order), so the
+    /// ring never rolls back.
     fn advance(&mut self, at_s: f64) {
         let idx = (at_s / self.bucket_s) as u64;
         if idx <= self.cur {
@@ -201,6 +209,8 @@ impl WindowCounts {
         let steps = (idx - self.cur).min(WINDOW_BUCKETS as u64);
         for k in 1..=steps {
             let slot = ((self.cur + k) % WINDOW_BUCKETS as u64) as usize;
+            self.total_sum -= self.total[slot];
+            self.miss_sum -= self.miss[slot];
             self.total[slot] = 0;
             self.miss[slot] = 0;
         }
@@ -211,19 +221,39 @@ impl WindowCounts {
         self.advance(at_s);
         let slot = (self.cur % WINDOW_BUCKETS as u64) as usize;
         self.total[slot] += 1;
+        self.total_sum += 1;
         if miss {
             self.miss[slot] += 1;
+            self.miss_sum += 1;
         }
     }
 
     /// Miss fraction over the trailing window (0 when nothing observed).
     pub(crate) fn miss_fraction(&self) -> f64 {
-        let total: u64 = self.total.iter().sum();
-        if total == 0 {
+        if self.total_sum == 0 {
             return 0.0;
         }
-        let miss: u64 = self.miss.iter().sum();
-        miss as f64 / total as f64
+        self.miss_sum as f64 / self.total_sum as f64
+    }
+
+    /// `(slot, total, miss)` for every slot holding an observation,
+    /// ascending — the serialized form.
+    pub(crate) fn occupied_slots(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+        (0..WINDOW_BUCKETS)
+            .filter(|&i| self.total[i] > 0)
+            .map(|i| (i, self.total[i], self.miss[i]))
+    }
+
+    /// Restores one slot's counts from a snapshot, keeping the sums
+    /// exact; `None` when a sum would overflow. `slot < WINDOW_BUCKETS`
+    /// and `miss <= total` are the caller's checks.
+    pub(crate) fn restore_slot(&mut self, slot: usize, total: u64, miss: u64) -> Option<()> {
+        debug_assert!(miss <= total);
+        self.total_sum = (self.total_sum - self.total[slot]).checked_add(total)?;
+        self.miss_sum = (self.miss_sum - self.miss[slot]).checked_add(miss)?;
+        self.total[slot] = total;
+        self.miss[slot] = miss;
+        Some(())
     }
 }
 
@@ -477,5 +507,99 @@ mod tests {
             AlertPolicy::standard().label(),
             "slo 0.999 fast 300/3600x14.4 slow 21600/259200x6"
         );
+    }
+}
+
+/// Pins the running window sums to the ring they summarize.
+#[cfg(test)]
+mod props {
+    use super::*;
+    use crate::grammar::Lexer;
+    use crate::snapshot::{parse_window, write_window};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Step the clock on by this many seconds, then score a request.
+        Observe(f64, bool),
+        /// Step the clock on, then roll the ring without an observation.
+        Advance(f64),
+        /// Write the ring as its snapshot line and read it back.
+        RoundTrip,
+    }
+
+    /// Clock steps: often none, mostly within a bucket, sometimes past
+    /// a few buckets or the whole window.
+    fn step() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            6 => Just(0.0f64),
+            6 => 0.0f64..0.3,
+            2 => 0.3f64..4.0,
+            1 => 4.0f64..40.0,
+        ]
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec(
+            prop_oneof![
+                8 => (step(), prop::bool::ANY).prop_map(|(dt, miss)| Op::Observe(dt, miss)),
+                2 => step().prop_map(Op::Advance),
+                1 => Just(Op::RoundTrip),
+            ],
+            0..200,
+        )
+    }
+
+    /// The running sums equal the ring recomputed slot by slot, and the
+    /// miss fraction equals the one the ring sums give.
+    fn sums_match(w: &WindowCounts) -> Result<(), TestCaseError> {
+        let total: u64 = w.total.iter().sum();
+        let miss: u64 = w.miss.iter().sum();
+        prop_assert_eq!((w.total_sum, w.miss_sum), (total, miss));
+        prop_assert!(w.miss.iter().zip(&w.total).all(|(m, t)| m <= t));
+        let fraction = if total == 0 {
+            0.0
+        } else {
+            miss as f64 / total as f64
+        };
+        prop_assert_eq!(w.miss_fraction().to_bits(), fraction.to_bits());
+        Ok(())
+    }
+
+    proptest! {
+        /// After every observe, advance and snapshot round-trip the
+        /// running sums equal the recomputed ring sums.
+        #[test]
+        fn running_sums_equal_ring_sums(
+            window_s in prop_oneof![Just(3.0f64), Just(300.0), 0.5f64..10.0],
+            ops in ops(),
+        ) {
+            let mut w = WindowCounts::new(window_s);
+            let mut at_s = 0.0f64;
+            for op in &ops {
+                match *op {
+                    Op::Observe(dt, miss) => {
+                        at_s += dt;
+                        w.observe(at_s, miss);
+                    }
+                    Op::Advance(dt) => {
+                        at_s += dt;
+                        w.advance(at_s);
+                    }
+                    Op::RoundTrip => {
+                        let mut line = String::new();
+                        write_window(&mut line, &w);
+                        let mut fields = Lexer::new("snapshot", line.trim_end(), ' ');
+                        prop_assert_eq!(fields.next(), Some("awin"));
+                        let mut back = WindowCounts::new(window_s);
+                        parse_window(fields, &mut back).map_err(TestCaseError::fail)?;
+                        prop_assert_eq!(&back, &w);
+                        w = back;
+                    }
+                }
+                sums_match(&w)?;
+            }
+        }
     }
 }

@@ -19,7 +19,6 @@ use albireo_core::accel::{Accelerator, AlbireoAccelerator};
 use albireo_core::config::{ChipConfig, TechnologyEstimate};
 use albireo_modes::{GemmMode, WinogradAccelerator};
 use albireo_nn::{zoo, Model};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -292,7 +291,8 @@ impl ServiceCost {
     }
 }
 
-/// Memoizing service-time oracle over `(chip, active groups, network)`.
+/// The fleet's dispatch tables plus a memoizing service-time oracle over
+/// `(chip, active groups, network)`.
 ///
 /// Degradation enters through the accelerator's compute-group count: an
 /// Albireo chip with `k` of its PLCGs retired serves from a `ChipConfig`
@@ -301,19 +301,58 @@ impl ServiceCost {
 /// dataflow model says they should), and a PIXEL/DEAP-CNN baseline serves
 /// from the surviving unit/engine count. There is no ad-hoc slowdown
 /// factor anywhere.
-#[derive(Debug, Default)]
+///
+/// Every answer is a pure function of the fleet, read from the cost
+/// models once: each chip's compute-group count and which networks it
+/// supports at construction, each cost on first request. Costs sit in
+/// one row per `(chip, network)`, indexed by the groups the chip has
+/// lost, so a lookup is two indexings and a healthy chip's cost leads
+/// its row.
+#[derive(Debug)]
 pub struct ServiceOracle {
-    cache: BTreeMap<(usize, usize, usize), ServiceCost>,
+    /// Networks in the fleet's model table: the row stride.
+    networks: usize,
+    /// Each chip's full compute-group count.
+    groups: Vec<usize>,
+    /// `supports[chip · networks + network]`.
+    supports: Vec<bool>,
+    /// `costs[chip · networks + network][groups lost]`, filled on demand.
+    costs: Vec<Vec<Option<ServiceCost>>>,
 }
 
 impl ServiceOracle {
-    /// An empty oracle.
-    pub fn new() -> ServiceOracle {
-        ServiceOracle::default()
+    /// The tables for `fleet`, with no cost computed yet.
+    pub fn new(fleet: &FleetConfig) -> ServiceOracle {
+        let networks = fleet.models.len();
+        ServiceOracle {
+            networks,
+            groups: fleet
+                .chips
+                .iter()
+                .map(|c| c.accel.compute_groups())
+                .collect(),
+            supports: fleet
+                .chips
+                .iter()
+                .flat_map(|c| fleet.models.iter().map(|m| c.accel.supports(m)))
+                .collect(),
+            costs: vec![Vec::new(); fleet.chips.len() * networks],
+        }
+    }
+
+    /// Compute groups of fleet chip `chip` when fully healthy.
+    pub(crate) fn compute_groups(&self, chip: usize) -> usize {
+        self.groups[chip]
+    }
+
+    /// Whether fleet chip `chip` can serve `models[network]`.
+    pub(crate) fn supports(&self, chip: usize, network: usize) -> bool {
+        self.supports[chip * self.networks + network]
     }
 
     /// The cost of serving `models[network]` on fleet chip `chip_idx`
-    /// with `groups_active` healthy compute groups.
+    /// with `groups_active` healthy compute groups. `fleet` must be the
+    /// fleet the oracle was built for.
     pub fn cost(
         &mut self,
         fleet: &FleetConfig,
@@ -325,20 +364,27 @@ impl ServiceOracle {
             groups_active > 0,
             "a chip with zero compute groups cannot serve"
         );
-        *self
-            .cache
-            .entry((chip_idx, groups_active, network))
-            .or_insert_with(|| {
-                let spec = &fleet.chips[chip_idx];
-                let model = &fleet.models[network];
-                let cost = spec.accel.cost_with_groups(model, groups_active);
-                ServiceCost {
-                    item_latency_s: cost.latency_s,
-                    batch_setup_s: cost.setup_s,
-                    item_energy_j: cost.energy_j,
-                    batch_setup_energy_j: cost.setup_energy_j,
-                }
-            })
+        let lost = self.groups[chip_idx]
+            .checked_sub(groups_active)
+            .expect("active groups exceed the chip's compute groups");
+        let row = &mut self.costs[chip_idx * self.networks + network];
+        if let Some(Some(cost)) = row.get(lost) {
+            return *cost;
+        }
+        let cost = fleet.chips[chip_idx]
+            .accel
+            .cost_with_groups(&fleet.models[network], groups_active);
+        let cost = ServiceCost {
+            item_latency_s: cost.latency_s,
+            batch_setup_s: cost.setup_s,
+            item_energy_j: cost.energy_j,
+            batch_setup_energy_j: cost.setup_energy_j,
+        };
+        if row.len() <= lost {
+            row.resize(lost + 1, None);
+        }
+        row[lost] = Some(cost);
+        cost
     }
 }
 
@@ -450,7 +496,7 @@ mod tests {
     #[test]
     fn winograd_fleet_chip_is_faster_on_vgg16() {
         let fleet = FleetConfig::parse("albireo_9:C, winograd_9:C", zoo::serving_models()).unwrap();
-        let mut oracle = ServiceOracle::new();
+        let mut oracle = ServiceOracle::new(&fleet);
         let direct = oracle.cost(&fleet, 0, 9, 1);
         let wino = oracle.cost(&fleet, 1, 9, 1);
         assert!(wino.item_latency_s < direct.item_latency_s);
@@ -460,7 +506,7 @@ mod tests {
     #[test]
     fn oracle_matches_direct_evaluation() {
         let fleet = FleetConfig::paper_pair();
-        let mut oracle = ServiceOracle::new();
+        let mut oracle = ServiceOracle::new(&fleet);
         let cost = oracle.cost(&fleet, 0, 9, 0);
         let eval = NetworkEvaluation::evaluate(
             &ChipConfig::albireo_9(),
@@ -475,7 +521,7 @@ mod tests {
     #[test]
     fn oracle_costs_baseline_chips_through_the_trait() {
         let fleet = FleetConfig::parse("deap:C, pixel:C", zoo::all_benchmarks()).unwrap();
-        let mut oracle = ServiceOracle::new();
+        let mut oracle = ServiceOracle::new(&fleet);
         let deap = oracle.cost(&fleet, 0, fleet.chips[0].accel.compute_groups(), 1);
         let direct = DeapCnn::paper_60w().cost(&fleet.models[1]);
         assert_eq!(deap.item_latency_s, direct.latency_s);
@@ -489,7 +535,7 @@ mod tests {
     #[test]
     fn degraded_chip_is_slower() {
         let fleet = FleetConfig::paper_pair();
-        let mut oracle = ServiceOracle::new();
+        let mut oracle = ServiceOracle::new(&fleet);
         let healthy = oracle.cost(&fleet, 0, 9, 1);
         let degraded = oracle.cost(&fleet, 0, 5, 1);
         assert!(degraded.item_latency_s > healthy.item_latency_s);
@@ -500,7 +546,7 @@ mod tests {
         // AlexNet (61M params, 0.13 ms) must have a much larger
         // setup/latency ratio than VGG16 (138M params, 2.88 ms).
         let fleet = FleetConfig::paper_pair();
-        let mut oracle = ServiceOracle::new();
+        let mut oracle = ServiceOracle::new(&fleet);
         let alex = oracle.cost(&fleet, 0, 9, 0);
         let vgg = oracle.cost(&fleet, 0, 9, 1);
         let (a_ratio, v_ratio) = (
@@ -514,7 +560,7 @@ mod tests {
     #[test]
     fn batch_costs_scale_linearly_past_setup() {
         let fleet = FleetConfig::paper_pair();
-        let mut oracle = ServiceOracle::new();
+        let mut oracle = ServiceOracle::new(&fleet);
         let c = oracle.cost(&fleet, 0, 9, 0);
         let one = c.batch_latency_s(1);
         let four = c.batch_latency_s(4);
@@ -528,6 +574,6 @@ mod tests {
     #[should_panic(expected = "zero compute groups")]
     fn zero_active_groups_rejected() {
         let fleet = FleetConfig::paper_pair();
-        ServiceOracle::new().cost(&fleet, 0, 0, 0);
+        ServiceOracle::new(&fleet).cost(&fleet, 0, 0, 0);
     }
 }

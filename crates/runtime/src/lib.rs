@@ -23,9 +23,11 @@
 //! * [`queue`] — the monotone-run / 4-ary-heap hybrid event queue behind
 //!   the engine (O(1) pushes for in-order keys, byte-identical pop order
 //!   to the historical `BinaryHeap`);
-//! * [`fleet`] — chip specs, the fleet, and the memoizing
-//!   [`fleet::ServiceOracle`] that turns `(chip, active groups, network)`
-//!   into latency/energy through the `Accelerator` trait;
+//! * [`fleet`] — chip specs, the fleet, and the
+//!   [`fleet::ServiceOracle`]: dispatch tables (each chip's compute
+//!   groups and supported networks, read once per run) plus memoized
+//!   `(chip, active groups, network)` latency/energy through the
+//!   `Accelerator` trait;
 //! * [`policy`] — micro-batching policies and admission control;
 //! * [`grammar`] — the shared lexer every spec grammar (fleet, policy,
 //!   autoscale, fault, class, arrival, snapshot) reads its fields

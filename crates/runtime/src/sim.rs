@@ -216,10 +216,13 @@ struct Sim<'a> {
     fleet: &'a FleetConfig,
     cfg: &'a ServeConfig,
     obs: &'a Obs,
+    /// Dispatch tables and memoized costs, built once per run.
     oracle: ServiceOracle,
     events: EventQueue<EventKind>,
     seq: u64,
     queue: VecDeque<Request>,
+    /// The batch being dispatched, reused across dispatches.
+    batch: Vec<Request>,
     chips: Vec<ChipState>,
     stream: RequestStream,
     /// Lookahead request — the next arrival not yet merged into the run.
@@ -256,9 +259,8 @@ impl<'a> Sim<'a> {
     /// for PIXEL, engines for DEAP-CNN; the state field keeps its
     /// historical `plcgs_down` name).
     fn groups_active(&self, chip: usize) -> usize {
-        self.fleet.chips[chip]
-            .accel
-            .compute_groups()
+        self.oracle
+            .compute_groups(chip)
             .saturating_sub(self.chips[chip].plcgs_down)
     }
 
@@ -269,9 +271,7 @@ impl<'a> Sim<'a> {
             && !c.parked
             && !c.warming
             && self.groups_active(chip) > 0
-            && self.fleet.chips[chip]
-                .accel
-                .supports(&self.fleet.models[network])
+            && self.oracle.supports(chip, network)
     }
 
     /// Whether at least `n` queued requests target `network` (early-exit
@@ -309,31 +309,6 @@ impl<'a> Sim<'a> {
                     || drained
             }
         }
-    }
-
-    /// Removes the queue head's micro-batch: the earliest queued requests
-    /// of the head's network, up to the policy's batch bound. The common
-    /// case — a contiguous same-network prefix — pops in place; only a
-    /// genuinely interleaved queue pays the compacting scan.
-    fn take_batch(&mut self) -> Vec<Request> {
-        let network = self.queue.front().expect("head exists").network;
-        let max = self.cfg.policy.max_batch();
-        let mut batch = Vec::with_capacity(max.min(64));
-        while batch.len() < max && self.queue.front().is_some_and(|r| r.network == network) {
-            batch.push(self.queue.pop_front().expect("front exists"));
-        }
-        if batch.len() < max && self.queue.iter().any(|r| r.network == network) {
-            let mut rest = VecDeque::with_capacity(self.queue.len());
-            while let Some(r) = self.queue.pop_front() {
-                if r.network == network && batch.len() < max {
-                    batch.push(r);
-                } else {
-                    rest.push_back(r);
-                }
-            }
-            self.queue = rest;
-        }
-        batch
     }
 
     /// Folds one completed request into the streaming accumulators (and
@@ -392,10 +367,11 @@ impl<'a> Sim<'a> {
             let Some(chip) = (0..self.chips.len()).find(|&c| self.serviceable(c, network)) else {
                 return;
             };
-            let batch = self.take_batch();
-            let cost =
-                self.oracle
-                    .cost(self.fleet, chip, self.groups_active(chip), batch[0].network);
+            let mut batch = std::mem::take(&mut self.batch);
+            take_batch(&mut self.queue, self.cfg.policy.max_batch(), &mut batch);
+            let cost = self
+                .oracle
+                .cost(self.fleet, chip, self.groups_active(chip), network);
             let busy = cost.batch_latency_s(batch.len());
             let energy = cost.batch_energy_j(batch.len());
             if self.obs.is_enabled() {
@@ -446,6 +422,7 @@ impl<'a> Sim<'a> {
                 let finish_s = now + cost.batch_setup_s + (i + 1) as f64 * cost.item_latency_s;
                 self.complete_request(req, chip, now, finish_s);
             }
+            self.batch = batch;
             self.push(now + busy, EventKind::Completion { chip });
         }
     }
@@ -798,6 +775,37 @@ impl<'a> Sim<'a> {
     }
 }
 
+/// Moves the queue head's micro-batch into `batch` (cleared first): the
+/// earliest queued requests of the head's network, up to `max`, in queue
+/// order. The common case — a contiguous same-network prefix — pops in
+/// place; an interleaved queue is compacted in place, so the requests
+/// left behind keep their order and nothing is allocated once `batch`
+/// has grown to the policy's bound.
+fn take_batch(queue: &mut VecDeque<Request>, max: usize, batch: &mut Vec<Request>) {
+    batch.clear();
+    let network = queue.front().expect("head exists").network;
+    while batch.len() < max && queue.front().is_some_and(|r| r.network == network) {
+        batch.push(queue.pop_front().expect("front exists"));
+    }
+    // Unless the batch is full, the front is now another network's: scan
+    // on until it fills, sliding each kept request down over the taken
+    // ones, then drop the taken ones' slots.
+    let mut kept = 0;
+    let mut scan = 0;
+    while batch.len() < max && scan < queue.len() {
+        if queue[scan].network == network {
+            batch.push(queue[scan].clone());
+        } else {
+            if kept < scan {
+                queue.swap(kept, scan);
+            }
+            kept += 1;
+        }
+        scan += 1;
+    }
+    queue.drain(kept..scan);
+}
+
 /// Runs one serving simulation to completion.
 pub fn simulate(fleet: &FleetConfig, cfg: &ServeConfig) -> ServiceReport {
     simulate_observed(fleet, cfg, &Obs::disabled())
@@ -843,10 +851,11 @@ fn new_sim<'a>(fleet: &'a FleetConfig, cfg: &'a ServeConfig, obs: &'a Obs) -> Si
         fleet,
         cfg,
         obs,
-        oracle: ServiceOracle::new(),
+        oracle: ServiceOracle::new(fleet),
         events: EventQueue::new(),
         seq: 0,
         queue: VecDeque::new(),
+        batch: Vec::new(),
         chips: (0..fleet.chips.len())
             .map(|i| ChipState {
                 online: true,
@@ -976,6 +985,36 @@ pub fn resume_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
             fleet.chips.len()
         ));
     }
+    // The engine indexes its chip, network and class tables with these
+    // directly, so a re-digested snapshot may not point past them.
+    for (_, _, _, kind) in &snapshot.events {
+        if let EventKind::Completion { chip } | EventKind::WarmedUp { chip } = *kind {
+            if chip >= fleet.chips.len() {
+                return Err(format!(
+                    "snapshot event names chip {chip}, fleet has {}",
+                    fleet.chips.len()
+                ));
+            }
+        }
+    }
+    // A classless workload tags every request class 0.
+    let classes = snapshot.totals.classes.len().max(1);
+    for r in snapshot.queue.iter().chain(&snapshot.next_arrival) {
+        if r.network >= fleet.models.len() {
+            return Err(format!(
+                "snapshot request {} names network {}, fleet serves {}",
+                r.id,
+                r.network,
+                fleet.models.len()
+            ));
+        }
+        if r.class >= classes {
+            return Err(format!(
+                "snapshot request {} names class {}, workload defines {}",
+                r.id, r.class, classes
+            ));
+        }
+    }
     let mut stream = cfg.workload.stream(cfg.requests, cfg.seed);
     {
         let classes = stream.classes();
@@ -1043,10 +1082,11 @@ pub fn resume_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
         fleet,
         cfg,
         obs: &obs,
-        oracle: ServiceOracle::new(),
+        oracle: ServiceOracle::new(fleet),
         events: EventQueue::from_sorted(entries, snapshot.peak_event_queue),
         seq: snapshot.seq,
         queue: snapshot.queue.iter().cloned().collect(),
+        batch: Vec::new(),
         chips: snapshot.chips.clone(),
         stream,
         next_arrival: snapshot.next_arrival.clone(),
@@ -1887,5 +1927,81 @@ mod tests {
             report.peak_event_queue
         );
         assert!(report.sketch_buckets > 0);
+    }
+}
+
+/// Pins the in-place batch take to the two-deque partition it replaced.
+#[cfg(test)]
+mod props {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The historical take: pop the same-network prefix, then, if the
+    /// rest still holds the head's network, partition the whole queue
+    /// into the batch and a fresh deque of everything else.
+    fn two_deque_take(queue: &mut VecDeque<Request>, max: usize) -> Vec<Request> {
+        let network = queue.front().expect("head exists").network;
+        let mut batch = Vec::new();
+        while batch.len() < max && queue.front().is_some_and(|r| r.network == network) {
+            batch.push(queue.pop_front().expect("front exists"));
+        }
+        if batch.len() < max && queue.iter().any(|r| r.network == network) {
+            let mut rest = VecDeque::with_capacity(queue.len());
+            while let Some(r) = queue.pop_front() {
+                if r.network == network && batch.len() < max {
+                    batch.push(r);
+                } else {
+                    rest.push_back(r);
+                }
+            }
+            *queue = rest;
+        }
+        batch
+    }
+
+    fn request(id: u64, network: usize) -> Request {
+        Request {
+            id,
+            network,
+            arrival_s: id as f64 * 1e-3,
+            class: (id % 2) as usize,
+        }
+    }
+
+    proptest! {
+        /// Taking batch after batch until the queue drains, the in-place
+        /// take returns the reference's batch and leaves the reference's
+        /// queue order every time — whatever the interleaving, the batch
+        /// bound, the deque's wrap-around and the buffer's old contents.
+        #[test]
+        fn in_place_take_matches_two_deque_partition(
+            networks in prop::collection::vec(
+                prop_oneof![3 => 0usize..2, 1 => 0usize..5],
+                1..80,
+            ),
+            max in prop_oneof![Just(1usize), Just(usize::MAX), 1usize..12],
+            rotate in 0usize..16,
+            stale in 0usize..4,
+        ) {
+            // Pushing and popping `rotate` placeholders first moves the
+            // deque's head off slot 0, so the queue wraps its buffer.
+            let mut queue = VecDeque::with_capacity(networks.len());
+            for _ in 0..rotate {
+                queue.push_back(request(u64::MAX, 0));
+            }
+            queue.drain(..rotate);
+            for (id, &network) in networks.iter().enumerate() {
+                queue.push_back(request(id as u64, network));
+            }
+            let mut reference = queue.clone();
+            let mut batch: Vec<Request> = (0..stale).map(|i| request(1000 + i as u64, 9)).collect();
+            while !queue.is_empty() {
+                take_batch(&mut queue, max, &mut batch);
+                let want = two_deque_take(&mut reference, max);
+                prop_assert_eq!(&batch, &want);
+                prop_assert!(queue.iter().eq(reference.iter()));
+            }
+            prop_assert!(reference.is_empty());
+        }
     }
 }

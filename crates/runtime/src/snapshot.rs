@@ -25,6 +25,7 @@
 
 use crate::alerts::{
     AlertBook, AlertEvent, AlertPolicy, AlertRule, BurnRule, ClassAlertState, WindowCounts,
+    WINDOW_BUCKETS,
 };
 use crate::fault::FaultKind;
 use crate::grammar::Lexer;
@@ -647,32 +648,27 @@ fn request(t: &mut Lexer<'_>) -> Result<Request, String> {
 
 /// One trailing-window ring as `awin <cur> <k> slot:total:miss ...`
 /// (nonzero slots only; bucket width is derived from the policy).
-fn write_window(out: &mut String, w: &WindowCounts) {
-    let nonzero: Vec<(usize, u64, u64)> = w
-        .total
-        .iter()
-        .zip(&w.miss)
-        .enumerate()
-        .filter(|(_, (&t, _))| t > 0)
-        .map(|(i, (&t, &m))| (i, t, m))
-        .collect();
-    let _ = write!(out, "awin {} {}", w.cur, nonzero.len());
-    for (slot, total, miss) in nonzero {
+pub(crate) fn write_window(out: &mut String, w: &WindowCounts) {
+    let slots: Vec<(usize, u64, u64)> = w.occupied_slots().collect();
+    let _ = write!(out, "awin {} {}", w.cur, slots.len());
+    for (slot, total, miss) in slots {
         let _ = write!(out, " {slot}:{total}:{miss}");
     }
     out.push('\n');
 }
 
 /// Fills a policy-initialized [`WindowCounts`] from its `awin` line.
-fn parse_window(mut t: Lexer<'_>, w: &mut WindowCounts) -> Result<(), String> {
+pub(crate) fn parse_window(mut t: Lexer<'_>, w: &mut WindowCounts) -> Result<(), String> {
     w.cur = t.field("awin cur")?;
     let n: usize = t.field("awin slots")?;
     for _ in 0..n {
         let triple = t.token("awin slot")?;
         let mut s = t.split(triple, ':');
-        let slot = s.field_where("awin slot inside the ring", |i: &usize| *i < w.total.len())?;
-        w.total[slot] = s.field("awin total")?;
-        w.miss[slot] = s.field("awin miss")?;
+        let slot = s.field_where("awin slot inside the ring", |i: &usize| *i < WINDOW_BUCKETS)?;
+        let total = s.field("awin total")?;
+        let miss = s.field_where("awin miss at most the slot total", |m: &u64| *m <= total)?;
+        w.restore_slot(slot, total, miss)
+            .ok_or_else(|| t.reject(triple, "awin counts overflow the window sum"))?;
     }
     Ok(())
 }
@@ -700,11 +696,15 @@ fn parse_sketch(mut t: Lexer<'_>) -> Result<QuantileSketch, String> {
     let min_bits = t.hex("sketch min")?;
     let max_bits = t.hex("sketch max")?;
     let n: usize = t.field("sketch buckets")?;
-    let mut buckets = Vec::new();
+    let mut buckets: Vec<(u16, u64)> = Vec::new();
     for _ in 0..n {
         let pair = t.token("sketch bucket")?;
         let mut p = t.split(pair, ':');
-        let idx = p.field_where("sketch bucket index", |i: &u16| (*i as usize) < MAX_BUCKETS)?;
+        // The writer lists occupied buckets once each, ascending.
+        let after = buckets.last().map(|&(i, _)| i);
+        let idx = p.field_where("sketch bucket index, ascending", |i: &u16| {
+            (*i as usize) < MAX_BUCKETS && after.is_none_or(|prev| *i > prev)
+        })?;
         buckets.push((idx, p.field("sketch bucket count")?));
     }
     Ok(QuantileSketch::from_parts(
@@ -909,6 +909,26 @@ mod tests {
         let forged = redigested(&text, " 1 12 completion", " 256 12 completion");
         let err = SimSnapshot::parse(&forged).unwrap_err();
         assert!(err.contains("expected event class"), "{err}");
+    }
+
+    #[test]
+    fn redigested_windows_and_bucket_orders_are_checked() {
+        let mut snap = sample();
+        snap.totals.alerts = AlertBook::for_classes(AlertPolicy::standard(), &[Some(5.0), None]);
+        snap.totals.alerts.observe(0, 0.001, true);
+        snap.totals.alerts.observe(0, 0.002, false);
+        let text = snap.to_text();
+        assert_eq!(SimSnapshot::parse(&text).expect("parse"), snap);
+        for (from, to, why) in [
+            // More misses than observations in a window slot.
+            (" 0:2:1\n", " 0:2:3\n", "awin miss at most the slot total"),
+            // Bucket lists the writer never emits: out of order, repeated.
+            (" 2056:1 2104:1\n", " 2104:1 2056:1\n", "ascending"),
+            (" 2056:1 2104:1\n", " 2056:1 2056:1\n", "ascending"),
+        ] {
+            let err = SimSnapshot::parse(&redigested(&text, from, to)).unwrap_err();
+            assert!(err.contains(why), "{to:?}: {err}");
+        }
     }
 
     #[test]
