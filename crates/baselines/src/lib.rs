@@ -50,6 +50,22 @@ mod tests {
     }
 
     #[test]
+    fn trait_costs_match_bespoke_constructors() {
+        // The trait path must agree with direct construction — `cost` is the
+        // same arithmetic regardless of whether the caller holds a concrete
+        // type or a `dyn Accelerator`.
+        let vgg = zoo::vgg16();
+        let pixel = Pixel::paper_60w();
+        let deap = DeapCnn::paper_60w();
+        let dyn_pixel: &dyn Accelerator = &pixel;
+        let dyn_deap: &dyn Accelerator = &deap;
+        assert_eq!(pixel.cost(&vgg), dyn_pixel.cost(&vgg));
+        assert_eq!(deap.cost(&vgg), dyn_deap.cost(&vgg));
+        assert_eq!(dyn_pixel.cost(&vgg).accelerator, "PIXEL");
+        assert_eq!(dyn_deap.cost(&vgg).accelerator, "DEAP-CNN");
+    }
+
+    #[test]
     fn reported_accelerators_support_only_their_networks() {
         for acc in reported_accelerators() {
             let a: &dyn Accelerator = &acc;

@@ -1,4 +1,5 @@
-//! Writes machine-readable CSV series for every figure to ./results.
+//! Writes every committed artifact in [`albireo_bench::ARTIFACTS`] to
+//! ./results — the one way `results/*.csv` are made.
 fn main() -> std::io::Result<()> {
     let dir = std::path::Path::new("results");
     let files = albireo_bench::export_csv(dir)?;

@@ -1,26 +1,21 @@
-//! Runs the capacity-planner studies and writes their two artifacts:
-//!
-//! * `results/golden_plan_frontier.csv` — the ranked feasible frontier
-//!   of the golden planning scenario
-//!   ([`albireo_plan::GOLDEN_PLAN_SPEC`]: bursty mixed AlexNet +
-//!   MobileNet traffic, static vs elastic Albireo-9 fleets under
-//!   `p99<5ms`), compared byte-exactly by `tests/plan_golden.rs`;
-//! * `BENCH_plan.json` — planner throughput over a ~200-candidate
-//!   search (three chip kinds × fleets up to four chips × three
-//!   batching policies × static/elastic provisioning), with
-//!   candidates/sec for the pruned and exhaustive passes (schema
-//!   `albireo.bench.plan/v1`). Two variants of the search run: the
-//!   `wide` one keeps scoring runs short (400 requests), where the
-//!   coarse screen exceeds `requests/4` and the planner auto-disables
-//!   it — both passes are exhaustive and the speedup sits at ~1.0x by
-//!   construction; the `deep` one scores 3200 requests per candidate at
-//!   an offered rate that overloads most fleets, where screening pays
-//!   and the speedup is real (~2x). Both are recorded so the regression
-//!   is visible either way.
+//! Runs the capacity-planner studies and writes `BENCH_plan.json`
+//! (schema `albireo.bench.plan/v1`): the golden planning scenario
+//! ([`albireo_plan::GOLDEN_PLAN_SPEC`], whose frontier `export_csv`
+//! commits as `results/golden_plan_frontier.csv`) timed once, and
+//! planner throughput over a ~200-candidate search (three chip kinds ×
+//! fleets up to four chips × three batching policies × static/elastic
+//! provisioning), with candidates/sec for the pruned and exhaustive
+//! passes. Two variants of the search run: the `wide` one keeps
+//! scoring runs short (400 requests), where the coarse screen exceeds
+//! `requests/4` and the planner auto-disables it — both passes are
+//! exhaustive and the speedup sits at ~1.0x by construction; the `deep`
+//! one scores 3200 requests per candidate at an offered rate that
+//! overloads most fleets, where screening pays and the speedup is real
+//! (~2x). Both are recorded so the regression is visible either way.
 //!
 //! ```text
 //! cargo run --release -p albireo-bench --bin plan_search -- \
-//!     [--out-dir results] [--json PATH] [--threads N]
+//!     [--json PATH] [--threads N]
 //! ```
 //!
 //! Both searches are bit-deterministic at any `--threads` value; the
@@ -137,7 +132,6 @@ fn print_variant(label: &str, pruned: &TimedPlan, exhaustive: &TimedPlan) {
 }
 
 fn main() {
-    let mut out_dir = "results".to_string();
     let mut json_path = "BENCH_plan.json".to_string();
     let mut par = Parallelism::auto();
     let mut args = std::env::args().skip(1);
@@ -149,7 +143,6 @@ fn main() {
             })
         };
         match arg.as_str() {
-            "--out-dir" => out_dir = value("--out-dir"),
             "--json" => json_path = value("--json"),
             "--threads" => {
                 let threads: usize = value("--threads").parse().unwrap_or_else(|_| {
@@ -160,13 +153,13 @@ fn main() {
             }
             other => {
                 eprintln!("error: unknown argument `{other}`");
-                eprintln!("usage: plan_search [--out-dir DIR] [--json PATH] [--threads N]");
+                eprintln!("usage: plan_search [--json PATH] [--threads N]");
                 std::process::exit(2);
             }
         }
     }
 
-    // The golden scenario: the pinned frontier artifact.
+    // The golden scenario, whose frontier is a committed artifact.
     let golden_spec = PlanSpec::parse(GOLDEN_PLAN_SPEC).expect("golden spec parses");
     let golden = timed_plan(&golden_spec, par, false);
 
@@ -182,10 +175,6 @@ fn main() {
         !deep_pruned.report.screen_auto_disabled,
         "deep spec is built to keep screening enabled"
     );
-
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
-    let frontier_csv = format!("{out_dir}/golden_plan_frontier.csv");
-    std::fs::write(&frontier_csv, golden.report.to_csv()).expect("write golden_plan_frontier.csv");
 
     let json = Doc::new()
         .field("schema", "albireo.bench.plan/v1")
@@ -224,5 +213,5 @@ fn main() {
     }
     print_variant("wide", &wide_pruned, &wide_exhaustive);
     print_variant("deep", &deep_pruned, &deep_exhaustive);
-    println!("wrote {frontier_csv}, {json_path}");
+    println!("wrote {json_path}");
 }

@@ -1,16 +1,13 @@
-//! Runs the serving studies and writes their three artifacts:
-//!
-//! * `results/serving_study.csv` — one row per (cell × replica), covering
-//!   the pinned golden grid ([`StudyOptions::golden`]) followed by the
-//!   mixed photonic/electronic grid ([`StudyOptions::heterogeneous`]);
-//! * `results/golden_serving_metrics.csv` — the golden grid alone,
-//!   compared byte-exactly by `tests/serving_golden.rs`;
-//! * `BENCH_serving.json` — the machine-readable study digest over both
-//!   grids (schema `albireo.bench.serving_study/v1`).
+//! Runs the serving studies and writes `BENCH_serving.json`: the
+//! machine-readable digest (schema `albireo.bench.serving_study/v1`) of
+//! the whole study ([`run_full_serving_study`]: the pinned golden grid
+//! followed by the mixed photonic/electronic grid), plus the
+//! observability-overhead, million-request scale and fault-scale rows.
+//! The study's CSVs are committed artifacts, written by `export_csv`.
 //!
 //! ```text
 //! cargo run --release -p albireo-bench --bin serving_study -- \
-//!     [--out-dir results] [--json PATH] [--threads N]
+//!     [--json PATH] [--threads N] [--profile PATH]
 //! ```
 //!
 //! The study is bit-deterministic at any `--threads` value; the combined
@@ -20,7 +17,7 @@ use albireo_obs::json::{num, Fixed, Obj};
 use albireo_obs::Obs;
 use albireo_parallel::Parallelism;
 use albireo_runtime::{
-    run_serving_study, simulate, simulate_observed, ArrivalProcess, FaultScenario, FaultSpec,
+    run_full_serving_study, simulate, simulate_observed, ArrivalProcess, FaultScenario, FaultSpec,
     ServeConfig, StudyOptions, Workload,
 };
 
@@ -196,7 +193,6 @@ fn measure_fault_scale(options: &StudyOptions) -> FaultScale {
 }
 
 fn main() {
-    let mut out_dir = "results".to_string();
     let mut json_path = "BENCH_serving.json".to_string();
     let mut par = Parallelism::auto();
     let mut profile_path: Option<String> = None;
@@ -209,7 +205,6 @@ fn main() {
             })
         };
         match arg.as_str() {
-            "--out-dir" => out_dir = value("--out-dir"),
             "--json" => json_path = value("--json"),
             "--profile" => profile_path = Some(value("--profile")),
             "--threads" => {
@@ -221,10 +216,7 @@ fn main() {
             }
             other => {
                 eprintln!("error: unknown argument `{other}`");
-                eprintln!(
-                    "usage: serving_study [--out-dir DIR] [--json PATH] [--threads N] \
-                     [--profile PATH]"
-                );
+                eprintln!("usage: serving_study [--json PATH] [--threads N] [--profile PATH]");
                 std::process::exit(2);
             }
         }
@@ -236,18 +228,7 @@ fn main() {
     }
 
     let golden_options = StudyOptions::golden();
-    let golden = run_serving_study(&golden_options, par);
-    let hetero_options = StudyOptions::heterogeneous();
-    let hetero = run_serving_study(&hetero_options, par);
-
-    // The combined report: golden rows first (so the pinned artifact is a
-    // prefix of the full study), then the mixed-backend rows.
-    let mut runs = golden.runs.clone();
-    runs.extend(hetero.runs.iter().cloned());
-    let study = albireo_runtime::ServingStudyReport {
-        replicas: golden.replicas,
-        runs,
-    };
+    let study = run_full_serving_study(par);
 
     // The before/after instrumentation row: disabled observability is the
     // default serve path, enabled adds span/metric recording on top.
@@ -260,11 +241,6 @@ fn main() {
     // faults with repair crews.
     let fault_scale = measure_fault_scale(&golden_options);
 
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
-    let study_csv = format!("{out_dir}/serving_study.csv");
-    let golden_csv = format!("{out_dir}/golden_serving_metrics.csv");
-    std::fs::write(&study_csv, study.to_csv()).expect("write serving_study.csv");
-    std::fs::write(&golden_csv, golden.to_csv()).expect("write golden_serving_metrics.csv");
     let json = study.to_json_with(|d| {
         d.field(
             "obs_overhead",
@@ -324,10 +300,10 @@ fn main() {
         );
     }
 
+    let golden_runs = golden_options.cells() * golden_options.replicas;
     println!(
-        "serving study: {} golden + {} heterogeneous runs = {} total",
-        golden.runs.len(),
-        hetero.runs.len(),
+        "serving study: {golden_runs} golden + {} heterogeneous runs = {} total",
+        study.runs.len() - golden_runs,
         study.runs.len()
     );
     for run in &study.runs {
@@ -379,6 +355,6 @@ fn main() {
         fault_scale.peak_event_queue,
         fault_scale.digest_hex
     );
-    println!("wrote {study_csv}, {golden_csv}, {json_path}");
+    println!("wrote {json_path}");
     println!("combined digest {}", study.combined_digest_hex());
 }

@@ -1,32 +1,13 @@
 //! Validates the reproduction against every number the paper reports,
-//! printing a PASS/FAIL checklist (the non-panicking twin of
-//! `tests/paper_oracles.rs`). Exits nonzero if any oracle fails, so CI
-//! can gate on it.
+//! printing the [`ORACLES`] table as a PASS/FAIL checklist. Exits
+//! nonzero if any oracle fails, so CI can gate on it.
 //!
-//! `--tol-scale X` multiplies every relative tolerance by `X`: values
-//! above 1 loosen the checklist, values near 0 force failures (used by
-//! the exit-code integration test to exercise the failing path against
-//! the real oracle set).
+//! `--tol-scale X` multiplies every tolerance by `X`: values above 1
+//! loosen the checklist, values near 0 force failures (used by the
+//! exit-code integration test to exercise the failing path against the
+//! real oracle set).
 
-use albireo_baselines::{reported_accelerators, Accelerator, DeapCnn, Pixel};
-use albireo_core::area::AreaBreakdown;
-use albireo_core::config::{ChipConfig, TechnologyEstimate};
-use albireo_core::energy::NetworkEvaluation;
-use albireo_core::inventory::DeviceInventory;
-use albireo_core::power::PowerBreakdown;
-use albireo_nn::zoo;
-use albireo_photonics::mrr::Microring;
-use albireo_photonics::precision::PrecisionModel;
-use albireo_photonics::OpticalParams;
-
-struct Checklist {
-    passed: usize,
-    failed: usize,
-    tol_scale: f64,
-    /// Per-oracle relative errors land here as gauges so tolerance drift
-    /// is visible in CI logs long before a check actually flips to FAIL.
-    metrics: albireo_obs::metrics::Registry,
-}
+use albireo_bench::oracles::ORACLES;
 
 /// Oracle names become metric names: lowercase, non-alphanumerics
 /// collapsed to single underscores.
@@ -40,43 +21,6 @@ fn metric_slug(name: &str) -> String {
         }
     }
     out.trim_matches('_').to_string()
-}
-
-impl Checklist {
-    fn new(tol_scale: f64) -> Checklist {
-        Checklist {
-            passed: 0,
-            failed: 0,
-            tol_scale,
-            metrics: albireo_obs::metrics::Registry::new(),
-        }
-    }
-
-    fn check(&mut self, name: &str, paper: &str, measured: String, ok: bool) {
-        let status = if ok {
-            self.passed += 1;
-            "PASS"
-        } else {
-            self.failed += 1;
-            "FAIL"
-        };
-        println!("[{status}] {name}: paper {paper}, measured {measured}");
-    }
-
-    fn within(&mut self, name: &str, paper_value: f64, measured: f64, rel_tol: f64, unit: &str) {
-        let rel_tol = rel_tol * self.tol_scale;
-        let rel_err = (measured - paper_value).abs() / paper_value.abs();
-        self.metrics
-            .gauge(&format!("oracle.{}.rel_error", metric_slug(name)))
-            .set(rel_err);
-        let ok = rel_err <= rel_tol;
-        self.check(
-            name,
-            &format!("{paper_value} {unit}"),
-            format!("{measured:.4} {unit} (tol {:.0}%)", rel_tol * 100.0),
-            ok,
-        );
-    }
 }
 
 fn main() {
@@ -101,153 +45,30 @@ fn main() {
             }
         }
     }
-    let mut list = Checklist::new(tol_scale);
-    let chip = ChipConfig::albireo_9();
-    let params = OpticalParams::paper();
-    let ring = Microring::from_params(&params);
-    let model = PrecisionModel::paper();
-
-    // Device physics.
-    list.within("Table II FSR", 16.1, ring.fsr() * 1e9, 0.03, "nm");
-    list.within(
-        "Fig. 3: bits @ 2 mW / 20 λ",
-        10.0,
-        model.noise_limited_bits(20, 2e-3),
-        0.10,
-        "bits",
-    );
-    list.within(
-        "§II-C2: crosstalk bits @ k²=0.03 / 20 λ",
-        6.0,
-        model.crosstalk_limited_bits(&ring, 20),
-        0.10,
-        "bits",
-    );
-    let with_rail =
-        PrecisionModel::with_negative_rail(model.crosstalk_limited_levels(&ring, 20)).log2();
-    list.within(
-        "§II-C2: bits with negative rail",
-        7.0,
-        with_rail,
-        0.10,
-        "bits",
-    );
-
-    // Inventory.
-    let inv = DeviceInventory::for_chip(&chip);
-    list.check(
-        "§V: DAC count",
-        "306",
-        inv.dacs.to_string(),
-        inv.dacs == 306,
-    );
-    list.check("§V: TIA count", "45", inv.tias.to_string(), inv.tias == 45);
-
-    // Power.
-    for (estimate, paper_w) in [
-        (TechnologyEstimate::Conservative, 22.7),
-        (TechnologyEstimate::Moderate, 6.19),
-        (TechnologyEstimate::Aggressive, 1.64),
-    ] {
-        let total = PowerBreakdown::for_chip(&chip, estimate).total_w();
-        list.within(
-            &format!("Table III total, Albireo-{}", estimate.suffix()),
-            paper_w,
-            total,
-            0.02,
-            "W",
+    // Per-oracle relative errors land here as gauges so tolerance drift
+    // is visible in CI logs long before a check actually flips to FAIL.
+    let metrics = albireo_obs::metrics::Registry::new();
+    let mut failed = 0u64;
+    for (name, check) in ORACLES {
+        let (passed, detail, rel_error) = check.run(tol_scale);
+        if let Some(rel_error) = rel_error {
+            metrics
+                .gauge(&format!("oracle.{}.rel_error", metric_slug(name)))
+                .set(rel_error);
+        }
+        failed += u64::from(!passed);
+        println!(
+            "[{}] {name}: {detail}",
+            if passed { "PASS" } else { "FAIL" }
         );
     }
-    let p27 = PowerBreakdown::for_chip(&ChipConfig::albireo_27(), TechnologyEstimate::Conservative)
-        .total_w();
-    list.within("§IV-B: Albireo-27 power", 58.8, p27, 0.02, "W");
-
-    // Area.
-    let area = AreaBreakdown::for_chip(&chip);
-    list.within("Fig. 9 total area", 124.6, area.total_mm2(), 0.01, "mm²");
-    list.within(
-        "Fig. 9 AWG share",
-        0.72,
-        area.awg_m2 / area.total_m2(),
-        0.03,
-        "",
-    );
-    list.within(
-        "Fig. 9 star coupler share",
-        0.17,
-        area.star_coupler_m2 / area.total_m2(),
-        0.03,
-        "",
-    );
-
-    // Performance.
-    let vgg_c = NetworkEvaluation::evaluate(&chip, TechnologyEstimate::Conservative, &zoo::vgg16());
-    list.within(
-        "Table IV VGG16 latency (C)",
-        2.55,
-        vgg_c.latency_s * 1e3,
-        0.35,
-        "ms",
-    );
-    list.within(
-        "Table IV VGG16 energy (C)",
-        58.1,
-        vgg_c.energy_j * 1e3,
-        0.35,
-        "mJ",
-    );
-    let alex_c =
-        NetworkEvaluation::evaluate(&chip, TechnologyEstimate::Conservative, &zoo::alexnet());
-    list.within(
-        "Table IV AlexNet latency (C)",
-        0.13,
-        alex_c.latency_s * 1e3,
-        1.0,
-        "ms",
-    );
-
-    // Comparisons: orderings.
-    let pixel = Pixel::paper_60w();
-    let deap = DeapCnn::paper_60w();
-    let a27 = ChipConfig::albireo_27();
-    let mut ordering_ok = true;
-    for network in zoo::all_benchmarks() {
-        let p = pixel.cost(&network);
-        let d = deap.cost(&network);
-        let a = NetworkEvaluation::evaluate(&a27, TechnologyEstimate::Conservative, &network);
-        ordering_ok &= p.latency_s > d.latency_s && d.latency_s > a.latency_s;
-    }
-    list.check(
-        "Fig. 8 ordering (PIXEL > DEAP-CNN > Albireo-27)",
-        "holds",
-        if ordering_ok { "holds" } else { "violated" }.into(),
-        ordering_ok,
-    );
-
-    let mut beats_all = true;
-    for network in [zoo::alexnet(), zoo::vgg16()] {
-        let c = NetworkEvaluation::evaluate(&chip, TechnologyEstimate::Conservative, &network);
-        for acc in reported_accelerators() {
-            beats_all &= c.latency_s < acc.results[network.name()].latency_s;
-        }
-    }
-    list.check(
-        "Table IV: Albireo-C beats every electronic latency",
-        "yes",
-        if beats_all { "yes" } else { "no" }.into(),
-        beats_all,
-    );
-
-    list.metrics
-        .counter("oracle.checks.passed")
-        .add(list.passed as u64);
-    list.metrics
-        .counter("oracle.checks.failed")
-        .add(list.failed as u64);
+    let passed = ORACLES.len() as u64 - failed;
+    metrics.counter("oracle.checks.passed").add(passed);
+    metrics.counter("oracle.checks.failed").add(failed);
     println!("\nmetrics snapshot ({}):", albireo_obs::SCHEMA);
-    println!("{}", list.metrics.snapshot().to_json());
-    println!("\n{} passed, {} failed", list.passed, list.failed);
-    if list.failed > 0 {
+    println!("{}", metrics.snapshot().to_json());
+    println!("\n{passed} passed, {failed} failed");
+    if failed > 0 {
         std::process::exit(1);
     }
 }

@@ -1,17 +1,22 @@
 //! The experiments of the paper's evaluation section, one function per
-//! table/figure.
+//! table/figure, and the committed `results/*.csv` artifacts
+//! ([`ARTIFACTS`]), one rendering function each.
 
-use albireo_baselines::{Accelerator, DeapCnn, Pixel};
+use albireo_baselines::{Accelerator, DeapCnn, Pixel, ReportedResult};
 use albireo_core::accel::{AlbireoAccelerator, NetworkCost};
 use albireo_core::area::AreaBreakdown;
 use albireo_core::config::{ChipConfig, TechnologyEstimate};
 use albireo_core::energy::NetworkEvaluation;
 use albireo_core::power::PowerBreakdown;
-use albireo_core::report::{format_ratio, format_table, format_watts};
+use albireo_core::report::{format_ratio, format_table, format_watts, to_csv};
 use albireo_nn::{zoo, Model};
+use albireo_obs::Obs;
+use albireo_parallel::Parallelism;
 use albireo_photonics::mrr::Microring;
 use albireo_photonics::precision::{fig3_noise_sweep, fig4c_crosstalk_sweep, PrecisionModel};
 use albireo_photonics::OpticalParams;
+use albireo_plan::{plan, PlanSpec, GOLDEN_PLAN_SPEC};
+use albireo_runtime::{run_full_serving_study, run_serving_study, StudyOptions};
 
 /// Laser powers swept in Fig. 3, W.
 pub const FIG3_LASER_POWERS_W: [f64; 4] = [0.5e-3, 1e-3, 2e-3, 4e-3];
@@ -19,24 +24,20 @@ pub const FIG3_LASER_POWERS_W: [f64; 4] = [0.5e-3, 1e-3, 2e-3, 4e-3];
 /// Coupling coefficients swept in Fig. 4.
 pub const FIG4_K2_VALUES: [f64; 4] = [0.02, 0.03, 0.05, 0.10];
 
+/// The Fig. 4 rings, one per swept k².
+fn fig4_rings() -> Vec<Microring> {
+    let params = OpticalParams::paper();
+    FIG4_K2_VALUES
+        .iter()
+        .map(|&k2| Microring::with_k2(&params, k2))
+        .collect()
+}
+
 /// Fig. 3 — noise-limited precision vs. wavelength count per laser power.
 pub fn fig3_noise_precision() -> String {
-    let model = PrecisionModel::paper();
-    let sweeps = fig3_noise_sweep(&model, &FIG3_LASER_POWERS_W, 64);
-    let mut rows = Vec::new();
-    for n in [1usize, 2, 4, 8, 12, 16, 20, 24, 32, 40, 48, 56, 64] {
-        let mut row = vec![n.to_string()];
-        for sweep in &sweeps {
-            let bits = sweep
-                .series
-                .iter()
-                .find(|(count, _)| *count == n)
-                .map(|(_, b)| *b)
-                .unwrap_or(f64::NAN);
-            row.push(format!("{bits:.2}"));
-        }
-        rows.push(row);
-    }
+    let sweeps = fig3_noise_sweep(&PrecisionModel::paper(), &FIG3_LASER_POWERS_W, 64);
+    let series: Vec<_> = sweeps.iter().map(|s| s.series.as_slice()).collect();
+    let rows = bits_rows(&series, &[1, 2, 4, 8, 12, 16, 20, 24, 32, 40, 48, 56, 64]);
     let mut out = String::from(
         "Figure 3: noise-limited precision (bits) vs wavelengths, per laser power\n\
          (paper anchor: 10 bits @ 2 mW, 20 wavelengths)\n\n",
@@ -48,13 +49,29 @@ pub fn fig3_noise_precision() -> String {
     out
 }
 
+/// Table rows of precision sweeps, one per wavelength count in `counts`:
+/// the count, then each `(wavelengths, bits)` series' bits there (NaN
+/// where a series lacks the count).
+fn bits_rows(series: &[&[(usize, f64)]], counts: &[usize]) -> Vec<Vec<String>> {
+    counts
+        .iter()
+        .map(|&n| {
+            let mut row = vec![n.to_string()];
+            for s in series {
+                let bits = s
+                    .iter()
+                    .find(|(count, _)| *count == n)
+                    .map_or(f64::NAN, |p| p.1);
+                row.push(format!("{bits:.2}"));
+            }
+            row
+        })
+        .collect()
+}
+
 /// Fig. 4a — MRR drop-port spectrum per k².
 pub fn fig4a_spectrum() -> String {
-    let params = OpticalParams::paper();
-    let rings: Vec<Microring> = FIG4_K2_VALUES
-        .iter()
-        .map(|&k2| Microring::with_k2(&params, k2))
-        .collect();
+    let rings = fig4_rings();
     let span = rings[0].fsr() / 8.0;
     let points = 33;
     let mut rows = Vec::new();
@@ -82,11 +99,7 @@ pub fn fig4a_spectrum() -> String {
 
 /// Fig. 4b — MRR temporal step response per k².
 pub fn fig4b_temporal() -> String {
-    let params = OpticalParams::paper();
-    let rings: Vec<Microring> = FIG4_K2_VALUES
-        .iter()
-        .map(|&k2| Microring::with_k2(&params, k2))
-        .collect();
+    let rings = fig4_rings();
     let mut rows = Vec::new();
     for ps in (0..=200).step_by(10) {
         let t = ps as f64 * 1e-12;
@@ -119,20 +132,8 @@ pub fn fig4c_crosstalk_precision() -> String {
     let model = PrecisionModel::paper();
     let params = OpticalParams::paper();
     let sweeps = fig4c_crosstalk_sweep(&model, &params, &FIG4_K2_VALUES, 64);
-    let mut rows = Vec::new();
-    for n in [4usize, 8, 12, 16, 20, 24, 32, 40, 48, 56, 64] {
-        let mut row = vec![n.to_string()];
-        for sweep in &sweeps {
-            let bits = sweep
-                .series
-                .iter()
-                .find(|(count, _)| *count == n)
-                .map(|(_, b)| *b)
-                .unwrap_or(f64::NAN);
-            row.push(format!("{bits:.2}"));
-        }
-        rows.push(row);
-    }
+    let series: Vec<_> = sweeps.iter().map(|s| s.series.as_slice()).collect();
+    let rows = bits_rows(&series, &[4, 8, 12, 16, 20, 24, 32, 40, 48, 56, 64]);
     let mut out = String::from(
         "Figure 4c: crosstalk-limited precision (bits) vs wavelengths, per k²\n\
          (paper anchors: 6 bits positive-only / 7 bits with negative rail at k²=0.03, 20 λ)\n\n",
@@ -305,6 +306,17 @@ pub fn photonic_comparison_data() -> (
     )
 }
 
+/// A metric read off a [`NetworkCost`].
+type CostMetric = fn(&NetworkCost) -> f64;
+
+/// Fig. 8's three panels, one metric extractor each — the trait's
+/// canonical [`NetworkCost`] lets Albireo and baseline columns share it.
+const FIG8_PANELS: [(&str, CostMetric); 3] = [
+    ("(a) latency (ms)", |e| e.latency_s * 1e3),
+    ("(b) energy (mJ)", |e| e.energy_j * 1e3),
+    ("(c) EDP (mJ·ms)", |e| e.edp_mj_ms()),
+];
+
 /// Fig. 8 — latency / energy / EDP vs PIXEL and DEAP-CNN at the 60 W
 /// budget, conservative devices.
 pub fn fig8_photonic_comparison() -> String {
@@ -312,15 +324,7 @@ pub fn fig8_photonic_comparison() -> String {
     let mut out = String::from(
         "Figure 8: photonic accelerator comparison (conservative devices, 60 W budget)\n\n",
     );
-    // One metric extractor per panel — the trait's canonical NetworkCost
-    // lets Albireo and baseline columns share it.
-    type Metric = fn(&NetworkCost) -> f64;
-    let panels: [(&str, Metric); 3] = [
-        ("(a) latency (ms)", |e| e.latency_s * 1e3),
-        ("(b) energy (mJ)", |e| e.energy_j * 1e3),
-        ("(c) EDP (mJ·ms)", |e| e.edp_mj_ms()),
-    ];
-    for (metric, f) in panels {
+    for (metric, f) in FIG8_PANELS {
         let mut rows = Vec::new();
         for i in 0..a9.len() {
             rows.push(vec![
@@ -435,70 +439,41 @@ pub fn table4_electronic_comparison() -> String {
             .iter()
             .map(|a| a.results[network.as_str()])
             .collect();
-        let metric_rows: Vec<(&str, Vec<f64>)> = vec![
-            (
-                "latency (ms)",
-                reported
-                    .iter()
-                    .map(|r| r.latency_s * 1e3)
-                    .chain(evals.iter().map(|e| e.latency_s * 1e3))
-                    .collect(),
-            ),
-            (
-                "energy (mJ)",
-                reported
-                    .iter()
-                    .map(|r| r.energy_j * 1e3)
-                    .chain(evals.iter().map(|e| e.energy_j * 1e3))
-                    .collect(),
-            ),
-            (
-                "EDP (mJ·ms)",
-                reported
-                    .iter()
-                    .map(|r| r.edp_mj_ms())
-                    .chain(evals.iter().map(|e| e.edp_mj_ms()))
-                    .collect(),
-            ),
-            (
-                "GOPS/mm²",
-                reported
-                    .iter()
-                    .map(|r| r.gops_per_mm2)
-                    .chain(evals.iter().map(|e| e.gops_per_mm2()))
-                    .collect(),
-            ),
+        // Each metric as read off a reported design and an Albireo
+        // evaluation.
+        type Reported = fn(&ReportedResult) -> f64;
+        type Modelled = fn(&NetworkEvaluation) -> f64;
+        let metrics: [(&str, Reported, Modelled); 7] = [
+            ("latency (ms)", |r| r.latency_s * 1e3, |e| e.latency_s * 1e3),
+            ("energy (mJ)", |r| r.energy_j * 1e3, |e| e.energy_j * 1e3),
+            ("EDP (mJ·ms)", |r| r.edp_mj_ms(), |e| e.edp_mj_ms()),
+            ("GOPS/mm²", |r| r.gops_per_mm2, |e| e.gops_per_mm2()),
             (
                 "GOPS/mm² (active)",
-                reported
-                    .iter()
-                    .map(|r| r.gops_per_mm2)
-                    .chain(evals.iter().map(|e| e.gops_per_mm2_active()))
-                    .collect(),
+                |r| r.gops_per_mm2,
+                |e| e.gops_per_mm2_active(),
             ),
             (
                 "GOPS/W/mm²",
-                reported
-                    .iter()
-                    .map(|r| r.gops_per_w_per_mm2)
-                    .chain(evals.iter().map(|e| e.gops_per_w_per_mm2()))
-                    .collect(),
+                |r| r.gops_per_w_per_mm2,
+                |e| e.gops_per_w_per_mm2(),
             ),
             (
                 "GOPS/W/mm² (active)",
-                reported
-                    .iter()
-                    .map(|r| r.gops_per_w_per_mm2)
-                    .chain(evals.iter().map(|e| e.gops_per_w_per_mm2_active()))
-                    .collect(),
+                |r| r.gops_per_w_per_mm2,
+                |e| e.gops_per_w_per_mm2_active(),
             ),
         ];
-        for (name, values) in metric_rows {
+        for (name, of_reported, of_albireo) in metrics {
+            let values = reported
+                .iter()
+                .map(of_reported)
+                .chain(evals.iter().map(of_albireo));
             let mut row = vec![name.to_string()];
-            row.extend(values.iter().map(|v| {
-                if *v >= 1000.0 {
+            row.extend(values.map(|v| {
+                if v >= 1000.0 {
                     format!("{v:.0}")
-                } else if *v >= 10.0 {
+                } else if v >= 10.0 {
                     format!("{v:.1}")
                 } else {
                     format!("{v:.3}")
@@ -640,6 +615,36 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("allocation", "ALLOCATION", allocation_study),
     ("fidelity", "FIDELITY", inference_fidelity),
     ("summary", "SUMMARY", summary_ratios),
+];
+
+/// A committed artifact: its file name under `results/` and the
+/// function rendering its exact contents.
+pub type Artifact = (&'static str, fn() -> String);
+
+/// Every committed `results/` artifact, in write order: the one table
+/// behind `export_csv` and the byte-exact check in
+/// `crates/bench/tests/artifacts.rs`.
+pub const ARTIFACTS: &[Artifact] = &[
+    ("fig3_noise_precision.csv", fig3_noise_precision_csv),
+    ("fig4a_spectrum.csv", fig4a_spectrum_csv),
+    ("fig4b_temporal.csv", fig4b_temporal_csv),
+    (
+        "fig4c_crosstalk_precision.csv",
+        fig4c_crosstalk_precision_csv,
+    ),
+    ("fig8_photonic_comparison.csv", fig8_photonic_comparison_csv),
+    ("fig9_area_breakdown.csv", fig9_area_breakdown_csv),
+    ("table3_power_breakdown.csv", table3_power_breakdown_csv),
+    (
+        "table4_electronic_comparison.csv",
+        table4_electronic_comparison_csv,
+    ),
+    ("golden_network_metrics.csv", golden_network_metrics_csv),
+    ("golden_baseline_metrics.csv", golden_baseline_metrics_csv),
+    ("golden_modes_metrics.csv", golden_modes_metrics_csv),
+    ("golden_serving_metrics.csv", golden_serving_metrics_csv),
+    ("serving_study.csv", serving_study_csv),
+    ("golden_plan_frontier.csv", golden_plan_frontier_csv),
 ];
 
 /// Runs every experiment and concatenates the outputs.
@@ -950,52 +955,36 @@ pub fn weight_distribution_study() -> String {
     out
 }
 
-/// Writes machine-readable CSV series for every figure to `dir`, returning
-/// the files written. Intended for downstream plotting.
-pub fn export_csv(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
-    use albireo_core::report::to_csv;
-    use std::fs;
-    fs::create_dir_all(dir)?;
-    let mut written = Vec::new();
-    let mut write = |name: &str, content: String| -> std::io::Result<()> {
-        let path = dir.join(name);
-        fs::write(&path, content)?;
-        written.push(path);
-        Ok(())
-    };
+/// Fig. 3 artifact: wavelengths × laser powers → noise-limited bits.
+pub fn fig3_noise_precision_csv() -> String {
+    let sweeps = fig3_noise_sweep(&PrecisionModel::paper(), &FIG3_LASER_POWERS_W, 64);
+    let series: Vec<_> = sweeps.iter().map(|s| s.series.as_slice()).collect();
+    let header = [
+        "wavelengths",
+        "bits_0p5mW",
+        "bits_1mW",
+        "bits_2mW",
+        "bits_4mW",
+    ];
+    bits_csv(&header, &series)
+}
 
-    // Fig. 3: wavelengths × laser powers → bits.
-    let model = PrecisionModel::paper();
-    let sweeps = fig3_noise_sweep(&model, &FIG3_LASER_POWERS_W, 64);
-    let rows: Vec<Vec<String>> = (1..=64)
-        .map(|n| {
-            let mut row = vec![n.to_string()];
-            for sweep in &sweeps {
-                row.push(format!("{:.4}", sweep.series[n - 1].1));
-            }
+/// A precision-sweep artifact: one row per wavelength count the
+/// `(wavelengths, bits)` series share, then each series' bits.
+fn bits_csv(header: &[&str], series: &[&[(usize, f64)]]) -> String {
+    let rows: Vec<Vec<String>> = (0..series[0].len())
+        .map(|i| {
+            let mut row = vec![series[0][i].0.to_string()];
+            row.extend(series.iter().map(|s| format!("{:.4}", s[i].1)));
             row
         })
         .collect();
-    write(
-        "fig3_noise_precision.csv",
-        to_csv(
-            &[
-                "wavelengths",
-                "bits_0p5mW",
-                "bits_1mW",
-                "bits_2mW",
-                "bits_4mW",
-            ],
-            &rows,
-        ),
-    )?;
+    to_csv(header, &rows)
+}
 
-    // Fig. 4a: detuning × k² → transmission.
-    let params = OpticalParams::paper();
-    let rings: Vec<Microring> = FIG4_K2_VALUES
-        .iter()
-        .map(|&k2| Microring::with_k2(&params, k2))
-        .collect();
+/// Fig. 4a artifact: detuning × k² → drop-port transmission.
+pub fn fig4a_spectrum_csv() -> String {
+    let rings = fig4_rings();
     let span = rings[0].fsr() / 8.0;
     let rows: Vec<Vec<String>> = (0..201)
         .map(|i| {
@@ -1007,15 +996,15 @@ pub fn export_csv(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathB
             row
         })
         .collect();
-    write(
-        "fig4a_spectrum.csv",
-        to_csv(
-            &["detuning_nm", "k2_0p02", "k2_0p03", "k2_0p05", "k2_0p10"],
-            &rows,
-        ),
-    )?;
+    to_csv(
+        &["detuning_nm", "k2_0p02", "k2_0p03", "k2_0p05", "k2_0p10"],
+        &rows,
+    )
+}
 
-    // Fig. 4b: time × k² → normalized power.
+/// Fig. 4b artifact: time × k² → normalized step response.
+pub fn fig4b_temporal_csv() -> String {
+    let rings = fig4_rings();
     let rows: Vec<Vec<String>> = (0..=200)
         .map(|ps| {
             let t = ps as f64 * 1e-12;
@@ -1026,79 +1015,58 @@ pub fn export_csv(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathB
             row
         })
         .collect();
-    write(
-        "fig4b_temporal.csv",
-        to_csv(
-            &["time_ps", "k2_0p02", "k2_0p03", "k2_0p05", "k2_0p10"],
-            &rows,
-        ),
-    )?;
+    to_csv(
+        &["time_ps", "k2_0p02", "k2_0p03", "k2_0p05", "k2_0p10"],
+        &rows,
+    )
+}
 
-    // Fig. 4c: wavelengths × k² → bits.
+/// Fig. 4c artifact: wavelengths × k² → crosstalk-limited bits.
+pub fn fig4c_crosstalk_precision_csv() -> String {
+    let (model, params) = (PrecisionModel::paper(), OpticalParams::paper());
     let sweeps = fig4c_crosstalk_sweep(&model, &params, &FIG4_K2_VALUES, 64);
-    let rows: Vec<Vec<String>> = (2..=64)
-        .map(|n| {
-            let mut row = vec![n.to_string()];
-            for sweep in &sweeps {
-                row.push(format!("{:.4}", sweep.series[n - 2].1));
+    let series: Vec<_> = sweeps.iter().map(|s| s.series.as_slice()).collect();
+    let header = ["wavelengths", "k2_0p02", "k2_0p03", "k2_0p05", "k2_0p10"];
+    bits_csv(&header, &series)
+}
+
+/// Fig. 8 artifact: network × accelerator → latency, energy and EDP.
+pub fn fig8_photonic_comparison_csv() -> String {
+    let (a9, a27, pixel, deap) = photonic_comparison_data();
+    let rows: Vec<Vec<String>> = (0..a9.len())
+        .map(|i| {
+            let mut row = vec![a9[i].network.clone()];
+            for (_, metric) in FIG8_PANELS {
+                for design in [&pixel, &deap, &a9, &a27] {
+                    row.push(format!("{:.6}", metric(&design[i])));
+                }
             }
             row
         })
         .collect();
-    write(
-        "fig4c_crosstalk_precision.csv",
-        to_csv(
-            &["wavelengths", "k2_0p02", "k2_0p03", "k2_0p05", "k2_0p10"],
-            &rows,
-        ),
-    )?;
+    to_csv(
+        &[
+            "network",
+            "pixel_latency_ms",
+            "deap_latency_ms",
+            "albireo9_latency_ms",
+            "albireo27_latency_ms",
+            "pixel_energy_mj",
+            "deap_energy_mj",
+            "albireo9_energy_mj",
+            "albireo27_energy_mj",
+            "pixel_edp",
+            "deap_edp",
+            "albireo9_edp",
+            "albireo27_edp",
+        ],
+        &rows,
+    )
+}
 
-    // Fig. 8: network × accelerator → latency/energy/EDP.
-    let (a9, a27, pixel, deap) = photonic_comparison_data();
-    let rows: Vec<Vec<String>> = (0..a9.len())
-        .map(|i| {
-            vec![
-                a9[i].network.clone(),
-                format!("{:.6}", pixel[i].latency_s * 1e3),
-                format!("{:.6}", deap[i].latency_s * 1e3),
-                format!("{:.6}", a9[i].latency_s * 1e3),
-                format!("{:.6}", a27[i].latency_s * 1e3),
-                format!("{:.6}", pixel[i].energy_j * 1e3),
-                format!("{:.6}", deap[i].energy_j * 1e3),
-                format!("{:.6}", a9[i].energy_j * 1e3),
-                format!("{:.6}", a27[i].energy_j * 1e3),
-                format!("{:.6}", pixel[i].edp_mj_ms()),
-                format!("{:.6}", deap[i].edp_mj_ms()),
-                format!("{:.6}", a9[i].edp_mj_ms()),
-                format!("{:.6}", a27[i].edp_mj_ms()),
-            ]
-        })
-        .collect();
-    write(
-        "fig8_photonic_comparison.csv",
-        to_csv(
-            &[
-                "network",
-                "pixel_latency_ms",
-                "deap_latency_ms",
-                "albireo9_latency_ms",
-                "albireo27_latency_ms",
-                "pixel_energy_mj",
-                "deap_energy_mj",
-                "albireo9_energy_mj",
-                "albireo27_energy_mj",
-                "pixel_edp",
-                "deap_edp",
-                "albireo9_edp",
-                "albireo27_edp",
-            ],
-            &rows,
-        ),
-    )?;
-
-    // Fig. 9: component areas.
-    let area = AreaBreakdown::for_chip(&ChipConfig::albireo_9());
-    let rows: Vec<Vec<String>> = area
+/// Fig. 9 artifact: component areas of Albireo-9.
+pub fn fig9_area_breakdown_csv() -> String {
+    let rows: Vec<Vec<String>> = AreaBreakdown::for_chip(&ChipConfig::albireo_9())
         .rows()
         .into_iter()
         .map(|(name, mm2, portion)| {
@@ -1109,37 +1077,34 @@ pub fn export_csv(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathB
             ]
         })
         .collect();
-    write(
-        "fig9_area_breakdown.csv",
-        to_csv(&["component", "mm2", "portion"], &rows),
-    )?;
+    to_csv(&["component", "mm2", "portion"], &rows)
+}
 
-    // Table III: device powers per estimate.
-    let rows: Vec<Vec<String>> = {
-        let chip = ChipConfig::albireo_9();
-        let breakdowns: Vec<PowerBreakdown> = TechnologyEstimate::all()
-            .iter()
-            .map(|&e| PowerBreakdown::for_chip(&chip, e))
-            .collect();
-        (0..7)
-            .map(|i| {
-                let mut row = vec![breakdowns[0].rows()[i].0.to_string()];
-                for b in &breakdowns {
-                    row.push(format!("{:.4}", b.rows()[i].1));
-                }
-                row
-            })
-            .collect()
-    };
-    write(
-        "table3_power_breakdown.csv",
-        to_csv(
-            &["device", "conservative_w", "moderate_w", "aggressive_w"],
-            &rows,
-        ),
-    )?;
+/// Table III artifact: Albireo-9 device powers per estimate.
+pub fn table3_power_breakdown_csv() -> String {
+    let chip = ChipConfig::albireo_9();
+    let breakdowns: Vec<PowerBreakdown> = TechnologyEstimate::all()
+        .iter()
+        .map(|&e| PowerBreakdown::for_chip(&chip, e))
+        .collect();
+    let rows: Vec<Vec<String>> = (0..7)
+        .map(|i| {
+            let mut row = vec![breakdowns[0].rows()[i].0.to_string()];
+            for b in &breakdowns {
+                row.push(format!("{:.4}", b.rows()[i].1));
+            }
+            row
+        })
+        .collect();
+    to_csv(
+        &["device", "conservative_w", "moderate_w", "aggressive_w"],
+        &rows,
+    )
+}
 
-    // Table IV: Albireo vs electronic.
+/// Table IV artifact: Albireo under every estimate next to the reported
+/// electronic accelerators, on AlexNet and VGG16.
+pub fn table4_electronic_comparison_csv() -> String {
     let mut rows = Vec::new();
     for (network, evals) in electronic_comparison_data() {
         for e in evals {
@@ -1166,152 +1131,132 @@ pub fn export_csv(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathB
             ]);
         }
     }
-    write(
-        "table4_electronic_comparison.csv",
-        to_csv(
-            &[
-                "network",
-                "accelerator",
-                "latency_ms",
-                "energy_mj",
-                "edp_mj_ms",
-                "gops_per_mm2",
-                "gops_per_mm2_active",
-            ],
-            &rows,
-        ),
-    )?;
-
-    // Golden grid: every (chip × estimate × network) point, with cycle
-    // counts, for the regression tests in `tests/golden_values.rs`.
-    write("golden_network_metrics.csv", golden_network_metrics_csv())?;
-
-    // Golden baselines: every trait-costed baseline × supported network,
-    // for the regression tests in `tests/baseline_golden.rs`.
-    write("golden_baseline_metrics.csv", golden_baseline_metrics_csv())?;
-
-    // Golden operating modes: direct vs Winograd vs GEMM on the serving
-    // zoo, for the regression tests in `tests/modes_golden.rs`.
-    write("golden_modes_metrics.csv", golden_modes_metrics_csv())?;
-
-    Ok(written)
+    to_csv(
+        &[
+            "network",
+            "accelerator",
+            "latency_ms",
+            "energy_mj",
+            "edp_mj_ms",
+            "gops_per_mm2",
+            "gops_per_mm2_active",
+        ],
+        &rows,
+    )
 }
 
-/// The baseline golden-value artifact: PIXEL, DEAP-CNN, and the three
-/// reported electronic designs costed through the [`Accelerator`] trait
-/// on every benchmark network they support. `tests/baseline_golden.rs`
-/// pins the baseline models against the committed copy in `results/`.
+/// The serving golden: the full service report of every run of the
+/// pinned golden grid ([`StudyOptions::golden`]), digests included.
+pub fn golden_serving_metrics_csv() -> String {
+    run_serving_study(&StudyOptions::golden(), Parallelism::default()).to_csv()
+}
+
+/// The whole serving study: the golden grid's rows followed by the
+/// mixed photonic/electronic grid's ([`run_full_serving_study`]).
+pub fn serving_study_csv() -> String {
+    run_full_serving_study(Parallelism::default()).to_csv()
+}
+
+/// The planner golden: the ranked feasible frontier of
+/// [`GOLDEN_PLAN_SPEC`] (static vs elastic Albireo-9 fleets under
+/// `p99<5ms`).
+pub fn golden_plan_frontier_csv() -> String {
+    let spec = PlanSpec::parse(GOLDEN_PLAN_SPEC).expect("golden plan spec parses");
+    plan(&spec, Parallelism::default(), &Obs::disabled(), false)
+        .expect("golden plan runs")
+        .to_csv()
+}
+
+/// Writes every [`ARTIFACTS`] entry to `dir` (created if missing),
+/// returning the files written in table order.
+pub fn export_csv(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
+    std::fs::create_dir_all(dir)?;
+    ARTIFACTS
+        .iter()
+        .map(|(name, render)| {
+            let path = dir.join(name);
+            std::fs::write(&path, render())?;
+            Ok(path)
+        })
+        .collect()
+}
+
+/// The baseline golden: PIXEL, DEAP-CNN, and the three reported
+/// electronic designs costed through the [`Accelerator`] trait on every
+/// benchmark network they support.
 pub fn golden_baseline_metrics_csv() -> String {
-    use albireo_core::report::to_csv;
     let mut accels: Vec<Box<dyn Accelerator>> =
         vec![Box::new(Pixel::paper_60w()), Box::new(DeapCnn::paper_60w())];
     for reported in albireo_baselines::reported_accelerators() {
         accels.push(Box::new(reported));
     }
-    let mut rows = Vec::new();
-    for model in zoo::all_benchmarks() {
-        for accel in &accels {
-            if !accel.supports(&model) {
-                continue;
-            }
-            let c = accel.cost(&model);
-            rows.push(vec![
-                c.network.clone(),
-                c.accelerator.clone(),
-                c.cycles.to_string(),
-                format!("{:.6}", c.latency_s * 1e3),
-                format!("{:.6}", c.energy_j * 1e3),
-                format!("{:.6}", c.edp_mj_ms()),
-                format!("{:.6}", c.setup_s * 1e3),
-                c.wavelengths.to_string(),
-            ]);
-        }
-    }
-    to_csv(
-        &[
-            "network",
-            "accelerator",
-            "cycles",
-            "latency_ms",
-            "energy_mj",
-            "edp_mj_ms",
-            "setup_ms",
-            "wavelengths",
-        ],
-        &rows,
-    )
+    cost_golden_csv(&zoo::all_benchmarks(), &accels, false)
 }
 
-/// The operating-mode golden-value artifact: the direct Albireo dataflow
-/// next to the Winograd F(2×2,3×3) and incoherent-GEMM modes on every
-/// serving-zoo network each one supports, costed through the shared
-/// [`Accelerator`] trait. `tests/modes_golden.rs` pins the mode cost
-/// models against the committed copy in `results/` and asserts the
-/// headline claims (Winograd shifts VGG-class nets, leaves MobileNet
-/// untouched; GEMM serves only the dense workloads).
+/// The operating-mode golden: the direct Albireo dataflow next to the
+/// Winograd F(2×2,3×3) and incoherent-GEMM modes on every serving-zoo
+/// network each one supports, costed through the shared [`Accelerator`]
+/// trait, with each row's MAC count.
 pub fn golden_modes_metrics_csv() -> String {
-    use albireo_core::report::to_csv;
     use albireo_modes::{GemmMode, WinogradAccelerator};
+    let c = TechnologyEstimate::Conservative;
     let accels: Vec<Box<dyn Accelerator>> = vec![
-        Box::new(AlbireoAccelerator::albireo_9(
-            TechnologyEstimate::Conservative,
-        )),
-        Box::new(AlbireoAccelerator::albireo_27(
-            TechnologyEstimate::Conservative,
-        )),
-        Box::new(WinogradAccelerator::winograd_9(
-            TechnologyEstimate::Conservative,
-        )),
-        Box::new(WinogradAccelerator::winograd_27(
-            TechnologyEstimate::Conservative,
-        )),
-        Box::new(GemmMode::gemm_9(TechnologyEstimate::Conservative)),
-        Box::new(GemmMode::gemm_27(TechnologyEstimate::Conservative)),
+        Box::new(AlbireoAccelerator::albireo_9(c)),
+        Box::new(AlbireoAccelerator::albireo_27(c)),
+        Box::new(WinogradAccelerator::winograd_9(c)),
+        Box::new(WinogradAccelerator::winograd_27(c)),
+        Box::new(GemmMode::gemm_9(c)),
+        Box::new(GemmMode::gemm_27(c)),
     ];
+    cost_golden_csv(&zoo::serving_models(), &accels, true)
+}
+
+/// One row per (model, accelerator) pair the accelerator supports, in
+/// model-major order: identity, cycles, the MAC count when `macs`, then
+/// latency, energy, EDP, set-up time and wavelengths.
+fn cost_golden_csv(models: &[Model], accels: &[Box<dyn Accelerator>], macs: bool) -> String {
     let mut rows = Vec::new();
-    for model in zoo::serving_models() {
-        for accel in &accels {
-            if !accel.supports(&model) {
-                continue;
-            }
-            let c = accel.cost(&model);
-            let macs: u64 = c.per_layer.iter().map(|l| l.macs).sum();
-            rows.push(vec![
+    for model in models {
+        for accel in accels.iter().filter(|a| a.supports(model)) {
+            let c = accel.cost(model);
+            let mut row = vec![
                 c.network.clone(),
                 c.accelerator.clone(),
                 c.cycles.to_string(),
-                macs.to_string(),
-                format!("{:.6}", c.latency_s * 1e3),
-                format!("{:.6}", c.energy_j * 1e3),
-                format!("{:.6}", c.edp_mj_ms()),
-                format!("{:.6}", c.setup_s * 1e3),
-                c.wavelengths.to_string(),
-            ]);
+            ];
+            if macs {
+                row.push(c.per_layer.iter().map(|l| l.macs).sum::<u64>().to_string());
+            }
+            let metrics = [
+                c.latency_s * 1e3,
+                c.energy_j * 1e3,
+                c.edp_mj_ms(),
+                c.setup_s * 1e3,
+            ];
+            row.extend(metrics.map(|v| format!("{v:.6}")));
+            row.push(c.wavelengths.to_string());
+            rows.push(row);
         }
     }
-    to_csv(
-        &[
-            "network",
-            "accelerator",
-            "cycles",
-            "macs",
-            "latency_ms",
-            "energy_mj",
-            "edp_mj_ms",
-            "setup_ms",
-            "wavelengths",
-        ],
-        &rows,
-    )
+    let mut header = vec!["network", "accelerator", "cycles"];
+    if macs {
+        header.push("macs");
+    }
+    header.extend([
+        "latency_ms",
+        "energy_mj",
+        "edp_mj_ms",
+        "setup_ms",
+        "wavelengths",
+    ]);
+    to_csv(&header, &rows)
 }
 
-/// The golden-value regression artifact: every (chip × estimate × network)
-/// grid point's scheduler cycle count and headline metrics, produced
-/// through the parallel evaluation engine. `tests/golden_values.rs` pins
-/// the model against the committed copy in `results/`.
+/// The network golden: every (chip × estimate × network) grid point's
+/// scheduler cycle count and headline metrics, produced through the
+/// parallel evaluation engine.
 pub fn golden_network_metrics_csv() -> String {
     use albireo_core::engine::{paper_grid, EvalEngine};
-    use albireo_core::report::to_csv;
     let (chips, estimates, models) = paper_grid();
     let grid = EvalEngine::default().evaluate_grid(&chips, &estimates, &models);
     let rows: Vec<Vec<String>> = grid
@@ -1612,24 +1557,9 @@ mod tests {
 
     #[test]
     fn every_experiment_produces_output() {
-        for body in [
-            fig3_noise_precision(),
-            fig4a_spectrum(),
-            fig4b_temporal(),
-            fig4c_crosstalk_precision(),
-            table1_device_powers(),
-            table2_optical_params(),
-            table3_power_breakdown(),
-            fig8_photonic_comparison(),
-            fig9_area_breakdown(),
-            table4_electronic_comparison(),
-            wdm_efficiency(),
-            summary_ratios(),
-        ] {
-            assert!(
-                body.lines().count() > 3,
-                "experiment output too short: {body}"
-            );
+        for (name, _, run) in EXPERIMENTS {
+            let body = run();
+            assert!(body.lines().count() > 3, "{name} output too short: {body}");
         }
     }
 

@@ -4,7 +4,10 @@
 //! Each function returns the formatted experiment output as a `String`;
 //! the [`EXPERIMENTS`] registry names them for `albireo experiment`, the
 //! integration tests assert on their contents, and EXPERIMENTS.md records
-//! the paper-vs-measured diff. Run one, or everything, with:
+//! the paper-vs-measured diff. [`ARTIFACTS`] names every committed
+//! `results/*.csv` and the function rendering it (`export_csv` writes
+//! them), and [`oracles::ORACLES`] holds the paper anchors
+//! `validate_oracles` checks. Run one experiment, or everything, with:
 //!
 //! ```text
 //! cargo run -p albireo-cli -- experiment fig3
@@ -12,6 +15,7 @@
 //! ```
 
 pub mod experiments;
+pub mod oracles;
 pub mod perfdiff;
 pub mod sweep;
 

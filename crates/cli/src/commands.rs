@@ -248,12 +248,18 @@ fn write_trace_outputs(
     }
     let events = obs.drain_events();
     let digest = albireo_obs::events_digest(&events);
+    // The per-track rings keep only the newest events: say how many
+    // older ones a long run lost.
+    let dropped = match obs.dropped_events() {
+        0 => String::new(),
+        n => format!(", {n} older events dropped (trace ring buffers full)"),
+    };
     if let Some(path) = args.get("trace-out") {
         let trace = albireo_obs::to_chrome_trace(&events, track_names);
         std::fs::write(path, trace)
             .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
         note.push_str(&format!(
-            "wrote {path}: {} trace events, digest {digest:016x}\n",
+            "wrote {path}: {} trace events, digest {digest:016x}{dropped}\n",
             events.len()
         ));
     }
@@ -262,7 +268,7 @@ fn write_trace_outputs(
         std::fs::write(path, jsonl)
             .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
         note.push_str(&format!(
-            "wrote {path}: {} events (JSONL), digest {digest:016x}\n",
+            "wrote {path}: {} events (JSONL), digest {digest:016x}{dropped}\n",
             events.len()
         ));
     }
@@ -570,8 +576,16 @@ pub fn bench(args: &Args) -> Result<String, CliError> {
         Some(path) => {
             std::fs::write(path, &json)
                 .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
+            // One core cannot show scaling: say so before anyone
+            // compares the speedups across machines.
+            let caveat = if report.available_parallelism <= 1 {
+                " (single core: speedups sit at ~1.0x; the sweep shows determinism, \
+                 not scaling)"
+            } else {
+                ""
+            };
             Ok(format!(
-                "wrote {path}: best whole-sweep speedup {:.2}x, deterministic: {}\n",
+                "wrote {path}: best whole-sweep speedup {:.2}x, deterministic: {}{caveat}\n",
                 report.best_total_speedup(),
                 report.all_deterministic()
             ))
@@ -618,12 +632,8 @@ fn network_mix(
 fn parse_arrival(args: &Args, rate: f64) -> Result<albireo_runtime::ArrivalProcess, CliError> {
     use albireo_runtime::ArrivalProcess;
 
+    // `serve` reads the file up front (`Workload::check_trace_file`).
     if let Some(path) = args.get("trace-jsonl") {
-        if !std::path::Path::new(path).is_file() {
-            return Err(CliError::Unknown(format!(
-                "--trace-jsonl file `{path}` does not exist"
-            )));
-        }
         return Ok(ArrivalProcess::TraceFile { path: path.into() });
     }
     let shape = |name: &str, default: f64| args.get_parsed_or(name, default, "a number");
@@ -746,6 +756,10 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         autoscale: AutoscalePolicy::parse(args.get_or("autoscale", "none"))?,
         alert: target.map_or_else(AlertPolicy::standard, AlertPolicy::with_target),
     };
+    // A trace file is read once up front, so a bad line exits 2 here
+    // instead of panicking mid-run.
+    cfg.workload
+        .check_trace_file(requests, fleet.models.len())?;
     // Checkpoint/resume flags. `--checkpoint-every` runs the single
     // simulation through the checkpoint-boundary machinery; `--resume`
     // restarts one from a snapshot file written by `--checkpoint-out`.
@@ -1845,6 +1859,39 @@ mod tests {
         }
         assert!(text.contains("\"phase\": \"B\""));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn trace_notes_report_events_dropped_at_the_ring_bound() {
+        // 5000 requests overflow a 16,384-event trace shard; 200 do not,
+        // and their note lines stay as they were.
+        let (trace, events) = (temp_path("dropped.json"), temp_path("dropped.jsonl"));
+        let (trace, events) = (trace.to_str().unwrap(), events.to_str().unwrap());
+        let notes = |requests| {
+            let argv = [
+                "--requests",
+                requests,
+                "--trace-out",
+                trace,
+                "--events-out",
+                events,
+            ];
+            let out = serve(&args(&argv)).unwrap();
+            let notes: Vec<String> = out
+                .lines()
+                .filter(|l| l.starts_with("wrote "))
+                .map(String::from)
+                .collect();
+            assert_eq!(notes.len(), 2, "{out}");
+            notes
+        };
+        assert!(notes("200").iter().all(|l| !l.contains("events dropped")));
+        for line in notes("5000") {
+            let dropped = " older events dropped (trace ring buffers full)";
+            assert!(line.ends_with(dropped), "{line}");
+        }
+        std::fs::remove_file(trace).ok();
+        std::fs::remove_file(events).ok();
     }
 
     #[test]

@@ -561,3 +561,38 @@ fn resume_with_an_out_of_range_chip_exits_2() {
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("names chip 7, fleet has 2"), "{stderr}");
 }
+
+#[test]
+fn malformed_trace_jsonl_lines_exit_2_naming_file_and_line() {
+    let path = std::env::temp_dir().join(format!("albireo_bad_trace_{}.jsonl", std::process::id()));
+    let trace = path.to_str().unwrap();
+    for (second_line, classes, expected) in [
+        (r#"{"arrival_s": "later"}"#, None, "\"arrival_s\" must be"),
+        (
+            r#"{"arrival_s": 0.0005}"#,
+            None,
+            "must be sorted by arrival_s",
+        ),
+        (
+            r#"{"arrival_s": 0.002, "network": 99}"#,
+            None,
+            "\"network\" 99",
+        ),
+        (
+            r#"{"arrival_s": 0.002, "class": 7}"#,
+            Some("vip:3:5,batch:1"),
+            "\"class\" 7",
+        ),
+    ] {
+        std::fs::write(&path, format!("{{\"arrival_s\": 0.001}}\n{second_line}\n")).unwrap();
+        let mut argv = vec!["serve", "--trace-jsonl", trace, "--requests", "5"];
+        if let Some(classes) = classes {
+            argv.extend_from_slice(&["--classes", classes]);
+        }
+        let (code, stderr) = run_failing(&argv);
+        assert_eq!(code, 2, "{second_line}: {stderr}");
+        assert!(stderr.contains(&format!("{trace}:2: ")), "{stderr}");
+        assert!(stderr.contains(expected), "{stderr}");
+    }
+    std::fs::remove_file(&path).ok();
+}

@@ -253,6 +253,26 @@ mod tests {
     }
 
     #[test]
+    fn latency_is_scheduler_cycles_over_clock() {
+        // No hidden terms between the scheduler's cycle count and the
+        // reported latency, for every network under every clock.
+        let chip = ChipConfig::albireo_9();
+        for model in zoo::all_benchmarks() {
+            let cycles = crate::sched::total_cycles(&chip, &model);
+            for estimate in TechnologyEstimate::all() {
+                let exact = cycles as f64 / estimate.clock_hz();
+                let latency = eval(estimate, &model).latency_s;
+                assert!(
+                    (latency - exact).abs() / exact < 1e-9,
+                    "{}/{}: latency {latency} vs {exact}",
+                    model.name(),
+                    estimate.suffix()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn moderate_same_latency_lower_energy() {
         // Albireo-M runs at the same 5 GHz clock: latency equal, energy
         // scaled by the power ratio (22.7 → 6.19 W).

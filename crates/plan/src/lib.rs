@@ -52,8 +52,9 @@ pub use spec::{PlanSpec, SloSpec};
 /// Albireo-9 fleets, static vs elastic provisioning. This is the
 /// scenario where elastic autoscaling beats every static fleet on
 /// energy while holding `p99<5ms` — pinned byte-exactly by
-/// `results/golden_plan_frontier.csv` (regenerated by the `plan_search`
-/// bench binary) and by the planner's determinism tests.
+/// `results/golden_plan_frontier.csv` (one of the `ARTIFACTS` that
+/// `cargo run --release -p albireo-bench --bin export_csv` regenerates)
+/// and by the planner's determinism tests.
 pub const GOLDEN_PLAN_SPEC: &str = "arrival=bursty:4:0.01:0.04;rate=3000;mix=0:3,3:1;\
      requests=900;screen=200;seed=11;slo=p99<5ms;chips=albireo_9:C;max-chips=3;\
      autoscale=static|elastic:6:0.001:1";

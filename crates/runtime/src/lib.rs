@@ -86,5 +86,8 @@ pub use sim::{
     ServeConfig, ServeOutcome,
 };
 pub use snapshot::{SimSnapshot, SNAPSHOT_SCHEMA};
-pub use study::{replicate, run_serving_study, ServingStudyReport, StudyOptions, StudyRun};
+pub use study::{
+    replicate, run_full_serving_study, run_serving_study, ServingStudyReport, StudyOptions,
+    StudyRun,
+};
 pub use workload::{ArrivalProcess, ClassSpec, Request, RequestStream, Workload};

@@ -205,8 +205,23 @@ impl ServingStudyReport {
     }
 }
 
-/// Runs the full serving study under `par`. Bit-identical at any thread
-/// count (see module docs).
+/// The whole serving study behind `results/serving_study.csv` and
+/// `BENCH_serving.json`: the golden grid's runs
+/// ([`StudyOptions::golden`]) followed by the heterogeneous grid's
+/// ([`StudyOptions::heterogeneous`]), so the pinned golden artifact is a
+/// prefix of it.
+pub fn run_full_serving_study(par: Parallelism) -> ServingStudyReport {
+    let golden = run_serving_study(&StudyOptions::golden(), par);
+    let mut runs = golden.runs;
+    runs.extend(run_serving_study(&StudyOptions::heterogeneous(), par).runs);
+    ServingStudyReport {
+        replicas: golden.replicas,
+        runs,
+    }
+}
+
+/// Runs the study `options` describes under `par`. Bit-identical at any
+/// thread count (see module docs).
 pub fn run_serving_study(options: &StudyOptions, par: Parallelism) -> ServingStudyReport {
     assert!(options.replicas > 0, "study needs at least one replica");
     let cells: Vec<(usize, f64, BatchPolicy)> = options

@@ -29,8 +29,10 @@
 //!   one object per line, `{"arrival_s": 0.0123}` with optional
 //!   `"network"` and `"class"` members overriding the mix/class draw.
 //!   Lines must be sorted by `arrival_s` (the reader streams; it cannot
-//!   sort), blank lines are skipped, and malformed lines panic with the
-//!   file/line coordinates.
+//!   sort) and blank lines are skipped. Each line is read with
+//!   `albireo_obs::jsonv`; [`Workload::check_trace_file`] reports a bad
+//!   line as `<path>:<line>: …` before a run starts, and the stream
+//!   panics with the same message if handed one anyway.
 //!
 //! Requests optionally carry a **class** — a multi-tenant label drawn
 //! from [`Workload::classes`] ([`ClassSpec`]: name, traffic weight,
@@ -45,6 +47,7 @@
 //! site, or whether the stream is consumed lazily or collected.
 
 use crate::grammar::Lexer;
+use albireo_obs::jsonv::{self, Value};
 use albireo_parallel::{split_seed, stream_id};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -452,14 +455,7 @@ impl Workload {
                 }
             }
             ArrivalProcess::TraceFile { path } => {
-                let file = File::open(path)
-                    .unwrap_or_else(|e| panic!("cannot open arrival trace {path}: {e}"));
-                Source::TraceFile {
-                    lines: BufReader::new(file).lines(),
-                    path: path.clone(),
-                    line_no: 0,
-                    last_bits: 0,
-                }
+                Source::TraceFile(TraceReader::open(path).unwrap_or_else(|e| panic!("{e}")))
             }
         };
         RequestStream {
@@ -475,6 +471,36 @@ impl Workload {
             remaining: n,
             next_id: 0,
         }
+    }
+
+    /// Reads, up front, the trace lines [`Workload::stream`] would replay
+    /// for `n` requests, and checks that each parses, keeps the file
+    /// sorted, names a network below `networks` and, when classes are
+    /// configured, a class of the table. Errors read `<path>:<line>: …`.
+    /// Other arrival processes pass trivially.
+    pub fn check_trace_file(&self, n: usize, networks: usize) -> Result<(), String> {
+        let ArrivalProcess::TraceFile { path } = &self.process else {
+            return Ok(());
+        };
+        let mut reader = TraceReader::open(path)?;
+        let classes = self.classes.len();
+        for _ in 0..n {
+            let Some(arrival) = reader.next().transpose()? else {
+                break;
+            };
+            let line = reader.line_no;
+            if let Some(i) = arrival.network.filter(|&i| i >= networks) {
+                return Err(format!(
+                    "{path}:{line}: \"network\" {i} is outside the {networks} fleet models"
+                ));
+            }
+            if let Some(i) = arrival.class.filter(|&i| classes > 0 && i >= classes) {
+                return Err(format!(
+                    "{path}:{line}: \"class\" {i} is outside the {classes} configured classes"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Generates the first `n` requests of the stream, deterministically
@@ -515,12 +541,100 @@ enum Source {
     Trace {
         times: std::vec::IntoIter<f64>,
     },
-    TraceFile {
-        lines: std::io::Lines<BufReader<File>>,
-        path: String,
-        line_no: usize,
-        last_bits: u64,
-    },
+    TraceFile(TraceReader),
+}
+
+/// One line of a JSONL arrival trace.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TraceArrival {
+    /// Arrival instant, s.
+    arrival_s: f64,
+    /// Network index overriding the mix draw.
+    network: Option<usize>,
+    /// Class index overriding the class draw.
+    class: Option<usize>,
+}
+
+impl TraceArrival {
+    /// Parses one non-blank trace line: a JSON object whose `arrival_s`
+    /// is a finite, non-negative number and whose optional `network` and
+    /// `class` are non-negative integers. Other members are ignored.
+    fn parse(line: &str) -> Result<TraceArrival, String> {
+        let value = jsonv::parse(line).map_err(|e| e.to_string())?;
+        if value.as_obj().is_none() {
+            return Err("expected a JSON object".into());
+        }
+        let arrival_s = value
+            .get("arrival_s")
+            .and_then(Value::as_f64)
+            .filter(|t| t.is_finite() && *t >= 0.0)
+            .ok_or("\"arrival_s\" must be a finite, non-negative number")?;
+        let index = |key: &str| match value.get(key) {
+            None => Ok(None),
+            Some(v) => v
+                .as_f64()
+                .filter(|x| *x >= 0.0 && x.fract() == 0.0 && *x < 2f64.powi(53))
+                .map(|x| Some(x as usize))
+                .ok_or_else(|| format!("\"{key}\" must be a non-negative integer")),
+        };
+        Ok(TraceArrival {
+            arrival_s,
+            network: index("network")?,
+            class: index("class")?,
+        })
+    }
+}
+
+/// A JSONL trace file's arrivals in file order: blank lines skipped,
+/// `arrival_s` required to be nondecreasing, errors prefixed with
+/// `<path>:<line>`.
+#[derive(Debug)]
+struct TraceReader {
+    lines: std::io::Lines<BufReader<File>>,
+    path: String,
+    line_no: usize,
+    last_s: f64,
+}
+
+impl TraceReader {
+    fn open(path: &str) -> Result<TraceReader, String> {
+        let file =
+            File::open(path).map_err(|e| format!("cannot open arrival trace {path}: {e}"))?;
+        Ok(TraceReader {
+            lines: BufReader::new(file).lines(),
+            path: path.to_string(),
+            line_no: 0,
+            last_s: 0.0,
+        })
+    }
+}
+
+impl Iterator for TraceReader {
+    type Item = Result<TraceArrival, String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let line = match self.lines.next()? {
+                Ok(line) => line,
+                Err(e) => return Some(Err(format!("read error in {}: {e}", self.path))),
+            };
+            self.line_no += 1;
+            if line.trim().is_empty() {
+                continue;
+            }
+            let at = |message: &str| format!("{}:{}: {message}", self.path, self.line_no);
+            return Some(match TraceArrival::parse(&line) {
+                Err(e) => Err(at(&e)),
+                Ok(a) if a.arrival_s < self.last_s => Err(at(
+                    "trace must be sorted by arrival_s (bounded-memory replay cannot sort)",
+                )),
+                Ok(a) => {
+                    self.last_s = a.arrival_s;
+                    Ok(a)
+                }
+            });
+        }
+    }
 }
 
 /// The lazy arrival iterator [`Workload::stream`] returns: O(1) state,
@@ -629,39 +743,10 @@ impl RequestStream {
                 }
             },
             Source::Trace { times } => times.next().map(|t| (t, None, None)),
-            Source::TraceFile {
-                lines,
-                path,
-                line_no,
-                last_bits,
-            } => loop {
-                let line = match lines.next() {
-                    None => return None,
-                    Some(Ok(line)) => line,
-                    Some(Err(e)) => panic!("read error in arrival trace {path}: {e}"),
-                };
-                *line_no += 1;
-                let s = line.trim();
-                if s.is_empty() {
-                    continue;
-                }
-                let t = json_number(s, "arrival_s").unwrap_or_else(|| {
-                    panic!("{path}:{line_no}: missing or malformed \"arrival_s\"")
-                });
-                assert!(
-                    t.is_finite() && t >= 0.0,
-                    "{path}:{line_no}: arrival_s must be finite and non-negative"
-                );
-                assert!(
-                    t.to_bits() >= *last_bits,
-                    "{path}:{line_no}: trace must be sorted by arrival_s \
-                     (bounded-memory replay cannot sort)"
-                );
-                *last_bits = t.to_bits();
-                let network = json_number(s, "network").map(|v| v as usize);
-                let class = json_number(s, "class").map(|v| v as usize);
-                return Some((t, network, class));
-            },
+            Source::TraceFile(reader) => reader.next().map(|arrival| {
+                let a = arrival.unwrap_or_else(|e| panic!("{e}"));
+                (a.arrival_s, a.network, a.class)
+            }),
         }
     }
 }
@@ -719,20 +804,6 @@ fn pick_class(rng: &mut StdRng, classes: &[ClassSpec], total_weight: f64) -> usi
         u -= c.weight;
     }
     classes.len() - 1
-}
-
-/// Extracts `"key": <number>` from a single-line JSON object without a
-/// JSON parser dependency. Returns `None` when the key is absent or the
-/// value is not a bare number.
-fn json_number(line: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = line.find(&needle)?;
-    let rest = line[at + needle.len()..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
-        .unwrap_or(rest.len());
-    rest[..end].parse::<f64>().ok()
 }
 
 /// One exponential interarrival gap at `rate` (inverse-CDF sampling).
@@ -1015,6 +1086,75 @@ mod tests {
         assert_eq!(reqs[1].network, 1, "network override honored");
         assert_eq!(reqs[2].class, 1, "class override honored");
         assert_eq!(reqs[2].network, 0);
+    }
+
+    #[test]
+    fn trace_lines_parse_strictly() {
+        let line = r#"{"arrival_s": 0.5, "network": 2, "class": 0, "x": "y"}"#;
+        let (network, class) = (Some(2), Some(0));
+        let arrival = TraceArrival {
+            arrival_s: 0.5,
+            network,
+            class,
+        };
+        assert_eq!(TraceArrival::parse(line), Ok(arrival));
+        for (bad, key) in [
+            (r#"{"arrival_s": "soon"}"#, "arrival_s"),
+            (r#"{"arrival_s": -1}"#, "arrival_s"),
+            (r#"{"arrival_s": 1e999}"#, "arrival_s"),
+            (r#"{"network": 1}"#, "arrival_s"),
+            (r#"{"arrival_s": 0.1, "network": 1.7}"#, "network"),
+            (r#"{"arrival_s": 0.1, "network": -3}"#, "network"),
+            (r#"{"arrival_s": 0.1, "class": "vip"}"#, "class"),
+        ] {
+            let err = TraceArrival::parse(bad).unwrap_err();
+            assert!(
+                err.starts_with(&format!("\"{key}\" must be")),
+                "{bad}: {err}"
+            );
+        }
+        assert!(TraceArrival::parse("[0.1]").is_err());
+        assert!(TraceArrival::parse(r#"{"arrival_s": 0.1,}"#).is_err());
+    }
+
+    #[test]
+    fn trace_file_check_names_the_bad_line() {
+        let path = std::env::temp_dir().join(format!(
+            "albireo_trace_check_{}_{:?}.jsonl",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let w = |classes: usize| Workload {
+            process: ArrivalProcess::TraceFile {
+                path: path.to_string_lossy().into_owned(),
+            },
+            mix: vec![(0, 1.0)],
+            classes: (0..classes)
+                .map(|i| ClassSpec::best_effort(&format!("c{i}"), 1.0))
+                .collect(),
+        };
+        let check = |body: &str, n: usize, classes: usize| {
+            std::fs::write(&path, body).unwrap();
+            w(classes).check_trace_file(n, 4)
+        };
+        let p = path.to_string_lossy().into_owned();
+        let good = "{\"arrival_s\": 0.1}\n\n{\"arrival_s\": 0.2, \"network\": 3, \"class\": 1}\n";
+        assert_eq!(check(good, 10, 2), Ok(()));
+        // Without a class table the class label is not an index.
+        assert_eq!(check(good, 10, 0), Ok(()));
+        let err = check(good, 10, 1).unwrap_err();
+        assert!(err.starts_with(&format!("{p}:3: \"class\" 1")), "{err}");
+        let bad_net = "{\"arrival_s\": 0.1}\n{\"arrival_s\": 0.2, \"network\": 99}\n";
+        let err = check(bad_net, 10, 0).unwrap_err();
+        assert!(err.starts_with(&format!("{p}:2: \"network\" 99")), "{err}");
+        // Lines past the run's request count are never read.
+        assert_eq!(check(bad_net, 1, 0), Ok(()));
+        let err = check("{\"arrival_s\": 0.2}\n{\"arrival_s\": 0.1}\n", 10, 0).unwrap_err();
+        assert!(
+            err.starts_with(&format!("{p}:2: trace must be sorted")),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
