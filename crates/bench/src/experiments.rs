@@ -622,7 +622,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
 pub type Artifact = (&'static str, fn() -> String);
 
 /// Every committed `results/` artifact, in write order: the one table
-/// behind `export_csv` and the byte-exact check in
+/// behind `albireo export-csv` and the byte-exact check in
 /// `crates/bench/tests/artifacts.rs`.
 pub const ARTIFACTS: &[Artifact] = &[
     ("fig3_noise_precision.csv", fig3_noise_precision_csv),
@@ -1165,20 +1165,6 @@ pub fn golden_plan_frontier_csv() -> String {
     plan(&spec, Parallelism::default(), &Obs::disabled(), false)
         .expect("golden plan runs")
         .to_csv()
-}
-
-/// Writes every [`ARTIFACTS`] entry to `dir` (created if missing),
-/// returning the files written in table order.
-pub fn export_csv(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
-    std::fs::create_dir_all(dir)?;
-    ARTIFACTS
-        .iter()
-        .map(|(name, render)| {
-            let path = dir.join(name);
-            std::fs::write(&path, render())?;
-            Ok(path)
-        })
-        .collect()
 }
 
 /// The baseline golden: PIXEL, DEAP-CNN, and the three reported

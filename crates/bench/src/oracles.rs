@@ -1,7 +1,7 @@
 //! The numbers the paper itself reports, as one checklist. [`ORACLES`]
-//! is the table the `validate_oracles` binary prints and the tier-1
-//! test `every_oracle_holds` asserts, so both check the same anchors
-//! with the same bounds.
+//! is the table `albireo validate-oracles` prints (via [`checklist`])
+//! and the tier-1 test `every_oracle_holds` asserts, so both check the
+//! same anchors with the same bounds.
 
 use albireo_baselines::{reported_accelerators, Accelerator, DeapCnn, Pixel};
 use albireo_core::area::AreaBreakdown;
@@ -236,6 +236,46 @@ pub const ORACLES: &[Oracle] = &[
     ("Fig. 8 EDP ordering (PIXEL > DEAP-CNN > Albireo-27)",
         Check::Claim(|| fig8_orders(|latency, energy| latency * energy))),
 ];
+
+/// Oracle names become metric names: lowercase, non-alphanumerics
+/// collapsed to single underscores.
+fn metric_slug(name: &str) -> String {
+    let words = name.split(|c: char| !c.is_ascii_alphanumeric());
+    let words: Vec<&str> = words.filter(|w| !w.is_empty()).collect();
+    words.join("_").to_ascii_lowercase()
+}
+
+/// Runs every oracle with both deviations scaled by `tol_scale` and
+/// renders the PASS/FAIL checklist, a metrics snapshot holding each
+/// relative error as a gauge (so tolerance drift shows long before a
+/// check flips to FAIL) and the tally. Returns it with the number of
+/// failed rows.
+pub fn checklist(tol_scale: f64) -> (String, u64) {
+    let metrics = albireo_obs::metrics::Registry::new();
+    let mut out = String::new();
+    let mut failed = 0u64;
+    for (name, check) in ORACLES {
+        let (passed, detail, rel_error) = check.run(tol_scale);
+        if let Some(rel_error) = rel_error {
+            metrics
+                .gauge(&format!("oracle.{}.rel_error", metric_slug(name)))
+                .set(rel_error);
+        }
+        failed += u64::from(!passed);
+        let verdict = if passed { "PASS" } else { "FAIL" };
+        out.push_str(&format!("[{verdict}] {name}: {detail}\n"));
+    }
+    let passed = ORACLES.len() as u64 - failed;
+    metrics.counter("oracle.checks.passed").add(passed);
+    metrics.counter("oracle.checks.failed").add(failed);
+    out.push_str(&format!(
+        "\nmetrics snapshot ({}):\n{}\n",
+        albireo_obs::SCHEMA,
+        metrics.snapshot().to_json()
+    ));
+    out.push_str(&format!("\n{passed} passed, {failed} failed\n"));
+    (out, failed)
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,22 +1,18 @@
-//! Runs the capacity-planner studies and writes `BENCH_plan.json`
-//! (schema `albireo.bench.plan/v1`): the golden planning scenario
-//! ([`albireo_plan::GOLDEN_PLAN_SPEC`], whose frontier `export_csv`
-//! commits as `results/golden_plan_frontier.csv`) timed once, and
-//! planner throughput over a ~200-candidate search (three chip kinds ×
-//! fleets up to four chips × three batching policies × static/elastic
-//! provisioning), with candidates/sec for the pruned and exhaustive
-//! passes. Two variants of the search run: the `wide` one keeps
-//! scoring runs short (400 requests), where the coarse screen exceeds
-//! `requests/4` and the planner auto-disables it — both passes are
-//! exhaustive and the speedup sits at ~1.0x by construction; the `deep`
-//! one scores 3200 requests per candidate at an offered rate that
-//! overloads most fleets, where screening pays and the speedup is real
-//! (~2x). Both are recorded so the regression is visible either way.
-//!
-//! ```text
-//! cargo run --release -p albireo-bench --bin plan_search -- \
-//!     [--json PATH] [--threads N]
-//! ```
+//! The planner benchmark behind `albireo plan-search`: renders
+//! `BENCH_plan.json` (schema `albireo.bench.plan/v1`) from the golden
+//! planning scenario ([`albireo_plan::GOLDEN_PLAN_SPEC`], whose frontier
+//! `albireo export-csv` commits as `results/golden_plan_frontier.csv`)
+//! timed once, and planner throughput over a ~200-candidate search
+//! (three chip kinds × fleets up to four chips × three batching
+//! policies × static/elastic provisioning), with candidates/sec for
+//! the pruned and exhaustive passes. Two variants of the search run:
+//! the `wide` one keeps scoring runs short (400 requests), where the
+//! coarse screen exceeds `requests/4` and the planner auto-disables it
+//! — both passes are exhaustive and the speedup sits at ~1.0x by
+//! construction; the `deep` one scores 3200 requests per candidate at
+//! an offered rate that overloads most fleets, where screening pays and
+//! the speedup is real (~2x). Both are recorded so the regression is
+//! visible either way.
 //!
 //! Both searches are bit-deterministic at any `--threads` value; the
 //! digests printed at the end are the values to compare across runs.
@@ -110,10 +106,10 @@ fn variant_json(pruned: &TimedPlan, exhaustive: &TimedPlan) -> Obj {
         .field("digest", pruned.report.digest_hex())
 }
 
-fn print_variant(label: &str, pruned: &TimedPlan, exhaustive: &TimedPlan) {
-    println!(
+fn variant_line(label: &str, pruned: &TimedPlan, exhaustive: &TimedPlan) -> String {
+    format!(
         "{label} search: {} candidates — pruned {:.1} ms ({:.1} cand/s, {} pruned / {} scored{}), \
-         exhaustive {:.1} ms ({:.1} cand/s), speedup {:.2}x, digest {}",
+         exhaustive {:.1} ms ({:.1} cand/s), speedup {:.2}x, digest {}\n",
         pruned.report.candidates_total,
         pruned.wall_ms,
         candidates_per_s(pruned),
@@ -128,37 +124,13 @@ fn print_variant(label: &str, pruned: &TimedPlan, exhaustive: &TimedPlan) {
         candidates_per_s(exhaustive),
         exhaustive.wall_ms / pruned.wall_ms,
         pruned.report.digest_hex()
-    );
+    )
 }
 
-fn main() {
-    let mut json_path = "BENCH_plan.json".to_string();
-    let mut par = Parallelism::auto();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {name} requires a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--json" => json_path = value("--json"),
-            "--threads" => {
-                let threads: usize = value("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("error: bad --threads value");
-                    std::process::exit(2);
-                });
-                par = Parallelism::with_threads(threads);
-            }
-            other => {
-                eprintln!("error: unknown argument `{other}`");
-                eprintln!("usage: plan_search [--json PATH] [--threads N]");
-                std::process::exit(2);
-            }
-        }
-    }
-
+/// Times the golden plan and both throughput variants with `par`.
+/// Returns the `BENCH_plan.json` document and the summary printed beside
+/// it: the golden, wide and deep lines with their digests.
+pub fn run(par: Parallelism) -> (String, String) {
     // The golden scenario, whose frontier is a committed artifact.
     let golden_spec = PlanSpec::parse(GOLDEN_PLAN_SPEC).expect("golden spec parses");
     let golden = timed_plan(&golden_spec, par, false);
@@ -191,18 +163,16 @@ fn main() {
         .field("deep", variant_json(&deep_pruned, &deep_exhaustive))
         .finish()
         + "\n";
-    std::fs::write(&json_path, &json).expect("write BENCH_plan.json");
-
-    println!(
-        "golden plan: {} candidates, {} feasible, {:.1} ms, digest {}",
+    let mut summary = format!(
+        "golden plan: {} candidates, {} feasible, {:.1} ms, digest {}\n",
         golden.report.candidates_total,
         golden.report.frontier.len(),
         golden.wall_ms,
         golden.report.digest_hex()
     );
     if let Some(w) = golden.report.winner() {
-        println!(
-            "  winner: {} ({} chip(s), {}, {}) — {:.3} mJ/req, p99 {:.4} ms",
+        summary += &format!(
+            "  winner: {} ({} chip(s), {}, {}) — {:.3} mJ/req, p99 {:.4} ms\n",
             w.fleet_label,
             w.chips,
             w.policy_label,
@@ -211,7 +181,7 @@ fn main() {
             w.p99_ms
         );
     }
-    print_variant("wide", &wide_pruned, &wide_exhaustive);
-    print_variant("deep", &deep_pruned, &deep_exhaustive);
-    println!("wrote {json_path}");
+    summary += &variant_line("wide", &wide_pruned, &wide_exhaustive);
+    summary += &variant_line("deep", &deep_pruned, &deep_exhaustive);
+    (json, summary)
 }

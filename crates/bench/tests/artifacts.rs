@@ -5,7 +5,7 @@
 //! here and names the file. Regenerate with:
 //!
 //! ```text
-//! cargo run --release -p albireo-bench --bin export_csv
+//! cargo run --release -p albireo-cli -- export-csv
 //! ```
 
 use albireo_baselines::{reported_accelerators, Accelerator};
@@ -41,7 +41,7 @@ fn every_artifact_regenerates_byte_exactly() {
     assert!(
         stale.is_empty(),
         "diverged from results/: {}; if the change is intentional, regenerate with \
-         `cargo run --release -p albireo-bench --bin export_csv`",
+         `cargo run --release -p albireo-cli -- export-csv`",
         stale.join(", ")
     );
 }

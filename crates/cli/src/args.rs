@@ -1,82 +1,77 @@
-//! Minimal dependency-free argument parsing: `--key value` flags and
-//! positional arguments.
+//! Minimal dependency-free argument parsing: `--key value` options,
+//! `--switch` flags and positionals, each declared by the command's row
+//! of [`COMMANDS`](crate::commands::COMMANDS) or by the global set. An
+//! undeclared option or switch, or a surplus positional, is a usage
+//! error.
 
+use crate::commands::{CliError, Command};
 use std::collections::BTreeMap;
 
-/// Parsed command-line arguments: positionals in order plus `--key value`
-/// options.
+/// Value options every command accepts: `--threads N`, `--profile FILE`.
+pub const GLOBAL_OPTIONS: &str = "threads profile";
+
+/// Switches every command accepts: `--help` prints the command's usage
+/// instead of running it, `--wall-clock` stamps trace events with wall
+/// time.
+pub const GLOBAL_SWITCHES: &str = "help wall-clock";
+
+/// Whether the space-separated flag `list` names `key`.
+fn declares(list: &str, key: &str) -> bool {
+    list.split_whitespace().any(|flag| flag == key)
+}
+
+/// One command line parsed against its command's row: positionals in
+/// order, `--key value` options and `--switch` flags.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Args {
     positionals: Vec<String>,
     options: BTreeMap<String, String>,
-    flags: Vec<String>,
+    switches: Vec<String>,
 }
 
-/// Errors produced while parsing or reading arguments.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArgError {
-    /// A `--key` was given without a value.
-    MissingValue(String),
-    /// A required option was not provided.
-    MissingOption(String),
-    /// A value failed to parse.
-    Invalid {
-        /// The option name.
-        option: String,
-        /// The rejected value.
-        value: String,
-        /// What was expected.
-        expected: &'static str,
-    },
+fn invalid(option: &str, value: &str, expected: &str) -> CliError {
+    CliError::Usage(format!(
+        "invalid value `{value}` for --{option}: expected {expected}"
+    ))
 }
-
-impl std::fmt::Display for ArgError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArgError::MissingValue(k) => write!(f, "option --{k} requires a value"),
-            ArgError::MissingOption(k) => write!(f, "missing required option --{k}"),
-            ArgError::Invalid {
-                option,
-                value,
-                expected,
-            } => write!(
-                f,
-                "invalid value `{value}` for --{option}: expected {expected}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ArgError {}
-
-/// Boolean flags recognized without values.
-const BOOL_FLAGS: &[&str] = &[
-    "no-stride-penalty",
-    "compensate",
-    "help",
-    "json",
-    "wall-clock",
-    "exhaustive",
-];
 
 impl Args {
-    /// Parses a raw argument list (excluding the program/subcommand names).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Args, ArgError> {
+    /// Parses the arguments after the command name against `command`'s
+    /// declared options, switches and positional arity.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        command: &Command,
+        args: I,
+    ) -> Result<Args, CliError> {
+        let name = command.name;
         let mut out = Args::default();
-        let mut iter = args.into_iter().peekable();
+        let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
-            if let Some(key) = arg.strip_prefix("--") {
-                if BOOL_FLAGS.contains(&key) {
-                    out.flags.push(key.to_string());
-                } else {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| ArgError::MissingValue(key.to_string()))?;
-                    out.options.insert(key.to_string(), value);
-                }
-            } else {
+            let Some(key) = arg.strip_prefix("--") else {
                 out.positionals.push(arg);
+                continue;
+            };
+            if declares(command.switches, key) || declares(GLOBAL_SWITCHES, key) {
+                out.switches.push(key.to_string());
+            } else if declares(command.options, key) || declares(GLOBAL_OPTIONS, key) {
+                let value = iter
+                    .next()
+                    .ok_or_else(|| CliError::Usage(format!("option --{key} requires a value")))?;
+                out.options.insert(key.to_string(), value);
+            } else {
+                return Err(CliError::Usage(format!("`{name}` has no option --{key}")));
             }
+        }
+        let (min, max) = command.positionals;
+        if let Some(extra) = out.positionals.get(max) {
+            return Err(CliError::Usage(format!(
+                "unexpected argument `{extra}`: `{name}` takes at most {max}"
+            )));
+        }
+        if out.positionals.len() < min && !out.flag("help") {
+            return Err(CliError::Usage(format!(
+                "`{name}` needs {min} argument(s), got {}",
+                out.positionals.len()
+            )));
         }
         Ok(out)
     }
@@ -86,9 +81,9 @@ impl Args {
         &self.positionals
     }
 
-    /// Whether a boolean flag was given.
+    /// Whether a switch was given.
     pub fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
+        self.switches.iter().any(|f| f == name)
     }
 
     /// An optional string option.
@@ -101,35 +96,37 @@ impl Args {
         self.get(name).unwrap_or(default)
     }
 
+    /// A required string option.
+    pub fn require(&self, name: &str) -> Result<&str, CliError> {
+        self.get(name)
+            .ok_or_else(|| CliError::Usage(format!("missing required option --{name}")))
+    }
+
     /// A parsed numeric option with a default.
     pub fn get_parsed_or<T: std::str::FromStr>(
         &self,
         name: &str,
         default: T,
         expected: &'static str,
-    ) -> Result<T, ArgError> {
+    ) -> Result<T, CliError> {
         Ok(self.get_where(name, expected, |_| true)?.unwrap_or(default))
     }
 
     /// An optional parsed option that must satisfy `ok`; a value that
-    /// does not parse, or parses outside `ok`, is reported as
-    /// `Invalid` with the `expected` description.
+    /// does not parse, or parses outside `ok`, is a usage error naming
+    /// the `expected` description.
     pub fn get_where<T: std::str::FromStr>(
         &self,
         name: &str,
         expected: &'static str,
         ok: impl Fn(&T) -> bool,
-    ) -> Result<Option<T>, ArgError> {
+    ) -> Result<Option<T>, CliError> {
         let Some(raw) = self.get(name) else {
             return Ok(None);
         };
         match raw.parse() {
             Ok(v) if ok(&v) => Ok(Some(v)),
-            _ => Err(ArgError::Invalid {
-                option: name.to_string(),
-                value: raw.to_string(),
-                expected,
-            }),
+            _ => Err(invalid(name, raw, expected)),
         }
     }
 
@@ -138,21 +135,19 @@ impl Args {
         &self,
         name: &str,
         expected: &'static str,
-    ) -> Result<Option<Vec<T>>, ArgError> {
-        match self.get(name) {
-            None => Ok(None),
-            Some(raw) => raw
-                .split(',')
-                .map(|piece| {
-                    piece.trim().parse().map_err(|_| ArgError::Invalid {
-                        option: name.to_string(),
-                        value: piece.to_string(),
-                        expected,
-                    })
-                })
-                .collect::<Result<Vec<T>, ArgError>>()
-                .map(Some),
-        }
+    ) -> Result<Option<Vec<T>>, CliError> {
+        let Some(raw) = self.get(name) else {
+            return Ok(None);
+        };
+        raw.split(',')
+            .map(|piece| {
+                piece
+                    .trim()
+                    .parse()
+                    .map_err(|_| invalid(name, piece, expected))
+            })
+            .collect::<Result<Vec<T>, CliError>>()
+            .map(Some)
     }
 }
 
@@ -160,8 +155,27 @@ impl Args {
 mod tests {
     use super::*;
 
+    fn no_run(_: &Args) -> Result<String, CliError> {
+        Ok(String::new())
+    }
+
+    const ROW: Command = Command {
+        name: "demo",
+        usage: "",
+        positionals: (0, 1),
+        options: "estimate ng k2 values",
+        switches: "no-stride-penalty",
+        run: no_run,
+    };
+
     fn parse(args: &[&str]) -> Args {
-        Args::parse(args.iter().map(|s| s.to_string())).unwrap()
+        Args::parse(&ROW, args.iter().map(|s| s.to_string())).unwrap()
+    }
+
+    fn parse_err(args: &[&str]) -> String {
+        Args::parse(&ROW, args.iter().map(|s| s.to_string()))
+            .unwrap_err()
+            .to_string()
     }
 
     #[test]
@@ -170,6 +184,8 @@ mod tests {
         assert_eq!(a.positionals(), &["vgg16".to_string()]);
         assert_eq!(a.get("estimate"), Some("moderate"));
         assert_eq!(a.get_parsed_or("ng", 9usize, "int").unwrap(), 27);
+        let err = parse_err(&["vgg16", "resnet18"]);
+        assert!(err.contains("`resnet18`"), "{err}");
     }
 
     #[test]
@@ -181,10 +197,14 @@ mod tests {
 
     #[test]
     fn bool_flags() {
-        let a = parse(&["--no-stride-penalty", "--k2", "0.02"]);
+        let a = parse(&["--no-stride-penalty", "--k2", "0.02", "--wall-clock"]);
         assert!(a.flag("no-stride-penalty"));
-        assert!(!a.flag("compensate"));
+        assert!(a.flag("wall-clock"));
+        assert!(!a.flag("help"));
         assert_eq!(a.get("k2"), Some("0.02"));
+        // A switch the row does not declare is refused, not swallowed.
+        let err = parse_err(&["--compensate"]);
+        assert!(err.contains("`demo` has no option --compensate"), "{err}");
     }
 
     #[test]
@@ -196,8 +216,8 @@ mod tests {
 
     #[test]
     fn missing_value_is_error() {
-        let err = Args::parse(["--ng".to_string()]).unwrap_err();
-        assert!(matches!(err, ArgError::MissingValue(k) if k == "ng"));
+        let err = parse_err(&["--ng"]);
+        assert!(err.contains("option --ng requires a value"), "{err}");
     }
 
     #[test]
@@ -207,5 +227,6 @@ mod tests {
             .get_parsed_or("ng", 9usize, "a positive integer")
             .unwrap_err();
         assert!(err.to_string().contains("lots"));
+        assert_eq!(err.exit_code(), 2);
     }
 }

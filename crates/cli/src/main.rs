@@ -11,7 +11,7 @@
 mod args;
 mod commands;
 
-use args::Args;
+use commands::CliError;
 
 /// Every diagnostic leaves through this one formatter: a fixed header
 /// carrying the obs schema version and the run's seed (`seed=none` when
@@ -25,31 +25,20 @@ fn diagnostic(seed: Option<&str>, message: &dyn std::fmt::Display) -> String {
     )
 }
 
+/// Prints `error` through [`diagnostic`] and exits with its code.
+fn fail(seed: Option<&str>, error: CliError) -> ! {
+    eprintln!("{}", diagnostic(seed, &error));
+    if error.is_usage() {
+        eprintln!("run `albireo help` for usage");
+    }
+    std::process::exit(error.exit_code());
+}
+
 fn main() {
-    let mut raw = std::env::args().skip(1);
-    let command = match raw.next() {
-        Some(c) => c,
-        None => {
-            print!("{}", commands::USAGE);
-            return;
-        }
-    };
-    let parsed = match Args::parse(raw) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{}", diagnostic(None, &e));
-            std::process::exit(2);
-        }
-    };
-    let seed = parsed.get("seed").map(str::to_string);
-    match commands::dispatch(&command, &parsed) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (command, args) = commands::parse(&argv).unwrap_or_else(|e| fail(None, e));
+    match commands::run(command, &args) {
         Ok(output) => print!("{output}"),
-        Err(e) => {
-            eprintln!("{}", diagnostic(seed.as_deref(), &e));
-            if e.is_usage() {
-                eprintln!("run `albireo help` for usage");
-            }
-            std::process::exit(e.exit_code());
-        }
+        Err(e) => fail(args.get("seed"), e),
     }
 }

@@ -366,8 +366,8 @@ fn serve_chip_failure_degrades_without_error() {
         "300",
         "--rate",
         "4000",
-        "--fail",
-        "1@0.01",
+        "--faults",
+        "fail:1@0.01",
     ]);
     assert!(ok, "a mid-run chip failure must not error: {stdout}");
     assert!(stdout.contains("OFFLINE"), "{stdout}");
@@ -595,4 +595,91 @@ fn malformed_trace_jsonl_lines_exit_2_naming_file_and_line() {
         assert!(stderr.contains(expected), "{stderr}");
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// The command names in the COMMANDS section of `albireo help`: the
+/// lines indented by exactly four spaces.
+fn command_names() -> Vec<String> {
+    let (help, _, ok) = run(&["help"]);
+    assert!(ok);
+    let section = help.split("COMMANDS:\n").nth(1).unwrap();
+    let section = section.split("\n\n").next().unwrap();
+    section
+        .lines()
+        .filter_map(|l| l.strip_prefix("    "))
+        .filter(|l| !l.starts_with(' '))
+        .map(|l| l.split_whitespace().next().unwrap().to_string())
+        .collect()
+}
+
+#[test]
+fn every_command_refuses_an_undeclared_option() {
+    let names = command_names();
+    assert_eq!(names.len(), 19, "{names:?}");
+    for name in names {
+        let (code, stderr) = run_failing(&[&name, "--bogus", "1"]);
+        assert_eq!(code, 2, "{name}: {stderr}");
+        assert!(
+            stderr.contains(&format!("`{name}` has no option --bogus")),
+            "{name}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn misspelled_flags_and_surplus_positionals_exit_2() {
+    for argv in [
+        &["serve", "--reqests", "5"][..],
+        &["serve", "--jsno", "--requests", "5"],
+        &["evaluate", "vgg16", "resnet18"],
+        &["perf-diff", "a", "b", "c"],
+        &["networks", "x"],
+        &["evaluate"],
+    ] {
+        let (code, stderr) = run_failing(argv);
+        assert_eq!(code, 2, "{argv:?}: {stderr}");
+    }
+    let (_, stderr) = run_failing(&["evaluate", "vgg16", "resnet18"]);
+    assert!(
+        stderr.contains("unexpected argument `resnet18`"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn command_help_prints_usage_and_runs_nothing() {
+    let out = std::env::temp_dir().join(format!("albireo_help_{}.txt", std::process::id()));
+    let path = out.to_str().unwrap();
+    let (stdout, stderr, ok) = run(&["serve", "--help", "--out", path]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("    serve      [--requests N]"), "{stdout}");
+    assert!(stdout.contains("[--faults SPEC]"), "{stdout}");
+    assert!(!stdout.contains("COMMANDS"), "only the serve row: {stdout}");
+    assert!(!out.exists(), "--help must not run the command");
+    for name in command_names() {
+        let (stdout, stderr, ok) = run(&[&name, "--help"]);
+        assert!(ok, "{name}: {stderr}");
+        assert!(
+            stdout.starts_with(&format!("    {name} ")),
+            "{name}: {stdout}"
+        );
+    }
+}
+
+#[test]
+fn plan_spec_refuses_every_shape_option() {
+    let spec = "rate=2000;slo=p99<5ms;chips=albireo_9:C;requests=50;screen=10";
+    let (code, stderr) = run_failing(&["plan", "--spec", spec, "--trace-jsonl", "t.jsonl"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("drop --trace-jsonl"), "{stderr}");
+}
+
+#[test]
+fn serve_refuses_a_fault_clause_naming_no_chip() {
+    let (code, stderr) = run_failing(&["serve", "--requests", "5", "--faults", "fail:7@0"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(
+        stderr.contains("names no chip of the 2-chip fleet"),
+        "{stderr}"
+    );
 }

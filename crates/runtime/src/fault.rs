@@ -296,45 +296,31 @@ impl FaultSpec {
         Ok(FaultSpec { clauses })
     }
 
-    /// Appends the entries of one of `serve`'s per-chip fault flags —
-    /// `--fail` and `--recover` take `CHIP@T,...`, `--degrade` takes
-    /// `CHIP:N@T,...` — as the matching `fail:`/`recover:`/`degrade:`
-    /// clauses. Unlike spec clauses, which a planner clips per fleet,
-    /// these name chips of one concrete fleet, so a chip index outside
-    /// the `fleet_size`-chip fleet is an error.
-    pub fn with_flag(
-        mut self,
-        flag: &'static str,
-        list: &str,
-        fleet_size: usize,
-    ) -> Result<FaultSpec, String> {
-        let mut entries = Lexer::new(flag, list, ',');
-        while let Some(entry) = entries.next() {
-            if entry.is_empty() {
-                continue;
-            }
-            let mut lx = entries.split(entry, '@');
-            let chip_sep = if flag == "--degrade" { ':' } else { '@' };
-            let chip: usize = lx.to(chip_sep).field("chip index")?;
-            if chip >= fleet_size {
-                return Err(entries.reject(
-                    entry,
-                    format_args!("chip index {chip} outside the {fleet_size}-chip fleet"),
+    /// Refuses a clause that names no chip of a `fleet_size`-chip fleet:
+    /// a single-chip clause at or past `fleet_size`, or a `rack:` or
+    /// `thermal:` range that starts past it. A range overlapping the
+    /// fleet passes, since [`FaultSpec::compile`] clips it; `crews:`
+    /// names no chip.
+    pub fn check_fleet(&self, fleet_size: usize) -> Result<(), String> {
+        for clause in &self.clauses {
+            let first = match *clause {
+                FaultClause::Fail { chip, .. }
+                | FaultClause::Recover { chip, .. }
+                | FaultClause::Degrade { chip, .. } => chip,
+                FaultClause::Rack { from, .. } | FaultClause::Thermal { from, .. } => from,
+                FaultClause::Crews { .. } => continue,
+            };
+            if first >= fleet_size {
+                let clause = FaultSpec {
+                    clauses: vec![clause.clone()],
+                };
+                return Err(format!(
+                    "fault clause `{clause}` names no chip of the {fleet_size}-chip fleet \
+                     (chip indices are < {fleet_size})"
                 ));
             }
-            let count = match flag {
-                "--degrade" => lx.nonzero("PLCG count")?,
-                _ => 0,
-            };
-            let at_s = lx.non_negative("time in s")?;
-            lx.end()?;
-            self.clauses.push(match flag {
-                "--fail" => FaultClause::Fail { chip, at_s },
-                "--recover" => FaultClause::Recover { chip, at_s },
-                _ => FaultClause::Degrade { chip, at_s, count },
-            });
         }
-        Ok(self)
+        Ok(())
     }
 
     /// Expands the spec against a concrete fleet of `fleet_size` chips.
@@ -651,26 +637,32 @@ mod tests {
     }
 
     #[test]
-    fn cli_flags_lower_to_the_matching_clauses() {
-        let flags = FaultSpec::none()
-            .with_flag("--fail", "1@0.005", 2)
-            .and_then(|s| s.with_flag("--degrade", " 0:4@0.002 ,", 2))
-            .unwrap();
-        let spec = FaultSpec::parse("fail:1@0.005,degrade:0@0.002:4").unwrap();
-        assert_eq!(flags, spec);
-        let err = FaultSpec::none()
-            .with_flag("--fail", "7@0.1", 2)
-            .unwrap_err();
+    fn check_fleet_refuses_clauses_naming_no_chip() {
+        let check = |spec: &str| FaultSpec::parse(spec).unwrap().check_fleet(2);
+        let err = check("fail:7@0.1").unwrap_err();
         assert!(
-            err.contains("chip index 7 outside the 2-chip fleet"),
+            err.contains("`fail:7@0.1` names no chip of the 2-chip fleet"),
             "{err}"
         );
-        for (flag, bad) in [
-            ("--degrade", "0:0@0.1"),
-            ("--fail", "0"),
-            ("--recover", "0@-1"),
+        for bad in [
+            "fail:2@0",
+            "recover:2@0.1",
+            "degrade:5@0.1:1",
+            "rack:2-5@0",
+            "thermal:3-4@0-1:2",
+            "crews:1:0.5:7,fail:9@0",
         ] {
-            assert!(FaultSpec::none().with_flag(flag, bad, 2).is_err(), "{bad}");
+            assert!(check(bad).is_err(), "accepted `{bad}`");
+        }
+        // Ranges overlapping the fleet are clipped by `compile` instead.
+        for ok in [
+            "fail:1@0",
+            "rack:1-7@0",
+            "thermal:0-3@60-90:2",
+            "crews:2:20:11",
+            "",
+        ] {
+            assert_eq!(check(ok), Ok(()), "{ok}");
         }
     }
 
