@@ -6,8 +6,10 @@
 //! The grid crosses channel allocation, crosstalk compensation, noise,
 //! crosstalk and the three-fault set with shapes that cover strides 1, 2
 //! and 4, padding 0 to 2, kernels from 1×1 to 11×11 (so both row-band and
-//! column-chunk decomposition run) and 1, 2 and depthwise groups. A kernel
-//! change that moves a single output bit on any branch fails here.
+//! column-chunk decomposition run) and 1, 2 and depthwise groups. A second
+//! shape list pins the edges of the output tiling — a single output row, a
+//! block narrower than Nd under a tall tile — and exact `±0.0` weights. A
+//! kernel change that moves a single output bit on any branch fails here.
 
 use albireo_core::analog::{AnalogEngine, AnalogSimConfig, ChannelAllocation, Fault, FaultSet};
 use albireo_core::config::ChipConfig;
@@ -67,13 +69,46 @@ const SHAPES: [Shape; 8] = [
     shape((4, 9, 9), 4, 3, (4, 2, 4)),
 ];
 
-/// The operands of every shape, drawn from a fixed per-shape stream.
-fn cases() -> Vec<(Tensor3, Tensor4, ConvSpec, usize)> {
-    SHAPES
+/// Shapes at the edges of the rail kernel's output tiling, all dense 3×3
+/// at stride 1 in one group.
+const EDGE_SHAPES: [Shape; 3] = [
+    // One output row (`by = 1`) and a short last Nd block.
+    shape((4, 3, 11), 3, 3, (1, 0, 1)),
+    // One block narrower than Nd (`bx = 3`) under a tall tile (`by = 8`).
+    shape((4, 8, 3), 2, 3, (1, 1, 1)),
+    // Two full Nd blocks and a short one; `edge_cases` plants exact
+    // zero weights in it.
+    shape((5, 6, 12), 2, 3, (1, 1, 1)),
+];
+
+/// The operands of [`EDGE_SHAPES`]. The last shape's kernels get signed
+/// zeros outside any decomposition mask: every 4th weight becomes `0.0`
+/// and every 7th of the rest `-0.0`.
+fn edge_cases() -> Vec<(Tensor3, Tensor4, ConvSpec, usize)> {
+    let mut cases = cases(&EDGE_SHAPES, 0xED6E);
+    let kernels = &mut cases[2].1;
+    let mut rest = 0;
+    for (i, w) in kernels.as_mut_slice().iter_mut().enumerate() {
+        if i % 4 == 3 {
+            *w = 0.0;
+        } else {
+            rest += 1;
+            if rest % 7 == 0 {
+                *w = -0.0;
+            }
+        }
+    }
+    cases
+}
+
+/// The operands of every shape, drawn from a fixed per-shape stream
+/// seeded at `seed + i`.
+fn cases(shapes: &[Shape], seed: u64) -> Vec<(Tensor3, Tensor4, ConvSpec, usize)> {
+    shapes
         .iter()
         .enumerate()
         .map(|(i, s)| {
-            let mut rng = StdRng::seed_from_u64(0xB175 + i as u64);
+            let mut rng = StdRng::seed_from_u64(seed + i as u64);
             let input = Tensor3::random_uniform(s.depth, s.height, s.width, 0.0, 1.0, &mut rng);
             let kernels = Tensor4::random_gaussian(
                 s.kernels,
@@ -222,10 +257,80 @@ const PINNED: &[(&str, u64)] = &[
     ("interleaved a63 c1 n1 x1 f1", 0x23267c2681d159bc),
 ];
 
-#[test]
-fn conv2d_grouped_bits_match_the_pinned_digests() {
+/// The same fold over [`edge_cases`], recorded from the per-cycle rail
+/// kernel.
+const EDGE_PINNED: &[(&str, u64)] = &[
+    ("contiguous a8 c0 n0 x0 f0", 0xffb7a9cec0e4032e),
+    ("contiguous a8 c0 n0 x0 f1", 0x3caace6015fe4934),
+    ("contiguous a8 c0 n0 x1 f0", 0x9fd77c93c4a92cc7),
+    ("contiguous a8 c0 n0 x1 f1", 0x3511cf7d9dd31cb7),
+    ("contiguous a8 c0 n1 x0 f0", 0xec6bfe8d737a64df),
+    ("contiguous a8 c0 n1 x0 f1", 0x5fe856aab775dbed),
+    ("contiguous a8 c0 n1 x1 f0", 0x30a709f97827b7e7),
+    ("contiguous a8 c0 n1 x1 f1", 0x752d7d773a61577e),
+    ("contiguous a8 c1 n0 x0 f0", 0xffb7a9cec0e4032e),
+    ("contiguous a8 c1 n0 x0 f1", 0x3caace6015fe4934),
+    ("contiguous a8 c1 n0 x1 f0", 0x59e1a2cb45e8bb9d),
+    ("contiguous a8 c1 n0 x1 f1", 0xe18973141b32820c),
+    ("contiguous a8 c1 n1 x0 f0", 0xec6bfe8d737a64df),
+    ("contiguous a8 c1 n1 x0 f1", 0x5fe856aab775dbed),
+    ("contiguous a8 c1 n1 x1 f0", 0x8d8f720db2ef1c4c),
+    ("contiguous a8 c1 n1 x1 f1", 0x89370cf2c8820f6c),
+    ("contiguous a63 c0 n0 x0 f0", 0x122c48c298514298),
+    ("contiguous a63 c0 n0 x0 f1", 0x64ad82001f33da9d),
+    ("contiguous a63 c0 n0 x1 f0", 0x63b60c619a14a7f0),
+    ("contiguous a63 c0 n0 x1 f1", 0xb56e50f4af9e5d8e),
+    ("contiguous a63 c0 n1 x0 f0", 0xe06b7eaca4f34b4c),
+    ("contiguous a63 c0 n1 x0 f1", 0x9a7044c1fe17a742),
+    ("contiguous a63 c0 n1 x1 f0", 0xff9df4350ee66ce4),
+    ("contiguous a63 c0 n1 x1 f1", 0x7814bf4920158939),
+    ("contiguous a63 c1 n0 x0 f0", 0x122c48c298514298),
+    ("contiguous a63 c1 n0 x0 f1", 0x64ad82001f33da9d),
+    ("contiguous a63 c1 n0 x1 f0", 0x6969063f3fa93304),
+    ("contiguous a63 c1 n0 x1 f1", 0x604a95883a235803),
+    ("contiguous a63 c1 n1 x0 f0", 0xe06b7eaca4f34b4c),
+    ("contiguous a63 c1 n1 x0 f1", 0x9a7044c1fe17a742),
+    ("contiguous a63 c1 n1 x1 f0", 0x13b7a0623e7e38e0),
+    ("contiguous a63 c1 n1 x1 f1", 0xb1c36e49db24de3c),
+    ("interleaved a8 c0 n0 x0 f0", 0xffb7a9cec0e4032e),
+    ("interleaved a8 c0 n0 x0 f1", 0x3caace6015fe4934),
+    ("interleaved a8 c0 n0 x1 f0", 0xc9e01f9d8e1f09c5),
+    ("interleaved a8 c0 n0 x1 f1", 0x658567642a0e1ac8),
+    ("interleaved a8 c0 n1 x0 f0", 0xec6bfe8d737a64df),
+    ("interleaved a8 c0 n1 x0 f1", 0x5fe856aab775dbed),
+    ("interleaved a8 c0 n1 x1 f0", 0xeb2470542a97db3f),
+    ("interleaved a8 c0 n1 x1 f1", 0x5fe856aab775dbed),
+    ("interleaved a8 c1 n0 x0 f0", 0xffb7a9cec0e4032e),
+    ("interleaved a8 c1 n0 x0 f1", 0x3caace6015fe4934),
+    ("interleaved a8 c1 n0 x1 f0", 0x76c5a0482bfaf23d),
+    ("interleaved a8 c1 n0 x1 f1", 0x8b922671c55fd103),
+    ("interleaved a8 c1 n1 x0 f0", 0xec6bfe8d737a64df),
+    ("interleaved a8 c1 n1 x0 f1", 0x5fe856aab775dbed),
+    ("interleaved a8 c1 n1 x1 f0", 0x2f40541b430ff15e),
+    ("interleaved a8 c1 n1 x1 f1", 0xc4ad1052e8773467),
+    ("interleaved a63 c0 n0 x0 f0", 0x122c48c298514298),
+    ("interleaved a63 c0 n0 x0 f1", 0x64ad82001f33da9d),
+    ("interleaved a63 c0 n0 x1 f0", 0xe6683e5562854a3d),
+    ("interleaved a63 c0 n0 x1 f1", 0x518c251fd8935e36),
+    ("interleaved a63 c0 n1 x0 f0", 0xe06b7eaca4f34b4c),
+    ("interleaved a63 c0 n1 x0 f1", 0x9a7044c1fe17a742),
+    ("interleaved a63 c0 n1 x1 f0", 0x78cd3aedccc2ca69),
+    ("interleaved a63 c0 n1 x1 f1", 0x30d1815ba20777ac),
+    ("interleaved a63 c1 n0 x0 f0", 0x122c48c298514298),
+    ("interleaved a63 c1 n0 x0 f1", 0x64ad82001f33da9d),
+    ("interleaved a63 c1 n0 x1 f0", 0x8bb988573ed86a5f),
+    ("interleaved a63 c1 n0 x1 f1", 0x31b100ea169f1536),
+    ("interleaved a63 c1 n1 x0 f0", 0xe06b7eaca4f34b4c),
+    ("interleaved a63 c1 n1 x0 f1", 0x9a7044c1fe17a742),
+    ("interleaved a63 c1 n1 x1 f0", 0x214697fad736570a),
+    ("interleaved a63 c1 n1 x1 f1", 0x9b16f45ec3e9d6bc),
+];
+
+/// Folds every output bit of `cases` under each configuration of the
+/// grid, at one and at two threads, and asserts each digest equals its
+/// `pinned` entry; a mismatch prints the replacement lines.
+fn check_digests(cases: &[(Tensor3, Tensor4, ConvSpec, usize)], pinned: &[(&str, u64)]) {
     let chip = ChipConfig::albireo_9();
-    let cases = cases();
     let grid = grid();
     let configurations = grid.len();
     let mut mismatches = Vec::new();
@@ -244,7 +349,7 @@ fn conv2d_grouped_bits_match_the_pinned_digests() {
                     })
             })
             .collect();
-        let pinned = PINNED.iter().find(|(l, _)| *l == label).map(|p| p.1);
+        let pinned = pinned.iter().find(|(l, _)| *l == label).map(|p| p.1);
         if digests.iter().any(|&d| Some(d) != pinned) {
             mismatches.push(format!(
                 "    (\"{label}\", 0x{:016x}), // at 1 and 2 threads: {digests:016x?}, pinned {pinned:016x?}",
@@ -258,5 +363,15 @@ fn conv2d_grouped_bits_match_the_pinned_digests() {
         mismatches.len(),
         mismatches.join("\n")
     );
-    assert_eq!(PINNED.len(), configurations, "one pinned digest each");
+    assert_eq!(pinned.len(), configurations, "one pinned digest each");
+}
+
+#[test]
+fn conv2d_grouped_bits_match_the_pinned_digests() {
+    check_digests(&cases(&SHAPES, 0xB175), PINNED);
+}
+
+#[test]
+fn edge_shape_bits_match_the_pinned_digests() {
+    check_digests(&edge_cases(), EDGE_PINNED);
 }
