@@ -421,6 +421,10 @@ impl AnalogEngine {
     /// engine's [`Parallelism`] policy; each `(kernel, output row)` pair
     /// draws noise from its own seed-derived generator, so the output is
     /// bit-identical at any thread count.
+    ///
+    /// Inside a work item the loop is weight-stationary, as the PLCU is:
+    /// Nd-block → Nu-group → channel → weight, and each weight sweeps the
+    /// block's fields in every output row at once ([`ConvPlan::tile_rails`]).
     fn conv2d_inner(
         &self,
         input: &Tensor3,
@@ -450,79 +454,80 @@ impl AnalogEngine {
             return out;
         }
         let plan = ConvPlan::new(self, input, kernels, spec, (a_max, w_max));
-        let nd_eff = plan.nd_eff;
+        let (nd_eff, row_len) = (plan.nd_eff, plan.row_len);
         let nu = self.chip.nu;
         let scale = a_max * w_max;
         let full_scale_terms = nm_cap * nu;
-        // The plan holds a crosstalk-off plane exactly when compensating.
-        let compensate = !plan.ideal.is_empty();
+        let leak = plan.leak.as_deref();
 
         self.par
             .fill_slices(out.as_mut_slice(), (by * bx).max(1), |m, outputs| {
-                // Scratch for every PLCU cycle of this kernel, indexed by
-                // receptive field.
-                let mut rails = vec![(0.0, 0.0); nd_eff];
-                let mut ideal = vec![(0.0, 0.0); nd_eff];
-                let mut p_pos = vec![0.0; nd_eff];
-                let mut p_neg = vec![0.0; nd_eff];
-                // Predicted crosstalk excess (signed rail power) for digital
-                // pre-compensation.
-                let mut excess = vec![0.0; nd_eff];
-                let mut totals = vec![0.0; nd_eff];
-                for yb in 0..by {
-                    let mut rng = self.item_rng(pass, m, yb);
-                    for block in 0..plan.blocks {
-                        let xb = block * nd_eff;
-                        let cols = nd_eff.min(bx - xb);
-                        let totals = &mut totals[..cols];
-                        totals.fill(0.0);
-                        // Depth-first aggregation over Nu-channel groups.
-                        let mut z0 = 0;
-                        while z0 < az {
-                            let group = nu.min(az - z0);
-                            let (p_pos, p_neg) = (&mut p_pos[..cols], &mut p_neg[..cols]);
-                            let excess = &mut excess[..cols];
-                            p_pos.fill(0.0);
-                            p_neg.fill(0.0);
-                            excess.fill(0.0);
-                            // One wall-clock scope per Nu-group: the MRR/MZM
-                            // transfer of the group's PLCU cycles.
-                            let rails_prof = albireo_obs::profile::scope("analog.rails");
-                            for z in z0..z0 + group {
-                                let cycle = Cycle { m, z, yb, block };
-                                let rails = &mut rails[..cols];
-                                plan.rails(false, cycle, rails);
-                                if compensate {
-                                    let ideal = &mut ideal[..cols];
-                                    plan.rails(true, cycle, ideal);
-                                    for (e, ((p, n), (pi, ni))) in
-                                        excess.iter_mut().zip(rails.iter().zip(ideal.iter()))
-                                    {
-                                        *e += (p - n) - (pi - ni);
-                                    }
-                                }
-                                for (d, (p, n)) in rails.iter().enumerate() {
-                                    // Currents from corresponding PDs across the
-                                    // group's PLCUs add in the analog domain.
-                                    p_pos[d] += p;
-                                    p_neg[d] += n;
+                // Every output row's noise stream. Each draws in its own
+                // (block, Nu-group, field) order, so interleaving the rows
+                // moves no sample.
+                let mut rngs: Vec<StdRng> = (0..by).map(|yb| self.item_rng(pass, m, yb)).collect();
+                // Scratch tiles for one block of every output row, `[yb][t]`:
+                // field `d` of row `yb` is lane `yb·row_len + d`, and lanes
+                // `t ≥ cols` are never read. `excess` is the predicted
+                // crosstalk (signed rail power) for digital pre-compensation.
+                let mut scratch = vec![0.0; 8 * by * row_len];
+                let mut tiles = scratch.chunks_exact_mut(by * row_len);
+                let [pos, neg, ideal_pos, ideal_neg, p_pos, p_neg, excess, totals] =
+                    std::array::from_fn(|_| tiles.next().expect("eight tiles"));
+                for block in 0..plan.blocks {
+                    let xb = block * nd_eff;
+                    let cols = nd_eff.min(bx - xb);
+                    totals.fill(0.0);
+                    // Depth-first aggregation over Nu-channel groups.
+                    let mut z0 = 0;
+                    while z0 < az {
+                        let group = nu.min(az - z0);
+                        p_pos.fill(0.0);
+                        p_neg.fill(0.0);
+                        excess.fill(0.0);
+                        // One wall-clock scope per (block, Nu-group): the
+                        // MRR/MZM transfer of the group's PLCU cycles in
+                        // every output row.
+                        let rails_prof = albireo_obs::profile::scope("analog.rails");
+                        for z in z0..z0 + group {
+                            let cycle = (m, z, block, cols);
+                            plan.tile_rails(&plan.plane, leak, cycle, pos, neg);
+                            if let Some(ideal) = &plan.ideal {
+                                plan.tile_rails(ideal, None, cycle, ideal_pos, ideal_neg);
+                                let ideal = ideal_pos.iter().zip(ideal_neg.iter());
+                                for (e, ((p, n), (pi, ni))) in
+                                    excess.iter_mut().zip(pos.iter().zip(neg.iter()).zip(ideal))
+                                {
+                                    *e += (p - n) - (pi - ni);
                                 }
                             }
-                            drop(rails_prof);
-                            let _detect_prof = albireo_obs::profile::scope("analog.detect");
-                            for d in 0..cols {
+                            // Currents from corresponding PDs across the
+                            // group's PLCUs add in the analog domain.
+                            for (acc, p) in p_pos.iter_mut().zip(pos.iter()) {
+                                *acc += p;
+                            }
+                            for (acc, n) in p_neg.iter_mut().zip(neg.iter()) {
+                                *acc += n;
+                            }
+                        }
+                        drop(rails_prof);
+                        let _detect_prof = albireo_obs::profile::scope("analog.detect");
+                        for (yb, rng) in rngs.iter_mut().enumerate() {
+                            for j in yb * row_len..yb * row_len + cols {
                                 let mut detected =
-                                    self.detect(p_pos[d], p_neg[d], full_scale_terms, &mut rng);
-                                if compensate {
+                                    self.detect(p_pos[j], p_neg[j], full_scale_terms, rng);
+                                if plan.ideal.is_some() {
                                     // Subtract the predicted interference in the
                                     // normalized dot-product domain.
-                                    detected -= excess[d] / (self.p_channel * self.main_gain);
+                                    detected -= excess[j] / (self.p_channel * self.main_gain);
                                 }
-                                totals[d] += detected;
+                                totals[j] += detected;
                             }
-                            z0 += group;
                         }
-                        for (o, t) in outputs[yb * bx + xb..].iter_mut().zip(totals.iter()) {
+                        z0 += group;
+                    }
+                    for (yb, row) in totals.chunks(row_len).enumerate() {
+                        for (o, t) in outputs[yb * bx + xb..][..cols].iter_mut().zip(row) {
                             *o = t * scale;
                         }
                     }
@@ -530,16 +535,6 @@ impl AnalogEngine {
             });
         out
     }
-}
-
-/// One PLCU cycle of a convolution: channel `z` of kernel `m` applied to
-/// block `block`'s receptive fields at output row `yb`.
-#[derive(Debug, Clone, Copy)]
-struct Cycle {
-    m: usize,
-    z: usize,
-    yb: usize,
-    block: usize,
 }
 
 /// The physics of one convolution call, prepared once before its first
@@ -550,12 +545,16 @@ struct Cycle {
 /// its row (main term plus crosstalk from the row's other channels),
 /// scaled by the shared MZM weight. That sum depends on the input row and
 /// `t` only — not on the kernel, the weight or the output row — so it is
-/// evaluated once per (channel, padded row, block, `t`) into a plane, and
+/// evaluated once per (channel, block, padded row, `t`) into a plane, and
 /// a PLCU cycle becomes `Wy·Wx·Nd` multiply-adds over it.
 ///
-/// Outputs are bit-identical to evaluating the ring per element: each
-/// plane entry sums over `c` in ascending order with the same skips, and
-/// [`ConvPlan::rails`] accumulates in the same `(r, k, d)` order.
+/// Planes are laid out `[z][block][padded row][t]`, so at stride 1 the
+/// sources of one weight's fields in every output row of a block are one
+/// contiguous run, and [`ConvPlan::tile_rails`] sweeps it in one branch-free
+/// loop. Outputs are bit-identical to evaluating the ring per element:
+/// each plane entry sums over `c` in ascending order with the same skips,
+/// and every field accumulates its cycle's terms in the same `(r, k)`
+/// order (DESIGN.md §17).
 struct ConvPlan {
     /// Kernel rows, columns and depth.
     wy: usize,
@@ -565,32 +564,31 @@ struct ConvPlan {
     /// Receptive fields per PLCU cycle: `Nd` at stride 1, where they
     /// overlap (the multicast pattern), else 1.
     nd_eff: usize,
-    /// Output columns.
-    bx: usize,
+    /// Output rows.
+    by: usize,
     /// Blocks of `nd_eff` output columns per output row.
     blocks: usize,
     /// Multicast columns of a full block, `nd_eff + wx − 1`; a short last
     /// block uses a prefix.
     row_len: usize,
-    /// Padded input rows and columns, covering every receptive field.
+    /// Padded input rows, covering every receptive field.
     py: usize,
-    px: usize,
-    /// The input, zero-padded and divided by `a_max`: `[z][py][px]`.
-    input: Vec<f64>,
     /// Signed kernel weights divided by `w_max`, stuck MZMs applied:
     /// `[m][z][r][k]`.
     weights: Vec<f64>,
-    /// Dead switching rings: `[r][k][d]`.
-    dead_ring: Vec<bool>,
-    /// Dead multicast columns: `[c]`, `c < row_len`.
-    dead_channel: Vec<bool>,
-    /// Whether off-state rings leak onto the opposite rail (crosstalk on).
-    leak: bool,
-    /// Dropped power per unit weight and channel power: `[z][py][block][t]`.
+    /// Live switching rings as `1.0`/`0.0` factors, `[r][k][yb][t]`: ring
+    /// `(r, k, t)` tiled over the output rows, `0.0` where it is dead and
+    /// on the lanes `t ≥ nd_eff` no field reads.
+    live: Vec<f64>,
+    /// Dropped power per unit weight and channel power: `[z][block][py][t]`.
     plane: Vec<f64>,
     /// The same with crosstalk off, for compensation's reference pass;
-    /// empty when compensation is off.
-    ideal: Vec<f64>,
+    /// present only when compensating.
+    ideal: Option<Vec<f64>>,
+    /// The normalized input with dead multicast columns zeroed, in the
+    /// plane's layout: the source of off-state leakage onto the opposite
+    /// rail. Present only with crosstalk on.
+    leak: Option<Vec<f64>>,
     p_channel: f64,
     off_leakage: f64,
 }
@@ -632,116 +630,186 @@ impl ConvPlan {
             .zip(stuck.iter().cycle())
             .map(|(w, s)| s.unwrap_or(w / w_max))
             .collect();
-        let dead_ring = (0..wy * wx * nd_eff)
-            .map(|i| faults.ring_dead(i / (wx * nd_eff), i / nd_eff % wx, i % nd_eff))
-            .collect();
+        let mut live = Vec::with_capacity(wy * wx * by * row_len);
+        for rk in 0..wy * wx {
+            let start = live.len();
+            live.extend((0..row_len).map(|t| {
+                let dead = t >= nd_eff || faults.ring_dead(rk / wx, rk % wx, t);
+                if dead {
+                    0.0
+                } else {
+                    1.0
+                }
+            }));
+            for _ in 1..by {
+                live.extend_from_within(start..start + row_len);
+            }
+        }
+        let dead_channel: Vec<bool> = (0..row_len).map(|c| faults.channel_dead(c)).collect();
         let mut plan = ConvPlan {
             wy,
             wx,
             wz,
             stride,
             nd_eff,
-            bx,
+            by,
             blocks: bx.div_ceil(nd_eff),
             row_len,
             py,
-            px,
-            input: padded,
             weights,
-            dead_ring,
-            dead_channel: (0..row_len).map(|c| faults.channel_dead(c)).collect(),
-            leak: engine.cfg.enable_crosstalk,
+            live,
             plane: Vec::new(),
-            ideal: Vec::new(),
+            ideal: None,
+            leak: None,
             p_channel: engine.p_channel,
             off_leakage: engine.off_leakage,
         };
-        plan.plane = plan.crosstalk_plane(engine, engine.cfg.enable_crosstalk);
-        if engine.cfg.crosstalk_compensation && engine.cfg.enable_crosstalk {
-            plan.ideal = plan.crosstalk_plane(engine, false);
+        let rows = (padded.as_slice(), px);
+        let crosstalk = engine.cfg.enable_crosstalk;
+        plan.plane = plan.crosstalk_plane(engine, rows, &dead_channel, crosstalk);
+        if crosstalk {
+            if engine.cfg.crosstalk_compensation {
+                plan.ideal = Some(plan.crosstalk_plane(engine, rows, &dead_channel, false));
+            }
+            plan.leak = Some(plan.lay_out(rows, |a, dst| {
+                for ((d, &a), &dead) in dst.iter_mut().zip(a).zip(&dead_channel) {
+                    *d = if dead { 0.0 } else { a };
+                }
+            }));
         }
         plan
     }
 
-    /// The plane of dropped powers with crosstalk `enabled` or off: for
-    /// each channel, padded row, block and ring position `t`, the sum over
-    /// the block's live multicast columns `c` of `xt[c − t]·a[c]`.
-    fn crosstalk_plane(&self, engine: &AnalogEngine, enabled: bool) -> Vec<f64> {
-        let span = self.row_len - 1;
-        let xt: Vec<f64> = (0..=2 * span)
-            .map(|i| engine.crosstalk(i as isize - span as isize, enabled))
-            .collect();
-        let per_row = self.blocks * self.row_len;
-        let mut plane = vec![0.0; self.input.len() / self.px * per_row];
-        for (dst, row) in plane.chunks_mut(per_row).zip(self.input.chunks(self.px)) {
-            for block in 0..self.blocks {
-                let xb = block * self.nd_eff;
-                let len = self.nd_eff.min(self.bx - xb) + self.wx - 1;
-                let a = &row[xb * self.stride..][..len];
-                let dst = &mut dst[block * self.row_len..][..len];
-                for (t, dropped) in dst.iter_mut().enumerate() {
-                    let mut sum = 0.0;
-                    for (c, &a) in a.iter().enumerate() {
-                        if self.dead_channel[c] {
-                            continue;
-                        }
-                        let x = xt[span + c - t];
-                        if x != 0.0 {
-                            sum += x * a;
-                        }
-                    }
-                    *dropped = sum;
+    /// Lays a per-block function of the padded input rows (`[z][py][px]`)
+    /// out in the plane's `[z][block][py][t]` layout: `f` maps a block's
+    /// multicast columns to its first entries, all `row_len` of them
+    /// unless the block is short (the rest stay `0.0`).
+    fn lay_out(
+        &self,
+        (padded, px): (&[f64], usize),
+        mut f: impl FnMut(&[f64], &mut [f64]),
+    ) -> Vec<f64> {
+        let per_block = self.py * self.row_len;
+        let mut plane = vec![0.0; padded.len() / px * self.blocks * self.row_len];
+        let channels = padded.chunks(self.py * px);
+        for (dst, channel) in plane.chunks_mut(self.blocks * per_block).zip(channels) {
+            for (block, dst) in dst.chunks_mut(per_block).enumerate() {
+                let x0 = block * self.nd_eff * self.stride;
+                // A short last block ends at the padded row's end.
+                let len = self.row_len.min(px - x0);
+                for (dst, row) in dst.chunks_mut(self.row_len).zip(channel.chunks(px)) {
+                    f(&row[x0..][..len], &mut dst[..len]);
                 }
             }
         }
         plane
     }
 
-    /// Simulates one PLCU cycle, overwriting `rails[d]` with receptive
-    /// field `d`'s `(positive_rail_w, negative_rail_w)`. With `ideal` it
-    /// reads the crosstalk-off plane without off-state leakage:
-    /// compensation's reference pass.
-    fn rails(&self, ideal: bool, cycle: Cycle, rails: &mut [(f64, f64)]) {
-        let Cycle { m, z, yb, block } = cycle;
-        let (plane, leak) = if ideal {
-            (&self.ideal, false)
-        } else {
-            (&self.plane, self.leak)
-        };
-        let x0 = block * self.nd_eff * self.stride;
-        rails.fill((0.0, 0.0));
-        for r in 0..self.wy {
-            let y = z * self.py + yb * self.stride + r;
-            let dropped = &plane[(y * self.blocks + block) * self.row_len..][..self.row_len];
-            let arow = &self.input[y * self.px + x0..];
-            let w0 = ((m * self.wz + z) * self.wy + r) * self.wx;
-            for (k, &w) in self.weights[w0..w0 + self.wx].iter().enumerate() {
-                if w == 0.0 {
-                    continue;
-                }
-                let mag = w.abs().min(1.0);
-                let dead = &self.dead_ring[(r * self.wx + k) * self.nd_eff..];
-                for (d, rail) in rails.iter_mut().enumerate() {
-                    if dead[d] {
+    /// The plane of dropped powers with crosstalk `enabled` or off: for
+    /// each channel, block, padded row and ring position `t`, the sum over
+    /// the block's live multicast columns `c` of `xt[c − t]·a[c]`.
+    fn crosstalk_plane(
+        &self,
+        engine: &AnalogEngine,
+        rows: (&[f64], usize),
+        dead_channel: &[bool],
+        enabled: bool,
+    ) -> Vec<f64> {
+        let span = self.row_len - 1;
+        let xt: Vec<f64> = (0..=2 * span)
+            .map(|i| engine.crosstalk(i as isize - span as isize, enabled))
+            .collect();
+        self.lay_out(rows, |a, dst| {
+            for (t, dropped) in dst.iter_mut().enumerate() {
+                let mut sum = 0.0;
+                for (c, &a) in a.iter().enumerate() {
+                    if dead_channel[c] {
                         continue;
                     }
-                    let target = d + k;
-                    let p_dropped = dropped[target] * mag * self.p_channel;
-                    // The matching-sign ring drops onto its rail; the
-                    // opposite-rail ring is detuned but leaks a little.
-                    let leak = if leak && !self.dead_channel[target] {
-                        arow[target] * mag * self.off_leakage * self.p_channel
-                    } else {
-                        0.0
-                    };
-                    if w > 0.0 {
-                        rail.0 += p_dropped;
-                        rail.1 += leak;
-                    } else {
-                        rail.1 += p_dropped;
-                        rail.0 += leak;
+                    let x = xt[span + c - t];
+                    if x != 0.0 {
+                        sum += x * a;
                     }
                 }
+                *dropped = sum;
+            }
+        })
+    }
+
+    /// Simulates channel `z` of kernel `m` on block `block` (its first
+    /// `cols` fields) in every output row at once, overwriting `pos` and
+    /// `neg` (`[yb][t]`) with each field's positive and negative rail
+    /// powers. Each weight is read once and swept over the whole tile.
+    /// Compensation's reference pass reads the crosstalk-off plane with no
+    /// `leak` source.
+    fn tile_rails(
+        &self,
+        plane: &[f64],
+        leak: Option<&[f64]>,
+        (m, z, block, cols): (usize, usize, usize, usize),
+        pos: &mut [f64],
+        neg: &mut [f64],
+    ) {
+        pos.fill(0.0);
+        neg.fill(0.0);
+        let tile = self.by * self.row_len;
+        let base = (z * self.blocks + block) * self.py * self.row_len;
+        let w0 = (m * self.wz + z) * self.wy * self.wx;
+        let rows = self.weights[w0..][..self.wy * self.wx].chunks(self.wx);
+        for (r, (weights, live)) in rows.zip(self.live.chunks(self.wx * tile)).enumerate() {
+            for (k, (&w, live)) in weights.iter().zip(live.chunks(tile)).enumerate() {
+                if w == 0.0 {
+                    // Its sweep would add only `±0.0`: a decomposition pass
+                    // costs its unmasked weights alone.
+                    continue;
+                }
+                let at = base + r * self.row_len + k;
+                let mag = w.abs().min(1.0);
+                // The matching-sign ring drops onto its rail; the
+                // opposite-rail ring is detuned but leaks a little.
+                let (rail, opposite) = if w > 0.0 {
+                    (&mut *pos, &mut *neg)
+                } else {
+                    (&mut *neg, &mut *pos)
+                };
+                self.sweep(rail, &plane[at..], live, cols, |p| p * mag * self.p_channel);
+                if let Some(leak) = leak {
+                    self.sweep(opposite, &leak[at..], live, cols, |a| {
+                        a * mag * self.off_leakage * self.p_channel
+                    });
+                }
+            }
+        }
+    }
+
+    /// Adds `term(source)·live` into every field of the tile: at stride 1
+    /// one contiguous run of `(by − 1)·row_len + cols` lanes, whose
+    /// sources sit at the same offsets in the plane; at stride above 1
+    /// lane 0 of each row, the source stepping `stride` padded rows.
+    ///
+    /// A dead ring's or gap lane's `×0.0` turns the term into `+0.0`,
+    /// which leaves a sum that started at `0.0` unchanged, so the masks
+    /// cost no branch and move no bit.
+    fn sweep(
+        &self,
+        acc: &mut [f64],
+        source: &[f64],
+        live: &[f64],
+        cols: usize,
+        term: impl Fn(f64) -> f64,
+    ) {
+        if self.stride == 1 {
+            // Indexing three slices cut to one length vectorizes; the
+            // zipped iterator form of this loop measured slower.
+            let n = (self.by - 1) * self.row_len + cols;
+            let (acc, source, live) = (&mut acc[..n], &source[..n], &live[..n]);
+            for j in 0..n {
+                acc[j] += term(source[j]) * live[j];
+            }
+        } else {
+            for yb in 0..self.by {
+                let j = yb * self.row_len;
+                acc[j] += term(source[yb * self.stride * self.row_len]) * live[j];
             }
         }
     }
