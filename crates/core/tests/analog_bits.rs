@@ -9,7 +9,10 @@
 //! column-chunk decomposition run) and 1, 2 and depthwise groups. A second
 //! shape list pins the edges of the output tiling — a single output row, a
 //! block narrower than Nd under a tall tile — and exact `±0.0` weights. A
-//! kernel change that moves a single output bit on any branch fails here.
+//! third pins how one call's groups and decomposition passes meet: an
+//! all-zero group input, a pass whose kernel band is all zero under a stuck
+//! MZM, column chunks in several groups, and a 40-channel depthwise layer.
+//! A kernel change that moves a single output bit on any branch fails here.
 
 use albireo_core::analog::{AnalogEngine, AnalogSimConfig, ChannelAllocation, Fault, FaultSet};
 use albireo_core::config::ChipConfig;
@@ -27,6 +30,8 @@ struct Shape {
     width: usize,
     kernels: usize,
     kernel: usize,
+    /// Kernel rows; `kernel` unless a shape overrides it.
+    kernel_rows: usize,
     stride: usize,
     padding: usize,
     groups: usize,
@@ -44,6 +49,7 @@ const fn shape(
         width,
         kernels,
         kernel,
+        kernel_rows: kernel,
         stride,
         padding,
         groups,
@@ -101,6 +107,42 @@ fn edge_cases() -> Vec<(Tensor3, Tensor4, ConvSpec, usize)> {
     cases
 }
 
+/// Shapes where one call spans several groups or decomposition passes.
+const GROUP_SHAPES: [Shape; 4] = [
+    // Two groups; `group_cases` zeroes the second group's input.
+    shape((4, 6, 8), 4, 3, (1, 1, 2)),
+    // 5×5 in two groups, decomposed into single-row bands; `group_cases`
+    // zeroes row 0 of group 0's kernels, where the stuck MZM (0, 2) sits.
+    shape((4, 8, 9), 4, 5, (1, 2, 2)),
+    // 1×11 in three groups at stride 2: two column chunks per group.
+    Shape {
+        kernel_rows: 1,
+        ..shape((6, 4, 27), 6, 11, (2, 0, 3))
+    },
+    // Depthwise over 40 channels.
+    shape((40, 5, 6), 40, 3, (1, 1, 40)),
+];
+
+/// The operands of [`GROUP_SHAPES`], with the first shape's second group
+/// given an all-zero input and row 0 of the second shape's group-0
+/// kernels set to zero.
+fn group_cases() -> Vec<(Tensor3, Tensor4, ConvSpec, usize)> {
+    let mut cases = cases(&GROUP_SHAPES, 0x6A0B);
+    let input = &mut cases[0].0;
+    let half = input.len() / 2;
+    input.as_mut_slice()[half..].fill(0.0);
+    let kernels = &mut cases[1].1;
+    let (wm, wz, _, wx) = kernels.dims();
+    for m in 0..wm / 2 {
+        for z in 0..wz {
+            for k in 0..wx {
+                kernels.set(m, z, 0, k, 0.0);
+            }
+        }
+    }
+    cases
+}
+
 /// The operands of every shape, drawn from a fixed per-shape stream
 /// seeded at `seed + i`.
 fn cases(shapes: &[Shape], seed: u64) -> Vec<(Tensor3, Tensor4, ConvSpec, usize)> {
@@ -113,7 +155,7 @@ fn cases(shapes: &[Shape], seed: u64) -> Vec<(Tensor3, Tensor4, ConvSpec, usize)
             let kernels = Tensor4::random_gaussian(
                 s.kernels,
                 s.depth / s.groups,
-                s.kernel,
+                s.kernel_rows,
                 s.kernel,
                 0.3,
                 &mut rng,
@@ -326,6 +368,75 @@ const EDGE_PINNED: &[(&str, u64)] = &[
     ("interleaved a63 c1 n1 x1 f1", 0x9b16f45ec3e9d6bc),
 ];
 
+/// The same fold over [`group_cases`], recorded from the per-group,
+/// per-pass tensor copies.
+const GROUP_PINNED: &[(&str, u64)] = &[
+    ("contiguous a8 c0 n0 x0 f0", 0xa7e89903f8d8c689),
+    ("contiguous a8 c0 n0 x0 f1", 0x35c9c24a7739720f),
+    ("contiguous a8 c0 n0 x1 f0", 0x446fd644acc896a9),
+    ("contiguous a8 c0 n0 x1 f1", 0xfad43df6b27b77ee),
+    ("contiguous a8 c0 n1 x0 f0", 0x770fa135754b4984),
+    ("contiguous a8 c0 n1 x0 f1", 0x21398d7473f679b8),
+    ("contiguous a8 c0 n1 x1 f0", 0x54e66a990b985eb3),
+    ("contiguous a8 c0 n1 x1 f1", 0x33317933efe8974d),
+    ("contiguous a8 c1 n0 x0 f0", 0xa7e89903f8d8c689),
+    ("contiguous a8 c1 n0 x0 f1", 0x35c9c24a7739720f),
+    ("contiguous a8 c1 n0 x1 f0", 0x4979634037a07952),
+    ("contiguous a8 c1 n0 x1 f1", 0xd739ae45b202ce0e),
+    ("contiguous a8 c1 n1 x0 f0", 0x770fa135754b4984),
+    ("contiguous a8 c1 n1 x0 f1", 0x21398d7473f679b8),
+    ("contiguous a8 c1 n1 x1 f0", 0xe7abd01c6eddcf78),
+    ("contiguous a8 c1 n1 x1 f1", 0x19155e430c27809c),
+    ("contiguous a63 c0 n0 x0 f0", 0x108cfd3cf818b6ed),
+    ("contiguous a63 c0 n0 x0 f1", 0x3a9f856869d2a889),
+    ("contiguous a63 c0 n0 x1 f0", 0x4fcd955ee71bf7ed),
+    ("contiguous a63 c0 n0 x1 f1", 0x767b6559ea51c6ac),
+    ("contiguous a63 c0 n1 x0 f0", 0x3d8cdf4e7e46d734),
+    ("contiguous a63 c0 n1 x0 f1", 0x76e48060b3d366fa),
+    ("contiguous a63 c0 n1 x1 f0", 0x0a4b605f6bf86100),
+    ("contiguous a63 c0 n1 x1 f1", 0x163443f2b29ea1bc),
+    ("contiguous a63 c1 n0 x0 f0", 0x108cfd3cf818b6ed),
+    ("contiguous a63 c1 n0 x0 f1", 0x3a9f856869d2a889),
+    ("contiguous a63 c1 n0 x1 f0", 0x18390007899c78c9),
+    ("contiguous a63 c1 n0 x1 f1", 0xe2fd8a006fd2b0c8),
+    ("contiguous a63 c1 n1 x0 f0", 0x3d8cdf4e7e46d734),
+    ("contiguous a63 c1 n1 x0 f1", 0x76e48060b3d366fa),
+    ("contiguous a63 c1 n1 x1 f0", 0x353ffa3dbf931466),
+    ("contiguous a63 c1 n1 x1 f1", 0x0d75426bad6867da),
+    ("interleaved a8 c0 n0 x0 f0", 0xa7e89903f8d8c689),
+    ("interleaved a8 c0 n0 x0 f1", 0x35c9c24a7739720f),
+    ("interleaved a8 c0 n0 x1 f0", 0x29bfeb7e5c758e38),
+    ("interleaved a8 c0 n0 x1 f1", 0xcf92f09e47efaecf),
+    ("interleaved a8 c0 n1 x0 f0", 0x770fa135754b4984),
+    ("interleaved a8 c0 n1 x0 f1", 0x21398d7473f679b8),
+    ("interleaved a8 c0 n1 x1 f0", 0xae297335736f718d),
+    ("interleaved a8 c0 n1 x1 f1", 0x19c1f697bb4f3115),
+    ("interleaved a8 c1 n0 x0 f0", 0xa7e89903f8d8c689),
+    ("interleaved a8 c1 n0 x0 f1", 0x35c9c24a7739720f),
+    ("interleaved a8 c1 n0 x1 f0", 0x9b56bd54e74c46bd),
+    ("interleaved a8 c1 n0 x1 f1", 0xad507748d51bb9c6),
+    ("interleaved a8 c1 n1 x0 f0", 0x770fa135754b4984),
+    ("interleaved a8 c1 n1 x0 f1", 0x21398d7473f679b8),
+    ("interleaved a8 c1 n1 x1 f0", 0x4a6751c2471d2a82),
+    ("interleaved a8 c1 n1 x1 f1", 0xe552ca8d5a52f855),
+    ("interleaved a63 c0 n0 x0 f0", 0x108cfd3cf818b6ed),
+    ("interleaved a63 c0 n0 x0 f1", 0x3a9f856869d2a889),
+    ("interleaved a63 c0 n0 x1 f0", 0xd79765ca483dca9d),
+    ("interleaved a63 c0 n0 x1 f1", 0xee540bb083bd2c5e),
+    ("interleaved a63 c0 n1 x0 f0", 0x3d8cdf4e7e46d734),
+    ("interleaved a63 c0 n1 x0 f1", 0x76e48060b3d366fa),
+    ("interleaved a63 c0 n1 x1 f0", 0xa3ef6a8a87698fdc),
+    ("interleaved a63 c0 n1 x1 f1", 0x19524fb3b2550274),
+    ("interleaved a63 c1 n0 x0 f0", 0x108cfd3cf818b6ed),
+    ("interleaved a63 c1 n0 x0 f1", 0x3a9f856869d2a889),
+    ("interleaved a63 c1 n0 x1 f0", 0xfd4082d76b79818a),
+    ("interleaved a63 c1 n0 x1 f1", 0xd42f0b564a5def89),
+    ("interleaved a63 c1 n1 x0 f0", 0x3d8cdf4e7e46d734),
+    ("interleaved a63 c1 n1 x0 f1", 0x76e48060b3d366fa),
+    ("interleaved a63 c1 n1 x1 f0", 0x3d843719f1119b64),
+    ("interleaved a63 c1 n1 x1 f1", 0x1c70f0368e32ba62),
+];
+
 /// Folds every output bit of `cases` under each configuration of the
 /// grid, at one and at two threads, and asserts each digest equals its
 /// `pinned` entry; a mismatch prints the replacement lines.
@@ -374,4 +485,9 @@ fn conv2d_grouped_bits_match_the_pinned_digests() {
 #[test]
 fn edge_shape_bits_match_the_pinned_digests() {
     check_digests(&edge_cases(), EDGE_PINNED);
+}
+
+#[test]
+fn group_and_pass_bits_match_the_pinned_digests() {
+    check_digests(&group_cases(), GROUP_PINNED);
 }
