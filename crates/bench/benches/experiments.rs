@@ -91,7 +91,7 @@ fn bench_analog(c: &mut Criterion) {
     });
     c.bench_function("analog/photonic_conv", |b| {
         b.iter(|| {
-            let mut engine = AnalogEngine::new(&chip, AnalogSimConfig::default());
+            let engine = AnalogEngine::new(&chip, AnalogSimConfig::default());
             engine.conv2d(black_box(&input), black_box(&kernels), &spec)
         })
     });

@@ -1403,7 +1403,7 @@ pub fn inference_fidelity() -> String {
                         .collect()
                 })
                 .collect();
-            let mut engine = AnalogEngine::new(&chip, cfg);
+            let engine = AnalogEngine::new(&chip, cfg);
             for _ in 0..inputs_per_net {
                 let im = Tensor3::random_uniform(1, 12, 12, 0.0, 1.0, &mut rng);
                 let dig = digital_forward(&c1, &c2, &fc, &im);
@@ -1513,7 +1513,7 @@ pub fn allocation_study() -> String {
             allocation,
             ..AnalogSimConfig::default()
         };
-        let mut engine = AnalogEngine::new(&chip, cfg);
+        let engine = AnalogEngine::new(&chip, cfg);
         let err = engine
             .conv2d(&input, &kernels, &spec)
             .max_abs_diff(&reference)

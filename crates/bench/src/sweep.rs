@@ -268,7 +268,7 @@ fn analog_conv_workload() -> Workload {
         name: "analog_conv",
         items: 16,
         run: Box::new(move |par| {
-            let mut engine = {
+            let engine = {
                 let _setup = albireo_obs::profile::scope("bench.setup");
                 AnalogEngine::new(&chip, AnalogSimConfig::default()).with_parallelism(par)
             };

@@ -421,7 +421,7 @@ pub(super) fn faults(args: &Args) -> Result<String, CliError> {
     let fs = input.max_abs() * kernels.max_abs() * 27.0;
 
     let healthy = {
-        let mut e = AnalogEngine::new(&chip, AnalogSimConfig::default());
+        let e = AnalogEngine::new(&chip, AnalogSimConfig::default());
         e.conv2d(&input, &kernels, &spec).max_abs_diff(&reference) / fs
     };
     let faulty = {

@@ -247,16 +247,6 @@ impl AnalogEngine {
         self
     }
 
-    /// Sets the parallel execution policy in place.
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
-    }
-
-    /// The current parallel execution policy.
-    pub fn parallelism(&self) -> Parallelism {
-        self.par
-    }
-
     /// The per-work-item noise generator for pass `pass`, kernel `m`,
     /// output row `yb`. Derived purely from the configured seed and the
     /// item's logical coordinates, so the stream an item draws from is
@@ -346,7 +336,7 @@ impl AnalogEngine {
     ///
     /// Panics if any input is negative (optical powers cannot be) or the
     /// lengths differ.
-    pub fn dot(&mut self, a: &[f64], w: &[f64]) -> f64 {
+    pub fn dot(&self, a: &[f64], w: &[f64]) -> f64 {
         assert_eq!(a.len(), w.len(), "dot operands must have equal length");
         assert!(
             a.iter().all(|&v| v >= 0.0),
@@ -401,44 +391,59 @@ impl AnalogEngine {
     /// Runs a full convolution through the analog datapath, following the
     /// Algorithm 2 partitioning (kernels across PLCGs, `Nd` receptive
     /// fields per PLCU, `Nu`-channel groups aggregated depth-first in the
-    /// digital domain). No activation is applied.
+    /// digital domain): [`conv2d_grouped`](AnalogEngine::conv2d_grouped)
+    /// with one group, so a kernel of any size runs. No activation is
+    /// applied.
     ///
     /// # Panics
     ///
-    /// Panics if the kernel has more than `Nm` weights per channel, if the
-    /// kernel depth mismatches the input, or if any input element is
-    /// negative.
-    pub fn conv2d(&mut self, input: &Tensor3, kernels: &Tensor4, spec: &ConvSpec) -> Tensor3 {
-        self.conv2d_inner(input, kernels, spec, self.chip.plcu.nm, 0)
+    /// Panics if the kernel depth mismatches the input, or if any input
+    /// element is negative.
+    pub fn conv2d(&self, input: &Tensor3, kernels: &Tensor4, spec: &ConvSpec) -> Tensor3 {
+        self.conv2d_grouped(input, kernels, spec, 1)
     }
 
-    /// The shared convolution path. `nm_cap` is the assumed MZM capacity
-    /// (the chip's `Nm`, or the widened virtual capacity the large-kernel
-    /// decomposition guarantees by masking); `pass` tags this invocation's
-    /// noise streams so decomposition passes draw independent noise.
+    /// Grouped convolution through the analog datapath, the one analog
+    /// convolution. Each of the `groups` channel slices (AlexNet's two
+    /// groups; one per channel for a depthwise layer) is an independent
+    /// convolution. A kernel with more than the PLCU's `Nm` weights per
+    /// channel runs as decomposition passes of at most `Nm` weights —
+    /// full-width bands of `⌊Nm/Wx⌋` rows, or single-row chunks of `Nm`
+    /// columns when a row is wider than `Nm` — whose partial outputs add
+    /// digitally: the extra cycles the paper describes for kernels that
+    /// "will not completely fit in the PLCU's MZMs" (§III-A). One plan per
+    /// call covers every group and pass (DESIGN.md §17).
     ///
     /// Output kernels are independent work items executed under the
-    /// engine's [`Parallelism`] policy; each `(kernel, output row)` pair
+    /// engine's [`Parallelism`] policy; each `(pass, kernel, output row)`
     /// draws noise from its own seed-derived generator, so the output is
     /// bit-identical at any thread count.
     ///
     /// Inside a work item the loop is weight-stationary, as the PLCU is:
-    /// Nd-block → Nu-group → channel → weight, and each weight sweeps the
-    /// block's fields in every output row at once ([`ConvPlan::tile_rails`]).
-    fn conv2d_inner(
+    /// pass → Nd-block → Nu-group → channel → weight, and each weight
+    /// sweeps the block's fields in every output row at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel counts are not divisible by `groups`, if the
+    /// kernel depth is not the input depth over `groups`, or if any input
+    /// element is negative.
+    pub fn conv2d_grouped(
         &self,
         input: &Tensor3,
         kernels: &Tensor4,
         spec: &ConvSpec,
-        nm_cap: usize,
-        pass: u64,
+        groups: usize,
     ) -> Tensor3 {
+        assert!(groups > 0, "groups must be positive");
         let (az, ay, ax) = input.dims();
         let (wm, wz, wy, wx) = kernels.dims();
-        assert_eq!(wz, az, "kernel depth {wz} must equal input depth {az}");
-        assert!(
-            wy * wx <= nm_cap,
-            "kernel {wy}x{wx} exceeds the PLCU's {nm_cap} MZMs; decompose it first"
+        assert_eq!(az % groups, 0, "input depth not divisible by groups");
+        assert_eq!(wm % groups, 0, "kernel count not divisible by groups");
+        assert_eq!(
+            wz,
+            az / groups,
+            "kernel depth {wz} must equal input depth {az} / {groups} groups"
         );
         assert!(
             input.iter().all(|&v| v >= 0.0),
@@ -447,25 +452,18 @@ impl AnalogEngine {
         let _prof = albireo_obs::profile::scope("analog.conv2d");
         let by = output_extent(ay, wy, spec.padding, spec.stride);
         let bx = output_extent(ax, wx, spec.padding, spec.stride);
-        let a_max = input.max_abs();
-        let w_max = kernels.max_abs();
         let mut out = Tensor3::zeros(wm, by, bx);
-        if a_max == 0.0 || w_max == 0.0 {
-            return out;
-        }
-        let plan = ConvPlan::new(self, input, kernels, spec, (a_max, w_max));
+        let plan = ConvPlan::new(self, input, kernels, spec, groups);
         let (nd_eff, row_len) = (plan.nd_eff, plan.row_len);
         let nu = self.chip.nu;
-        let scale = a_max * w_max;
-        let full_scale_terms = nm_cap * nu;
         let leak = plan.leak.as_deref();
+        let kernels_per_group = wm / groups;
 
         self.par
             .fill_slices(out.as_mut_slice(), (by * bx).max(1), |m, outputs| {
-                // Every output row's noise stream. Each draws in its own
-                // (block, Nu-group, field) order, so interleaving the rows
-                // moves no sample.
-                let mut rngs: Vec<StdRng> = (0..by).map(|yb| self.item_rng(pass, m, yb)).collect();
+                // Kernel `m` is kernel `local` of group `g`, over the
+                // group's channels `g·wz..`; `local` keys its noise.
+                let (g, local) = (m / kernels_per_group, m % kernels_per_group);
                 // Scratch tiles for one block of every output row, `[yb][t]`:
                 // field `d` of row `yb` is lane `yb·row_len + d`, and lanes
                 // `t ≥ cols` are never read. `excess` is the predicted
@@ -474,61 +472,74 @@ impl AnalogEngine {
                 let mut tiles = scratch.chunks_exact_mut(by * row_len);
                 let [pos, neg, ideal_pos, ideal_neg, p_pos, p_neg, excess, totals] =
                     std::array::from_fn(|_| tiles.next().expect("eight tiles"));
-                for block in 0..plan.blocks {
-                    let xb = block * nd_eff;
-                    let cols = nd_eff.min(bx - xb);
-                    totals.fill(0.0);
-                    // Depth-first aggregation over Nu-channel groups.
-                    let mut z0 = 0;
-                    while z0 < az {
-                        let group = nu.min(az - z0);
-                        p_pos.fill(0.0);
-                        p_neg.fill(0.0);
-                        excess.fill(0.0);
-                        // One wall-clock scope per (block, Nu-group): the
-                        // MRR/MZM transfer of the group's PLCU cycles in
-                        // every output row.
-                        let rails_prof = albireo_obs::profile::scope("analog.rails");
-                        for z in z0..z0 + group {
-                            let cycle = (m, z, block, cols);
-                            plan.tile_rails(&plan.plane, leak, cycle, pos, neg);
-                            if let Some(ideal) = &plan.ideal {
-                                plan.tile_rails(ideal, None, cycle, ideal_pos, ideal_neg);
-                                let ideal = ideal_pos.iter().zip(ideal_neg.iter());
-                                for (e, ((p, n), (pi, ni))) in
-                                    excess.iter_mut().zip(pos.iter().zip(neg.iter()).zip(ideal))
-                                {
-                                    *e += (p - n) - (pi - ni);
+                for pass in &plan.passes[g] {
+                    // Every output row's noise stream. Each draws in its own
+                    // (block, Nu-group, field) order, so interleaving the
+                    // rows moves no sample.
+                    let mut rngs: Vec<StdRng> = (0..by)
+                        .map(|yb| self.item_rng(pass.id, local, yb))
+                        .collect();
+                    let weights = &pass.weights[local * wz * wy * wx..];
+                    for block in 0..plan.blocks {
+                        let xb = block * nd_eff;
+                        let cols = nd_eff.min(bx - xb);
+                        totals.fill(0.0);
+                        // Depth-first aggregation over Nu-channel groups.
+                        let mut z0 = 0;
+                        while z0 < wz {
+                            let group = nu.min(wz - z0);
+                            p_pos.fill(0.0);
+                            p_neg.fill(0.0);
+                            excess.fill(0.0);
+                            // One wall-clock scope per (block, Nu-group): the
+                            // MRR/MZM transfer of the group's PLCU cycles in
+                            // every output row.
+                            let rails_prof = albireo_obs::profile::scope("analog.rails");
+                            for z in z0..z0 + group {
+                                let w = &weights[z * wy * wx..][..wy * wx];
+                                let cycle = (g * wz + z, block, cols);
+                                plan.tile_rails(&plan.plane, leak, w, cycle, pos, neg);
+                                if let Some(ideal) = &plan.ideal {
+                                    plan.tile_rails(ideal, None, w, cycle, ideal_pos, ideal_neg);
+                                    let ideal = ideal_pos.iter().zip(ideal_neg.iter());
+                                    for (e, ((p, n), (pi, ni))) in
+                                        excess.iter_mut().zip(pos.iter().zip(neg.iter()).zip(ideal))
+                                    {
+                                        *e += (p - n) - (pi - ni);
+                                    }
+                                }
+                                // Currents from corresponding PDs across the
+                                // group's PLCUs add in the analog domain.
+                                for (acc, p) in p_pos.iter_mut().zip(pos.iter()) {
+                                    *acc += p;
+                                }
+                                for (acc, n) in p_neg.iter_mut().zip(neg.iter()) {
+                                    *acc += n;
                                 }
                             }
-                            // Currents from corresponding PDs across the
-                            // group's PLCUs add in the analog domain.
-                            for (acc, p) in p_pos.iter_mut().zip(pos.iter()) {
-                                *acc += p;
-                            }
-                            for (acc, n) in p_neg.iter_mut().zip(neg.iter()) {
-                                *acc += n;
-                            }
-                        }
-                        drop(rails_prof);
-                        let _detect_prof = albireo_obs::profile::scope("analog.detect");
-                        for (yb, rng) in rngs.iter_mut().enumerate() {
-                            for j in yb * row_len..yb * row_len + cols {
-                                let mut detected =
-                                    self.detect(p_pos[j], p_neg[j], full_scale_terms, rng);
-                                if plan.ideal.is_some() {
-                                    // Subtract the predicted interference in the
-                                    // normalized dot-product domain.
-                                    detected -= excess[j] / (self.p_channel * self.main_gain);
+                            drop(rails_prof);
+                            let _detect_prof = albireo_obs::profile::scope("analog.detect");
+                            for (yb, rng) in rngs.iter_mut().enumerate() {
+                                for j in yb * row_len..yb * row_len + cols {
+                                    let mut detected =
+                                        self.detect(p_pos[j], p_neg[j], plan.full_scale_terms, rng);
+                                    if plan.ideal.is_some() {
+                                        // Subtract the predicted interference
+                                        // in the normalized dot-product domain.
+                                        detected -= excess[j] / (self.p_channel * self.main_gain);
+                                    }
+                                    totals[j] += detected;
                                 }
-                                totals[j] += detected;
                             }
+                            z0 += group;
                         }
-                        z0 += group;
-                    }
-                    for (yb, row) in totals.chunks(row_len).enumerate() {
-                        for (o, t) in outputs[yb * bx + xb..][..cols].iter_mut().zip(row) {
-                            *o = t * scale;
+                        // Passes add digitally. `totals` start at `+0.0` and
+                        // add detections that are never `−0.0`, so adding
+                        // the first pass into the zeroed plane is exact.
+                        for (yb, row) in totals.chunks(row_len).enumerate() {
+                            for (o, t) in outputs[yb * bx + xb..][..cols].iter_mut().zip(row) {
+                                *o += t * pass.scale;
+                            }
                         }
                     }
                 }
@@ -538,15 +549,16 @@ impl AnalogEngine {
 }
 
 /// The physics of one convolution call, prepared once before its first
-/// PLCU cycle: the normalized operands, the fault masks, and the
-/// crosstalk-weighted input planes every cycle reads.
+/// PLCU cycle: the normalized operands of every group and decomposition
+/// pass, the fault masks, and the crosstalk-weighted input planes every
+/// cycle reads.
 ///
 /// A ring tuned to multicast column `t` drops `Σ_c xt[c − t]·a[c]` from
 /// its row (main term plus crosstalk from the row's other channels),
 /// scaled by the shared MZM weight. That sum depends on the input row and
-/// `t` only — not on the kernel, the weight or the output row — so it is
-/// evaluated once per (channel, block, padded row, `t`) into a plane, and
-/// a PLCU cycle becomes `Wy·Wx·Nd` multiply-adds over it.
+/// `t` only — not on the kernel, the weight, the pass or the output row —
+/// so it is evaluated once per (channel, block, padded row, `t`) into a
+/// plane, and a PLCU cycle becomes `Wy·Wx·Nd` multiply-adds over it.
 ///
 /// Planes are laid out `[z][block][padded row][t]`, so at stride 1 the
 /// sources of one weight's fields in every output row of a block are one
@@ -556,10 +568,8 @@ impl AnalogEngine {
 /// and every field accumulates its cycle's terms in the same `(r, k)`
 /// order (DESIGN.md §17).
 struct ConvPlan {
-    /// Kernel rows, columns and depth.
-    wy: usize,
+    /// Kernel columns.
     wx: usize,
-    wz: usize,
     stride: usize,
     /// Receptive fields per PLCU cycle: `Nd` at stride 1, where they
     /// overlap (the multicast pattern), else 1.
@@ -573,9 +583,11 @@ struct ConvPlan {
     row_len: usize,
     /// Padded input rows, covering every receptive field.
     py: usize,
-    /// Signed kernel weights divided by `w_max`, stuck MZMs applied:
-    /// `[m][z][r][k]`.
-    weights: Vec<f64>,
+    /// ADC full scale in terms, `max(Wy·Wx, Nm)·Nu`: a pass's `Nm` MZMs,
+    /// or every weight of a decomposed kernel.
+    full_scale_terms: usize,
+    /// Each group's live decomposition passes, in tile order.
+    passes: Vec<Vec<Pass>>,
     /// Live switching rings as `1.0`/`0.0` factors, `[r][k][yb][t]`: ring
     /// `(r, k, t)` tiled over the output rows, `0.0` where it is dead and
     /// on the lanes `t ≥ nd_eff` no field reads.
@@ -593,28 +605,54 @@ struct ConvPlan {
     off_leakage: f64,
 }
 
+/// One decomposition pass of one group: a tile of at most `Nm` weights of
+/// each of the group's kernels. A pass whose group input or tile weights
+/// are all zero is left out, so it draws no noise and its outputs stay
+/// `0.0`.
+struct Pass {
+    /// Noise pass id: `g·1024 + t` for tile `t` of group `g`.
+    id: u64,
+    /// Output scale, the group's `a_max` times the tile's `w_max`.
+    scale: f64,
+    /// The group's kernels masked to the tile and divided by its `w_max`,
+    /// stuck MZMs applied everywhere: `[m][z][r][k]`.
+    weights: Vec<f64>,
+}
+
 impl ConvPlan {
     fn new(
         engine: &AnalogEngine,
         input: &Tensor3,
         kernels: &Tensor4,
         spec: &ConvSpec,
-        (a_max, w_max): (f64, f64),
+        groups: usize,
     ) -> ConvPlan {
         let _prof = albireo_obs::profile::scope("analog.plan");
         let (az, ay, ax) = input.dims();
-        let (_, wz, wy, wx) = kernels.dims();
+        let (wm, wz, wy, wx) = kernels.dims();
         let (stride, pad) = (spec.stride, spec.padding);
         let by = output_extent(ay, wy, pad, stride);
         let bx = output_extent(ax, wx, pad, stride);
         let nd_eff = if stride == 1 { engine.chip.plcu.nd } else { 1 };
         let row_len = nd_eff + wx - 1;
+        // A group's channels and kernels are each one contiguous block of
+        // the row-major buffers; each group normalizes by its own `a_max`.
+        let (group_input, group_kernels) = (wz * ay * ax, wm / groups * wz * wy * wx);
+        let max_abs = |v: &[f64]| v.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+        let a_max: Vec<f64> = (0..groups)
+            .map(|g| max_abs(&input.as_slice()[g * group_input..][..group_input]))
+            .collect();
         // Output extents round up, so the last field may overhang the
         // padding; the overhang reads zeros.
         let (py, px) = ((by - 1) * stride + wy, (bx - 1) * stride + wx);
         let mut padded = vec![0.0; az * py * px];
         for (i, row) in input.as_slice().chunks(ax).enumerate() {
             let (z, y) = (i / ay, i % ay);
+            let a_max = a_max[z / wz];
+            if a_max == 0.0 {
+                // An all-zero group keeps rows of `0.0`; no pass reads them.
+                continue;
+            }
             let dst = &mut padded[(z * py + y + pad) * px + pad..][..ax];
             for (d, a) in dst.iter_mut().zip(row) {
                 *d = a / a_max;
@@ -624,11 +662,55 @@ impl ConvPlan {
         let stuck: Vec<Option<f64>> = (0..wy * wx)
             .map(|i| faults.mzm_override(i / wx, i % wx))
             .collect();
-        let weights = kernels
-            .as_slice()
-            .iter()
-            .zip(stuck.iter().cycle())
-            .map(|(w, s)| s.unwrap_or(w / w_max))
+        // Decomposition tiles of at most Nm weights, row bands outer and
+        // column chunks inner: the whole kernel when it fits, else
+        // full-width bands of ⌊Nm/Wx⌋ rows, else single-row chunks of Nm
+        // columns. Each is a mask over `[r][k]`; the sum over tiles is the
+        // convolution by linearity.
+        let nm = engine.chip.plcu.nm;
+        let (band, chunk) = if wy * wx <= nm {
+            (wy, wx)
+        } else if wx <= nm {
+            (nm / wx, wx)
+        } else {
+            (1, nm)
+        };
+        let tiles: Vec<Vec<bool>> = (0..wy)
+            .step_by(band)
+            .flat_map(|r0| (0..wx).step_by(chunk).map(move |c0| (r0, c0)))
+            .map(|(r0, c0)| {
+                (0..wy * wx)
+                    .map(|i| {
+                        (r0..r0 + band).contains(&(i / wx)) && (c0..c0 + chunk).contains(&(i % wx))
+                    })
+                    .collect()
+            })
+            .collect();
+        let passes = (0..groups)
+            .map(|g| {
+                let group = &kernels.as_slice()[g * group_kernels..][..group_kernels];
+                let mut passes = Vec::new();
+                for (t, tile) in tiles.iter().enumerate() {
+                    let masked = || group.iter().zip(tile.iter().cycle());
+                    let w_max = masked()
+                        .filter(|&(_, &inside)| inside)
+                        .fold(0.0_f64, |m, (w, _)| m.max(w.abs()));
+                    if a_max[g] == 0.0 || w_max == 0.0 {
+                        // Nothing to detect: no noise drawn, no output.
+                        continue;
+                    }
+                    let weights = masked()
+                        .zip(stuck.iter().cycle())
+                        .map(|((w, &inside), s)| s.unwrap_or(if inside { w / w_max } else { 0.0 }))
+                        .collect();
+                    passes.push(Pass {
+                        id: g as u64 * 1024 + t as u64,
+                        scale: a_max[g] * w_max,
+                        weights,
+                    });
+                }
+                passes
+            })
             .collect();
         let mut live = Vec::with_capacity(wy * wx * by * row_len);
         for rk in 0..wy * wx {
@@ -647,16 +729,15 @@ impl ConvPlan {
         }
         let dead_channel: Vec<bool> = (0..row_len).map(|c| faults.channel_dead(c)).collect();
         let mut plan = ConvPlan {
-            wy,
             wx,
-            wz,
             stride,
             nd_eff,
             by,
             blocks: bx.div_ceil(nd_eff),
             row_len,
             py,
-            weights,
+            full_scale_terms: (wy * wx).max(nm) * engine.chip.nu,
+            passes,
             live,
             plane: Vec::new(),
             ideal: None,
@@ -736,17 +817,18 @@ impl ConvPlan {
         })
     }
 
-    /// Simulates channel `z` of kernel `m` on block `block` (its first
-    /// `cols` fields) in every output row at once, overwriting `pos` and
-    /// `neg` (`[yb][t]`) with each field's positive and negative rail
-    /// powers. Each weight is read once and swept over the whole tile.
-    /// Compensation's reference pass reads the crosstalk-off plane with no
-    /// `leak` source.
+    /// Simulates one kernel channel's `weights` (`[r][k]`) over input
+    /// channel `z` on block `block` (its first `cols` fields) in every
+    /// output row at once, overwriting `pos` and `neg` (`[yb][t]`) with
+    /// each field's positive and negative rail powers. Each weight is read
+    /// once and swept over the whole tile. Compensation's reference pass
+    /// reads the crosstalk-off plane with no `leak` source.
     fn tile_rails(
         &self,
         plane: &[f64],
         leak: Option<&[f64]>,
-        (m, z, block, cols): (usize, usize, usize, usize),
+        weights: &[f64],
+        (z, block, cols): (usize, usize, usize),
         pos: &mut [f64],
         neg: &mut [f64],
     ) {
@@ -754,8 +836,7 @@ impl ConvPlan {
         neg.fill(0.0);
         let tile = self.by * self.row_len;
         let base = (z * self.blocks + block) * self.py * self.row_len;
-        let w0 = (m * self.wz + z) * self.wy * self.wx;
-        let rows = self.weights[w0..][..self.wy * self.wx].chunks(self.wx);
+        let rows = weights.chunks(self.wx);
         for (r, (weights, live)) in rows.zip(self.live.chunks(self.wx * tile)).enumerate() {
             for (k, (&w, live)) in weights.iter().zip(live.chunks(tile)).enumerate() {
                 if w == 0.0 {
@@ -815,135 +896,6 @@ impl ConvPlan {
     }
 }
 
-impl AnalogEngine {
-    /// Convolution for kernels of any size: kernels whose `Wy·Wx` exceeds
-    /// the PLCU's `Nm` MZMs are decomposed into row bands of at most
-    /// `⌊Nm/Wx⌋` kernel rows, each applied in its own pass with the
-    /// partial outputs accumulated digitally — the extra cycles the paper
-    /// describes for kernels that "will not completely fit in the PLCU's
-    /// MZMs" (§III-A).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel is wider than `Nm` (a row must fit), on depth
-    /// mismatch, or on negative inputs.
-    pub fn conv2d_large(&mut self, input: &Tensor3, kernels: &Tensor4, spec: &ConvSpec) -> Tensor3 {
-        self.conv2d_large_inner(input, kernels, spec, 0)
-    }
-
-    /// [`conv2d_large`](AnalogEngine::conv2d_large) with an explicit noise
-    /// stream base: decomposition pass `t` uses pass id `pass_base + t`,
-    /// so every tile — and every group in a grouped convolution — draws
-    /// independent noise.
-    fn conv2d_large_inner(
-        &self,
-        input: &Tensor3,
-        kernels: &Tensor4,
-        spec: &ConvSpec,
-        pass_base: u64,
-    ) -> Tensor3 {
-        let (wm, wz, wy, wx) = kernels.dims();
-        let nm = self.chip.plcu.nm;
-        if wy * wx <= nm {
-            return self.conv2d_inner(input, kernels, spec, nm, pass_base);
-        }
-        // Tile the kernel into masked sub-kernels with at most Nm non-zero
-        // weights each: full-width row bands when a row fits the MZMs,
-        // single-row column chunks otherwise. The sum over tiles equals
-        // the full convolution by linearity.
-        let (rows_per_pass, cols_per_pass) = if wx <= nm {
-            ((nm / wx).max(1), wx)
-        } else {
-            (1, nm)
-        };
-        let mut out: Option<Tensor3> = None;
-        let mut pass = pass_base;
-        let mut r0 = 0;
-        while r0 < wy {
-            let band = rows_per_pass.min(wy - r0);
-            let mut c0 = 0;
-            while c0 < wx {
-                let chunk = cols_per_pass.min(wx - c0);
-                let mut masked = Tensor4::zeros(wm, wz, wy, wx);
-                for m in 0..wm {
-                    for z in 0..wz {
-                        for r in r0..r0 + band {
-                            for k in c0..c0 + chunk {
-                                masked.set(m, z, r, k, kernels[(m, z, r, k)]);
-                            }
-                        }
-                    }
-                }
-                // Widen the virtual capacity so the shared path accepts the
-                // masked kernel; the physical constraint (non-zero weights
-                // ≤ Nm) is upheld by construction.
-                let partial = self.conv2d_inner(input, &masked, spec, (wy * wx).max(nm), pass);
-                pass += 1;
-                out = Some(match out {
-                    None => partial,
-                    Some(mut acc) => {
-                        for (a, p) in acc.as_mut_slice().iter_mut().zip(partial.as_slice()) {
-                            *a += p;
-                        }
-                        acc
-                    }
-                });
-                c0 += chunk;
-            }
-            r0 += band;
-        }
-        out.expect("at least one pass")
-    }
-
-    /// Grouped convolution through the analog datapath (AlexNet's two-group
-    /// layers): each group is an independent convolution over its channel
-    /// slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel counts are not divisible by `groups`.
-    pub fn conv2d_grouped(
-        &mut self,
-        input: &Tensor3,
-        kernels: &Tensor4,
-        spec: &ConvSpec,
-        groups: usize,
-    ) -> Tensor3 {
-        assert!(groups > 0, "groups must be positive");
-        let (az, ay, ax) = input.dims();
-        let (wm, wz, wy, wx) = kernels.dims();
-        assert_eq!(az % groups, 0, "input depth not divisible by groups");
-        assert_eq!(wm % groups, 0, "kernel count not divisible by groups");
-        assert_eq!(wz, az / groups, "kernel depth must be input depth / groups");
-        if groups == 1 {
-            return self.conv2d_large_inner(input, kernels, spec, 0);
-        }
-        let ch_per_group = az / groups;
-        let kn_per_group = wm / groups;
-        let by = output_extent(ay, wy, spec.padding, spec.stride);
-        let bx = output_extent(ax, wx, spec.padding, spec.stride);
-        let mut out = Tensor3::zeros(wm, by, bx);
-        // A group's channels, kernels and output planes are each one
-        // contiguous block of the row-major buffers.
-        let (sub_len, subk_len, part_len) = (
-            ch_per_group * ay * ax,
-            kn_per_group * wz * wy * wx,
-            kn_per_group * by * bx,
-        );
-        for g in 0..groups {
-            let sub = &input.as_slice()[g * sub_len..][..sub_len];
-            let subk = &kernels.as_slice()[g * subk_len..][..subk_len];
-            let sub = Tensor3::from_vec(ch_per_group, ay, ax, sub.to_vec());
-            let subk = Tensor4::from_vec(kn_per_group, wz, wy, wx, subk.to_vec());
-            // Each group gets its own noise-stream block (a group never
-            // tiles into more than 1024 decomposition passes).
-            let part = self.conv2d_large_inner(&sub, &subk, spec, g as u64 * 1024);
-            out.as_mut_slice()[g * part_len..][..part_len].copy_from_slice(part.as_slice());
-        }
-        out
-    }
-}
-
 /// Box-Muller standard-normal sample.
 fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
@@ -978,7 +930,7 @@ mod tests {
         let (input, kernels) = random_case(1, 3, 8);
         let spec = ConvSpec::unit();
         let reference = conv2d(&input, &kernels, &spec);
-        let mut eng = engine(AnalogSimConfig::ideal());
+        let eng = engine(AnalogSimConfig::ideal());
         let analog = eng.conv2d(&input, &kernels, &spec);
         let full_scale = input.max_abs() * kernels.max_abs() * 27.0;
         let err = analog.max_abs_diff(&reference) / full_scale;
@@ -991,7 +943,7 @@ mod tests {
         let (input, kernels) = random_case(2, 6, 8);
         let spec = ConvSpec::unit();
         let reference = conv2d(&input, &kernels, &spec);
-        let mut eng = engine(AnalogSimConfig::default());
+        let eng = engine(AnalogSimConfig::default());
         let bits = eng.expected_bits();
         assert!(bits > 5.0, "predicted bits = {bits}");
         let analog = eng.conv2d(&input, &kernels, &spec);
@@ -1018,7 +970,7 @@ mod tests {
             adc_bits: 12,
             ..AnalogSimConfig::default()
         };
-        let mut eng = engine(cfg);
+        let eng = engine(cfg);
         let analog = eng.conv2d(&input, &kernels, &spec);
         let full_scale = input.max_abs() * kernels.max_abs() * 27.0;
         let err = analog.max_abs_diff(&reference) / full_scale;
@@ -1035,7 +987,7 @@ mod tests {
             adc_bits: 16,
             ..AnalogSimConfig::default()
         };
-        let mut eng = engine(cfg);
+        let eng = engine(cfg);
         let analog = eng.conv2d(&input, &kernels, &spec);
         let full_scale = input.max_abs() * kernels.max_abs() * 27.0;
         let err = analog.max_abs_diff(&reference) / full_scale;
@@ -1072,7 +1024,7 @@ mod tests {
         let (input, kernels) = random_case(7, 3, 9);
         let spec = ConvSpec::new(2, 0);
         let reference = conv2d(&input, &kernels, &spec);
-        let mut eng = engine(AnalogSimConfig::ideal());
+        let eng = engine(AnalogSimConfig::ideal());
         let analog = eng.conv2d(&input, &kernels, &spec);
         assert_eq!(analog.dims(), reference.dims());
         let full_scale = input.max_abs() * kernels.max_abs() * 27.0;
@@ -1085,7 +1037,7 @@ mod tests {
         let a: Vec<f64> = (0..100).map(|_| rng.random::<f64>()).collect();
         let w: Vec<f64> = (0..100).map(|_| rng.random::<f64>() - 0.5).collect();
         let reference: f64 = a.iter().zip(w.iter()).map(|(x, y)| x * y).sum();
-        let mut eng = engine(AnalogSimConfig::ideal());
+        let eng = engine(AnalogSimConfig::ideal());
         let analog = eng.dot(&a, &w);
         let a_max = a.iter().cloned().fold(0.0_f64, f64::max);
         let w_max = w.iter().map(|v| v.abs()).fold(0.0_f64, f64::max);
@@ -1100,7 +1052,7 @@ mod tests {
     fn zero_inputs_give_zero_output() {
         let input = Tensor3::zeros(3, 6, 6);
         let kernels = Tensor4::filled(2, 3, 3, 3, 0.5);
-        let mut eng = engine(AnalogSimConfig::default());
+        let eng = engine(AnalogSimConfig::default());
         let out = eng.conv2d(&input, &kernels, &ConvSpec::unit());
         assert!(out.iter().all(|&v| v == 0.0));
     }
@@ -1110,16 +1062,7 @@ mod tests {
     fn negative_inputs_rejected() {
         let input = Tensor3::filled(1, 4, 4, -1.0);
         let kernels = Tensor4::filled(1, 1, 3, 3, 0.5);
-        let mut eng = engine(AnalogSimConfig::default());
-        let _ = eng.conv2d(&input, &kernels, &ConvSpec::unit());
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the PLCU")]
-    fn oversized_kernel_rejected() {
-        let input = Tensor3::filled(1, 8, 8, 1.0);
-        let kernels = Tensor4::filled(1, 1, 5, 5, 0.5);
-        let mut eng = engine(AnalogSimConfig::default());
+        let eng = engine(AnalogSimConfig::default());
         let _ = eng.conv2d(&input, &kernels, &ConvSpec::unit());
     }
 
@@ -1217,7 +1160,7 @@ mod fault_tests {
     fn dead_ring_degrades_one_output_column_family() {
         let (input, kernels) = case(103);
         let spec = ConvSpec::unit();
-        let mut healthy = engine(AnalogSimConfig::ideal());
+        let healthy = engine(AnalogSimConfig::ideal());
         let clean = healthy.conv2d(&input, &kernels, &spec);
         let mut faulty = engine(AnalogSimConfig::ideal());
         let mut faults = FaultSet::new();
@@ -1331,22 +1274,11 @@ mod decomposition_tests {
         let kernels = Tensor4::random_gaussian(2, 2, 5, 5, 0.3, &mut rng);
         let spec = ConvSpec::unit();
         let reference = conv2d(&input, &kernels, &spec);
-        let analog = engine().conv2d_large(&input, &kernels, &spec);
+        let analog = engine().conv2d(&input, &kernels, &spec);
         let fs = input.max_abs() * kernels.max_abs() * 27.0;
         let err = analog.max_abs_diff(&reference) / fs;
         // 3 passes of 16-bit quantization: still well under 0.5%.
         assert!(err < 5e-3, "relative error {err}");
-    }
-
-    #[test]
-    fn small_kernels_take_the_direct_path() {
-        let mut rng = StdRng::seed_from_u64(202);
-        let input = Tensor3::random_uniform(1, 8, 8, 0.0, 1.0, &mut rng);
-        let kernels = Tensor4::random_gaussian(1, 1, 3, 3, 0.3, &mut rng);
-        let spec = ConvSpec::unit();
-        let direct = engine().conv2d(&input, &kernels, &spec);
-        let via_large = engine().conv2d_large(&input, &kernels, &spec);
-        assert_eq!(direct, via_large);
     }
 
     #[test]
@@ -1356,7 +1288,7 @@ mod decomposition_tests {
         let kernels = Tensor4::random_gaussian(2, 3, 11, 11, 0.1, &mut rng);
         let spec = ConvSpec::new(4, 0);
         let reference = conv2d(&input, &kernels, &spec);
-        let analog = engine().conv2d_large(&input, &kernels, &spec);
+        let analog = engine().conv2d(&input, &kernels, &spec);
         assert_eq!(analog.dims(), reference.dims());
         let fs = input.max_abs() * kernels.max_abs() * 27.0;
         assert!(analog.max_abs_diff(&reference) / fs < 2e-2);
@@ -1392,18 +1324,9 @@ mod decomposition_tests {
         let kernels = Tensor4::random_gaussian(1, 1, 1, 11, 0.3, &mut rng);
         let spec = ConvSpec::unit();
         let reference = conv2d(&input, &kernels, &spec);
-        let analog = engine().conv2d_large(&input, &kernels, &spec);
+        let analog = engine().conv2d(&input, &kernels, &spec);
         let fs = input.max_abs() * kernels.max_abs() * 27.0;
         assert!(analog.max_abs_diff(&reference) / fs < 5e-3);
-    }
-
-    #[test]
-    fn capacity_restored_after_unchecked_pass() {
-        let mut eng = engine();
-        let input = Tensor3::filled(1, 8, 8, 1.0);
-        let kernels = Tensor4::filled(1, 1, 5, 5, 0.5);
-        let _ = eng.conv2d_large(&input, &kernels, &ConvSpec::unit());
-        assert_eq!(eng.chip.plcu.nm, 9, "nm must be restored");
     }
 }
 
@@ -1430,7 +1353,7 @@ mod allocation_tests {
                 allocation,
                 ..AnalogSimConfig::default()
             };
-            let mut e = AnalogEngine::new(&chip, cfg);
+            let e = AnalogEngine::new(&chip, cfg);
             e.conv2d(&input, &kernels, &spec).max_abs_diff(&reference) / fs
         };
         let contiguous = run(ChannelAllocation::Contiguous);
@@ -1448,14 +1371,14 @@ mod allocation_tests {
         let input = Tensor3::random_uniform(2, 6, 6, 0.0, 1.0, &mut rng);
         let kernels = Tensor4::random_gaussian(1, 2, 3, 3, 0.3, &mut rng);
         let spec = ConvSpec::unit();
-        let mut a = AnalogEngine::new(
+        let a = AnalogEngine::new(
             &chip,
             AnalogSimConfig {
                 allocation: ChannelAllocation::Contiguous,
                 ..AnalogSimConfig::ideal()
             },
         );
-        let mut b = AnalogEngine::new(
+        let b = AnalogEngine::new(
             &chip,
             AnalogSimConfig {
                 allocation: ChannelAllocation::RowInterleaved,

@@ -37,11 +37,11 @@ proptest! {
         let kernels = Tensor4::random_gaussian(m, z, 3, 3, 0.3, &mut rng);
         let chip = ChipConfig::albireo_9();
         let spec = ConvSpec::unit();
-        let mut serial_engine = AnalogEngine::new(&chip, noisy_config(noise_seed))
+        let serial_engine = AnalogEngine::new(&chip, noisy_config(noise_seed))
             .with_parallelism(Parallelism::serial());
         let serial = serial_engine.conv2d(&input, &kernels, &spec);
         for threads in THREAD_COUNTS {
-            let mut engine = AnalogEngine::new(&chip, noisy_config(noise_seed))
+            let engine = AnalogEngine::new(&chip, noisy_config(noise_seed))
                 .with_parallelism(Parallelism::with_threads(threads));
             let par = engine.conv2d(&input, &kernels, &spec);
             prop_assert_eq!(&par, &serial);
@@ -52,20 +52,22 @@ proptest! {
     fn analog_large_kernel_decomposition_is_deterministic(
         noise_seed in 0u64..1 << 32,
         threads in 2usize..9,
+        groups in 1usize..=3,
     ) {
         // 5×5 kernels exceed the 9-MZM PLCU, forcing tiled decomposition —
-        // every tile gets its own pass id, so parallel stays bit-identical.
+        // every tile of every group gets its own pass id, so parallel stays
+        // bit-identical.
         let mut rng = StdRng::seed_from_u64(7);
-        let input = Tensor3::random_uniform(2, 9, 9, 0.0, 1.0, &mut rng);
-        let kernels = Tensor4::random_gaussian(3, 2, 5, 5, 0.3, &mut rng);
+        let input = Tensor3::random_uniform(2 * groups, 9, 9, 0.0, 1.0, &mut rng);
+        let kernels = Tensor4::random_gaussian(3 * groups, 2, 5, 5, 0.3, &mut rng);
         let chip = ChipConfig::albireo_9();
         let spec = ConvSpec::unit();
-        let mut serial_engine = AnalogEngine::new(&chip, noisy_config(noise_seed))
+        let serial_engine = AnalogEngine::new(&chip, noisy_config(noise_seed))
             .with_parallelism(Parallelism::serial());
-        let serial = serial_engine.conv2d_large(&input, &kernels, &spec);
-        let mut engine = AnalogEngine::new(&chip, noisy_config(noise_seed))
+        let serial = serial_engine.conv2d_grouped(&input, &kernels, &spec, groups);
+        let engine = AnalogEngine::new(&chip, noisy_config(noise_seed))
             .with_parallelism(Parallelism::with_threads(threads));
-        prop_assert_eq!(&engine.conv2d_large(&input, &kernels, &spec), &serial);
+        prop_assert_eq!(&engine.conv2d_grouped(&input, &kernels, &spec, groups), &serial);
     }
 
     #[test]
@@ -105,11 +107,11 @@ fn analog_dot_is_deterministic_across_thread_counts() {
     let a = Tensor3::random_uniform(1, 1, 200, 0.0, 1.0, &mut rng);
     let w = Tensor3::random_uniform(1, 1, 200, -1.0, 1.0, &mut rng);
     let chip = ChipConfig::albireo_9();
-    let mut serial_engine =
+    let serial_engine =
         AnalogEngine::new(&chip, noisy_config(5)).with_parallelism(Parallelism::serial());
     let serial = serial_engine.dot(a.as_slice(), w.as_slice());
     for threads in THREAD_COUNTS {
-        let mut engine = AnalogEngine::new(&chip, noisy_config(5))
+        let engine = AnalogEngine::new(&chip, noisy_config(5))
             .with_parallelism(Parallelism::with_threads(threads));
         assert_eq!(engine.dot(a.as_slice(), w.as_slice()), serial);
     }

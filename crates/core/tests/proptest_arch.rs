@@ -152,19 +152,19 @@ proptest! {
         let kernels = Tensor4::random_gaussian(per_group * groups, wz, ky, kx, 0.4, &mut rng);
         let spec = ConvSpec::new(stride, padding);
         let reference = conv2d_grouped(&input, &kernels, &spec, groups);
-        let mut engine = AnalogEngine::new(&chip, cfg);
+        let engine = AnalogEngine::new(&chip, cfg);
         let analog = engine.conv2d_grouped(&input, &kernels, &spec, groups);
-        // Decomposition passes and the MZM capacity each pass assumes.
+        // Decomposition passes, and each detection's full scale in terms.
         let (nm, nu) = (chip.plcu.nm, chip.nu);
-        let (passes, nm_cap) = if ky * kx <= nm {
-            (1, nm)
+        let passes = if ky * kx <= nm {
+            1
         } else if kx <= nm {
-            (ky.div_ceil(nm / kx), ky * kx)
+            ky.div_ceil(nm / kx)
         } else {
-            (ky * kx.div_ceil(nm), ky * kx)
+            ky * kx.div_ceil(nm)
         };
         let max_code = ((1u64 << (cfg.adc_bits - 1)) - 1) as f64;
-        let half_lsb = 0.5 * (nm_cap * nu) as f64 / max_code;
+        let half_lsb = 0.5 * ((ky * kx).max(nm) * nu) as f64 / max_code;
         let detections = (passes * wz.div_ceil(nu)) as f64;
         let bound = input.max_abs() * kernels.max_abs() * detections * half_lsb;
         let err = analog.max_abs_diff(&reference);
@@ -191,7 +191,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let input = Tensor3::random_uniform(2, 5, 5, 0.0, 1.0, &mut rng);
         let kernels = Tensor4::random_gaussian(2, 2, 3, 3, 0.4, &mut rng);
-        let mut engine = AnalogEngine::new(&chip, cfg);
+        let engine = AnalogEngine::new(&chip, cfg);
         let out = engine.conv2d(&input, &kernels, &ConvSpec::unit());
         prop_assert!(out.iter().all(|v| v.is_finite()));
     }

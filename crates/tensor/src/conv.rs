@@ -49,14 +49,22 @@ impl Default for ConvSpec {
 }
 
 /// Dot product between a receptive field of the input volume anchored at
-/// `(x0, y0)` (top-left, in padded coordinates) and kernel `m`.
-fn receptive_field_dot(input: &Tensor3, kernels: &Tensor4, m: usize, x0: isize, y0: isize) -> f64 {
+/// `(x0, y0)` (top-left, in padded coordinates) and kernel `m`, whose
+/// channel `z` meets input channel `z0 + z`.
+fn receptive_field_dot(
+    input: &Tensor3,
+    kernels: &Tensor4,
+    m: usize,
+    z0: usize,
+    x0: isize,
+    y0: isize,
+) -> f64 {
     let (_, wz, wy, wx) = kernels.dims();
     let mut acc = 0.0;
     for z in 0..wz {
         for ky in 0..wy {
             for kx in 0..wx {
-                let a = input.get_padded(z, y0 + ky as isize, x0 + kx as isize);
+                let a = input.get_padded(z0 + z, y0 + ky as isize, x0 + kx as isize);
                 if a != 0.0 {
                     acc += a * kernels[(m, z, ky, kx)];
                 }
@@ -67,7 +75,8 @@ fn receptive_field_dot(input: &Tensor3, kernels: &Tensor4, m: usize, x0: isize, 
 }
 
 /// Standard convolution (paper Algorithm 1), producing an output volume of
-/// shape `Wm × By × Bx` (Eq. 1). No activation is applied.
+/// shape `Wm × By × Bx` (Eq. 1): [`conv2d_grouped`] with one group. No
+/// activation is applied.
 ///
 /// # Panics
 ///
@@ -84,40 +93,14 @@ fn receptive_field_dot(input: &Tensor3, kernels: &Tensor4, m: usize, x0: isize, 
 /// assert_eq!(out[(0, 0, 0)], 18.0);
 /// ```
 pub fn conv2d(input: &Tensor3, kernels: &Tensor4, spec: &ConvSpec) -> Tensor3 {
-    conv2d_with(input, kernels, spec, Parallelism::default())
+    conv2d_grouped(input, kernels, spec, 1)
 }
 
-/// [`conv2d`] under an explicit [`Parallelism`] policy. Output kernels are
-/// independent work items (kernel `m` owns the contiguous `By × Bx` output
-/// plane), so the result is bit-identical at any thread count.
-pub fn conv2d_with(
-    input: &Tensor3,
-    kernels: &Tensor4,
-    spec: &ConvSpec,
-    par: Parallelism,
-) -> Tensor3 {
-    let _prof = albireo_obs::profile::scope("tensor.conv2d");
-    let (az, ay, ax) = input.dims();
-    let (wm, wz, wy, wx) = kernels.dims();
-    assert_eq!(wz, az, "kernel depth {wz} must equal input depth {az}");
-    let bx = output_extent(ax, wx, spec.padding, spec.stride);
-    let by = output_extent(ay, wy, spec.padding, spec.stride);
-    let mut out = Tensor3::zeros(wm, by, bx);
-    let pad = spec.padding as isize;
-    par.fill_slices(out.as_mut_slice(), (by * bx).max(1), |m, plane| {
-        for (yb, ya) in (0..by).zip((0..).step_by(spec.stride)) {
-            for (xb, xa) in (0..bx).zip((0..).step_by(spec.stride)) {
-                plane[yb * bx + xb] =
-                    receptive_field_dot(input, kernels, m, xa as isize - pad, ya as isize - pad);
-            }
-        }
-    });
-    out
-}
-
-/// Grouped convolution (AlexNet's conv2/4/5 use two groups): the input and
-/// kernels are split along the channel axis into `groups` independent
-/// convolutions whose outputs are stacked.
+/// Grouped convolution (AlexNet's conv2/4/5 use two groups; a depthwise
+/// layer, MobileNet's, has one group per channel): the input and kernels
+/// are split along the channel axis into `groups` independent
+/// convolutions whose outputs are stacked. A pointwise layer is the 1×1
+/// case.
 ///
 /// # Panics
 ///
@@ -129,129 +112,48 @@ pub fn conv2d_grouped(
     spec: &ConvSpec,
     groups: usize,
 ) -> Tensor3 {
+    conv2d_grouped_with(input, kernels, spec, groups, Parallelism::default())
+}
+
+/// [`conv2d_grouped`] under an explicit [`Parallelism`] policy. Output
+/// kernels are independent work items (kernel `m` owns the contiguous
+/// `By × Bx` output plane and reads its group's channels in place), so the
+/// result is bit-identical at any thread count.
+pub fn conv2d_grouped_with(
+    input: &Tensor3,
+    kernels: &Tensor4,
+    spec: &ConvSpec,
+    groups: usize,
+    par: Parallelism,
+) -> Tensor3 {
+    let _prof = albireo_obs::profile::scope("tensor.conv2d");
     assert!(groups > 0, "groups must be positive");
     let (az, ay, ax) = input.dims();
     let (wm, wz, wy, wx) = kernels.dims();
     assert_eq!(az % groups, 0, "input depth not divisible by groups");
     assert_eq!(wm % groups, 0, "kernel count not divisible by groups");
-    assert_eq!(wz, az / groups, "kernel depth must be input depth / groups");
+    assert_eq!(
+        wz,
+        az / groups,
+        "kernel depth {wz} must equal input depth {az} / {groups} groups"
+    );
     let bx = output_extent(ax, wx, spec.padding, spec.stride);
     let by = output_extent(ay, wy, spec.padding, spec.stride);
     let mut out = Tensor3::zeros(wm, by, bx);
-    let ch_per_group = az / groups;
-    let kn_per_group = wm / groups;
-    for g in 0..groups {
-        // Slice the input channels of this group.
-        let mut sub = Tensor3::zeros(ch_per_group, ay, ax);
-        for z in 0..ch_per_group {
-            for y in 0..ay {
-                for x in 0..ax {
-                    sub.set(z, y, x, input[(g * ch_per_group + z, y, x)]);
-                }
-            }
-        }
-        let mut subk = Tensor4::zeros(kn_per_group, wz, wy, wx);
-        for m in 0..kn_per_group {
-            for z in 0..wz {
-                for y in 0..wy {
-                    for x in 0..wx {
-                        subk.set(m, z, y, x, kernels[(g * kn_per_group + m, z, y, x)]);
-                    }
-                }
-            }
-        }
-        let part = conv2d(&sub, &subk, spec);
-        let (_, py, px) = part.dims();
-        for m in 0..kn_per_group {
-            for y in 0..py {
-                for x in 0..px {
-                    out.set(g * kn_per_group + m, y, x, part[(m, y, x)]);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Depthwise convolution (MobileNet): each input channel is convolved with
-/// its own single-channel kernel; no cross-channel accumulation (paper
-/// §III-C).
-///
-/// `kernels` has shape `[C]\[1\][Wy][Wx]` — one kernel per input channel.
-///
-/// # Panics
-///
-/// Panics if the kernel count differs from the channel count or kernels are
-/// not single-channel.
-pub fn depthwise_conv(input: &Tensor3, kernels: &Tensor4, spec: &ConvSpec) -> Tensor3 {
-    depthwise_conv_with(input, kernels, spec, Parallelism::default())
-}
-
-/// [`depthwise_conv`] under an explicit [`Parallelism`] policy; channels
-/// are the independent work items.
-pub fn depthwise_conv_with(
-    input: &Tensor3,
-    kernels: &Tensor4,
-    spec: &ConvSpec,
-    par: Parallelism,
-) -> Tensor3 {
-    let (az, ay, ax) = input.dims();
-    let (wm, wz, wy, wx) = kernels.dims();
-    assert_eq!(wm, az, "need one depthwise kernel per channel");
-    assert_eq!(wz, 1, "depthwise kernels are single-channel");
-    let bx = output_extent(ax, wx, spec.padding, spec.stride);
-    let by = output_extent(ay, wy, spec.padding, spec.stride);
-    let mut out = Tensor3::zeros(az, by, bx);
     let pad = spec.padding as isize;
-    par.fill_slices(out.as_mut_slice(), (by * bx).max(1), |c, plane| {
+    let kernels_per_group = wm / groups;
+    par.fill_slices(out.as_mut_slice(), (by * bx).max(1), |m, plane| {
+        let z0 = m / kernels_per_group * wz;
         for (yb, ya) in (0..by).zip((0..).step_by(spec.stride)) {
             for (xb, xa) in (0..bx).zip((0..).step_by(spec.stride)) {
-                let mut acc = 0.0;
-                for ky in 0..wy {
-                    for kx in 0..wx {
-                        let a = input.get_padded(
-                            c,
-                            ya as isize - pad + ky as isize,
-                            xa as isize - pad + kx as isize,
-                        );
-                        acc += a * kernels[(c, 0, ky, kx)];
-                    }
-                }
-                plane[yb * bx + xb] = acc;
-            }
-        }
-    });
-    out
-}
-
-/// Pointwise (1×1) convolution (MobileNet): mixes channels at every spatial
-/// location.
-///
-/// `kernels` has shape `[M][C]\[1\][1]`.
-///
-/// # Panics
-///
-/// Panics if the kernel spatial extent is not 1×1 or depths mismatch.
-pub fn pointwise_conv(input: &Tensor3, kernels: &Tensor4) -> Tensor3 {
-    pointwise_conv_with(input, kernels, Parallelism::default())
-}
-
-/// [`pointwise_conv`] under an explicit [`Parallelism`] policy; output
-/// channels are the independent work items.
-pub fn pointwise_conv_with(input: &Tensor3, kernels: &Tensor4, par: Parallelism) -> Tensor3 {
-    let (az, ay, ax) = input.dims();
-    let (wm, wz, wy, wx) = kernels.dims();
-    assert_eq!((wy, wx), (1, 1), "pointwise kernels are 1x1");
-    assert_eq!(wz, az, "kernel depth must equal input depth");
-    let mut out = Tensor3::zeros(wm, ay, ax);
-    par.fill_slices(out.as_mut_slice(), (ay * ax).max(1), |m, plane| {
-        for y in 0..ay {
-            for x in 0..ax {
-                let mut acc = 0.0;
-                for z in 0..az {
-                    acc += input[(z, y, x)] * kernels[(m, z, 0, 0)];
-                }
-                plane[y * ax + x] = acc;
+                plane[yb * bx + xb] = receptive_field_dot(
+                    input,
+                    kernels,
+                    m,
+                    z0,
+                    xa as isize - pad,
+                    ya as isize - pad,
+                );
             }
         }
     });
@@ -446,7 +348,7 @@ mod tests {
             }
         }
         let kernels = Tensor4::filled(2, 1, 3, 3, 1.0);
-        let out = depthwise_conv(&input, &kernels, &ConvSpec::unit());
+        let out = conv2d_grouped(&input, &kernels, &ConvSpec::unit(), 2);
         assert_eq!(out.dims(), (2, 1, 1));
         assert_eq!(out[(0, 0, 0)], 9.0);
         assert_eq!(out[(1, 0, 0)], 90.0);
@@ -466,7 +368,7 @@ mod tests {
         kernels.set(0, 0, 0, 0, 1.0);
         kernels.set(0, 1, 0, 0, 10.0);
         kernels.set(0, 2, 0, 0, 100.0);
-        let out = pointwise_conv(&input, &kernels);
+        let out = conv2d(&input, &kernels, &ConvSpec::unit());
         assert_eq!(out.dims(), (1, 2, 2));
         assert!(out.iter().all(|&v| v == 321.0));
     }
@@ -479,9 +381,11 @@ mod tests {
         let input = Tensor3::random_uniform(3, 5, 5, 0.0, 1.0, &mut rng);
         let depthwise = Tensor4::random_gaussian(3, 1, 3, 3, 0.5, &mut rng);
         let pointwise = Tensor4::random_gaussian(2, 3, 1, 1, 0.5, &mut rng);
-        let sep = pointwise_conv(
-            &depthwise_conv(&input, &depthwise, &ConvSpec::unit()),
+        let spec = ConvSpec::unit();
+        let sep = conv2d(
+            &conv2d_grouped(&input, &depthwise, &spec, 3),
             &pointwise,
+            &spec,
         );
         let mut full = Tensor4::zeros(2, 3, 3, 3);
         for m in 0..2 {

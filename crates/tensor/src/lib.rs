@@ -1,9 +1,10 @@
 //! Dense tensors and reference CNN operators.
 //!
 //! This crate is the *digital golden model* for the Albireo reproduction: it
-//! implements the convolution of Algorithm 1 of the paper (plus
-//! fully-connected, depthwise, and pointwise layers) exactly, in `f64`,
-//! so that the analog photonic simulation in `albireo-core` can be checked
+//! implements the convolution of Algorithm 1 of the paper as one grouped
+//! convolution (depthwise layers are one group per channel, pointwise
+//! layers 1×1 kernels) plus fully-connected layers exactly, in `f64`, so
+//! that the analog photonic simulation in `albireo-core` can be checked
 //! against it up to the predicted analog precision.
 //!
 //! The indexing convention follows the paper: an input volume `A` is indexed

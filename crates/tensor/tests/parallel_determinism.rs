@@ -4,7 +4,7 @@
 //! an oversubscribed 64).
 
 use albireo_parallel::Parallelism;
-use albireo_tensor::conv::{conv2d_with, depthwise_conv_with, pointwise_conv_with, ConvSpec};
+use albireo_tensor::conv::{conv2d_grouped_with, ConvSpec};
 use albireo_tensor::im2col::{im2col_conv2d_with, Matrix};
 use albireo_tensor::{Tensor3, Tensor4};
 use proptest::prelude::*;
@@ -33,9 +33,10 @@ proptest! {
     ) {
         let (input, kernels) = conv_case(seed, z, n, m, k);
         let spec = ConvSpec::new(stride, padding);
-        let serial = conv2d_with(&input, &kernels, &spec, Parallelism::serial());
+        let serial = conv2d_grouped_with(&input, &kernels, &spec, 1, Parallelism::serial());
         for threads in THREAD_COUNTS {
-            let par = conv2d_with(&input, &kernels, &spec, Parallelism::with_threads(threads));
+            let par = Parallelism::with_threads(threads);
+            let par = conv2d_grouped_with(&input, &kernels, &spec, 1, par);
             prop_assert_eq!(&par, &serial);
         }
     }
@@ -51,10 +52,10 @@ proptest! {
         let input = Tensor3::random_uniform(z, n, n, -1.0, 1.0, &mut rng);
         let kernels = Tensor4::random_gaussian(z, 1, k, k, 0.5, &mut rng);
         let spec = ConvSpec::unit();
-        let serial = depthwise_conv_with(&input, &kernels, &spec, Parallelism::serial());
+        let serial = conv2d_grouped_with(&input, &kernels, &spec, z, Parallelism::serial());
         for threads in THREAD_COUNTS {
-            let par =
-                depthwise_conv_with(&input, &kernels, &spec, Parallelism::with_threads(threads));
+            let par = Parallelism::with_threads(threads);
+            let par = conv2d_grouped_with(&input, &kernels, &spec, z, par);
             prop_assert_eq!(&par, &serial);
         }
     }
@@ -69,9 +70,11 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let input = Tensor3::random_uniform(z, n, n, -1.0, 1.0, &mut rng);
         let kernels = Tensor4::random_gaussian(m, z, 1, 1, 0.5, &mut rng);
-        let serial = pointwise_conv_with(&input, &kernels, Parallelism::serial());
+        let spec = ConvSpec::unit();
+        let serial = conv2d_grouped_with(&input, &kernels, &spec, 1, Parallelism::serial());
         for threads in THREAD_COUNTS {
-            let par = pointwise_conv_with(&input, &kernels, Parallelism::with_threads(threads));
+            let par = Parallelism::with_threads(threads);
+            let par = conv2d_grouped_with(&input, &kernels, &spec, 1, par);
             prop_assert_eq!(&par, &serial);
         }
     }

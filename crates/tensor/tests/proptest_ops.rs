@@ -4,8 +4,7 @@
 //! identities.
 
 use albireo_tensor::conv::{
-    avg_pool, conv2d, conv2d_grouped, depthwise_conv, fully_connected, max_pool, pointwise_conv,
-    relu, ConvSpec,
+    avg_pool, conv2d, conv2d_grouped, fully_connected, max_pool, relu, ConvSpec,
 };
 use albireo_tensor::im2col::im2col_conv2d;
 use albireo_tensor::quant::Quantizer;
@@ -23,7 +22,8 @@ fn tensors(seed: u64, z: usize, n: usize, m: usize, k: usize) -> (Tensor3, Tenso
 }
 
 proptest! {
-    /// Algorithm 1 and im2col agree for any geometry.
+    /// Algorithm 1 and im2col agree for any geometry: each group of a
+    /// grouped convolution equals im2col over that group's channel slice.
     #[test]
     fn conv_equals_im2col(
         seed in 0u64..5000,
@@ -32,12 +32,28 @@ proptest! {
         m in 1usize..5,
         stride in 1usize..3,
         padding in 0usize..2,
+        groups in 1usize..4,
     ) {
-        let (input, kernels) = tensors(seed, z, n, m, 3);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let input = Tensor3::random_uniform(z * groups, n, n, -1.0, 1.0, &mut rng);
+        let kernels = Tensor4::random_gaussian(m * groups, z, 3, 3, 0.5, &mut rng);
         prop_assume!(n + 2 * padding >= 3);
         let spec = ConvSpec::new(stride, padding);
-        let direct = conv2d(&input, &kernels, &spec);
-        let unrolled = im2col_conv2d(&input, &kernels, &spec);
+        let direct = conv2d_grouped(&input, &kernels, &spec, groups);
+        let (channels, weights) = (z * n * n, m * z * 9);
+        let mut unrolled = Vec::new();
+        for g in 0..groups {
+            let sub = input.as_slice()[g * channels..][..channels].to_vec();
+            let subk = kernels.as_slice()[g * weights..][..weights].to_vec();
+            let part = im2col_conv2d(
+                &Tensor3::from_vec(z, n, n, sub),
+                &Tensor4::from_vec(m, z, 3, 3, subk),
+                &spec,
+            );
+            unrolled.extend_from_slice(part.as_slice());
+        }
+        let (_, by, bx) = direct.dims();
+        let unrolled = Tensor3::from_vec(m * groups, by, bx, unrolled);
         prop_assert!(direct.max_abs_diff(&unrolled) < 1e-9);
     }
 
@@ -97,7 +113,7 @@ proptest! {
         let dw = Tensor4::random_gaussian(c, 1, 3, 3, 0.5, &mut rng);
         let pw = Tensor4::random_gaussian(m, c, 1, 1, 0.5, &mut rng);
         let spec = ConvSpec::unit();
-        let separable = pointwise_conv(&depthwise_conv(&input, &dw, &spec), &pw);
+        let separable = conv2d(&conv2d_grouped(&input, &dw, &spec, c), &pw, &spec);
         let mut full = Tensor4::zeros(m, c, 3, 3);
         for mi in 0..m {
             for ci in 0..c {

@@ -46,7 +46,7 @@ impl TinyCnn {
     }
 
     /// Forward pass with every MAC on the photonic datapath.
-    fn forward_analog(&self, image: &Tensor3, engine: &mut AnalogEngine) -> Vec<f64> {
+    fn forward_analog(&self, image: &Tensor3, engine: &AnalogEngine) -> Vec<f64> {
         let mut x = engine.conv2d(image, &self.conv1, &ConvSpec::unit());
         x.relu_inplace();
         let x = max_pool(&x, 2, 2);
@@ -119,7 +119,7 @@ fn main() {
         let mut agree = 0usize;
         let mut score_err = 0.0f64;
         for (im, dig) in images.iter().zip(&digital) {
-            let ana = net.forward_analog(im, &mut engine);
+            let ana = net.forward_analog(im, &engine);
             if argmax(&ana) == argmax(dig) {
                 agree += 1;
             }

@@ -53,7 +53,7 @@ fn main() {
             AnalogSimConfig::default(),
         ),
     ] {
-        let mut engine = AnalogEngine::new(&chip, cfg);
+        let engine = AnalogEngine::new(&chip, cfg);
         let analog = engine.conv2d(&input, &kernels, &spec);
         let max_err = analog.max_abs_diff(&reference);
         let rms: f64 = {

@@ -3,7 +3,7 @@
 
 use albireo::core::analog::{AnalogEngine, AnalogSimConfig};
 use albireo::core::config::ChipConfig;
-use albireo::tensor::conv::{conv2d, depthwise_conv, pointwise_conv, ConvSpec};
+use albireo::tensor::conv::{conv2d, conv2d_grouped, ConvSpec};
 use albireo::tensor::quant::Quantizer;
 use albireo::tensor::{Tensor3, Tensor4};
 use rand::rngs::StdRng;
@@ -27,7 +27,7 @@ fn analog_matches_digital_across_shapes() {
         let weights = Tensor4::random_gaussian(kernels, z, 3, 3, 0.3, &mut rng);
         let spec = ConvSpec::unit();
         let reference = conv2d(&input, &weights, &spec);
-        let mut engine = AnalogEngine::new(&chip, AnalogSimConfig::default());
+        let engine = AnalogEngine::new(&chip, AnalogSimConfig::default());
         let analog = engine.conv2d(&input, &weights, &spec);
         let fs = input.max_abs() * weights.max_abs() * 27.0;
         let err = relative_error(&analog, &reference, fs);
@@ -53,7 +53,7 @@ fn error_decomposition_is_monotone() {
     let fs = input.max_abs() * weights.max_abs() * 27.0;
 
     let run = |cfg: AnalogSimConfig| {
-        let mut engine = AnalogEngine::new(&chip, cfg);
+        let engine = AnalogEngine::new(&chip, cfg);
         relative_error(&engine.conv2d(&input, &weights, &spec), &reference, fs)
     };
     let ideal = run(AnalogSimConfig::ideal());
@@ -81,7 +81,7 @@ fn analog_respects_8bit_quantized_network_semantics() {
 
     let spec = ConvSpec::unit();
     let reference = conv2d(&input, &weights, &spec);
-    let mut engine = AnalogEngine::new(&chip, AnalogSimConfig::default());
+    let engine = AnalogEngine::new(&chip, AnalogSimConfig::default());
     let analog = engine.conv2d(&input, &weights, &spec);
     let fs = input.max_abs() * weights.max_abs() * 27.0;
     assert!(relative_error(&analog, &reference, fs) < 0.02);
@@ -91,8 +91,7 @@ fn analog_respects_8bit_quantized_network_semantics() {
 fn depthwise_separable_block_through_analog_engine() {
     // MobileNet-style block: depthwise (one PLCU per channel, no
     // cross-channel aggregation) then pointwise, both via the analog conv
-    // by expressing them as grouped standard convolutions the engine
-    // supports (depthwise = per-channel 1-kernel conv).
+    // as grouped standard convolutions (depthwise = one group per channel).
     let chip = ChipConfig::albireo_9();
     let mut rng = StdRng::seed_from_u64(21);
     let input = Tensor3::random_uniform(3, 8, 8, 0.0, 1.0, &mut rng);
@@ -100,37 +99,16 @@ fn depthwise_separable_block_through_analog_engine() {
     let pw = Tensor4::random_gaussian(2, 3, 1, 1, 0.3, &mut rng);
 
     let spec = ConvSpec::same_padding(3, 1);
-    let dw_ref = depthwise_conv(&input, &dw, &spec);
-    // Depthwise per channel: run each channel as its own 1-channel conv.
-    let mut engine = AnalogEngine::new(&chip, AnalogSimConfig::ideal());
-    let mut dw_analog = Tensor3::zeros(3, 8, 8);
-    for c in 0..3 {
-        let mut chan = Tensor3::zeros(1, 8, 8);
-        for y in 0..8 {
-            for x in 0..8 {
-                chan.set(0, y, x, input[(c, y, x)]);
-            }
-        }
-        let mut kern = Tensor4::zeros(1, 1, 3, 3);
-        for ky in 0..3 {
-            for kx in 0..3 {
-                kern.set(0, 0, ky, kx, dw[(c, 0, ky, kx)]);
-            }
-        }
-        let out = engine.conv2d(&chan, &kern, &spec);
-        for y in 0..8 {
-            for x in 0..8 {
-                dw_analog.set(c, y, x, out[(0, y, x)]);
-            }
-        }
-    }
+    let dw_ref = conv2d_grouped(&input, &dw, &spec, 3);
+    let engine = AnalogEngine::new(&chip, AnalogSimConfig::ideal());
+    let dw_analog = engine.conv2d_grouped(&input, &dw, &spec, 3);
     let fs_dw = input.max_abs() * dw.max_abs() * 27.0;
     assert!(relative_error(&dw_analog, &dw_ref, fs_dw) < 1e-3);
 
     // Pointwise on the (ReLU'd, hence non-negative) depthwise output.
     let mut activated = dw_ref.clone();
     activated.relu_inplace();
-    let pw_ref = pointwise_conv(&activated, &pw);
+    let pw_ref = conv2d(&activated, &pw, &ConvSpec::unit());
     let pw_analog = engine.conv2d(&activated, &pw, &ConvSpec::unit());
     let fs_pw = activated.max_abs() * pw.max_abs() * 27.0;
     assert!(relative_error(&pw_analog, &pw_ref, fs_pw) < 1e-3);
@@ -146,7 +124,7 @@ fn measured_effective_bits_consistent_with_prediction() {
     let weights = Tensor4::random_gaussian(4, 3, 3, 3, 0.3, &mut rng);
     let spec = ConvSpec::unit();
     let reference = conv2d(&input, &weights, &spec);
-    let mut engine = AnalogEngine::new(&chip, AnalogSimConfig::default());
+    let engine = AnalogEngine::new(&chip, AnalogSimConfig::default());
     let predicted = engine.expected_bits();
     let analog = engine.conv2d(&input, &weights, &spec);
     let fs = input.max_abs() * weights.max_abs() * 27.0;
@@ -169,7 +147,7 @@ fn fc_dot_large_vector() {
         .map(|_| rand::Rng::random::<f64>(&mut rng) - 0.5)
         .collect();
     let reference: f64 = a.iter().zip(w.iter()).map(|(x, y)| x * y).sum();
-    let mut engine = AnalogEngine::new(&chip, AnalogSimConfig::default());
+    let engine = AnalogEngine::new(&chip, AnalogSimConfig::default());
     let analog = engine.dot(&a, &w);
     let a_max = a.iter().cloned().fold(0.0_f64, f64::max);
     let w_max = w.iter().map(|v| v.abs()).fold(0.0_f64, f64::max);

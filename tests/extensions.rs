@@ -109,7 +109,7 @@ fn compensation_and_faults_compose() {
         ..AnalogSimConfig::default()
     };
     let healthy_err = {
-        let mut e = AnalogEngine::new(&chip, cfg);
+        let e = AnalogEngine::new(&chip, cfg);
         e.conv2d(&input, &kernels, &spec).max_abs_diff(&reference) / fs
     };
     let faulty_err = {
