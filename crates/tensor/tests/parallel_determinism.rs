@@ -35,8 +35,8 @@ proptest! {
         let spec = ConvSpec::new(stride, padding);
         let serial = conv2d_grouped_with(&input, &kernels, &spec, 1, Parallelism::serial());
         for threads in THREAD_COUNTS {
-            let par = Parallelism::with_threads(threads);
-            let par = conv2d_grouped_with(&input, &kernels, &spec, 1, par);
+            let policy = Parallelism::with_threads(threads);
+            let par = conv2d_grouped_with(&input, &kernels, &spec, 1, policy);
             prop_assert_eq!(&par, &serial);
         }
     }
@@ -54,8 +54,8 @@ proptest! {
         let spec = ConvSpec::unit();
         let serial = conv2d_grouped_with(&input, &kernels, &spec, z, Parallelism::serial());
         for threads in THREAD_COUNTS {
-            let par = Parallelism::with_threads(threads);
-            let par = conv2d_grouped_with(&input, &kernels, &spec, z, par);
+            let policy = Parallelism::with_threads(threads);
+            let par = conv2d_grouped_with(&input, &kernels, &spec, z, policy);
             prop_assert_eq!(&par, &serial);
         }
     }
@@ -73,8 +73,8 @@ proptest! {
         let spec = ConvSpec::unit();
         let serial = conv2d_grouped_with(&input, &kernels, &spec, 1, Parallelism::serial());
         for threads in THREAD_COUNTS {
-            let par = Parallelism::with_threads(threads);
-            let par = conv2d_grouped_with(&input, &kernels, &spec, 1, par);
+            let policy = Parallelism::with_threads(threads);
+            let par = conv2d_grouped_with(&input, &kernels, &spec, 1, policy);
             prop_assert_eq!(&par, &serial);
         }
     }
