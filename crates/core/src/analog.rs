@@ -1391,3 +1391,181 @@ mod allocation_tests {
         );
     }
 }
+
+#[cfg(test)]
+mod plane_tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Every input the planes read: uniform values with exact `0.0` and
+    /// `−0.0` elements mixed in, and one group left all zero when there
+    /// are two.
+    fn input(rng: &mut StdRng, az: usize, ay: usize, ax: usize, groups: usize) -> Tensor3 {
+        let mut input = Tensor3::random_uniform(az, ay, ax, 0.0, 1.0, rng);
+        for a in input.as_mut_slice() {
+            match rng.random::<u64>() % 6 {
+                0 => *a = 0.0,
+                1 => *a = -0.0,
+                _ => {}
+            }
+        }
+        if groups > 1 {
+            let per_group = az / groups * ay * ax;
+            for a in &mut input.as_mut_slice()[per_group..2 * per_group] {
+                *a = if rng.random::<bool>() { 0.0 } else { -0.0 };
+            }
+        }
+        input
+    }
+
+    /// The planes entry by entry, as the plan first built them: for each
+    /// channel, block, padded row and ring `t`, a sum over the block's
+    /// multicast columns `c` in ascending order that skips dead columns
+    /// and zero coefficients. Returns `(plane, ideal, leak)`.
+    fn reference(
+        engine: &AnalogEngine,
+        input: &Tensor3,
+        (wy, wx): (usize, usize),
+        spec: &ConvSpec,
+        groups: usize,
+    ) -> (Vec<f64>, Option<Vec<f64>>, Option<Vec<f64>>) {
+        let (az, ay, ax) = input.dims();
+        let (stride, pad) = (spec.stride, spec.padding);
+        let by = output_extent(ay, wy, pad, stride);
+        let bx = output_extent(ax, wx, pad, stride);
+        let nd_eff = if stride == 1 { engine.chip.plcu.nd } else { 1 };
+        let row_len = nd_eff + wx - 1;
+        let blocks = bx.div_ceil(nd_eff);
+        let (py, px) = ((by - 1) * stride + wy, (bx - 1) * stride + wx);
+        let wz = az / groups;
+        let a_max: Vec<f64> = (0..groups)
+            .map(|g| {
+                (g * wz..(g + 1) * wz)
+                    .flat_map(|z| (0..ay).flat_map(move |y| (0..ax).map(move |x| (z, y, x))))
+                    .fold(0.0_f64, |m, i| m.max(input[i].abs()))
+            })
+            .collect();
+        // The normalized input at padded coordinates.
+        let a = |z: usize, y: usize, x: usize| match (y.checked_sub(pad), x.checked_sub(pad)) {
+            (Some(y), Some(x)) if y < ay && x < ax && a_max[z / wz] != 0.0 => {
+                input[(z, y, x)] / a_max[z / wz]
+            }
+            _ => 0.0,
+        };
+        let dead = |c: usize| engine.faults.channel_dead(c);
+        let build = |entry: &dyn Fn(usize, usize, usize, usize, usize) -> f64| {
+            let mut plane = vec![0.0; az * blocks * py * row_len];
+            for z in 0..az {
+                for block in 0..blocks {
+                    let x0 = block * nd_eff * stride;
+                    let len = row_len.min(px - x0);
+                    for y in 0..py {
+                        for t in 0..len {
+                            plane[((z * blocks + block) * py + y) * row_len + t] =
+                                entry(z, y, x0, len, t);
+                        }
+                    }
+                }
+            }
+            plane
+        };
+        let dropped = |enabled: bool| {
+            build(&|z, y, x0, len, t| {
+                let mut sum = 0.0;
+                for c in 0..len {
+                    if dead(c) {
+                        continue;
+                    }
+                    let x = engine.crosstalk(c as isize - t as isize, enabled);
+                    if x != 0.0 {
+                        sum += x * a(z, y, x0 + c);
+                    }
+                }
+                sum
+            })
+        };
+        let crosstalk = engine.cfg.enable_crosstalk;
+        let ideal = (crosstalk && engine.cfg.crosstalk_compensation).then(|| dropped(false));
+        let leak = crosstalk.then(|| {
+            build(&|z, y, x0, _, c| {
+                if dead(c) {
+                    0.0
+                } else {
+                    a(z, y, x0 + c)
+                }
+            })
+        });
+        (dropped(crosstalk), ideal, leak)
+    }
+
+    fn assert_bits(what: &str, got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        if let Some(i) = (0..got.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+            panic!("{what}[{i}]: {:e} != reference {:e}", got[i], want[i]);
+        }
+    }
+
+    #[test]
+    fn planes_match_the_per_entry_formula_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x91A7E);
+        // (groups, channels, input extent, kernel, stride, padding): a
+        // short last block at stride 1, strides above 1, a kernel wider
+        // than `Nm` and a pointwise one, two groups with one all zero.
+        let shapes = [
+            (1, 3, (8, 8), (3, 3), 1, 1),
+            (1, 2, (7, 12), (3, 3), 1, 0),
+            (1, 2, (9, 9), (3, 3), 2, 0),
+            (1, 2, (11, 11), (5, 5), 3, 2),
+            (1, 3, (4, 7), (1, 1), 1, 0),
+            (1, 1, (6, 14), (5, 5), 1, 2),
+            (2, 4, (6, 9), (3, 3), 1, 1),
+        ];
+        let modes = [(false, false), (true, false), (true, true), (false, true)];
+        let dead_sets: [&[usize]; 3] = [&[], &[3], &[0, 6, 40]];
+        let allocations = [
+            ChannelAllocation::Contiguous,
+            ChannelAllocation::RowInterleaved,
+        ];
+        for &(groups, az, (ay, ax), (wy, wx), stride, padding) in &shapes {
+            let spec = ConvSpec::new(stride, padding);
+            let input = input(&mut rng, az, ay, ax, groups);
+            let kernels = Tensor4::random_gaussian(2 * groups, az / groups, wy, wx, 0.3, &mut rng);
+            for (crosstalk, compensation) in modes {
+                for allocation in allocations {
+                    for dead in dead_sets {
+                        let cfg = AnalogSimConfig {
+                            enable_crosstalk: crosstalk,
+                            crosstalk_compensation: compensation,
+                            allocation,
+                            ..AnalogSimConfig::default()
+                        };
+                        let mut engine = AnalogEngine::new(&ChipConfig::albireo_9(), cfg);
+                        let mut faults = FaultSet::new();
+                        for &column in dead {
+                            faults.push(Fault::DeadChannel { column });
+                        }
+                        engine.inject_faults(faults);
+                        let plan = ConvPlan::new(&engine, &input, &kernels, &spec, groups);
+                        let (plane, ideal, leak) =
+                            reference(&engine, &input, (wy, wx), &spec, groups);
+                        let case = format!(
+                            "{groups}×{az}×{ay}×{ax} * {wy}×{wx} stride {stride} pad {padding}, \
+                             crosstalk {crosstalk} compensation {compensation} {allocation:?} \
+                             dead {dead:?}"
+                        );
+                        assert_bits(&format!("plane ({case})"), &plan.plane, &plane);
+                        assert_eq!(plan.ideal.is_some(), ideal.is_some(), "ideal ({case})");
+                        if let (Some(got), Some(want)) = (&plan.ideal, &ideal) {
+                            assert_bits(&format!("ideal ({case})"), got, want);
+                        }
+                        assert_eq!(plan.leak.is_some(), leak.is_some(), "leak ({case})");
+                        if let (Some(got), Some(want)) = (&plan.leak, &leak) {
+                            assert_bits(&format!("leak ({case})"), got, want);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
