@@ -490,7 +490,9 @@ impl AnalogEngine {
                             let group = nu.min(wz - z0);
                             p_pos.fill(0.0);
                             p_neg.fill(0.0);
-                            excess.fill(0.0);
+                            if plan.ideal.is_some() {
+                                excess.fill(0.0);
+                            }
                             // One wall-clock scope per (block, Nu-group): the
                             // MRR/MZM transfer of the group's PLCU cycles in
                             // every output row.
@@ -564,9 +566,10 @@ impl AnalogEngine {
 /// sources of one weight's fields in every output row of a block are one
 /// contiguous run, and [`ConvPlan::tile_rails`] sweeps it in one branch-free
 /// loop. Outputs are bit-identical to evaluating the ring per element:
-/// each plane entry sums over `c` in ascending order with the same skips,
-/// and every field accumulates its cycle's terms in the same `(r, k)`
-/// order (DESIGN.md §17).
+/// each plane entry adds its terms in ascending `c`, a dead column's
+/// adding `+0.0` to a sum that is never `−0.0`, and every field
+/// accumulates its cycle's terms in the same `(r, k)` order (DESIGN.md
+/// §17).
 struct ConvPlan {
     /// Kernel columns.
     wx: usize,
@@ -628,7 +631,7 @@ impl ConvPlan {
         groups: usize,
     ) -> ConvPlan {
         let _prof = albireo_obs::profile::scope("analog.plan");
-        let (az, ay, ax) = input.dims();
+        let (_, ay, ax) = input.dims();
         let (wm, wz, wy, wx) = kernels.dims();
         let (stride, pad) = (spec.stride, spec.padding);
         let by = output_extent(ay, wy, pad, stride);
@@ -642,22 +645,6 @@ impl ConvPlan {
         let a_max: Vec<f64> = (0..groups)
             .map(|g| max_abs(&input.as_slice()[g * group_input..][..group_input]))
             .collect();
-        // Output extents round up, so the last field may overhang the
-        // padding; the overhang reads zeros.
-        let (py, px) = ((by - 1) * stride + wy, (bx - 1) * stride + wx);
-        let mut padded = vec![0.0; az * py * px];
-        for (i, row) in input.as_slice().chunks(ax).enumerate() {
-            let (z, y) = (i / ay, i % ay);
-            let a_max = a_max[z / wz];
-            if a_max == 0.0 {
-                // An all-zero group keeps rows of `0.0`; no pass reads them.
-                continue;
-            }
-            let dst = &mut padded[(z * py + y + pad) * px + pad..][..ax];
-            for (d, a) in dst.iter_mut().zip(row) {
-                *d = a / a_max;
-            }
-        }
         let faults = &engine.faults;
         let stuck: Vec<Option<f64>> = (0..wy * wx)
             .map(|i| faults.mzm_override(i / wx, i % wx))
@@ -727,7 +714,6 @@ impl ConvPlan {
                 live.extend_from_within(start..start + row_len);
             }
         }
-        let dead_channel: Vec<bool> = (0..row_len).map(|c| faults.channel_dead(c)).collect();
         let mut plan = ConvPlan {
             wx,
             stride,
@@ -735,7 +721,9 @@ impl ConvPlan {
             by,
             blocks: bx.div_ceil(nd_eff),
             row_len,
-            py,
+            // Output extents round up, so the last field may overhang the
+            // padding; the overhang reads zeros.
+            py: (by - 1) * stride + wy,
             full_scale_terms: (wy * wx).max(nm) * engine.chip.nu,
             passes,
             live,
@@ -745,76 +733,95 @@ impl ConvPlan {
             p_channel: engine.p_channel,
             off_leakage: engine.off_leakage,
         };
-        let rows = (padded.as_slice(), px);
-        let crosstalk = engine.cfg.enable_crosstalk;
-        plan.plane = plan.crosstalk_plane(engine, rows, &dead_channel, crosstalk);
-        if crosstalk {
-            if engine.cfg.crosstalk_compensation {
-                plan.ideal = Some(plan.crosstalk_plane(engine, rows, &dead_channel, false));
-            }
-            plan.leak = Some(plan.lay_out(rows, |a, dst| {
-                for ((d, &a), &dead) in dst.iter_mut().zip(a).zip(&dead_channel) {
-                    *d = if dead { 0.0 } else { a };
-                }
-            }));
-        }
+        plan.lay_out(engine, input, &a_max, (pad, (bx - 1) * stride + wx));
         plan
     }
 
-    /// Lays a per-block function of the padded input rows (`[z][py][px]`)
-    /// out in the plane's `[z][block][py][t]` layout: `f` maps a block's
-    /// multicast columns to its first entries, all `row_len` of them
-    /// unless the block is short (the rest stay `0.0`).
+    /// Normalizes, pads and lays the input out into the planes in one pass
+    /// over it. Each input row is divided by its group's `a_max` once, into
+    /// a padded row of `px` columns; each block's multicast columns, dead
+    /// ones zeroed, then fill the block's entries of that row in every
+    /// plane, all `row_len` of them unless the block is short (the rest
+    /// stay `0.0`). Padding rows and all-zero groups are skipped: their
+    /// entries would sum to the `0.0` they start at.
+    ///
+    /// With crosstalk on, each plane entry is the banded product
+    /// `Σ_c xt[c − t]·a[c]`, column `c` outer and ring `t` inner, so every
+    /// entry still adds its terms in ascending `c`. With crosstalk off only
+    /// `c = t` has a nonzero coefficient, and the entry is the diagonal
+    /// `0.0 + main_gain·a[t]`; the `0.0 +` turns a `−0.0` input into the
+    /// `+0.0` the sum gave.
     fn lay_out(
-        &self,
-        (padded, px): (&[f64], usize),
-        mut f: impl FnMut(&[f64], &mut [f64]),
-    ) -> Vec<f64> {
-        let per_block = self.py * self.row_len;
-        let mut plane = vec![0.0; padded.len() / px * self.blocks * self.row_len];
-        let channels = padded.chunks(self.py * px);
-        for (dst, channel) in plane.chunks_mut(self.blocks * per_block).zip(channels) {
-            for (block, dst) in dst.chunks_mut(per_block).enumerate() {
+        &mut self,
+        engine: &AnalogEngine,
+        input: &Tensor3,
+        a_max: &[f64],
+        (pad, px): (usize, usize),
+    ) {
+        let (az, ay, ax) = input.dims();
+        let wz = az / a_max.len();
+        let row_len = self.row_len;
+        let size = az * self.blocks * self.py * row_len;
+        let crosstalk = engine.cfg.enable_crosstalk;
+        let compensating = crosstalk && engine.cfg.crosstalk_compensation;
+        let (mut plane, mut ideal, mut leak) = (
+            vec![0.0; size],
+            compensating.then(|| vec![0.0; size]),
+            crosstalk.then(|| vec![0.0; size]),
+        );
+        // The coefficients reversed: `xt[span − o]` is the one at offset
+        // `o = c − t`, so column `c`'s terms over ascending `t` are the
+        // forward run `xt[span − c..]`.
+        let span = row_len - 1;
+        let xt: Vec<f64> = (0..=2 * span)
+            .map(|i| engine.crosstalk(span as isize - i as isize, true))
+            .collect();
+        let dead: Vec<bool> = (0..row_len)
+            .map(|c| engine.faults.channel_dead(c))
+            .collect();
+        let diagonal = |dst: &mut [f64], a: &[f64]| {
+            for (d, &a) in dst.iter_mut().zip(a) {
+                *d = 0.0 + engine.main_gain * a;
+            }
+        };
+        let (mut row, mut columns) = (vec![0.0; px], vec![0.0; row_len]);
+        for (i, src) in input.as_slice().chunks(ax).enumerate() {
+            let (z, y) = (i / ay, i % ay);
+            let a_max = a_max[z / wz];
+            if a_max == 0.0 {
+                continue;
+            }
+            for (d, a) in row[pad..][..ax].iter_mut().zip(src) {
+                *d = a / a_max;
+            }
+            for block in 0..self.blocks {
                 let x0 = block * self.nd_eff * self.stride;
                 // A short last block ends at the padded row's end.
-                let len = self.row_len.min(px - x0);
-                for (dst, row) in dst.chunks_mut(self.row_len).zip(channel.chunks(px)) {
-                    f(&row[x0..][..len], &mut dst[..len]);
+                let a = &mut columns[..row_len.min(px - x0)];
+                for ((a, &v), &dead) in a.iter_mut().zip(&row[x0..]).zip(&dead) {
+                    *a = if dead { 0.0 } else { v };
+                }
+                let a = &*a;
+                let at = ((z * self.blocks + block) * self.py + y + pad) * row_len;
+                let dst = &mut plane[at..][..a.len()];
+                if crosstalk {
+                    for (c, &a) in a.iter().enumerate() {
+                        for (d, &x) in dst.iter_mut().zip(&xt[span - c..]) {
+                            *d += x * a;
+                        }
+                    }
+                } else {
+                    diagonal(dst, a);
+                }
+                if let Some(ideal) = &mut ideal {
+                    diagonal(&mut ideal[at..][..a.len()], a);
+                }
+                if let Some(leak) = &mut leak {
+                    leak[at..][..a.len()].copy_from_slice(a);
                 }
             }
         }
-        plane
-    }
-
-    /// The plane of dropped powers with crosstalk `enabled` or off: for
-    /// each channel, block, padded row and ring position `t`, the sum over
-    /// the block's live multicast columns `c` of `xt[c − t]·a[c]`.
-    fn crosstalk_plane(
-        &self,
-        engine: &AnalogEngine,
-        rows: (&[f64], usize),
-        dead_channel: &[bool],
-        enabled: bool,
-    ) -> Vec<f64> {
-        let span = self.row_len - 1;
-        let xt: Vec<f64> = (0..=2 * span)
-            .map(|i| engine.crosstalk(i as isize - span as isize, enabled))
-            .collect();
-        self.lay_out(rows, |a, dst| {
-            for (t, dropped) in dst.iter_mut().enumerate() {
-                let mut sum = 0.0;
-                for (c, &a) in a.iter().enumerate() {
-                    if dead_channel[c] {
-                        continue;
-                    }
-                    let x = xt[span + c - t];
-                    if x != 0.0 {
-                        sum += x * a;
-                    }
-                }
-                *dropped = sum;
-            }
-        })
+        (self.plane, self.ideal, self.leak) = (plane, ideal, leak);
     }
 
     /// Simulates one kernel channel's `weights` (`[r][k]`) over input
@@ -845,7 +852,6 @@ impl ConvPlan {
                     continue;
                 }
                 let at = base + r * self.row_len + k;
-                let mag = w.abs().min(1.0);
                 // The matching-sign ring drops onto its rail; the
                 // opposite-rail ring is detuned but leaks a little.
                 let (rail, opposite) = if w > 0.0 {
@@ -853,44 +859,59 @@ impl ConvPlan {
                 } else {
                     (&mut *neg, &mut *pos)
                 };
-                self.sweep(rail, &plane[at..], live, cols, |p| p * mag * self.p_channel);
-                if let Some(leak) = leak {
-                    self.sweep(opposite, &leak[at..], live, cols, |a| {
-                        a * mag * self.off_leakage * self.p_channel
-                    });
-                }
+                let sources = (&plane[at..], leak.map(|leak| &leak[at..]));
+                self.sweep(rail, opposite, sources, live, cols, w.abs().min(1.0));
             }
         }
     }
 
-    /// Adds `term(source)·live` into every field of the tile: at stride 1
-    /// one contiguous run of `(by − 1)·row_len + cols` lanes, whose
-    /// sources sit at the same offsets in the plane; at stride above 1
-    /// lane 0 of each row, the source stepping `stride` padded rows.
+    /// Adds one weight's terms into every field of the tile: the rail
+    /// gets `plane·mag·p_channel·live` and, with a `leak` source, the
+    /// opposite rail gets `leak·mag·off_leakage·p_channel·live` in the same
+    /// loop. At stride 1 the fields are one contiguous run of
+    /// `(by − 1)·row_len + cols` lanes, whose sources sit at the same
+    /// offsets in the planes; at stride above 1 they are lane 0 of each
+    /// row, the source stepping `stride` padded rows. The two rails are
+    /// separate tiles, so each lane still adds the tile's weights in order;
+    /// passing each as its own `&mut` lets the compiler vectorize the loop
+    /// knowing they do not alias.
     ///
-    /// A dead ring's or gap lane's `×0.0` turns the term into `+0.0`,
-    /// which leaves a sum that started at `0.0` unchanged, so the masks
-    /// cost no branch and move no bit.
+    /// A dead ring's or gap lane's `×0.0` turns a term into `±0.0`, which
+    /// leaves a sum that started at `+0.0` unchanged, so the masks cost no
+    /// branch and move no bit.
     fn sweep(
         &self,
-        acc: &mut [f64],
-        source: &[f64],
+        rail: &mut [f64],
+        opposite: &mut [f64],
+        (plane, leak): (&[f64], Option<&[f64]>),
         live: &[f64],
         cols: usize,
-        term: impl Fn(f64) -> f64,
+        mag: f64,
     ) {
+        let (p, off) = (self.p_channel, self.off_leakage);
         if self.stride == 1 {
-            // Indexing three slices cut to one length vectorizes; the
-            // zipped iterator form of this loop measured slower.
+            // Indexing slices cut to one length vectorizes; the zipped
+            // iterator form of this loop measured slower.
             let n = (self.by - 1) * self.row_len + cols;
-            let (acc, source, live) = (&mut acc[..n], &source[..n], &live[..n]);
-            for j in 0..n {
-                acc[j] += term(source[j]) * live[j];
+            let (rail, plane, live) = (&mut rail[..n], &plane[..n], &live[..n]);
+            if let Some(leak) = leak {
+                let (opposite, leak) = (&mut opposite[..n], &leak[..n]);
+                for j in 0..n {
+                    rail[j] += plane[j] * mag * p * live[j];
+                    opposite[j] += leak[j] * mag * off * p * live[j];
+                }
+            } else {
+                for j in 0..n {
+                    rail[j] += plane[j] * mag * p * live[j];
+                }
             }
         } else {
             for yb in 0..self.by {
-                let j = yb * self.row_len;
-                acc[j] += term(source[yb * self.stride * self.row_len]) * live[j];
+                let (j, s) = (yb * self.row_len, yb * self.stride * self.row_len);
+                rail[j] += plane[s] * mag * p * live[j];
+                if let Some(leak) = leak {
+                    opposite[j] += leak[s] * mag * off * p * live[j];
+                }
             }
         }
     }
