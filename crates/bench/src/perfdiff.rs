@@ -5,7 +5,8 @@
 //! regressions beyond a relative threshold. Both files are flattened
 //! with [`albireo_obs::jsonv::Value::flatten_numbers`], which keys array
 //! rows by their `name`/`path`/`label`/`fleet` member, so rows still
-//! match when the two files order their entries differently.
+//! match when the two files order their entries differently; rows that
+//! share a member are keyed by occurrence, so none is dropped.
 //!
 //! Only metrics with a known *direction* participate in the gate:
 //! wall-clock and latency leaves regress upward, throughput leaves
@@ -304,6 +305,26 @@ mod tests {
                 .count(),
             0
         );
+    }
+
+    #[test]
+    fn a_change_in_a_repeated_row_is_reported() {
+        let old = r#"{"runs": [
+            {"fleet": "albireo_9+albireo_27", "rate_rps": 1000, "p99_ms": 2.0},
+            {"fleet": "albireo_9+albireo_27", "rate_rps": 4000, "p99_ms": 5.0}
+        ]}"#;
+        for (from, to, metric) in [
+            ("5.0", "6.5", "runs.albireo_9+albireo_27#2.p99_ms"),
+            ("2.0", "2.6", "runs.albireo_9+albireo_27.p99_ms"),
+        ] {
+            let new = old.replace(&format!("\"p99_ms\": {from}"), &format!("\"p99_ms\": {to}"));
+            let d = PerfDiff::compare(old, &new, 10.0).unwrap();
+            assert_eq!(d.rows.len(), 2, "both runs compared");
+            let reg: Vec<&DiffRow> = d.regressions().collect();
+            assert_eq!(reg.len(), 1, "{metric}");
+            assert_eq!(reg[0].metric, metric);
+            assert!((reg[0].ratio - 1.3).abs() < 1e-12);
+        }
     }
 
     #[test]

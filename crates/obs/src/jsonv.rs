@@ -73,8 +73,9 @@ impl Value {
     /// keys with `.` and indexing arrays — except that an array element
     /// carrying a string member named `name`, `path`, `label`, or
     /// `fleet` is keyed by that member's value instead of its index, so
-    /// rows match across files whose orderings differ. Used by
-    /// `perf-diff`.
+    /// rows match across files whose orderings differ. A value repeated
+    /// within one array keys its later rows by occurrence (`label#2`,
+    /// `label#3`, …), so no row overwrites another. Used by `perf-diff`.
     pub fn flatten_numbers(&self) -> BTreeMap<String, f64> {
         let mut out = BTreeMap::new();
         self.flatten_into("", &mut out);
@@ -97,12 +98,23 @@ impl Value {
                 }
             }
             Value::Arr(items) => {
+                let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
                 for (i, v) in items.iter().enumerate() {
-                    let key = ["name", "path", "label", "fleet"]
+                    let label = ["name", "path", "label", "fleet"]
                         .iter()
-                        .find_map(|k| v.get(k).and_then(Value::as_str))
-                        .map(str::to_string)
-                        .unwrap_or_else(|| i.to_string());
+                        .find_map(|k| v.get(k).and_then(Value::as_str));
+                    let key = match label {
+                        Some(label) => {
+                            let n = seen.entry(label).or_insert(0);
+                            *n += 1;
+                            if *n == 1 {
+                                label.to_string()
+                            } else {
+                                format!("{label}#{n}")
+                            }
+                        }
+                        None => i.to_string(),
+                    };
                     let path = if prefix.is_empty() {
                         key
                     } else {
@@ -491,6 +503,23 @@ mod tests {
         assert_eq!(flat["experiments.grid.runs.0.wall_ms"], 10.5);
         assert_eq!(flat["experiments.analog_conv.serial_wall_ms"], 7.25);
         assert_eq!(flat["total.best_speedup"], 3.5);
+    }
+
+    #[test]
+    fn flatten_keys_repeated_labels_by_occurrence() {
+        let v = parse(
+            r#"{"runs": [
+                {"fleet": "albireo_9+albireo_27", "p99_ms": 1.5},
+                {"fleet": "albireo_9+albireo_27", "p99_ms": 2.5},
+                {"fleet": "albireo_9", "p99_ms": 3.5}
+            ]}"#,
+        )
+        .unwrap();
+        let flat = v.flatten_numbers();
+        assert_eq!(flat.len(), 3, "{flat:?}");
+        assert_eq!(flat["runs.albireo_9+albireo_27.p99_ms"], 1.5);
+        assert_eq!(flat["runs.albireo_9+albireo_27#2.p99_ms"], 2.5);
+        assert_eq!(flat["runs.albireo_9.p99_ms"], 3.5);
     }
 
     #[test]
