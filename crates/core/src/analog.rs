@@ -749,8 +749,8 @@ impl ConvPlan {
     /// `Σ_c xt[c − t]·a[c]`, column `c` outer and ring `t` inner, so every
     /// entry still adds its terms in ascending `c`. With crosstalk off only
     /// `c = t` has a nonzero coefficient, and the entry is the diagonal
-    /// `0.0 + main_gain·a[t]`; the `0.0 +` turns a `−0.0` input into the
-    /// `+0.0` the sum gave.
+    /// `0.0 + main_gain·a[t]`; the `0.0 +` keeps a `−0.0` input's entry at
+    /// the `+0.0` of a sum started at `0.0` (DESIGN.md §17).
     fn lay_out(
         &mut self,
         engine: &AnalogEngine,
@@ -801,7 +801,6 @@ impl ConvPlan {
                 for ((a, &v), &dead) in a.iter_mut().zip(&row[x0..]).zip(&dead) {
                     *a = if dead { 0.0 } else { v };
                 }
-                let a = &*a;
                 let at = ((z * self.blocks + block) * self.py + y + pad) * row_len;
                 let dst = &mut plane[at..][..a.len()];
                 if crosstalk {
