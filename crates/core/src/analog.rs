@@ -872,8 +872,8 @@ impl ConvPlan {
     /// offsets in the planes; at stride above 1 they are lane 0 of each
     /// row, the source stepping `stride` padded rows. The two rails are
     /// separate tiles, so each lane still adds the tile's weights in order;
-    /// passing each as its own `&mut` lets the compiler vectorize the loop
-    /// knowing they do not alias.
+    /// each is its own `&mut` parameter so the compiler knows they do not
+    /// alias (in one tuple argument the loop ran slower).
     ///
     /// A dead ring's or gap lane's `×0.0` turns a term into `±0.0`, which
     /// leaves a sum that started at `+0.0` unchanged, so the masks cost no
@@ -1439,10 +1439,10 @@ mod plane_tests {
         input
     }
 
-    /// The planes entry by entry, as the plan first built them: for each
-    /// channel, block, padded row and ring `t`, a sum over the block's
-    /// multicast columns `c` in ascending order that skips dead columns
-    /// and zero coefficients. Returns `(plane, ideal, leak)`.
+    /// The planes by their per-entry definition: for each channel, block,
+    /// padded row and ring `t`, a sum over the block's multicast columns
+    /// `c` in ascending order that skips dead columns and zero
+    /// coefficients. Returns `(plane, ideal, leak)`.
     fn reference(
         engine: &AnalogEngine,
         input: &Tensor3,
