@@ -5,12 +5,10 @@
 //! architecture is built from, replacing the Lumerical INTERCONNECT
 //! simulations used by the authors:
 //!
-//! * [`mzm`] — Mach-Zehnder modulators used as analog multipliers (Eq. 2).
 //! * [`mrr`] — double-bus microring resonators used as wavelength-selective
 //!   switches and accumulators, including free-spectral range (Eq. 7),
 //!   finesse (Eq. 8), FWHM (Eq. 9), drop/through-port spectra (Fig. 4a) and
 //!   photon-lifetime-limited temporal response (Fig. 4b).
-//! * [`coupler`] — passive star couplers and arrayed waveguide gratings.
 //! * [`photodiode`] — PIN photodiodes and the balanced-detector subtraction
 //!   producing `Iout = R0·ΣP⁺ − R1·ΣP⁻` (Eq. 4).
 //! * [`noise`] — relative intensity noise, shot noise (Eq. 5) and
@@ -34,11 +32,9 @@
 //! ```
 
 pub mod constants;
-pub mod coupler;
 pub mod laser;
 pub mod link;
 pub mod mrr;
-pub mod mzm;
 pub mod noise;
 pub mod params;
 pub mod photodiode;
@@ -46,7 +42,6 @@ pub mod precision;
 pub mod thermal;
 pub mod units;
 pub mod waveguide;
-pub mod wdm;
 pub mod ybranch;
 
 pub use params::OpticalParams;
@@ -74,8 +69,6 @@ pub enum PhotonicsError {
         /// The rejected value.
         value: f64,
     },
-    /// A requested configuration is physically inconsistent.
-    Inconsistent(String),
 }
 
 impl fmt::Display for PhotonicsError {
@@ -87,7 +80,6 @@ impl fmt::Display for PhotonicsError {
             PhotonicsError::NonPositive { name, value } => {
                 write!(f, "parameter `{name}` must be positive, got {value}")
             }
-            PhotonicsError::Inconsistent(msg) => write!(f, "inconsistent configuration: {msg}"),
         }
     }
 }

@@ -24,7 +24,6 @@
 
 pub mod conv;
 pub mod im2col;
-pub mod quant;
 pub mod shape;
 pub mod tensor3;
 pub mod tensor4;

@@ -7,7 +7,6 @@ use albireo_tensor::conv::{
     avg_pool, conv2d, conv2d_grouped, fully_connected, max_pool, relu, ConvSpec,
 };
 use albireo_tensor::im2col::im2col_conv2d;
-use albireo_tensor::quant::Quantizer;
 use albireo_tensor::shape::output_extent;
 use albireo_tensor::{Tensor3, Tensor4};
 use proptest::prelude::*;
@@ -165,22 +164,5 @@ proptest! {
         let twice = relu(&once);
         prop_assert!(once.max_abs_diff(&twice) < 1e-15);
         prop_assert!(once.iter().all(|&v| v >= 0.0));
-    }
-
-    /// Quantize→dequantize is a projection: applying it twice equals once.
-    #[test]
-    fn quantization_is_projection(bits in 2u32..12, value in -3.0f64..3.0) {
-        let q = Quantizer::new(bits, 1.0);
-        let once = q.round(value);
-        let twice = q.round(once);
-        prop_assert_eq!(once, twice);
-    }
-
-    /// Quantization codes are monotone in the value.
-    #[test]
-    fn quantization_monotone(bits in 2u32..12, a in -1.0f64..1.0, b in -1.0f64..1.0) {
-        let q = Quantizer::new(bits, 1.0);
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(q.quantize(lo) <= q.quantize(hi));
     }
 }

@@ -6,8 +6,9 @@
 //!
 //! This facade crate re-exports the workspace's crates under one roof:
 //!
-//! * [`photonics`] — silicon-photonic device physics (MRRs, MZMs, couplers,
-//!   photodiodes, noise, crosstalk, precision analysis).
+//! * [`photonics`] — silicon-photonic device physics (MRRs, photodiodes,
+//!   noise, crosstalk, precision analysis, and the chip's link budget
+//!   over the Table II device losses).
 //! * [`tensor`] — a small dense tensor library with reference (digital)
 //!   convolution, the golden model for the analog simulator.
 //! * [`nn`] — CNN layer descriptors and the model zoo (AlexNet, VGG16,

@@ -4,7 +4,6 @@
 use albireo::core::analog::{AnalogEngine, AnalogSimConfig};
 use albireo::core::config::ChipConfig;
 use albireo::tensor::conv::{conv2d, conv2d_grouped, ConvSpec};
-use albireo::tensor::quant::Quantizer;
 use albireo::tensor::{Tensor3, Tensor4};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,9 +74,11 @@ fn analog_respects_8bit_quantized_network_semantics() {
     let mut rng = StdRng::seed_from_u64(7);
     let input = Tensor3::random_uniform(3, 10, 10, 0.0, 1.0, &mut rng);
     let mut weights = Tensor4::random_gaussian(2, 3, 3, 3, 0.3, &mut rng);
-    let q = Quantizer::fit8(weights.as_slice());
-    let quantized: Vec<f64> = q.round_all(weights.as_slice());
-    weights.as_mut_slice().copy_from_slice(&quantized);
+    // Symmetric 8-bit: 127 codes on each side of zero, step = max|w|/127.
+    let step = weights.max_abs() / 127.0;
+    for w in weights.as_mut_slice() {
+        *w = (*w / step).round() * step;
+    }
 
     let spec = ConvSpec::unit();
     let reference = conv2d(&input, &weights, &spec);

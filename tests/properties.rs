@@ -7,35 +7,14 @@ use albireo::core::power::PowerBreakdown;
 use albireo::core::sched::total_cycles;
 use albireo::nn::{LayerKind, Model, VolumeShape};
 use albireo::photonics::mrr::Microring;
-use albireo::photonics::mzm::Mzm;
 use albireo::photonics::precision::PrecisionModel;
 use albireo::photonics::units::Db;
 use albireo::photonics::OpticalParams;
 use albireo::tensor::conv::{conv2d, ConvSpec};
-use albireo::tensor::quant::Quantizer;
 use albireo::tensor::{Tensor3, Tensor4};
 use proptest::prelude::*;
 
 proptest! {
-    /// An MZM can never amplify: output power ≤ input power, for any
-    /// weight and any input power.
-    #[test]
-    fn mzm_is_passive(weight in 0.0f64..=1.0, p_in in 0.0f64..1e-2) {
-        let mut mzm = Mzm::from_params(&OpticalParams::paper());
-        mzm.set_weight(weight).unwrap();
-        let out = mzm.multiply(p_in);
-        prop_assert!(out <= p_in + 1e-18);
-        prop_assert!(out >= 0.0);
-    }
-
-    /// The MZM weight→phase→weight mapping round-trips exactly.
-    #[test]
-    fn mzm_weight_round_trip(weight in 0.0f64..=1.0) {
-        let mut mzm = Mzm::from_params(&OpticalParams::paper());
-        mzm.set_weight(weight).unwrap();
-        prop_assert!((mzm.weight() - weight).abs() < 1e-9);
-    }
-
     /// A microring is passive at every detuning and coupling: the drop and
     /// through ports never carry more than the input power combined.
     #[test]
@@ -83,14 +62,6 @@ proptest! {
         let low = model.noise_limited_bits(20, p_mw * 1e-3);
         let high = model.noise_limited_bits(20, p_mw * 2e-3);
         prop_assert!(high >= low - 1e-9);
-    }
-
-    /// Quantization error is bounded by half a step for in-range values.
-    #[test]
-    fn quantizer_error_bound(bits in 2u32..12, value in -1.0f64..1.0) {
-        let q = Quantizer::new(bits, 1.0);
-        let err = (q.round(value) - value).abs();
-        prop_assert!(err <= q.max_error() + 1e-12);
     }
 
     /// Convolution is linear: conv(αA, W) = α·conv(A, W).
