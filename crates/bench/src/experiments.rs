@@ -1242,9 +1242,9 @@ fn cost_golden_csv(models: &[Model], accels: &[Box<dyn Accelerator>], macs: bool
 /// scheduler cycle count and headline metrics, produced through the
 /// parallel evaluation engine.
 pub fn golden_network_metrics_csv() -> String {
-    use albireo_core::engine::{paper_grid, EvalEngine};
+    use albireo_core::engine::{evaluate_grid, paper_grid};
     let (chips, estimates, models) = paper_grid();
-    let grid = EvalEngine::default().evaluate_grid(&chips, &estimates, &models);
+    let grid = evaluate_grid(&chips, &estimates, &models, Parallelism::default());
     let rows: Vec<Vec<String>> = grid
         .iter()
         .map(|g| {

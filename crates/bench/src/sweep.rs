@@ -7,7 +7,7 @@
 //!
 //! * `paper_grid` — the (chip × estimate × network) grid behind
 //!   Tables II/IV, fanned per grid point through
-//!   [`albireo_core::engine::EvalEngine`];
+//!   [`albireo_core::engine::evaluate_grid`];
 //! * `device_sweeps` — the Fig. 3 noise-precision and Fig. 4c
 //!   crosstalk-precision sweeps, fanned per laser power / per `k²`;
 //! * `analog_conv` — a stochastic analog convolution, fanned per output
@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use albireo_core::analog::{AnalogEngine, AnalogSimConfig};
 use albireo_core::config::ChipConfig;
-use albireo_core::engine::{paper_grid, EvalEngine};
+use albireo_core::engine::{evaluate_grid, paper_grid};
 use albireo_obs::json::{num, Doc, Obj};
 use albireo_parallel::Parallelism;
 use albireo_photonics::precision::{fig3_noise_sweep, fig4c_crosstalk_sweep, PrecisionModel};
@@ -209,7 +209,7 @@ fn grid_workload() -> Workload {
         name: "paper_grid",
         items,
         run: Box::new(move |par| {
-            let grid = EvalEngine::new(par).evaluate_grid(&chips, &estimates, &models);
+            let grid = evaluate_grid(&chips, &estimates, &models, par);
             let mut d = 0u64;
             for g in &grid {
                 d = fold(d, g.evaluation.latency_s);

@@ -12,7 +12,6 @@ use albireo_core::report::{format_joules, format_seconds, format_table, format_w
 use albireo_core::trace::{summarize, trace_kernel};
 use albireo_nn::{zoo, Model};
 use albireo_obs::json::{self, num, Fixed, Obj};
-use albireo_parallel::Parallelism;
 use albireo_photonics::mrr::Microring;
 use albireo_photonics::precision::PrecisionModel;
 use albireo_photonics::OpticalParams;
@@ -75,8 +74,7 @@ pub(super) fn evaluate(args: &Args) -> Result<String, CliError> {
     let estimate = args.get_parsed_or("estimate", TechnologyEstimate::Conservative, "C, M or A")?;
     let chip = chip_from(args)?;
     let obs = trace_obs(args);
-    let eval =
-        NetworkEvaluation::evaluate_observed(&chip, estimate, &model, Parallelism::default(), &obs);
+    let eval = NetworkEvaluation::evaluate_observed(&chip, estimate, &model, &obs);
     let mut out = format!(
         "{} on Albireo-{} (Ng={}):\n  latency {}  energy {}  EDP {:.3} mJ·ms\n  power {}  {:.0} GOPS  {:.1} GOPS/mm² ({:.0} active)  utilization {:.1}%\n",
         eval.network,

@@ -1041,22 +1041,21 @@ fn serve_metrics_out_writes_openmetrics() {
 
 #[test]
 fn profile_flag_writes_wall_clock_report() {
-    let path = temp_path("evaluate_profile.json");
+    let path = temp_path("faults_profile.json");
     let p = path.to_str().unwrap().to_string();
-    let out = exec("evaluate", &["tiny", "--profile", &p, "--threads", "2"]).unwrap();
-    assert!(out.contains("on Albireo"), "{out}");
+    let out = exec("faults", &["--profile", &p, "--threads", "2"]).unwrap();
+    assert!(out.contains("healthy error"), "{out}");
     let report = std::fs::read_to_string(&path).unwrap();
     assert!(
         report.contains("\"schema\": \"albireo.profile/v1\""),
         "{report}"
     );
     assert!(report.contains("\"attributed_fraction\""), "{report}");
-    // The analytic evaluate path runs through the instrumented
-    // parallel fan-out (tensor/photonics phases belong to the
-    // numeric bench workloads, not this command).
-    assert!(report.contains("parallel."), "{report}");
+    // The analog convolutions behind `faults` are attributed to the
+    // kernel's own scope.
+    assert!(report.contains("analog.conv2d"), "{report}");
     // Profiling never changes the command's own output.
-    let plain = exec("evaluate", &["tiny", "--threads", "2"]).unwrap();
+    let plain = exec("faults", &["--threads", "2"]).unwrap();
     assert_eq!(out, plain);
     std::fs::remove_file(&path).ok();
 }

@@ -25,7 +25,6 @@ use crate::config::{ChipConfig, TechnologyEstimate};
 use crate::energy::NetworkEvaluation;
 use crate::inventory::DeviceInventory;
 use albireo_nn::Model;
-use albireo_parallel::Parallelism;
 
 /// Per-layer cost of one inference. This is the canonical per-layer
 /// vocabulary; `energy::LayerEvaluation` is an alias of it.
@@ -234,10 +233,7 @@ impl Accelerator for AlbireoAccelerator {
         );
         let mut chip = self.chip;
         chip.ng = active_groups;
-        // Serial: a handful of layers never repays waking the thread pool,
-        // and the evaluation is identical at any thread count.
-        let eval =
-            NetworkEvaluation::evaluate_with(&chip, self.estimate, model, Parallelism::serial());
+        let eval = NetworkEvaluation::evaluate(&chip, self.estimate, model);
         let inv = DeviceInventory::for_chip(&chip);
         let clock = self.estimate.clock_hz();
         let setup_s = model.total_params() as f64 / (inv.dacs as f64 * clock);

@@ -9,10 +9,9 @@ use crate::area::AreaBreakdown;
 use crate::config::{ChipConfig, TechnologyEstimate};
 use crate::memory::MemoryModel;
 use crate::power::PowerBreakdown;
-use crate::sched::{schedule_model_with, LayerSchedule};
+use crate::sched::{schedule_model, LayerSchedule};
 use albireo_nn::stats::workload_stats;
 use albireo_nn::Model;
-use albireo_parallel::Parallelism;
 
 /// Per-layer evaluation result — the canonical
 /// [`LayerCost`](crate::accel::LayerCost) under its historical name.
@@ -51,23 +50,10 @@ pub struct NetworkEvaluation {
 impl NetworkEvaluation {
     /// Evaluates a network on a chip under an estimate.
     pub fn evaluate(chip: &ChipConfig, estimate: TechnologyEstimate, model: &Model) -> Self {
-        Self::evaluate_with(chip, estimate, model, Parallelism::default())
-    }
-
-    /// [`evaluate`](NetworkEvaluation::evaluate) under an explicit
-    /// [`Parallelism`] policy (applied to the per-layer scheduling). The
-    /// evaluation is pure arithmetic, so the result is identical at any
-    /// thread count.
-    pub fn evaluate_with(
-        chip: &ChipConfig,
-        estimate: TechnologyEstimate,
-        model: &Model,
-        par: Parallelism,
-    ) -> Self {
         let clock = estimate.clock_hz();
         let power = PowerBreakdown::for_chip(chip, estimate).total_w();
         let area = AreaBreakdown::for_chip(chip);
-        let schedules: Vec<LayerSchedule> = schedule_model_with(chip, model, par);
+        let schedules: Vec<LayerSchedule> = schedule_model(chip, model);
         let per_layer: Vec<LayerEvaluation> = schedules
             .into_iter()
             .map(|s| {
@@ -100,7 +86,7 @@ impl NetworkEvaluation {
         }
     }
 
-    /// [`evaluate_with`](NetworkEvaluation::evaluate_with), recording the
+    /// [`evaluate`](NetworkEvaluation::evaluate), recording the
     /// run into `obs`: one span per layer on the engine track (virtual
     /// timestamps from the cumulative-latency clock, so traces are
     /// byte-reproducible at any thread count) plus per-device energy
@@ -109,15 +95,14 @@ impl NetworkEvaluation {
     /// parallel accumulation stays exact.
     ///
     /// When `obs` is disabled this costs one branch over
-    /// `evaluate_with`; the returned evaluation is identical either way.
+    /// `evaluate`; the returned evaluation is identical either way.
     pub fn evaluate_observed(
         chip: &ChipConfig,
         estimate: TechnologyEstimate,
         model: &Model,
-        par: Parallelism,
         obs: &albireo_obs::Obs,
     ) -> Self {
-        let eval = Self::evaluate_with(chip, estimate, model, par);
+        let eval = Self::evaluate(chip, estimate, model);
         if !obs.is_enabled() {
             return eval;
         }
@@ -373,7 +358,6 @@ mod tests {
             &chip,
             TechnologyEstimate::Conservative,
             &model,
-            Parallelism::serial(),
             &obs,
         );
         let plain = NetworkEvaluation::evaluate(&chip, TechnologyEstimate::Conservative, &model);
@@ -415,7 +399,6 @@ mod tests {
             &ChipConfig::albireo_9(),
             TechnologyEstimate::Conservative,
             &zoo::alexnet(),
-            Parallelism::serial(),
             &obs,
         );
         assert!(obs.drain_events().is_empty());

@@ -20,7 +20,6 @@
 use crate::config::ChipConfig;
 use albireo_nn::layer::{LayerInstance, LayerKind};
 use albireo_nn::Model;
-use albireo_parallel::Parallelism;
 
 /// Ceiling division of two positive integers.
 fn ceil_div(a: usize, b: usize) -> u64 {
@@ -106,35 +105,26 @@ fn effective_nd(chip: &ChipConfig, stride: usize) -> usize {
 
 /// Schedules every layer of a network.
 pub fn schedule_model(chip: &ChipConfig, model: &Model) -> Vec<LayerSchedule> {
-    schedule_model_with(chip, model, Parallelism::default())
-}
-
-/// [`schedule_model`] under an explicit [`Parallelism`] policy; layers are
-/// independent work items, so the schedule is identical at any thread
-/// count.
-pub fn schedule_model_with(
-    chip: &ChipConfig,
-    model: &Model,
-    par: Parallelism,
-) -> Vec<LayerSchedule> {
     let peak = chip.peak_macs_per_cycle();
-    let layers = model.layers();
-    par.map_indexed(layers.len(), |i| {
-        let layer = &layers[i];
-        let cycles = layer_cycles(chip, layer);
-        let macs = layer.macs();
-        let utilization = if cycles == 0 {
-            0.0
-        } else {
-            macs as f64 / (cycles as f64 * peak as f64)
-        };
-        LayerSchedule {
-            name: layer.name.clone(),
-            cycles,
-            macs,
-            utilization,
-        }
-    })
+    model
+        .layers()
+        .iter()
+        .map(|layer| {
+            let cycles = layer_cycles(chip, layer);
+            let macs = layer.macs();
+            let utilization = if cycles == 0 {
+                0.0
+            } else {
+                macs as f64 / (cycles as f64 * peak as f64)
+            };
+            LayerSchedule {
+                name: layer.name.clone(),
+                cycles,
+                macs,
+                utilization,
+            }
+        })
+        .collect()
 }
 
 /// Total cycles for a network.

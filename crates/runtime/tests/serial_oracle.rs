@@ -26,13 +26,15 @@ fn simulate_records_no_parallel_merges() {
     assert!(report.per_chip.iter().all(|c| c.batches > 0), "{report:?}");
     assert_eq!(merges(), before, "simulate fanned out over the thread pool");
 
-    // The same evaluation under the global policy does fan out, so the
-    // counter would have caught it.
+    // Evaluating the same networks across the global policy does fan
+    // out, so the counter would have caught it.
     let before = merges();
-    NetworkEvaluation::evaluate(
-        &ChipConfig::albireo_9(),
-        TechnologyEstimate::Conservative,
-        &fleet.models[0],
-    );
+    Parallelism::global().map_indexed(fleet.models.len(), |i| {
+        NetworkEvaluation::evaluate(
+            &ChipConfig::albireo_9(),
+            TechnologyEstimate::Conservative,
+            &fleet.models[i],
+        )
+    });
     assert!(merges() > before, "the global policy no longer fans out");
 }

@@ -11,7 +11,6 @@
 use crate::conv::ConvSpec;
 use crate::shape::output_extent;
 use crate::{Tensor3, Tensor4};
-use albireo_parallel::Parallelism;
 
 /// A dense row-major matrix, minimal on purpose.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,22 +66,10 @@ impl Matrix {
     ///
     /// Panics if the inner dimensions differ.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_with(rhs, Parallelism::default())
-    }
-
-    /// [`matmul`](Matrix::matmul) under an explicit [`Parallelism`] policy.
-    /// Output rows are independent work items, so the accumulation order
-    /// within a row — and hence the result — is bit-identical at any
-    /// thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions differ.
-    pub fn matmul_with(&self, rhs: &Matrix, par: Parallelism) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
         let _prof = albireo_obs::profile::scope("tensor.gemm");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        par.fill_slices(&mut out.data, rhs.cols.max(1), |i, row| {
+        for (i, row) in out.data.chunks_mut(rhs.cols.max(1)).enumerate() {
             for k in 0..self.cols {
                 let a = self.data[i * self.cols + k];
                 if a == 0.0 {
@@ -92,7 +79,7 @@ impl Matrix {
                     *o += a * rhs.data[k * rhs.cols + j];
                 }
             }
-        });
+        }
         out
     }
 }
@@ -149,21 +136,6 @@ pub fn kernels_to_matrix(kernels: &Tensor4) -> Matrix {
 ///
 /// Panics if the kernel depth does not match the input depth.
 pub fn im2col_conv2d(input: &Tensor3, kernels: &Tensor4, spec: &ConvSpec) -> Tensor3 {
-    im2col_conv2d_with(input, kernels, spec, Parallelism::default())
-}
-
-/// [`im2col_conv2d`] under an explicit [`Parallelism`] policy (applied to
-/// the matrix product, which dominates the cost).
-///
-/// # Panics
-///
-/// Panics if the kernel depth does not match the input depth.
-pub fn im2col_conv2d_with(
-    input: &Tensor3,
-    kernels: &Tensor4,
-    spec: &ConvSpec,
-    par: Parallelism,
-) -> Tensor3 {
     let (az, ay, ax) = input.dims();
     let (wm, wz, wy, wx) = kernels.dims();
     assert_eq!(wz, az, "kernel depth must equal input depth");
@@ -171,7 +143,7 @@ pub fn im2col_conv2d_with(
     let bx = output_extent(ax, wx, spec.padding, spec.stride);
     let cols = im2col(input, wy, wx, spec);
     let weights = kernels_to_matrix(kernels);
-    let product = weights.matmul_with(&cols, par);
+    let product = weights.matmul(&cols);
     let mut out = Tensor3::zeros(wm, by, bx);
     for m in 0..wm {
         for yb in 0..by {

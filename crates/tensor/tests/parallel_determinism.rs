@@ -5,11 +5,10 @@
 
 use albireo_parallel::Parallelism;
 use albireo_tensor::conv::{conv2d_grouped_with, ConvSpec};
-use albireo_tensor::im2col::{im2col_conv2d_with, Matrix};
 use albireo_tensor::{Tensor3, Tensor4};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 8, 64];
 
@@ -75,50 +74,6 @@ proptest! {
         for threads in THREAD_COUNTS {
             let policy = Parallelism::with_threads(threads);
             let par = conv2d_grouped_with(&input, &kernels, &spec, 1, policy);
-            prop_assert_eq!(&par, &serial);
-        }
-    }
-
-    #[test]
-    fn matmul_bit_identical_at_any_thread_count(
-        seed in 0u64..1 << 32,
-        rows in 1usize..9,
-        inner in 1usize..9,
-        cols in 1usize..9,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut fill = |r: usize, c: usize| {
-            let mut m = Matrix::zeros(r, c);
-            for i in 0..r {
-                for j in 0..c {
-                    m.set(i, j, rng.random::<f64>() * 2.0 - 1.0);
-                }
-            }
-            m
-        };
-        let lhs = fill(rows, inner);
-        let rhs = fill(inner, cols);
-        let serial = lhs.matmul_with(&rhs, Parallelism::serial());
-        for threads in THREAD_COUNTS {
-            let par = lhs.matmul_with(&rhs, Parallelism::with_threads(threads));
-            prop_assert_eq!(&par, &serial);
-        }
-    }
-
-    #[test]
-    fn im2col_conv_bit_identical_at_any_thread_count(
-        seed in 0u64..1 << 32,
-        z in 1usize..4,
-        n in 4usize..9,
-        m in 1usize..6,
-        k in 1usize..4,
-    ) {
-        let (input, kernels) = conv_case(seed, z, n, m, k);
-        let spec = ConvSpec::unit();
-        let serial = im2col_conv2d_with(&input, &kernels, &spec, Parallelism::serial());
-        for threads in THREAD_COUNTS {
-            let par =
-                im2col_conv2d_with(&input, &kernels, &spec, Parallelism::with_threads(threads));
             prop_assert_eq!(&par, &serial);
         }
     }
