@@ -48,9 +48,6 @@ use albireo_nn::Model;
 /// Photonic multiplies per 2×2 output tile (the 4×4 Hadamard product).
 pub const TILE_MULTIPLIES: usize = 16;
 
-/// Direct multiplies the same tile would cost (2×2 outputs × 9 taps).
-pub const DIRECT_TILE_MULTIPLIES: usize = 36;
-
 /// Adds in one `Bᵀ d B` input-tile transform (two 1-D passes of 4×4).
 pub const INPUT_TRANSFORM_ADDS: usize = 32;
 

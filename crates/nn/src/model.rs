@@ -39,11 +39,6 @@ impl Model {
         &self.layers
     }
 
-    /// Only the MAC-performing layers.
-    pub fn compute_layers(&self) -> impl Iterator<Item = &LayerInstance> {
-        self.layers.iter().filter(|l| l.is_compute())
-    }
-
     /// Total multiply-accumulate operations per inference.
     pub fn total_macs(&self) -> u64 {
         self.layers.iter().map(LayerInstance::macs).sum()

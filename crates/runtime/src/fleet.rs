@@ -55,14 +55,6 @@ impl PartialEq for ChipSpec {
 }
 
 impl ChipSpec {
-    /// A chip from any accelerator cost model.
-    pub fn from_accelerator(name: impl Into<String>, accel: Arc<dyn Accelerator>) -> ChipSpec {
-        ChipSpec {
-            name: name.into(),
-            accel,
-        }
-    }
-
     /// The paper's 9-PLCG chip under an estimate.
     pub fn albireo_9(estimate: TechnologyEstimate) -> ChipSpec {
         ChipSpec {

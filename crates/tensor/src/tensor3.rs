@@ -139,11 +139,6 @@ impl Tensor3 {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its flat buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Iterates over elements in row-major order.
     pub fn iter(&self) -> std::slice::Iter<'_, f64> {
         self.data.iter()
