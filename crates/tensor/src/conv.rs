@@ -5,7 +5,6 @@
 
 use crate::shape::output_extent;
 use crate::{Tensor3, Tensor4};
-use albireo_parallel::Parallelism;
 
 /// Stride/padding specification for a convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +99,8 @@ pub fn conv2d(input: &Tensor3, kernels: &Tensor4, spec: &ConvSpec) -> Tensor3 {
 /// layer, MobileNet's, has one group per channel): the input and kernels
 /// are split along the channel axis into `groups` independent
 /// convolutions whose outputs are stacked. A pointwise layer is the 1×1
-/// case.
+/// case. Serial: kernel `m` fills its contiguous `By × Bx` output plane,
+/// reading its group's channels in place.
 ///
 /// # Panics
 ///
@@ -111,20 +111,6 @@ pub fn conv2d_grouped(
     kernels: &Tensor4,
     spec: &ConvSpec,
     groups: usize,
-) -> Tensor3 {
-    conv2d_grouped_with(input, kernels, spec, groups, Parallelism::default())
-}
-
-/// [`conv2d_grouped`] under an explicit [`Parallelism`] policy. Output
-/// kernels are independent work items (kernel `m` owns the contiguous
-/// `By × Bx` output plane and reads its group's channels in place), so the
-/// result is bit-identical at any thread count.
-pub fn conv2d_grouped_with(
-    input: &Tensor3,
-    kernels: &Tensor4,
-    spec: &ConvSpec,
-    groups: usize,
-    par: Parallelism,
 ) -> Tensor3 {
     let _prof = albireo_obs::profile::scope("tensor.conv2d");
     assert!(groups > 0, "groups must be positive");
@@ -142,7 +128,7 @@ pub fn conv2d_grouped_with(
     let mut out = Tensor3::zeros(wm, by, bx);
     let pad = spec.padding as isize;
     let kernels_per_group = wm / groups;
-    par.fill_slices(out.as_mut_slice(), (by * bx).max(1), |m, plane| {
+    for (m, plane) in out.as_mut_slice().chunks_mut((by * bx).max(1)).enumerate() {
         let z0 = m / kernels_per_group * wz;
         for (yb, ya) in (0..by).zip((0..).step_by(spec.stride)) {
             for (xb, xa) in (0..bx).zip((0..).step_by(spec.stride)) {
@@ -156,7 +142,7 @@ pub fn conv2d_grouped_with(
                 );
             }
         }
-    });
+    }
     out
 }
 
