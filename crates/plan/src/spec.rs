@@ -292,15 +292,12 @@ impl PlanSpec {
     /// Checks the invariants the search relies on. `parse` calls this;
     /// hand-built specs should too before planning.
     pub fn validate(&self) -> Result<(), String> {
-        match self.workload.process {
-            ArrivalProcess::Trace { .. } | ArrivalProcess::TraceFile { .. } => {
-                return Err(
-                    "trace arrivals are not plannable (a plan must be reproducible from its \
-                     spec line alone)"
-                        .to_string(),
-                )
-            }
-            _ => {}
+        if let ArrivalProcess::TraceFile { .. } = self.workload.process {
+            return Err(
+                "trace arrivals are not plannable (a plan must be reproducible from its \
+                 spec line alone)"
+                    .to_string(),
+            );
         }
         if self.workload.mix.is_empty() {
             return Err("plan workload mix is empty".to_string());

@@ -7,7 +7,7 @@
 //! serve 10⁶–10⁷ requests without ever materializing them;
 //! [`Workload::generate`] is the eager wrapper that collects the same
 //! stream into a vector (it produces byte-identical requests: the two
-//! paths share one generator). Six arrival processes are provided:
+//! paths share one generator). Five arrival processes are provided:
 //!
 //! * **Poisson** — i.i.d. exponential interarrival gaps at a fixed mean
 //!   rate, the standard open-loop service model;
@@ -23,8 +23,6 @@
 //!   exponentially decaying overload
 //!   `rate(t) = rate × (1 + (spike−1)·e^{−(t−at)/decay})` — the
 //!   breaking-news shape that stresses admission control;
-//! * **Trace** — explicit in-memory arrival instants, for replaying
-//!   short measured traffic snippets;
 //! * **TraceFile** — bounded-memory replay of a JSONL trace from disk:
 //!   one object per line, `{"arrival_s": 0.0123}` with optional
 //!   `"network"` and `"class"` members overriding the mix/class draw.
@@ -193,12 +191,6 @@ pub enum ArrivalProcess {
         /// Exponential decay constant of the overload, s.
         decay_s: f64,
     },
-    /// Explicit arrival instants (need not be sorted; they are sorted
-    /// when the stream opens).
-    Trace {
-        /// Arrival times, s.
-        times_s: Vec<f64>,
-    },
     /// Bounded-memory JSONL replay from disk (see module docs for the
     /// line format). Lines must already be sorted by `arrival_s`.
     TraceFile {
@@ -209,22 +201,13 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// The long-run mean arrival rate this process aims at, requests/s
-    /// (for in-memory traces, the empirical rate over the trace span;
-    /// for on-disk traces, 0.0 — unknown until replayed).
+    /// (for on-disk traces, 0.0 — unknown until replayed).
     pub fn mean_rate_rps(&self) -> f64 {
         match self {
             ArrivalProcess::Poisson { rate_rps } => *rate_rps,
             ArrivalProcess::Bursty { rate_rps, .. } => *rate_rps,
             ArrivalProcess::Diurnal { rate_rps, .. } => *rate_rps,
             ArrivalProcess::FlashCrowd { rate_rps, .. } => *rate_rps,
-            ArrivalProcess::Trace { times_s } => {
-                let span = times_s
-                    .iter()
-                    .cloned()
-                    .fold(0.0f64, f64::max)
-                    .max(f64::MIN_POSITIVE);
-                times_s.len() as f64 / span
-            }
             ArrivalProcess::TraceFile { .. } => 0.0,
         }
     }
@@ -232,8 +215,8 @@ impl ArrivalProcess {
     /// Parses the one-line shape grammar — `poisson`,
     /// `bursty:<BURST>:<ON_S>:<OFF_S>`, `diurnal:<AMPLITUDE>:<PERIOD_S>`,
     /// or `flash:<SPIKE>:<AT_S>:<DECAY_S>` — at mean rate `rate_rps`, and
-    /// [`validate`](ArrivalProcess::validate)s the result. Trace-backed
-    /// processes are outside the grammar: a spec line must reproduce its
+    /// [`validate`](ArrivalProcess::validate)s the result. Trace replay
+    /// is outside the grammar: a spec line must reproduce its
     /// stream alone.
     pub fn parse(spec: &str, rate_rps: f64) -> Result<ArrivalProcess, String> {
         let mut lx = Lexer::new("arrival", spec, ':');
@@ -290,7 +273,6 @@ impl ArrivalProcess {
                 decay_s,
                 ..
             } => format!("flash:{spike}:{at_s}:{decay_s}"),
-            ArrivalProcess::Trace { .. } => "trace".to_string(),
             ArrivalProcess::TraceFile { path } => format!("trace_file:{path}"),
         }
     }
@@ -331,7 +313,7 @@ impl ArrivalProcess {
                 pos(r) && above_one(spike) && (0.0..f64::INFINITY).contains(&at_s) && pos(decay_s),
                 "a positive rate, spike > 1, onset >= 0 and a positive decay",
             ),
-            ArrivalProcess::Trace { .. } | ArrivalProcess::TraceFile { .. } => (true, ""),
+            ArrivalProcess::TraceFile { .. } => (true, ""),
         };
         match ok {
             true => Ok(()),
@@ -340,14 +322,13 @@ impl ArrivalProcess {
     }
 
     /// A short label for reports (`poisson`, `bursty`, `diurnal`,
-    /// `flash`, `trace`, `trace_file`).
+    /// `flash`, `trace_file`).
     pub fn label(&self) -> &'static str {
         match self {
             ArrivalProcess::Poisson { .. } => "poisson",
             ArrivalProcess::Bursty { .. } => "bursty",
             ArrivalProcess::Diurnal { .. } => "diurnal",
             ArrivalProcess::FlashCrowd { .. } => "flash",
-            ArrivalProcess::Trace { .. } => "trace",
             ArrivalProcess::TraceFile { .. } => "trace_file",
         }
     }
@@ -386,8 +367,7 @@ impl Workload {
     }
 
     /// Opens the lazy request stream: at most `n` requests in arrival
-    /// order, deterministically from `seed`, with O(1) generator state
-    /// (plus the in-memory trace, if that process is used).
+    /// order, deterministically from `seed`, with O(1) generator state.
     pub fn stream(&self, n: usize, seed: u64) -> RequestStream {
         assert!(
             !self.mix.is_empty() && self.mix.iter().all(|&(_, w)| w >= 0.0),
@@ -447,13 +427,6 @@ impl Workload {
                 at_s: *at_s,
                 decay_s: *decay_s,
             },
-            ArrivalProcess::Trace { times_s } => {
-                let mut t: Vec<f64> = times_s.iter().take(n).cloned().collect();
-                t.sort_by(|a, b| a.partial_cmp(b).expect("trace times must be finite"));
-                Source::Trace {
-                    times: t.into_iter(),
-                }
-            }
             ArrivalProcess::TraceFile { path } => {
                 Source::TraceFile(TraceReader::open(path).unwrap_or_else(|e| panic!("{e}")))
             }
@@ -537,9 +510,6 @@ enum Source {
         spike: f64,
         at_s: f64,
         decay_s: f64,
-    },
-    Trace {
-        times: std::vec::IntoIter<f64>,
     },
     TraceFile(TraceReader),
 }
@@ -742,7 +712,6 @@ impl RequestStream {
                     return Some((self.t, None, None));
                 }
             },
-            Source::Trace { times } => times.next().map(|t| (t, None, None)),
             Source::TraceFile(reader) => reader.next().map(|arrival| {
                 let a = arrival.unwrap_or_else(|e| panic!("{e}"));
                 (a.arrival_s, a.network, a.class)
@@ -893,20 +862,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_replays_sorted() {
-        let w = Workload {
-            process: ArrivalProcess::Trace {
-                times_s: vec![0.3, 0.1, 0.2],
-            },
-            mix: vec![(0, 1.0)],
-            classes: Vec::new(),
-        };
-        let reqs = w.generate(3, 0);
-        let times: Vec<f64> = reqs.iter().map(|r| r.arrival_s).collect();
-        assert_eq!(times, vec![0.1, 0.2, 0.3]);
-    }
-
-    #[test]
     fn mix_draws_all_networks() {
         let w = Workload {
             process: ArrivalProcess::Poisson { rate_rps: 100.0 },
@@ -945,9 +900,6 @@ mod tests {
                 spike: 8.0,
                 at_s: 0.05,
                 decay_s: 0.02,
-            },
-            ArrivalProcess::Trace {
-                times_s: vec![0.5, 0.25, 0.125, 0.75],
             },
         ] {
             let w = Workload {
