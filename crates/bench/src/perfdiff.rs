@@ -8,37 +8,44 @@
 //! match when the two files order their entries differently; rows that
 //! share a member are keyed by occurrence, so none is dropped.
 //!
-//! Only metrics with a known *direction* participate in the gate:
-//! wall-clock and latency leaves regress upward, throughput leaves
-//! regress downward. Everything else (counts, digests, energy models,
-//! configuration echoes) is direction-neutral and ignored — the gate
-//! judges measured performance, not simulated physics.
+//! Each leaf is classified by clock (DESIGN.md §15). Only wall-clock
+//! leaves participate in the gate: times regress upward, throughput and
+//! speedup regress downward. Virtual-clock leaves — the serving DES's
+//! latency quantiles and goodput, which digests already pin — are model
+//! outputs: a difference is reported as `model output changed`, never
+//! as a regression. Everything else (counts, digests, energy models,
+//! configuration echoes) is ignored — the gate judges measured
+//! performance, not simulated physics.
 
 use albireo_obs::jsonv;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Leaf names (the last `.`-separated path segment) where larger is
-/// slower: wall-clock phases, latency quantiles, per-call extremes.
+/// Wall-clock leaf names (the last `.`-separated path segment) where
+/// larger is slower: run and phase times, per-call extremes.
 const LOWER_IS_BETTER: &[&str] = &[
     "wall_ms",
     "serial_wall_ms",
-    "p50_ms",
-    "p90_ms",
-    "p99_ms",
-    "p999_ms",
-    "mean_latency_ms",
-    "mean_wait_ms",
+    "disabled_ms",
+    "enabled_ms",
     "total_ns",
     "self_ns",
     "max_ns",
 ];
 
-/// Leaf names where larger is faster: throughput and speedup figures.
-const HIGHER_IS_BETTER: &[&str] = &[
-    "speedup",
-    "candidates_per_s",
-    "requests_per_s",
+/// Wall-clock leaf names where larger is faster: throughput and speedup.
+const HIGHER_IS_BETTER: &[&str] = &["speedup", "candidates_per_s", "sim_requests_per_s"];
+
+/// Virtual-clock leaf names: the serving DES's outputs, never gated.
+const VIRTUAL_CLOCK: &[&str] = &[
+    "p50_ms",
+    "p90_ms",
+    "p95_ms",
+    "p99_ms",
+    "p999_ms",
+    "healthy_p99_ms",
+    "mean_latency_ms",
+    "mean_wait_ms",
     "goodput_rps",
 ];
 
@@ -60,33 +67,49 @@ pub struct DiffRow {
 /// The comparison of two performance files.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfDiff {
-    /// Every directional metric present in both files, path order.
+    /// Every wall-clock metric present in both files, path order.
     pub rows: Vec<DiffRow>,
+    /// Virtual-clock metrics present in both files whose value differs:
+    /// model outputs, never regressions.
+    pub model_changes: Vec<DiffRow>,
     /// The relative threshold, percent.
     pub threshold_pct: f64,
-    /// Directional metrics only the old file has (renamed or removed).
+    /// Classified metrics only the old file has (renamed or removed).
     pub only_old: Vec<String>,
-    /// Directional metrics only the new file has.
+    /// Classified metrics only the new file has.
     pub only_new: Vec<String>,
 }
 
-/// Whether a flattened path names a directional metric, and if so which
-/// way it regresses. `Some(true)` means lower is better.
-fn direction(path: &str) -> Option<bool> {
+/// The clock a leaf is measured on, and for wall-clock leaves which way
+/// it regresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Clock {
+    /// Wall clock, larger is slower.
+    WallLowerIsBetter,
+    /// Wall clock, larger is faster.
+    WallHigherIsBetter,
+    /// Virtual clock: a model output.
+    Virtual,
+}
+
+/// The clock class of a flattened path, if its leaf is classified.
+fn clock(path: &str) -> Option<Clock> {
     let leaf = path.rsplit('.').next().unwrap_or(path);
     if LOWER_IS_BETTER.contains(&leaf) {
-        Some(true)
+        Some(Clock::WallLowerIsBetter)
     } else if HIGHER_IS_BETTER.contains(&leaf) {
-        Some(false)
+        Some(Clock::WallHigherIsBetter)
+    } else if VIRTUAL_CLOCK.contains(&leaf) {
+        Some(Clock::Virtual)
     } else {
         None
     }
 }
 
-fn directional(values: BTreeMap<String, f64>) -> BTreeMap<String, (f64, bool)> {
+fn classified(values: BTreeMap<String, f64>) -> BTreeMap<String, (f64, Clock)> {
     values
         .into_iter()
-        .filter_map(|(path, v)| direction(&path).map(|lower| (path, (v, lower))))
+        .filter_map(|(path, v)| clock(&path).map(|c| (path, (v, c))))
         .collect()
 }
 
@@ -101,12 +124,13 @@ impl PerfDiff {
         }
         let old = jsonv::parse(old).map_err(|e| format!("old file: {e}"))?;
         let new = jsonv::parse(new).map_err(|e| format!("new file: {e}"))?;
-        let old = directional(old.flatten_numbers());
-        let mut new = directional(new.flatten_numbers());
+        let old = classified(old.flatten_numbers());
+        let mut new = classified(new.flatten_numbers());
         let slack = threshold_pct / 100.0;
         let mut rows = Vec::new();
+        let mut model_changes = Vec::new();
         let mut only_old = Vec::new();
-        for (path, (o, lower)) in old {
+        for (path, (o, clock)) in old {
             let Some((n, _)) = new.remove(&path) else {
                 only_old.push(path);
                 continue;
@@ -120,21 +144,29 @@ impl PerfDiff {
             } else {
                 n / o
             };
-            let regression = if lower {
-                n > o * (1.0 + slack) + f64::EPSILON
-            } else {
-                n < o * (1.0 - slack) - f64::EPSILON
-            };
-            rows.push(DiffRow {
+            let mut row = DiffRow {
                 metric: path,
                 old: o,
                 new: n,
                 ratio,
-                regression,
-            });
+                regression: false,
+            };
+            match clock {
+                Clock::WallLowerIsBetter => {
+                    row.regression = n > o * (1.0 + slack) + f64::EPSILON;
+                    rows.push(row);
+                }
+                Clock::WallHigherIsBetter => {
+                    row.regression = n < o * (1.0 - slack) - f64::EPSILON;
+                    rows.push(row);
+                }
+                Clock::Virtual if o != n => model_changes.push(row),
+                Clock::Virtual => {}
+            }
         }
         Ok(PerfDiff {
             rows,
+            model_changes,
             threshold_pct,
             only_old,
             only_new: new.into_keys().collect(),
@@ -146,8 +178,9 @@ impl PerfDiff {
         self.rows.iter().filter(|r| r.regression)
     }
 
-    /// Human-readable verdict: every regression with its ratio, a
-    /// summary count line, and any metrics present in only one file.
+    /// Human-readable verdict: every regression with its ratio, every
+    /// changed model output, any metrics present in only one file, and
+    /// a summary count line.
     pub fn render_text(&self) -> String {
         let mut s = String::new();
         let regressed: Vec<&DiffRow> = self.regressions().collect();
@@ -159,6 +192,13 @@ impl PerfDiff {
                 r.old,
                 r.new,
                 (r.ratio - 1.0) * 100.0
+            );
+        }
+        for r in &self.model_changes {
+            let _ = writeln!(
+                s,
+                "model output changed: {} {:.6} -> {:.6}",
+                r.metric, r.old, r.new
             );
         }
         for path in &self.only_old {
@@ -310,14 +350,17 @@ mod tests {
     #[test]
     fn a_change_in_a_repeated_row_is_reported() {
         let old = r#"{"runs": [
-            {"fleet": "albireo_9+albireo_27", "rate_rps": 1000, "p99_ms": 2.0},
-            {"fleet": "albireo_9+albireo_27", "rate_rps": 4000, "p99_ms": 5.0}
+            {"fleet": "albireo_9+albireo_27", "rate_rps": 1000, "wall_ms": 2.0},
+            {"fleet": "albireo_9+albireo_27", "rate_rps": 4000, "wall_ms": 5.0}
         ]}"#;
         for (from, to, metric) in [
-            ("5.0", "6.5", "runs.albireo_9+albireo_27#2.p99_ms"),
-            ("2.0", "2.6", "runs.albireo_9+albireo_27.p99_ms"),
+            ("5.0", "6.5", "runs.albireo_9+albireo_27#2.wall_ms"),
+            ("2.0", "2.6", "runs.albireo_9+albireo_27.wall_ms"),
         ] {
-            let new = old.replace(&format!("\"p99_ms\": {from}"), &format!("\"p99_ms\": {to}"));
+            let new = old.replace(
+                &format!("\"wall_ms\": {from}"),
+                &format!("\"wall_ms\": {to}"),
+            );
             let d = PerfDiff::compare(old, &new, 10.0).unwrap();
             assert_eq!(d.rows.len(), 2, "both runs compared");
             let reg: Vec<&DiffRow> = d.regressions().collect();
@@ -325,6 +368,27 @@ mod tests {
             assert_eq!(reg[0].metric, metric);
             assert!((reg[0].ratio - 1.3).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn a_virtual_clock_change_is_reported_not_gated() {
+        let old = r#"{"runs": [
+            {"fleet": "albireo_9+albireo_27", "p50_ms": 1.0, "p99_ms": 2.0, "goodput_rps": 900.0}
+        ], "serving_scale": {"wall_ms": 80.0, "sim_requests_per_s": 1.0e7}}"#;
+        let new = old.replace("\"p99_ms\": 2.0", "\"p99_ms\": 2.6");
+        let d = PerfDiff::compare(old, &new, 10.0).unwrap();
+        assert_eq!(d.regressions().count(), 0);
+        assert_eq!(d.rows.len(), 2, "only the wall-clock leaves are gated");
+        let text = d.render_text();
+        let changed: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("model output changed"))
+            .collect();
+        assert_eq!(
+            changed,
+            ["model output changed: runs.albireo_9+albireo_27.p99_ms 2.000000 -> 2.600000"]
+        );
+        assert!(text.contains("0 regression(s)"), "{text}");
     }
 
     #[test]

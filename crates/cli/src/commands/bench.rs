@@ -38,8 +38,9 @@ pub(super) fn bench(args: &Args) -> Result<String, CliError> {
 /// `albireo perf-diff <old.json> <new.json> [--threshold PCT]` — the
 /// perf-regression gate: compares two performance JSON files
 /// (`BENCH_*.json` or `albireo.profile/v1` reports) metric by metric
-/// and exits 3 when any directional metric regresses past the
-/// threshold (default 10%).
+/// and exits 3 when any wall-clock metric regresses past the threshold
+/// (default 10%). A changed virtual-clock leaf prints a `model output
+/// changed` line and never trips the gate.
 pub(super) fn perf_diff(args: &Args) -> Result<String, CliError> {
     let [old_path, new_path] = args.positionals() else {
         unreachable!("the perf-diff row takes exactly two positionals");
