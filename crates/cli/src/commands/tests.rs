@@ -611,7 +611,13 @@ fn serve_json_with_trace_embeds_metrics_snapshot() {
     assert!(out.contains("\"obs\": {"), "{out}");
     assert!(out.contains("albireo.obs/v1"));
     assert!(out.contains("serve.completed"));
-    assert_eq!(out.matches('{').count(), out.matches('}').count());
+    let report = albireo_obs::jsonv::parse(&out).expect("serve JSON parses");
+    let obs = report.get("obs").expect("embedded obs snapshot");
+    assert!(obs.get("histograms").is_none(), "{out}");
+    let sketches = obs.get("sketches").expect("sketches member");
+    for name in ["serve.wait_s", "serve.chip_utilization"] {
+        assert!(sketches.get(name).is_some(), "{name}: {out}");
+    }
     // Without the trace flag the JSON stays unchanged.
     let plain = exec("serve", &["--requests", "80", "--json"]).unwrap();
     assert!(!plain.contains("\"obs\""));
@@ -1010,6 +1016,8 @@ fn serve_metrics_out_writes_openmetrics() {
     assert!(out.contains("OpenMetrics"), "{out}");
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(text.contains("# TYPE serve_completed counter"), "{text}");
+    assert!(text.contains("# TYPE serve_wait_s summary\n"), "{text}");
+    assert!(text.contains("serve_wait_s{quantile=\"0.99\"} "), "{text}");
     assert!(text.ends_with("# EOF\n"), "{text}");
     // The exported file never perturbs the report itself.
     let baseline = exec("serve", &base).unwrap();

@@ -252,7 +252,7 @@ mod tests {
         let r = crate::Registry::new();
         r.counter("ops \"quoted\"").add(1);
         r.gauge("g\\err").set(0.5);
-        r.histogram("hist µ").observe(1.0);
+        r.sketch("sk µ").observe(1.0);
         r.sketch("sk\new").observe(2.0);
         let json = r.snapshot().to_json();
         assert!(json.is_ascii());
@@ -265,7 +265,7 @@ mod tests {
                 .as_f64(),
             Some(1.0)
         );
-        assert!(v.get("histograms").unwrap().get("hist µ").is_some());
+        assert!(v.get("sketches").unwrap().get("sk µ").is_some());
         assert!(v.get("sketches").unwrap().get("sk\new").is_some());
     }
 }

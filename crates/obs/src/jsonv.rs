@@ -130,7 +130,7 @@ impl Value {
 
 /// Deepest nesting of arrays and objects [`parse`] accepts. The
 /// workspace's deepest artifact nests 6 levels (serve report → `obs` →
-/// `histograms` → entry → `buckets` → pair); the cap turns a hostile
+/// `sketches` → entry → `buckets` → pair); the cap turns a hostile
 /// file's unbounded recursion into a [`ParseError`] rather than a
 /// stack overflow.
 pub const MAX_DEPTH: usize = 128;
@@ -528,7 +528,6 @@ mod tests {
         let reg = crate::Registry::new();
         reg.counter("ops").add(3);
         reg.gauge("g").set(1.5e-4);
-        reg.histogram("h").observe(0.125);
         reg.sketch("s").observe(2.0);
         let snap_json = reg.snapshot().to_json();
         let v = parse(&snap_json).expect("snapshot JSON parses");

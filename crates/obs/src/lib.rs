@@ -1,7 +1,7 @@
 //! # albireo-obs — deterministic instrumentation layer
 //!
-//! Metrics (counters, gauges, exactly-mergeable log-scale histograms)
-//! and span tracing for the Albireo workspace, with zero external
+//! Metrics (counters, gauges, exactly-mergeable quantile sketches) and
+//! span tracing for the Albireo workspace, with zero external
 //! dependencies.
 //!
 //! ## Determinism contract
@@ -28,10 +28,8 @@
 //! An [`Obs`] starts life either enabled or disabled; every recording
 //! path is guarded by [`Obs::is_enabled`], a single relaxed atomic
 //! load, so instrumented hot loops pay ≤ one branch when observability
-//! is off. The process-wide [`global`] handle is **disabled** by
-//! default and is only used for ambient counters (e.g. the parallel
-//! crate's per-worker op counts); traces always go through an explicit
-//! per-run `Obs` so concurrent runs never interleave events.
+//! is off. Metrics and traces always go through an explicit per-run
+//! `Obs`, so concurrent runs never interleave events.
 //!
 //! ## Example
 //!
@@ -59,15 +57,13 @@ pub mod span;
 
 pub use export::{to_chrome_trace, to_jsonl};
 pub use json::json_escape;
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramData, MetricsSnapshot, Registry, SketchCell,
-};
+pub use metrics::{Counter, Gauge, MetricsSnapshot, Registry, SketchCell};
 pub use profile::{PhaseStat, ProfileReport, PROFILE_SCHEMA};
 pub use sketch::{QuantileSketch, RELATIVE_ERROR_BOUND};
 pub use span::{events_digest, ArgValue, Event, Phase, TraceBuffer};
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Schema identifier stamped on every obs JSON export.
@@ -90,9 +86,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Reserved trace tracks. Chip and worker tracks start at
-/// [`track::CHIP_BASE`] / [`track::WORKER_BASE`]; the low tracks carry
-/// cross-cutting streams.
+/// Reserved trace tracks. Chip tracks start at [`track::CHIP_BASE`];
+/// the low tracks carry cross-cutting streams.
 pub mod track {
     /// Dispatcher / scheduler control events (batch formation, sheds,
     /// faults, queue-depth samples).
@@ -101,8 +96,6 @@ pub mod track {
     pub const ENGINE: u32 = 1;
     /// First per-chip track: chip `i` records on `CHIP_BASE + i`.
     pub const CHIP_BASE: u32 = 16;
-    /// First per-worker track for the parallel crate.
-    pub const WORKER_BASE: u32 = 1024;
 }
 
 /// Handle bundling a metrics [`Registry`] and a [`TraceBuffer`] behind
@@ -178,11 +171,6 @@ impl Obs {
     /// The gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         self.registry.gauge(name)
-    }
-
-    /// The histogram named `name`.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.registry.histogram(name)
     }
 
     /// The quantile sketch named `name`.
@@ -263,14 +251,6 @@ impl Default for Obs {
     fn default() -> Obs {
         Obs::disabled()
     }
-}
-
-/// The process-wide handle: disabled by default, used for ambient
-/// counters (parallel-crate op counts). Enable explicitly via
-/// `global().set_enabled(true)`.
-pub fn global() -> &'static Obs {
-    static GLOBAL: OnceLock<Obs> = OnceLock::new();
-    GLOBAL.get_or_init(Obs::disabled)
 }
 
 /// Records a complete span with explicit virtual begin/end timestamps:
@@ -357,11 +337,6 @@ mod tests {
             events_digest(&events)
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn global_is_disabled_by_default() {
-        assert!(!global().is_enabled());
     }
 
     #[test]

@@ -1,15 +1,11 @@
 //! OpenMetrics / Prometheus text exposition for the metrics registry.
 //!
-//! Renders a [`MetricsSnapshot`] — counters, gauges, log-bucket
-//! histograms, and quantile sketches — in the OpenMetrics text format,
-//! so a run's metrics can be scraped, diffed, or loaded into any
-//! Prometheus-compatible tooling:
+//! Renders a [`MetricsSnapshot`] — counters, gauges and quantile
+//! sketches — in the OpenMetrics text format, so a run's metrics can be
+//! scraped, diffed, or loaded into any Prometheus-compatible tooling:
 //!
 //! * counters become `<name>_total` samples of type `counter`;
 //! * gauges stay plain samples of type `gauge`;
-//! * histograms expose their non-empty log-scale buckets as cumulative
-//!   `le`-labelled `_bucket` samples plus `+Inf`, `_count`, and a
-//!   `_sum` from the geometric-midpoint mean estimate;
 //! * quantile sketches become `summary` families with
 //!   `quantile="0.5|0.95|0.99|0.999"` samples, `_count`, and a
 //!   bucket-midpoint `_sum` estimate.
@@ -23,7 +19,7 @@
 //! `_`). Output is a pure function of the snapshots: byte-identical
 //! across thread counts and across interrupt+resume.
 
-use crate::metrics::{HistogramData, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use crate::sketch::{bucket_bounds, QuantileSketch};
 
 /// Quantiles exposed for each sketch family (matches
@@ -87,10 +83,6 @@ fn sketch_sum_estimate(s: &QuantileSketch) -> f64 {
         .sum()
 }
 
-fn histogram_sum_estimate(h: &HistogramData) -> f64 {
-    h.mean_estimate() * h.count() as f64
-}
-
 struct Writer {
     out: String,
 }
@@ -149,42 +141,6 @@ fn render_points(points: &[(Option<f64>, &MetricsSnapshot)]) -> String {
             }
         }
     }
-    for name in union_names(points, |s| s.histograms.as_slice()) {
-        let m = sanitize_name(name);
-        w.family(&m, "histogram");
-        for (ts, snap) in points {
-            let Some(h) = lookup(&snap.histograms, name) else {
-                continue;
-            };
-            let mut cumulative = h.zeros;
-            for (exp, count) in h.nonzero_buckets() {
-                cumulative += count;
-                // Bucket [2^exp, 2^(exp+1)) — upper bound is exclusive
-                // in the registry but the off-by-one mass at the exact
-                // boundary is zero-width for `le` purposes.
-                let le = (2.0f64).powi(exp + 1);
-                w.sample(
-                    &format!("{m}_bucket"),
-                    &format!("{{le=\"{}\"}}", num(le)),
-                    &cumulative.to_string(),
-                    *ts,
-                );
-            }
-            w.sample(
-                &format!("{m}_bucket"),
-                "{le=\"+Inf\"}",
-                &h.count().to_string(),
-                *ts,
-            );
-            w.sample(&format!("{m}_count"), "", &h.count().to_string(), *ts);
-            w.sample(
-                &format!("{m}_sum"),
-                "",
-                &num(histogram_sum_estimate(h)),
-                *ts,
-            );
-        }
-    }
     for name in union_names(points, |s| s.sketches.as_slice()) {
         let m = sanitize_name(name);
         w.family(&m, "summary");
@@ -232,18 +188,14 @@ mod tests {
         r.counter("serve.offered").add(100);
         r.counter("serve.shed").add(3);
         r.gauge("fleet.chips").set(4.0);
-        r.histogram("batch.wait_s").observe(0.5);
-        r.histogram("batch.wait_s").observe(0.001);
-        r.histogram("batch.wait_s").observe(0.0);
         r.sketch("latency_ms").observe(1.0);
         r.sketch("latency_ms").observe(8.0);
         r
     }
 
     #[test]
-    fn renders_all_four_kinds_with_eof() {
+    fn renders_every_kind_with_eof() {
         let text = render(&sample_registry().snapshot());
-        assert!(text.contains("# TYPE batch_wait_s histogram\n"));
         assert!(text.contains("# TYPE serve_offered counter\n"));
         assert!(text.contains("serve_offered_total 100\n"));
         assert!(text.contains("# TYPE fleet_chips gauge\n"));
@@ -252,20 +204,6 @@ mod tests {
         assert!(text.contains("latency_ms{quantile=\"0.5\"}"));
         assert!(text.contains("latency_ms_count 2\n"));
         assert!(text.ends_with("# EOF\n"));
-    }
-
-    #[test]
-    fn histogram_buckets_are_cumulative_and_end_at_inf() {
-        let text = render(&sample_registry().snapshot());
-        // 0.001 → [2^-10, 2^-9) le=2^-9; 0.5 → le=1; zeros fold into
-        // the first cumulative count.
-        assert!(text.contains("batch_wait_s_bucket{le=\"0.001953125\"} 2"));
-        assert!(text.contains("batch_wait_s_bucket{le=\"1\"} 3"));
-        assert!(text.contains("batch_wait_s_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("batch_wait_s_count 3\n"));
-        let inf_at = text.find("{le=\"+Inf\"}").unwrap();
-        let first_bucket = text.find("_bucket{le=").unwrap();
-        assert!(first_bucket < inf_at);
     }
 
     #[test]

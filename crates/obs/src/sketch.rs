@@ -14,9 +14,8 @@
 //!
 //! The state is one contiguous array of bucket counts over the occupied
 //! bucket-index window `[lowest, highest]` plus exact `zeros`/`invalid`/
-//! `min`/`max`, so the sketch obeys the same **exact abelian monoid**
-//! discipline as [`crate::metrics::HistogramData`]: counts add, extrema
-//! take extrema, nothing is re-binned. Both ends of the window hold a
+//! `min`/`max`, so the sketch is an **exact abelian monoid**: counts
+//! add, extrema take extrema, nothing is re-binned. Both ends of the window hold a
 //! nonzero count, so equal states have equal arrays and `Eq` is the
 //! derived field-wise comparison. Merge is associative and
 //! commutative by construction, the identity is the empty sketch, and
@@ -43,7 +42,7 @@ pub const SUBBUCKET_BITS: u32 = 5;
 pub const SUBBUCKETS: u64 = 1 << SUBBUCKET_BITS;
 
 /// Smallest binary exponent with its own octave; values below
-/// `2^MIN_EXP` clamp into bucket 0. Matches the metrics histogram range.
+/// `2^MIN_EXP` clamp into bucket 0.
 pub const MIN_EXP: i32 = -64;
 
 /// Octaves covered (exponents `MIN_EXP ..= MIN_EXP + OCTAVES - 1`).
@@ -94,10 +93,9 @@ pub fn bucket_bounds(i: u16) -> (f64, f64) {
 /// A mergeable streaming quantile sketch of non-negative samples.
 ///
 /// Zeros are counted exactly in their own slot; negative and non-finite
-/// samples are rejected into `invalid` (mirroring
-/// [`crate::metrics::Histogram`]), so the bucketed population is exactly
-/// the positive finite one and quantiles are taken over the valid
-/// (zero + positive) population.
+/// samples are rejected into `invalid`, so the bucketed population is
+/// exactly the positive finite one and quantiles are taken over the
+/// valid (zero + positive) population.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantileSketch {
     /// Counts of buckets `lowest .. lowest + counts.len()`; empty when no

@@ -1,43 +1,15 @@
 //! Property tests for the observability invariants everything downstream
-//! leans on: histogram merge must behave like an exact abelian monoid
-//! (so parallel workers can combine shards in any grouping and order),
-//! the span layer must hand every consumer a balanced, time-ordered
-//! event stream no matter how events were interleaved when recorded,
-//! and whatever the JSON writer renders, the JSON reader reads back.
+//! leans on: the span layer must hand every consumer a balanced,
+//! time-ordered event stream no matter how events were interleaved when
+//! recorded, and whatever the JSON writer renders, the JSON reader reads
+//! back. The quantile sketch's merge laws live in `proptest_sketch.rs`.
 
 use albireo_obs::json::{num, Doc, Fixed, Obj, Sci};
 use albireo_obs::jsonv::{parse, Value};
-use albireo_obs::metrics::{bucket_index, bucket_lower_bound, Histogram, HistogramData};
 use albireo_obs::span::Phase;
 use albireo_obs::Obs;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-
-/// Builds a histogram data block from raw samples (including zeros,
-/// negatives, and non-finite values — `observe` must sort them itself).
-fn observed(samples: &[f64]) -> HistogramData {
-    let h = Histogram::default();
-    for &s in samples {
-        h.observe(s);
-    }
-    h.data()
-}
-
-/// Arbitrary sample sets: finite magnitudes across the full bucket range
-/// plus the special cases (zero, subnormals, negatives, NaN, infinity).
-fn samples() -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(
-        prop_oneof![
-            8 => 1e-18f64..1e18,
-            1 => Just(0.0f64),
-            1 => -1e9f64..0.0,
-            1 => Just(f64::NAN),
-            1 => Just(f64::INFINITY),
-            1 => (1u64..(1u64 << 52)).prop_map(f64::from_bits),
-        ],
-        0..64,
-    )
-}
 
 /// Arbitrary Unicode: controls, quotes, backslashes, printable ASCII,
 /// the rest of the BMP around the surrogate gap, and astral characters.
@@ -157,80 +129,6 @@ proptest! {
         }
     }
 
-    /// Merging preserves the total count exactly: every observation lands
-    /// in exactly one of buckets / zeros / invalid, and merge adds them.
-    #[test]
-    fn merge_preserves_counts(a in samples(), b in samples()) {
-        let (da, db) = (observed(&a), observed(&b));
-        let merged = da.merge(&db);
-        prop_assert_eq!(merged.count(), da.count() + db.count());
-        prop_assert_eq!(merged.zeros, da.zeros + db.zeros);
-        prop_assert_eq!(merged.invalid, da.invalid + db.invalid);
-        // Valid = finite and non-negative (zeros count; negatives and
-        // non-finite land in `invalid`).
-        let valid = |v: &&f64| v.is_finite() && **v >= 0.0;
-        let expected: u64 =
-            a.iter().filter(valid).count() as u64 + b.iter().filter(valid).count() as u64;
-        prop_assert_eq!(merged.count(), expected);
-        let invalid_expected =
-            (a.len() as u64 - a.iter().filter(valid).count() as u64)
-                + (b.len() as u64 - b.iter().filter(valid).count() as u64);
-        prop_assert_eq!(merged.invalid, invalid_expected);
-    }
-
-    /// Merge is commutative: shard order must not matter.
-    #[test]
-    fn merge_is_commutative(a in samples(), b in samples()) {
-        let (da, db) = (observed(&a), observed(&b));
-        prop_assert_eq!(da.merge(&db), db.merge(&da));
-    }
-
-    /// Merge is associative: the reduction tree shape must not matter.
-    #[test]
-    fn merge_is_associative(a in samples(), b in samples(), c in samples()) {
-        let (da, db, dc) = (observed(&a), observed(&b), observed(&c));
-        prop_assert_eq!(da.merge(&db).merge(&dc), da.merge(&db.merge(&dc)));
-    }
-
-    /// The empty histogram is the identity element.
-    #[test]
-    fn empty_is_identity(a in samples()) {
-        let da = observed(&a);
-        let empty = HistogramData::default();
-        prop_assert_eq!(da.merge(&empty), da.clone());
-        prop_assert_eq!(empty.merge(&da), da);
-    }
-
-    /// Merged extrema equal the extrema of the union of samples.
-    #[test]
-    fn merge_tracks_extrema(a in samples(), b in samples()) {
-        let merged = observed(&a).merge(&observed(&b));
-        let valid: Vec<f64> = a.iter().chain(&b).copied()
-            .filter(|v| v.is_finite() && *v >= 0.0)
-            .collect();
-        match (merged.min(), merged.max()) {
-            (Some(lo), Some(hi)) => {
-                let want_lo = valid.iter().copied().fold(f64::INFINITY, f64::min);
-                let want_hi = valid.iter().copied().fold(0.0f64, f64::max);
-                prop_assert_eq!(lo, want_lo);
-                prop_assert_eq!(hi, want_hi);
-            }
-            _ => prop_assert!(valid.is_empty()),
-        }
-    }
-
-    /// Bucket boundaries are monotonically increasing, and every sample
-    /// lands in a bucket whose range actually contains it (away from the
-    /// clamped ends of the exponent range).
-    #[test]
-    fn buckets_are_monotone_and_contain_their_samples(v in 1e-15f64..1e15) {
-        let idx = bucket_index(v);
-        let lo = bucket_lower_bound(idx);
-        let hi = bucket_lower_bound(idx + 1);
-        prop_assert!(hi > lo, "bucket bounds not increasing at {idx}");
-        prop_assert!(lo <= v && v < hi, "{v} outside [{lo}, {hi}) at bucket {idx}");
-    }
-
     /// Spans drained from an Obs are balanced per track (every Begin has
     /// a matching later End) with non-decreasing virtual timestamps in
     /// the drained order, regardless of recording interleavings.
@@ -267,67 +165,6 @@ proptest! {
         }
         for (track, d) in depth {
             prop_assert!(d == 0, "unbalanced spans on track {}", track);
-        }
-    }
-
-    /// Subnormal observations are *valid* samples: they clamp into the
-    /// bottom bucket (never `invalid`, never `zeros`) and set exact
-    /// extrema, so a duration of a few femtoseconds cannot silently
-    /// vanish from a histogram.
-    #[test]
-    fn subnormal_observations_land_in_the_bottom_bucket(
-        bits in 1u64..(1u64 << 52),
-    ) {
-        let v = f64::from_bits(bits); // every such pattern is subnormal
-        prop_assert!(v > 0.0 && !v.is_normal());
-        let h = Histogram::default();
-        h.observe(v);
-        let d = h.data();
-        prop_assert_eq!(d.count(), 1);
-        prop_assert_eq!(d.zeros, 0);
-        prop_assert_eq!(d.invalid, 0);
-        prop_assert_eq!(bucket_index(v), 0);
-        prop_assert_eq!(d.buckets[0], 1);
-        prop_assert_eq!(d.min(), Some(v));
-        prop_assert_eq!(d.max(), Some(v));
-        prop_assert!(d.mean_estimate() > 0.0 && d.mean_estimate().is_finite());
-    }
-
-    /// Zero-duration observations count in `zeros` (not any bucket) and
-    /// participate in extrema; negative durations land in `invalid` and
-    /// must not poison count, extrema, or the mean estimate.
-    #[test]
-    fn zeros_and_negative_durations_stay_segregated(
-        zeros in 0usize..5,
-        negatives in prop::collection::vec(-1e12f64..0.0, 0..5),
-        positives in prop::collection::vec(1e-9f64..1e9, 0..5),
-    ) {
-        let h = Histogram::default();
-        for _ in 0..zeros {
-            h.observe(0.0);
-        }
-        for &v in negatives.iter().chain(&positives) {
-            h.observe(v);
-        }
-        let d = h.data();
-        prop_assert_eq!(d.zeros, zeros as u64);
-        prop_assert_eq!(d.invalid, negatives.len() as u64);
-        prop_assert_eq!(d.count(), (zeros + positives.len()) as u64);
-        prop_assert!(d.buckets.iter().sum::<u64>() == positives.len() as u64);
-        if zeros > 0 {
-            prop_assert_eq!(d.min(), Some(0.0));
-        } else if let Some(min) = d.min() {
-            // Negatives never become the minimum.
-            prop_assert!(min > 0.0);
-        }
-        if let Some(max) = d.max() {
-            prop_assert!(max >= 0.0);
-        }
-        let mean = d.mean_estimate();
-        prop_assert!(mean.is_finite() && mean >= 0.0);
-        // A histogram of only zeros and rejects reports a zero mean.
-        if positives.is_empty() {
-            prop_assert_eq!(mean, 0.0);
         }
     }
 }

@@ -28,53 +28,18 @@
 //!
 //! # Observability
 //!
-//! When the process-wide [`albireo_obs::global`] handle is enabled, each
-//! parallel region records ambient counters — regions entered, items
-//! executed, per-worker op counts (`parallel.worker.N.ops`), and merge
-//! events where worker chunks rejoin the caller's buffer. The hot path
-//! pays exactly one enabled-check branch per region (never per item),
-//! and the counts are exact at any thread count because each worker's
-//! chunk size is a pure function of `(n, workers)`.
-//!
-//! When the wall-clock profiler is enabled
-//! ([`albireo_obs::profile::set_enabled`]), each parallel region also
-//! times its dispatch+join on the caller (`parallel.join`) and each
-//! worker band on its own thread (`parallel.chunk`); both are excluded
-//! from every determinism digest.
+//! The wall-clock profiler is the one probe of parallel regions. When it
+//! is enabled ([`albireo_obs::profile::set_enabled`]), each region that
+//! fans out times its dispatch+join on the caller (`parallel.join`) and
+//! each worker band on its own thread (`parallel.chunk`); a region that
+//! runs serially records neither. Both are excluded from every
+//! determinism digest.
 
 use albireo_obs::profile;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Sentinel meaning "one thread per available core".
 const AUTO: usize = 0;
-
-/// Records the ambient counters for one parallel region: `n` items run
-/// across `workers` workers with static `chunk`-sized bands, plus one
-/// merge event per band rejoining the output. No-op unless the global
-/// obs handle is enabled (single branch).
-fn record_region(kind: &str, n: usize, workers: usize, chunk: usize) {
-    let obs = albireo_obs::global();
-    if !obs.is_enabled() {
-        return;
-    }
-    obs.counter("parallel.regions").add(1);
-    obs.counter(&format!("parallel.{kind}.regions")).add(1);
-    obs.counter("parallel.items").add(n as u64);
-    if workers <= 1 {
-        obs.counter("parallel.worker.0.ops").add(n as u64);
-        return;
-    }
-    let mut remaining = n;
-    let mut w = 0usize;
-    while remaining > 0 {
-        let band = chunk.min(remaining);
-        obs.counter(&format!("parallel.worker.{w}.ops"))
-            .add(band as u64);
-        obs.counter("parallel.merges").add(1);
-        remaining -= band;
-        w += 1;
-    }
-}
 
 /// Process-wide default thread count; [`AUTO`] until overridden.
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(AUTO);
@@ -150,13 +115,11 @@ impl Parallelism {
     {
         let workers = self.resolved_threads().min(n.max(1));
         if workers <= 1 || n <= 1 {
-            record_region("map", n, 1, n.max(1));
             return (0..n).map(f).collect();
         }
         let mut out: Vec<Option<T>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
         let chunk = n.div_ceil(workers);
-        record_region("map", n, workers, chunk);
         // Caller-side: dispatch + join wait; worker-side: each band is
         // its own wall-clock profile root (concurrent time must not
         // nest under the caller, which already measures the join).
@@ -202,14 +165,12 @@ impl Parallelism {
         let n = data.len() / item_len;
         let workers = self.resolved_threads().min(n.max(1));
         if workers <= 1 || n <= 1 {
-            record_region("fill", n, 1, n.max(1));
             for (i, item) in data.chunks_mut(item_len).enumerate() {
                 f(i, item);
             }
             return;
         }
         let chunk = n.div_ceil(workers);
-        record_region("fill", n, workers, chunk);
         let _join = profile::scope("parallel.join");
         std::thread::scope(|scope| {
             for (w, band) in data.chunks_mut(chunk * item_len).enumerate() {
@@ -328,45 +289,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Serializes tests that toggle the process-wide obs handle, so the
-    /// enabled window of one cannot leak counts into another.
-    fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().expect("obs test lock")
-    }
-
-    #[test]
-    fn obs_counters_account_for_every_item_once() {
-        let _guard = obs_test_lock();
-        // The global handle is process-wide and other (non-toggling)
-        // tests in this binary may run regions concurrently, so assert
-        // on deltas with `>=` rather than exact equality.
-        let obs = albireo_obs::global();
-        let items_before = obs.counter("parallel.items").get();
-        let regions_before = obs.counter("parallel.map.regions").get();
-        obs.set_enabled(true);
-        Parallelism::with_threads(3).map_indexed(10, |i| i);
-        obs.set_enabled(false);
-        assert!(obs.counter("parallel.items").get() >= items_before + 10);
-        assert!(obs.counter("parallel.map.regions").get() > regions_before);
-        // Three workers over 10 items: chunks 4/4/2, all accounted for.
-        let per_worker: u64 = (0..3)
-            .map(|w| obs.counter(&format!("parallel.worker.{w}.ops")).get())
-            .sum();
-        assert!(per_worker >= 10);
-    }
-
-    #[test]
-    fn obs_disabled_records_nothing() {
-        let _guard = obs_test_lock();
-        let obs = albireo_obs::global();
-        let before = obs.counter("parallel.fill.regions").get();
-        // Disabled (the default): this region must not bump the counter.
-        let mut data = vec![0u8; 6];
-        Parallelism::serial().fill_slices(&mut data, 3, |_, _| {});
-        assert_eq!(obs.counter("parallel.fill.regions").get(), before);
     }
 
     #[test]

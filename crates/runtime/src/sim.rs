@@ -377,9 +377,9 @@ impl<'a> Sim<'a> {
             if self.obs.is_enabled() {
                 // Head-of-line-blocking wait: time from arrival to the
                 // dispatch instant, per request in the batch.
-                let wait_h = self.obs.histogram("serve.wait_s");
+                let wait = self.obs.sketch("serve.wait_s");
                 for req in &batch {
-                    wait_h.observe(now - req.arrival_s);
+                    wait.observe(now - req.arrival_s);
                 }
                 self.obs.record_instant(
                     track::DISPATCH,
@@ -764,10 +764,10 @@ impl<'a> Sim<'a> {
                 .set(report.peak_event_queue as f64);
             obs.gauge("serve.sketch_buckets")
                 .set(report.sketch_buckets as f64);
-            let util_h = obs.histogram("serve.chip_utilization");
+            let util = obs.sketch("serve.chip_utilization");
             for chip in &report.per_chip {
                 if report.makespan_s > 0.0 {
-                    util_h.observe(chip.busy_s / report.makespan_s);
+                    util.observe(chip.busy_s / report.makespan_s);
                 }
             }
         }
@@ -814,11 +814,12 @@ pub fn simulate(fleet: &FleetConfig, cfg: &ServeConfig) -> ServiceReport {
 /// [`simulate`], recording the run into `obs`: per-batch spans on each
 /// chip's track (named after the batch's network), batch-formation /
 /// shed / fault instants and queue-depth samples on the dispatcher
-/// track, head-of-line wait and per-chip utilization histograms, the
-/// end-to-end latency quantile sketch (`serve.latency_ms`), and serving
-/// counters plus memory-bound gauges (`serve.peak_event_queue`,
-/// `serve.sketch_buckets`). All timestamps come from the DES virtual
-/// clock, so with a fixed seed the recorded trace is byte-reproducible.
+/// track, quantile sketches of head-of-line wait (`serve.wait_s`),
+/// per-chip utilization (`serve.chip_utilization`) and end-to-end
+/// latency (`serve.latency_ms`), and serving counters plus memory-bound
+/// gauges (`serve.peak_event_queue`, `serve.sketch_buckets`). All
+/// timestamps come from the DES virtual clock, so with a fixed seed the
+/// recorded trace is byte-reproducible.
 ///
 /// The returned report is identical to [`simulate`]'s — instrumentation
 /// only reads simulator state — and a disabled `obs` reduces every
@@ -1191,29 +1192,18 @@ mod tests {
         assert_eq!(counter("serve.completed"), report.completed);
         assert_eq!(counter("serve.shed"), report.shed);
         assert_eq!(counter("serve.dispatched"), report.completed);
-        let wait = snap
-            .histograms
-            .iter()
-            .find(|(n, _)| n == "serve.wait_s")
-            .map(|(_, h)| h.clone())
-            .unwrap();
-        assert_eq!(wait.count(), report.completed);
-        let util = snap
-            .histograms
-            .iter()
-            .find(|(n, _)| n == "serve.chip_utilization")
-            .map(|(_, h)| h.clone())
-            .unwrap();
+        let sketch = |name: &str| {
+            snap.sketches
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, s)| s.clone())
+                .unwrap_or_else(|| panic!("no {name} sketch"))
+        };
+        assert_eq!(sketch("serve.wait_s").count(), report.completed);
+        let util = sketch("serve.chip_utilization");
         assert_eq!(util.count(), fleet.chips.len() as u64);
         assert!(util.max().unwrap() <= 1.0 + 1e-9);
-        // The latency sketch rides along in the obs registry.
-        let sketch = snap
-            .sketches
-            .iter()
-            .find(|(n, _)| n == "serve.latency_ms")
-            .map(|(_, s)| s.clone())
-            .unwrap();
-        assert_eq!(sketch.count(), report.completed);
+        assert_eq!(sketch("serve.latency_ms").count(), report.completed);
     }
 
     #[test]
