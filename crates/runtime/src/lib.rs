@@ -42,7 +42,8 @@
 //!   crews), and classification of analog fault sets;
 //! * [`sim`] — the discrete-event engine ([`sim::simulate`], plus
 //!   [`sim::simulate_observed`] recording spans/metrics into an
-//!   `albireo_obs::Obs` on the virtual clock, and
+//!   `albireo_obs::Obs` on the virtual clock,
+//!   [`sim::simulate_replay`] over a pre-generated arrival list, and
 //!   [`sim::simulate_checkpointed`] / [`sim::resume_checkpointed`] for
 //!   interruptible runs);
 //! * [`snapshot`] — the versioned, self-digesting checkpoint format
@@ -82,8 +83,8 @@ pub use policy::{AdmissionControl, BatchPolicy};
 pub use queue::{EventKey, EventQueue};
 pub use report::{ChipReport, ClassReport, RequestRecord, ServiceReport};
 pub use sim::{
-    resume_checkpointed, simulate, simulate_checkpointed, simulate_observed, trace_track_names,
-    ServeConfig, ServeOutcome,
+    resume_checkpointed, simulate, simulate_checkpointed, simulate_observed, simulate_replay,
+    trace_track_names, ServeConfig, ServeOutcome,
 };
 pub use snapshot::{SimSnapshot, SNAPSHOT_SCHEMA};
 pub use study::{

@@ -25,6 +25,8 @@
 //! `QuantileSketch` + running sums (`RunTotals`), and
 //! the run digest folds incrementally, so a 10⁶–10⁷-request run needs
 //! no per-request memory beyond the (capped) record sample.
+//! [`simulate_replay`] merges a pre-generated arrival list the same way,
+//! for callers that run one stream many times.
 //!
 //! Because the ordering is total and every stochastic choice draws from
 //! the seeded workload generator, a run is a pure function of
@@ -52,7 +54,7 @@ use crate::policy::{AdmissionControl, BatchPolicy};
 use crate::queue::{EventKey, EventQueue};
 use crate::report::{ChipReport, ClassTotals, RequestRecord, RunTotals, ServiceReport};
 use crate::snapshot::SimSnapshot;
-use crate::workload::{Request, RequestStream, Workload};
+use crate::workload::{Request, Workload};
 use albireo_obs::{fnv1a, track, ArgValue, Obs};
 use std::collections::VecDeque;
 use std::fmt;
@@ -212,7 +214,10 @@ pub(crate) struct ChipState {
     pub(crate) spin_ups: u64,
 }
 
-struct Sim<'a> {
+/// One run's engine state, generic over where its arrivals come from: a
+/// lazy [`crate::workload::RequestStream`] or a replayed, pre-generated
+/// list.
+struct Sim<'a, A> {
     fleet: &'a FleetConfig,
     cfg: &'a ServeConfig,
     obs: &'a Obs,
@@ -221,16 +226,19 @@ struct Sim<'a> {
     events: EventQueue<EventKind>,
     seq: u64,
     queue: VecDeque<Request>,
+    /// Queued requests per fleet model: `queue`'s requests of network
+    /// `i` number `queued[i]`.
+    queued: Vec<usize>,
     /// The batch being dispatched, reused across dispatches.
     batch: Vec<Request>,
     chips: Vec<ChipState>,
-    stream: RequestStream,
+    arrivals: A,
     /// Lookahead request — the next arrival not yet merged into the run.
     next_arrival: Option<Request>,
     totals: RunTotals,
 }
 
-impl<'a> Sim<'a> {
+impl<'a, A: Iterator<Item = Request>> Sim<'a, A> {
     fn push(&mut self, time_s: f64, kind: EventKind) {
         debug_assert!(time_s.is_finite() && time_s >= 0.0);
         let key = EventKey::new(time_s.to_bits(), kind.class(), self.seq);
@@ -238,10 +246,10 @@ impl<'a> Sim<'a> {
         self.events.push(key, kind);
     }
 
-    /// Pulls the next arrival from the lazy stream, validating its
-    /// coordinates against the fleet.
+    /// Pulls the next arrival, validating its coordinates against the
+    /// fleet.
     fn pull_arrival(&mut self) -> Option<Request> {
-        let r = self.stream.next()?;
+        let r = self.arrivals.next()?;
         assert!(
             r.network < self.fleet.models.len(),
             "request network {} outside the fleet's model table",
@@ -274,19 +282,16 @@ impl<'a> Sim<'a> {
             && self.oracle.supports(chip, network)
     }
 
-    /// Whether at least `n` queued requests target `network` (early-exit
-    /// scan, so Immediate dispatch never walks the queue).
+    /// Whether at least `n` queued requests target `network`: one read
+    /// of the per-network count, which `on_arrival` raises and
+    /// `try_dispatch` lowers.
     fn same_network_at_least(&self, network: usize, n: usize) -> bool {
-        let mut seen = 0;
-        for r in &self.queue {
-            if r.network == network {
-                seen += 1;
-                if seen >= n {
-                    return true;
-                }
-            }
-        }
-        false
+        debug_assert_eq!(
+            self.queued[network],
+            self.queue.iter().filter(|r| r.network == network).count(),
+            "per-network queue count of network {network}"
+        );
+        self.queued[network] >= n
     }
 
     /// Whether the queue head may be dispatched now under the policy.
@@ -368,7 +373,9 @@ impl<'a> Sim<'a> {
                 return;
             };
             let mut batch = std::mem::take(&mut self.batch);
-            take_batch(&mut self.queue, self.cfg.policy.max_batch(), &mut batch);
+            let max = self.cfg.policy.max_batch().min(self.queued[network]);
+            take_batch(&mut self.queue, max, &mut batch);
+            self.queued[network] -= batch.len();
             let cost = self
                 .oracle
                 .cost(self.fleet, chip, self.groups_active(chip), network);
@@ -560,6 +567,7 @@ impl<'a> Sim<'a> {
                 // exact.
                 self.push(req.arrival_s + max_wait_s, EventKind::Timer);
             }
+            self.queued[req.network] += 1;
             self.queue.push_back(req);
             self.totals.max_queue_depth = self.totals.max_queue_depth.max(self.queue.len());
             if self.obs.is_enabled() {
@@ -780,7 +788,10 @@ impl<'a> Sim<'a> {
 /// order. The common case — a contiguous same-network prefix — pops in
 /// place; an interleaved queue is compacted in place, so the requests
 /// left behind keep their order and nothing is allocated once `batch`
-/// has grown to the policy's bound.
+/// has grown to the policy's bound. The scan stops once `batch` holds
+/// `max` requests: `try_dispatch` clips `max` to the head network's
+/// queued count, so it stops at that network's last queued request
+/// rather than walking the rest of the queue.
 fn take_batch(queue: &mut VecDeque<Request>, max: usize, batch: &mut Vec<Request>) {
     batch.clear();
     let network = queue.front().expect("head exists").network;
@@ -825,12 +836,46 @@ pub fn simulate(fleet: &FleetConfig, cfg: &ServeConfig) -> ServiceReport {
 /// only reads simulator state — and a disabled `obs` reduces every
 /// record site to one branch.
 pub fn simulate_observed(fleet: &FleetConfig, cfg: &ServeConfig, obs: &Obs) -> ServiceReport {
-    new_sim(fleet, cfg, obs).run()
+    new_sim(fleet, cfg, obs, cfg.workload.stream(cfg.requests, cfg.seed)).run()
 }
 
-/// Builds a fresh simulation at virtual time zero: seeded stream, fault
+/// [`simulate`] over the first `cfg.requests` entries of a pre-generated
+/// arrival list instead of a fresh stream of `cfg.workload`.
+///
+/// The first k requests of a stream do not depend on its length, so when
+/// `arrivals` starts with `cfg.workload.generate(cfg.requests, cfg.seed)`
+/// — any longer list from the same seed does — the report is
+/// byte-identical to [`simulate`]'s. The planner generates each replica
+/// seed's list once and replays it for every candidate (and a prefix of
+/// it for every screening run) instead of regenerating it per run.
+///
+/// # Panics
+///
+/// If `arrivals` holds fewer than `cfg.requests` entries, or an entry
+/// names a network outside the fleet or a class outside the workload.
+pub fn simulate_replay(
+    fleet: &FleetConfig,
+    cfg: &ServeConfig,
+    arrivals: &[Request],
+) -> ServiceReport {
+    assert!(
+        arrivals.len() >= cfg.requests,
+        "replay of {} requests given {} arrivals",
+        cfg.requests,
+        arrivals.len()
+    );
+    let arrivals = arrivals[..cfg.requests].iter().cloned();
+    new_sim(fleet, cfg, &Obs::disabled(), arrivals).run()
+}
+
+/// Builds a fresh simulation at virtual time zero over `arrivals`: fault
 /// events queued, arrival lookahead primed.
-fn new_sim<'a>(fleet: &'a FleetConfig, cfg: &'a ServeConfig, obs: &'a Obs) -> Sim<'a> {
+fn new_sim<'a, A: Iterator<Item = Request>>(
+    fleet: &'a FleetConfig,
+    cfg: &'a ServeConfig,
+    obs: &'a Obs,
+    arrivals: A,
+) -> Sim<'a, A> {
     assert!(!fleet.chips.is_empty(), "fleet must contain a chip");
     assert!(!fleet.models.is_empty(), "fleet must serve a network");
     // Chips beyond the elastic floor start parked; `min_chips` beyond the
@@ -842,9 +887,9 @@ fn new_sim<'a>(fleet: &'a FleetConfig, cfg: &'a ServeConfig, obs: &'a Obs) -> Si
         }
         _ => fleet.chips.len(),
     };
-    let stream = cfg.workload.stream(cfg.requests, cfg.seed);
-    let classes = stream
-        .classes()
+    let classes = cfg
+        .workload
+        .classes
         .iter()
         .map(|c| ClassTotals::new(&c.name, c.slo_ms))
         .collect();
@@ -856,6 +901,7 @@ fn new_sim<'a>(fleet: &'a FleetConfig, cfg: &'a ServeConfig, obs: &'a Obs) -> Si
         events: EventQueue::new(),
         seq: 0,
         queue: VecDeque::new(),
+        queued: vec![0; fleet.models.len()],
         batch: Vec::new(),
         chips: (0..fleet.chips.len())
             .map(|i| ChipState {
@@ -873,7 +919,7 @@ fn new_sim<'a>(fleet: &'a FleetConfig, cfg: &'a ServeConfig, obs: &'a Obs) -> Si
                 spin_ups: 0,
             })
             .collect(),
-        stream,
+        arrivals,
         next_arrival: None,
         totals: RunTotals::with_alerts(classes, cfg.alert),
     };
@@ -931,7 +977,12 @@ pub fn simulate_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
         "checkpoint interval must be positive and finite"
     );
     let obs = Obs::disabled();
-    let sim = new_sim(fleet, cfg, &obs);
+    let sim = new_sim(
+        fleet,
+        cfg,
+        &obs,
+        cfg.workload.stream(cfg.requests, cfg.seed),
+    );
     sim.run_checkpointed(Some(Checkpointer {
         every_s,
         emitted: 0,
@@ -1078,6 +1129,11 @@ pub fn resume_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
             (EventKey::new(*time_bits, *class, *seq), kind.clone())
         })
         .collect();
+    // The snapshot's networks were range-checked above.
+    let mut queued = vec![0; fleet.models.len()];
+    for r in &snapshot.queue {
+        queued[r.network] += 1;
+    }
     let obs = Obs::disabled();
     let sim = Sim {
         fleet,
@@ -1087,9 +1143,10 @@ pub fn resume_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
         events: EventQueue::from_sorted(entries, snapshot.peak_event_queue),
         seq: snapshot.seq,
         queue: snapshot.queue.iter().cloned().collect(),
+        queued,
         batch: Vec::new(),
         chips: snapshot.chips.clone(),
-        stream,
+        arrivals: stream,
         next_arrival: snapshot.next_arrival.clone(),
         totals: snapshot.totals.clone(),
     };
@@ -1920,10 +1977,13 @@ mod tests {
     }
 }
 
-/// Pins the in-place batch take to the two-deque partition it replaced.
+/// Pins the in-place batch take to the two-deque partition it replaced,
+/// and the replayed arrival list to the stream it replays.
 #[cfg(test)]
 mod props {
     use super::*;
+    use crate::fault::FaultSpec;
+    use crate::workload::{ArrivalProcess, ClassSpec};
     use proptest::prelude::*;
 
     /// The historical take: pop the same-network prefix, then, if the
@@ -1958,11 +2018,39 @@ mod props {
         }
     }
 
+    /// One of the four generated arrival processes at `rate_rps`, with
+    /// time constants short enough that a run of at most 2,000 requests
+    /// crosses their phases.
+    fn arrival_process(kind: usize, rate_rps: f64) -> ArrivalProcess {
+        match kind {
+            0 => ArrivalProcess::Poisson { rate_rps },
+            1 => ArrivalProcess::Bursty {
+                rate_rps,
+                burst: 4.0,
+                on_s: 0.01,
+                off_s: 0.03,
+            },
+            2 => ArrivalProcess::Diurnal {
+                rate_rps,
+                amplitude: 0.8,
+                period_s: 0.05,
+            },
+            _ => ArrivalProcess::FlashCrowd {
+                rate_rps,
+                spike: 6.0,
+                at_s: 0.02,
+                decay_s: 0.01,
+            },
+        }
+    }
+
     proptest! {
         /// Taking batch after batch until the queue drains, the in-place
         /// take returns the reference's batch and leaves the reference's
         /// queue order every time — whatever the interleaving, the batch
         /// bound, the deque's wrap-around and the buffer's old contents.
+        /// Clipping the bound to the head network's queued count, as
+        /// dispatch does, changes neither the batch nor the queue.
         #[test]
         fn in_place_take_matches_two_deque_partition(
             networks in prop::collection::vec(
@@ -1984,14 +2072,73 @@ mod props {
                 queue.push_back(request(id as u64, network));
             }
             let mut reference = queue.clone();
+            let mut clipped = queue.clone();
             let mut batch: Vec<Request> = (0..stale).map(|i| request(1000 + i as u64, 9)).collect();
+            let mut clipped_batch = batch.clone();
             while !queue.is_empty() {
                 take_batch(&mut queue, max, &mut batch);
                 let want = two_deque_take(&mut reference, max);
                 prop_assert_eq!(&batch, &want);
                 prop_assert!(queue.iter().eq(reference.iter()));
+                let head = clipped.front().expect("same length as queue").network;
+                let count = clipped.iter().filter(|r| r.network == head).count();
+                take_batch(&mut clipped, max.min(count), &mut clipped_batch);
+                prop_assert_eq!(&clipped_batch, &want);
+                prop_assert!(clipped.iter().eq(reference.iter()));
             }
             prop_assert!(reference.is_empty());
+        }
+
+        /// Replaying the first `k` entries of an `n`-request list runs
+        /// exactly the streamed `k`-request run, report and digest, for
+        /// every arrival process, mix, class table, batching policy,
+        /// queue cap and fault scenario.
+        #[test]
+        fn replay_matches_the_stream(
+            kind in 0usize..4,
+            rate_rps in 300.0f64..20_000.0,
+            mix in prop::collection::vec((0usize..4, 0.5f64..3.0), 1..=3),
+            classes in prop::bool::ANY,
+            policy in 0usize..3,
+            size in 2usize..=8,
+            wait_us in 20.0f64..500.0,
+            cap in prop_oneof![1 => Just(usize::MAX), 3 => 1usize..=64],
+            faults in prop_oneof![1 => Just(None), 1 => (0.0f64..0.1).prop_map(Some)],
+            n in 1usize..2000,
+            k_share in 0.0f64..=1.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            let fleet = FleetConfig::paper_pair();
+            let mut cfg = ServeConfig::poisson(rate_rps, n, seed, 0);
+            cfg.workload.process = arrival_process(kind, rate_rps);
+            cfg.workload.mix = mix;
+            if classes {
+                cfg.workload.classes = vec![
+                    ClassSpec::with_slo("interactive", 3.0, 5.0),
+                    ClassSpec::best_effort("batch", 1.0),
+                ];
+            }
+            cfg.policy = match policy {
+                0 => BatchPolicy::Immediate,
+                1 => BatchPolicy::SizeN { size },
+                _ => BatchPolicy::Deadline {
+                    max_wait_s: wait_us * 1e-6,
+                    max_size: size,
+                },
+            };
+            cfg.admission.queue_capacity = cap;
+            if let Some(at_s) = faults {
+                cfg.faults = FaultSpec::parse(&format!("rack:0-1@{at_s},crews:1:0.005:3"))
+                    .expect("a valid fault spec")
+                    .compile(fleet.chips.len());
+            }
+            cfg.record_cap = 64;
+            let arrivals = cfg.workload.generate(n, seed);
+            cfg.requests = ((n as f64 * k_share) as usize).min(n);
+            let replayed = simulate_replay(&fleet, &cfg, &arrivals);
+            let streamed = simulate(&fleet, &cfg);
+            prop_assert_eq!(replayed.to_json(), streamed.to_json());
+            prop_assert_eq!(replayed.digest(), streamed.digest());
         }
     }
 }
