@@ -683,3 +683,22 @@ fn serve_refuses_a_fault_clause_naming_no_chip() {
         "{stderr}"
     );
 }
+
+#[test]
+fn plan_refuses_arrivals_it_cannot_hold_with_exit_2() {
+    let max = usize::MAX.to_string();
+    for (flag, requests, replicas) in [
+        ("--replicas", "2000", max.as_str()),
+        ("--requests", max.as_str(), "1"),
+    ] {
+        let (code, stderr) = run_failing(&["plan", "--slo", "p99<5ms", flag, &max]);
+        assert_eq!(code, 2, "{flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "{requests} requests × {replicas} replica(s) × 32 bytes = "
+            )),
+            "{flag}: {stderr}"
+        );
+    }
+}

@@ -14,22 +14,24 @@
 //!
 //! Scoring every candidate with full-length replica runs is the
 //! dominant cost, so the search first runs a short **screening**
-//! simulation per candidate (`screen` requests, replica-0 seed). The
-//! screening run is an exact *prefix* of the scoring run — same
-//! workload, same seed, fewer requests — so its metrics are the real
-//! run's opening window, not a noisy proxy. A candidate is pruned
-//! without scoring when that window already misses the SLO by a wide
-//! margin:
+//! simulation per candidate: the first `screen` arrivals of scoring
+//! replica 0 — same workload, same seed, fewer requests — so its
+//! metrics are the real run's opening window, not a noisy proxy. Only
+//! the arrivals are a prefix: the screen run drains after its last
+//! arrival, so a size-gated policy flushes a partial batch at that
+//! instant where the scoring run would wait for more. A candidate is
+//! pruned without scoring when that window already misses the SLO by a
+//! wide margin:
 //!
 //! * screening p99 above `4×` the target, or
 //! * screening shed rate above `max(5%, 2×shed_budget + 2%)`.
 //!
 //! The slack absorbs small-sample noise and arrival nonstationarity
 //! (a screening window that happens to cover a burst). The shed rule is
-//! *exactly* sound when the spec's shed budget is zero: every shed in
-//! the screening prefix also happens in the full run (same arrivals,
-//! same decisions), so a shedding screen run proves the full run sheds
-//! too. The latency rule is an engineering bound, not a theorem —
+//! *exactly* sound for admission sheds when the spec's shed budget is
+//! zero: each is decided at an arrival, and up to its last arrival the
+//! screen run makes the scoring run's decisions, so a screen that sheds
+//! on admission proves the full run sheds too. The latency rule is an engineering bound, not a theorem —
 //! `exhaustive: true` scores everything, and the planner's determinism
 //! tests assert that pruned and exhaustive searches produce
 //! byte-identical plan JSON on the golden spec (pruning only ever
@@ -48,16 +50,23 @@
 //! clip to the candidate's fleet — and every screen and scoring run
 //! executes under it, so the frontier ranks candidates by how they
 //! serve *through* the outage, not in a healthy vacuum. Screening
-//! soundness is unchanged: the screen run is still an exact prefix of
-//! scoring replica 0, faults included.
+//! soundness is unchanged: the screen run still replays a prefix of
+//! scoring replica 0's arrivals, under the same faults.
 //!
 //! ## Determinism
 //!
 //! The plan is a pure function of the spec. All candidates share the
 //! same replica seeds (replica 0 = the spec seed, replica `r` =
 //! `split_seed(seed, stream_id(PLAN_PASS, 0, r))`), so candidates are
-//! compared on identical arrival sequences and the screening run is a
-//! prefix of scoring replica 0. Fan-out goes through
+//! compared on identical arrival sequences. Each replica's `requests`
+//! arrivals are generated once per plan, into one buffer of `requests ×
+//! replicas` entries reserved before any simulation runs, and every
+//! simulation replays them through [`simulate_replay`]: a scoring run
+//! its replica's whole list, a screening run the first `screen` entries
+//! of replica 0's. The first k requests of a stream do not depend on its
+//! length, so each replay is byte-identical to streaming the workload.
+//! A `requests × replicas` too large to reserve is an error, not an
+//! abort. Fan-out goes through
 //! [`Parallelism::map_indexed`], which preserves index order at any
 //! thread count, and candidates are aggregated in enumeration order —
 //! the report is byte-identical from `--threads 1` to `--threads N`.
@@ -68,8 +77,8 @@ use albireo_nn::zoo;
 use albireo_obs::Obs;
 use albireo_parallel::{split_seed, stream_id, Parallelism};
 use albireo_runtime::{
-    simulate, AdmissionControl, AutoscalePolicy, BatchPolicy, FaultScenario, FleetConfig,
-    ServeConfig, ServiceReport,
+    simulate_replay, AdmissionControl, AutoscalePolicy, BatchPolicy, FaultScenario, FleetConfig,
+    Request, ServeConfig, ServiceReport,
 };
 
 /// Seed-split pass id for planner replicas (serving studies use
@@ -146,6 +155,18 @@ pub(crate) fn enumerate(spec: &PlanSpec) -> Vec<Candidate> {
     out
 }
 
+/// Replica `r`'s seed: the spec seed for replica 0, a split of it for
+/// the others.
+fn replica_seed(spec: &PlanSpec, r: usize) -> u64 {
+    if r == 0 {
+        spec.seed
+    } else {
+        split_seed(spec.seed, stream_id(PLAN_PASS, 0, r as u64))
+    }
+}
+
+/// Simulates `candidate` over the first `requests` of `arrivals`, the
+/// pre-generated stream of replica seed `seed`.
 fn run_candidate(
     spec: &PlanSpec,
     candidate: &Candidate,
@@ -153,6 +174,7 @@ fn run_candidate(
     faults: &FaultScenario,
     requests: usize,
     seed: u64,
+    arrivals: &[Request],
 ) -> ServiceReport {
     let cfg = ServeConfig {
         workload: spec.workload.clone(),
@@ -169,7 +191,7 @@ fn run_candidate(
         autoscale: candidate.autoscale,
         alert: albireo_runtime::AlertPolicy::standard(),
     };
-    simulate(fleet, &cfg)
+    simulate_replay(fleet, &cfg, arrivals)
 }
 
 /// The per-replica numbers a candidate is judged and ranked on.
@@ -277,21 +299,35 @@ pub fn plan(
     let scenarios: Vec<FaultScenario> = (0..=spec.max_chips)
         .map(|size| spec.faults.compile(size))
         .collect();
-    let seeds: Vec<u64> = (0..spec.replicas)
-        .map(|r| {
-            if r == 0 {
-                spec.seed
-            } else {
-                split_seed(spec.seed, stream_id(PLAN_PASS, 0, r as u64))
-            }
-        })
-        .collect();
+    // Every candidate runs on the same replica streams, so each replica's
+    // arrivals are generated once into one buffer — replica r's list is
+    // `replay(r)` — and replayed by every simulation. The buffer is
+    // reserved fallibly, before any simulation runs, so a request or
+    // replica count too large to hold is refused rather than aborting.
+    let mut arrivals: Vec<Request> = Vec::new();
+    let reserved = spec
+        .requests
+        .checked_mul(spec.replicas)
+        .is_some_and(|total| arrivals.try_reserve_exact(total).is_ok());
+    if !reserved {
+        let size = std::mem::size_of::<Request>();
+        let bytes = spec.requests as f64 * spec.replicas as f64 * size as f64;
+        return Err(format!(
+            "cannot reserve the plan's arrivals: {} requests × {} replica(s) × {size} bytes \
+             = {bytes:.3e} bytes",
+            spec.requests, spec.replicas
+        ));
+    }
+    for r in 0..spec.replicas {
+        arrivals.extend(spec.workload.stream(spec.requests, replica_seed(spec, r)));
+    }
+    let replay = |r: usize| &arrivals[r * spec.requests..][..spec.requests];
 
-    // Phase 1 — screening. Short prefix runs on the replica-0 seed cut
-    // hopeless candidates before the expensive scoring fan-out. The
-    // survivor list is a pure function of the spec (map_indexed is
-    // order-preserving), so the scoring phase below sees the same jobs
-    // in the same order at any thread count.
+    // Phase 1 — screening. Short runs over a prefix of replica 0's
+    // arrivals cut hopeless candidates before the expensive scoring
+    // fan-out. The survivor list is a pure function of the spec
+    // (map_indexed is order-preserving), so the scoring phase below sees
+    // the same jobs in the same order at any thread count.
     // Screening only pays when the screen run is much shorter than the
     // scoring run: below a 4x gap the screen pass costs nearly as much
     // as the scoring it hopes to skip, and the measured throughput of
@@ -312,7 +348,8 @@ pub fn plan(
                 &fleets[i],
                 &scenarios[candidates[i].chips],
                 spec.screen_requests,
-                seeds[0],
+                spec.seed,
+                replay(0),
             );
             screen_survives(spec, &report)
         });
@@ -327,13 +364,15 @@ pub fn plan(
     let stats = par.map_indexed(survivors.len() * spec.replicas, |j| {
         let index = survivors[j / spec.replicas];
         let candidate = &candidates[index];
+        let replica = j % spec.replicas;
         run_stats(&run_candidate(
             spec,
             candidate,
             &fleets[index],
             &scenarios[candidate.chips],
             spec.requests,
-            seeds[j % spec.replicas],
+            replica_seed(spec, replica),
+            replay(replica),
         ))
     });
 
