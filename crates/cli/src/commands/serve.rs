@@ -88,8 +88,8 @@ pub(super) fn parse_arrival(
 pub(super) fn serve(args: &Args) -> Result<String, CliError> {
     use albireo_runtime::{
         replicate, resume_checkpointed, simulate_checkpointed, simulate_observed,
-        trace_track_names, AdmissionControl, AlertPolicy, AutoscalePolicy, BatchPolicy, ClassSpec,
-        FaultSpec, FleetConfig, ServeConfig, ServeOutcome, SimSnapshot, Workload,
+        trace_track_names, AdmissionControl, AlertPolicy, AutoscalePolicy, BatchPolicy, Checkpoint,
+        ClassSpec, FaultSpec, FleetConfig, ServeConfig, ServeOutcome, SimSnapshot, Workload,
     };
 
     let requests = args
@@ -240,12 +240,10 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
         // the count already written by the interrupted run, not replay
         // the log from the top.
         let resume_snapshot = match resume_path {
-            Some(path) => Some(SimSnapshot::parse(&read_file(path)?)?),
+            Some(path) => Some(Checkpoint::parse(&read_file(path)?)?),
             None => None,
         };
-        let mut alerts_written = resume_snapshot
-            .as_ref()
-            .map_or(0, |s| s.alert_events().len());
+        let mut alerts_written = resume_snapshot.as_ref().map_or(0, Checkpoint::alerts);
         let mut metric_points: Vec<(f64, albireo_obs::MetricsSnapshot)> = Vec::new();
         let want_metrics = metrics_out.is_some();
         let mut io_err: Option<CliError> = None;

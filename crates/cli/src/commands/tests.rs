@@ -1005,6 +1005,58 @@ fn serve_report_jsonl_streams_alert_transitions_once() {
 }
 
 #[test]
+fn serve_report_jsonl_is_exactly_once_across_a_resume() {
+    let (whole, split, ckpt) = (
+        temp_path("once_whole.jsonl"),
+        temp_path("once_split.jsonl"),
+        temp_path("once.snapshot"),
+    );
+    let paths = [&whole, &split, &ckpt].map(|p| p.to_str().unwrap().to_string());
+    let base = [
+        "--requests",
+        "2000",
+        "--rate",
+        "60000",
+        "--seed",
+        "7",
+        "--queue-cap",
+        "16",
+        "--classes",
+        "vip:3:5,batch:1",
+        "--checkpoint-every",
+        "0.005",
+        "--json",
+    ];
+    let with = |extra: &[&str]| {
+        let mut argv = base.to_vec();
+        argv.extend_from_slice(extra);
+        exec("serve", &argv).unwrap()
+    };
+    let report = with(&["--report-jsonl", &paths[0]]);
+    let halted = with(&[
+        "--report-jsonl",
+        &paths[1],
+        "--checkpoint-out",
+        &paths[2],
+        "--halt-after-checkpoints",
+        "2",
+    ]);
+    assert!(halted.contains("halted after checkpoint 2"), "{halted}");
+    let before = std::fs::read_to_string(&split).unwrap();
+    assert!(before.contains("albireo.serve.alert/v1"), "{before}");
+    assert_eq!(
+        report,
+        with(&["--report-jsonl", &paths[1], "--resume", &paths[2]])
+    );
+    // The alert lines written before the halt are not written again.
+    let text = std::fs::read_to_string(&whole).unwrap();
+    assert_eq!(text, std::fs::read_to_string(&split).unwrap());
+    for p in [&whole, &split, &ckpt] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+#[test]
 fn serve_metrics_out_writes_openmetrics() {
     let path = temp_path("serve_metrics.txt");
     let p = path.to_str().unwrap().to_string();

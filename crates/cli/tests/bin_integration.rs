@@ -520,11 +520,24 @@ fn non_finite_batching_policies_exit_2() {
     assert!(stderr.contains("expected finite deadline"), "{stderr}");
 }
 
+/// `text` with its `tag` line's value replaced by `value`, re-digested
+/// so that only the resume checks can refuse it.
+fn redigested(text: &str, tag: &str, value: &str) -> String {
+    let (body, _) = text.rsplit_once("digest ").unwrap();
+    let mut lines: Vec<String> = body.lines().map(str::to_string).collect();
+    let line = lines.iter_mut().find(|l| l.split(' ').next() == Some(tag));
+    *line.expect("the tag has a line") = format!("{tag} {value}");
+    let body = lines.join("\n") + "\n";
+    format!(
+        "{body}digest {:016x}\n",
+        albireo_obs::fnv1a(body.as_bytes())
+    )
+}
+
 #[test]
-fn resume_with_an_out_of_range_chip_exits_2() {
-    let path = std::env::temp_dir().join(format!("albireo_chip_{}.snap", std::process::id()));
+fn resume_with_a_wrong_offered_count_exits_2() {
+    let path = std::env::temp_dir().join(format!("albireo_offered_{}.snap", std::process::id()));
     let snap = path.to_str().unwrap();
-    // Overloaded, so batches are in flight at the first checkpoint.
     let base = [
         "serve",
         "--requests",
@@ -533,33 +546,114 @@ fn resume_with_an_out_of_range_chip_exits_2() {
         "60000",
         "--seed",
         "7",
-    ];
-    let mut argv = base.to_vec();
-    argv.extend_from_slice(&[
         "--checkpoint-every",
         "0.005",
-        "--checkpoint-out",
-        snap,
-        "--halt-after-checkpoints",
-        "1",
-    ]);
+    ];
+    let mut argv = base.to_vec();
+    argv.extend_from_slice(&["--checkpoint-out", snap, "--halt-after-checkpoints", "1"]);
     let (_, stderr, ok) = run(&argv);
     assert!(ok, "{stderr}");
-    // Point an in-flight completion at chip 7 of the two-chip fleet and
-    // re-digest, so only the index check can refuse the file.
     let text = std::fs::read_to_string(&path).unwrap();
-    let (body, _) = text.rsplit_once("digest ").unwrap();
-    let at = body.find(" completion ").expect("a batch is in flight");
-    let end = at + body[at..].find('\n').unwrap();
-    let body = format!("{} completion 7{}", &body[..at], &body[end..]);
-    let digest = albireo_obs::fnv1a(body.as_bytes());
-    std::fs::write(&path, format!("{body}digest {digest:016x}\n")).unwrap();
+    let offered: u64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("offered "))
+        .and_then(|v| v.parse().ok())
+        .expect("an offered line");
     let mut argv = base.to_vec();
     argv.extend_from_slice(&["--resume", snap]);
+    // One fewer offered still passes the reader's range checks; only
+    // the replay at the checkpoint can refuse it.
+    std::fs::write(
+        &path,
+        redigested(&text, "offered", &(offered - 1).to_string()),
+    )
+    .unwrap();
+    let (code, stderr) = run_failing(&argv);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(
+        stderr.contains("diverges from the snapshot at checkpoint 1"),
+        "{stderr}"
+    );
+    // Past the request count, the reader refuses it before any replay.
+    std::fs::write(&path, redigested(&text, "offered", "2001")).unwrap();
     let (code, stderr) = run_failing(&argv);
     std::fs::remove_file(&path).ok();
     assert_eq!(code, 2, "{stderr}");
-    assert!(stderr.contains("names chip 7, fleet has 2"), "{stderr}");
+    assert!(stderr.contains("offered 2001 of 2000"), "{stderr}");
+}
+
+#[test]
+fn resume_from_a_v1_snapshot_exits_2() {
+    let path = std::env::temp_dir().join(format!("albireo_v1_{}.snap", std::process::id()));
+    let snap = path.to_str().unwrap();
+    // The head of an engine-state snapshot, correctly self-digested.
+    let body = "albireo.snapshot/v1\nfingerprint 0123456789abcdef\nrequests 2000\nseed 7\n";
+    let digest = albireo_obs::fnv1a(body.as_bytes());
+    std::fs::write(&path, format!("{body}digest {digest:016x}\n")).unwrap();
+    let (code, stderr) = run_failing(&["serve", "--requests", "2000", "--resume", snap]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(code, 2, "{stderr}");
+    assert!(
+        stderr.contains("unsupported snapshot schema `albireo.snapshot/v1`"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn resume_after_the_trace_changed_exits_2() {
+    let dir = std::env::temp_dir();
+    let trace_path = dir.join(format!("albireo_resume_trace_{}.jsonl", std::process::id()));
+    let snap_path = dir.join(format!("albireo_resume_trace_{}.snap", std::process::id()));
+    let (trace, snap) = (trace_path.to_str().unwrap(), snap_path.to_str().unwrap());
+    let write_trace = |first_s: &str| {
+        let rest: String = (1..300)
+            .map(|i| format!("{{\"arrival_s\": {}}}\n", i as f64 * 1e-4))
+            .collect();
+        std::fs::write(&trace_path, format!("{{\"arrival_s\": {first_s}}}\n{rest}")).unwrap();
+    };
+    write_trace("0");
+    let base = [
+        "serve",
+        "--trace-jsonl",
+        trace,
+        "--requests",
+        "300",
+        "--checkpoint-every",
+        "0.01",
+    ];
+    let mut argv = base.to_vec();
+    argv.extend_from_slice(&["--checkpoint-out", snap, "--halt-after-checkpoints", "2"]);
+    let (_, stderr, ok) = run(&argv);
+    assert!(ok, "{stderr}");
+    // Edit the first arrival, long before the boundary: the arrival
+    // after it is unchanged, but the replayed run is not the same.
+    write_trace("0.00005");
+    let mut argv = base.to_vec();
+    argv.extend_from_slice(&["--resume", snap]);
+    let (code, stderr) = run_failing(&argv);
+    std::fs::remove_file(&trace_path).ok();
+    std::fs::remove_file(&snap_path).ok();
+    assert_eq!(code, 2, "{stderr}");
+    assert!(
+        stderr.contains("diverges from the snapshot at checkpoint 2"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn plan_with_a_huge_max_chips_exits_2() {
+    for max in ["2000", "100000", "18446744073709551615"] {
+        let started = std::time::Instant::now();
+        let (code, stderr) = run_failing(&["plan", "--slo", "p99<5ms", "--max-chips", max]);
+        assert_eq!(code, 2, "--max-chips {max}: {stderr}");
+        assert!(stderr.contains("max-chips"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(10),
+            "--max-chips {max} took {:?}",
+            started.elapsed()
+        );
+    }
 }
 
 #[test]

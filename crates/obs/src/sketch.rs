@@ -274,48 +274,6 @@ impl QuantileSketch {
         self.occupied().collect()
     }
 
-    /// Min over valid samples as IEEE-754 bits (`u64::MAX` = empty).
-    /// Together with [`QuantileSketch::from_parts`] this exposes the
-    /// sketch's exact state for snapshot serialization.
-    pub fn min_bits(&self) -> u64 {
-        self.min_bits
-    }
-
-    /// Max over valid samples as IEEE-754 bits (0 when empty).
-    pub fn max_bits(&self) -> u64 {
-        self.max_bits
-    }
-
-    /// Rebuilds a sketch from previously captured state — the exact
-    /// inverse of reading [`QuantileSketch::nonzero_buckets`], `zeros`,
-    /// `invalid`, [`min_bits`](QuantileSketch::min_bits), and
-    /// [`max_bits`](QuantileSketch::max_bits). A sketch round-tripped
-    /// through its parts is `Eq` to the original, so quantiles, digests,
-    /// and merges continue byte-identically. Zero counts are skipped, and
-    /// a repeated index keeps its last count.
-    pub fn from_parts(
-        buckets: &[(u16, u64)],
-        zeros: u64,
-        invalid: u64,
-        min_bits: u64,
-        max_bits: u64,
-    ) -> QuantileSketch {
-        let mut sketch = QuantileSketch {
-            zeros,
-            invalid,
-            min_bits,
-            max_bits,
-            ..QuantileSketch::default()
-        };
-        for &(idx, c) in buckets {
-            assert!((idx as usize) < MAX_BUCKETS, "bucket index out of range");
-            if c > 0 {
-                *sketch.widen_to(idx) = c;
-            }
-        }
-        sketch
-    }
-
     /// Order-sensitive digest over the canonical (name-ordered) state,
     /// with the workspace fold convention. Two sketches digest equal iff
     /// they hold the same state — regardless of observation sharding or
@@ -473,27 +431,6 @@ mod tests {
             .map(|&q| s.quantile(q))
             .collect();
         assert!(qs.windows(2).all(|w| w[0] <= w[1]), "{qs:?}");
-    }
-
-    #[test]
-    fn from_parts_round_trips_exactly() {
-        let mut s = QuantileSketch::new();
-        for v in [0.0, 1e-9, 0.25, 7.0, 1e12, f64::NAN, -3.0] {
-            s.observe(v);
-        }
-        let rebuilt = QuantileSketch::from_parts(
-            &s.nonzero_buckets(),
-            s.zeros(),
-            s.invalid(),
-            s.min_bits(),
-            s.max_bits(),
-        );
-        assert_eq!(rebuilt, s);
-        assert_eq!(rebuilt.digest(), s.digest());
-        assert_eq!(rebuilt.quantile(0.99), s.quantile(0.99));
-        // The empty sketch round-trips to the identity.
-        let empty = QuantileSketch::new();
-        assert_eq!(QuantileSketch::from_parts(&[], 0, 0, u64::MAX, 0), empty);
     }
 
     #[test]

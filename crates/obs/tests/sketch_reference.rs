@@ -1,13 +1,12 @@
 //! Pins the quantile sketch's contiguous bucket window to the ordered
-//! map it replaced: after every step of any observe / merge /
-//! `from_parts` sequence, the sketch must report the same occupied
-//! buckets, count, extrema, quantiles, digest and JSON as a
-//! `BTreeMap<u16, u64>` reference kept here, and must be `Eq` to the
-//! sketch rebuilt from the reference's parts. CI runs it at
-//! `PROPTEST_CASES=256`.
+//! map it replaced: after every step of any observe / merge sequence,
+//! the sketch must report the same occupied buckets, count, extrema,
+//! quantiles, digest and JSON as a `BTreeMap<u16, u64>` reference kept
+//! here, and merging in place or by value must give `Eq` sketches. CI
+//! runs it at `PROPTEST_CASES=256`.
 
 use albireo_obs::json::{Obj, Sci};
-use albireo_obs::sketch::{bucket_bounds, bucket_index, MAX_BUCKETS};
+use albireo_obs::sketch::{bucket_bounds, bucket_index};
 use albireo_obs::QuantileSketch;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -56,22 +55,6 @@ impl Reference {
         self.invalid += other.invalid;
         self.min_bits = self.min_bits.min(other.min_bits);
         self.max_bits = self.max_bits.max(other.max_bits);
-    }
-
-    fn from_parts(parts: &Parts) -> Reference {
-        let mut buckets = BTreeMap::new();
-        for &(idx, c) in &parts.buckets {
-            if c > 0 {
-                buckets.insert(idx, c);
-            }
-        }
-        Reference {
-            buckets,
-            zeros: parts.zeros,
-            invalid: parts.invalid,
-            min_bits: parts.min_bits,
-            max_bits: parts.max_bits,
-        }
     }
 
     fn count(&self) -> u64 {
@@ -130,24 +113,11 @@ impl Reference {
     }
 }
 
-/// Arguments of one `from_parts` call. Bucket lists may repeat an
-/// index, carry zero counts and come in any order.
-#[derive(Debug, Clone)]
-struct Parts {
-    buckets: Vec<(u16, u64)>,
-    zeros: u64,
-    invalid: u64,
-    min_bits: u64,
-    max_bits: u64,
-}
-
 #[derive(Debug, Clone)]
 enum Op {
     Observe(f64),
-    /// Merge in a sketch of these samples, in place or by value.
-    Merge(Vec<f64>, bool),
-    /// Replace the state with `from_parts`.
-    FromParts(Parts),
+    /// Merge in a sketch of these samples.
+    Merge(Vec<f64>),
 }
 
 /// Samples over the whole bucket space: both clamped ends, subnormals,
@@ -166,35 +136,11 @@ fn sample() -> impl Strategy<Value = f64> {
     ]
 }
 
-fn parts() -> impl Strategy<Value = Parts> {
-    (
-        prop::collection::vec(
-            (
-                prop_oneof![0u16..(MAX_BUCKETS as u16), 2040u16..2120],
-                0u64..4,
-            ),
-            0..12,
-        ),
-        0u64..3,
-        0u64..3,
-        (1e-6f64..1e6, 1e-6f64..1e6),
-    )
-        .prop_map(|(buckets, zeros, invalid, (a, b))| Parts {
-            buckets,
-            zeros,
-            invalid,
-            min_bits: a.min(b).to_bits(),
-            max_bits: a.max(b).to_bits(),
-        })
-}
-
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
             12 => sample().prop_map(Op::Observe),
-            3 => (prop::collection::vec(sample(), 0..16), prop::bool::ANY)
-                .prop_map(|(v, in_place)| Op::Merge(v, in_place)),
-            1 => parts().prop_map(Op::FromParts),
+            3 => prop::collection::vec(sample(), 0..16).prop_map(Op::Merge),
         ],
         0..60,
     )
@@ -202,19 +148,19 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 
 fn agrees(s: &QuantileSketch, r: &Reference) -> Result<(), TestCaseError> {
     let want: Vec<(u16, u64)> = r.buckets.iter().map(|(&i, &c)| (i, c)).collect();
-    prop_assert_eq!(s.nonzero_buckets(), want.clone());
+    prop_assert_eq!(s.nonzero_buckets(), want);
     prop_assert_eq!(s.occupied_buckets(), r.buckets.len());
     prop_assert_eq!(s.count(), r.count());
     prop_assert_eq!((s.zeros(), s.invalid()), (r.zeros, r.invalid));
-    prop_assert_eq!((s.min_bits(), s.max_bits()), (r.min_bits, r.max_bits));
+    let extreme = |bits: u64| (r.count() > 0).then_some(bits);
+    prop_assert_eq!(s.min().map(f64::to_bits), extreme(r.min_bits));
+    prop_assert_eq!(s.max().map(f64::to_bits), extreme(r.max_bits));
     for q in [0.0, 0.001, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
         let (got, want) = (s.quantile(q), r.quantile(q));
         prop_assert!(got.to_bits() == want.to_bits(), "q={q}: {got} vs {want}");
     }
     prop_assert_eq!(s.digest(), r.digest());
     prop_assert_eq!(s.to_json_fragment(), r.json());
-    let rebuilt = QuantileSketch::from_parts(&want, r.zeros, r.invalid, r.min_bits, r.max_bits);
-    prop_assert_eq!(&rebuilt, s);
     Ok(())
 }
 
@@ -231,7 +177,7 @@ proptest! {
                     sketch.observe(*v);
                     reference.observe(*v);
                 }
-                Op::Merge(samples, in_place) => {
+                Op::Merge(samples) => {
                     let mut other = QuantileSketch::new();
                     let mut other_ref = Reference::new();
                     for &v in samples {
@@ -239,18 +185,12 @@ proptest! {
                         other_ref.observe(v);
                     }
                     agrees(&other, &other_ref)?;
-                    if *in_place {
-                        sketch.merge_from(&other);
-                    } else {
-                        sketch = other.merge(&sketch);
-                    }
+                    // Both merge routes reach one canonical window, so
+                    // the derived `Eq` compares states, not histories.
+                    let by_value = other.merge(&sketch);
+                    sketch.merge_from(&other);
+                    prop_assert_eq!(&by_value, &sketch);
                     reference.merge_from(&other_ref);
-                }
-                Op::FromParts(p) => {
-                    sketch = QuantileSketch::from_parts(
-                        &p.buckets, p.zeros, p.invalid, p.min_bits, p.max_bits,
-                    );
-                    reference = Reference::from_parts(p);
                 }
             }
             agrees(&sketch, &reference)?;

@@ -478,6 +478,29 @@ mod tests {
     }
 
     #[test]
+    fn candidate_count_matches_the_enumeration() {
+        let kinds = ["albireo_9:C", "albireo_27:C", "winograd_9:C"];
+        let elastic = |min_chips| AutoscalePolicy::Elastic {
+            up_depth: 8,
+            warmup_s: 0.002,
+            min_chips,
+        };
+        for k in 1..=kinds.len() {
+            for max_chips in 1..=6 {
+                let mut spec = PlanSpec::poisson(1000.0, 5.0, kinds[0], max_chips);
+                spec.chip_kinds = kinds[..k].iter().map(|s| s.to_string()).collect();
+                spec.policies = vec![BatchPolicy::Immediate, BatchPolicy::SizeN { size: 4 }];
+                spec.autoscale = vec![AutoscalePolicy::Static, elastic(1), elastic(3)];
+                assert_eq!(
+                    spec.candidate_count(),
+                    Some(enumerate(&spec).len()),
+                    "{k} kind(s), max-chips {max_chips}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn enumerate_skips_degenerate_elastic_candidates() {
         let mut spec = PlanSpec::poisson(1000.0, 5.0, "albireo_9:C", 2);
         spec.autoscale = vec![

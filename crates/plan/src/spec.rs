@@ -21,6 +21,15 @@ use albireo_runtime::{
 };
 use std::fmt;
 
+/// Largest `max_chips` a plan searches. The search builds every
+/// candidate's fleet before its first simulation, so set-up memory
+/// grows with the candidate count times the fleet size; with
+/// [`MAX_CANDIDATES`] this bounds it (DESIGN.md §12).
+pub const MAX_CHIPS: usize = 64;
+
+/// Most candidates a plan enumerates.
+pub const MAX_CANDIDATES: usize = 4096;
+
 /// The service-level objective candidates must meet to be feasible.
 ///
 /// Grammar (comma-separated, `p99` required, any order):
@@ -328,16 +337,62 @@ impl PlanSpec {
         if self.max_chips == 0 {
             return Err("max-chips must be at least 1".to_string());
         }
+        if self.max_chips > MAX_CHIPS {
+            return Err(format!(
+                "max-chips {} is above {MAX_CHIPS}, the largest fleet a plan searches",
+                self.max_chips
+            ));
+        }
         if self.policies.is_empty() {
             return Err("plan spec names no batching policies".to_string());
         }
         if self.autoscale.is_empty() {
             return Err("plan spec names no autoscale policies".to_string());
         }
+        match self.candidate_count() {
+            Some(n) if n <= MAX_CANDIDATES => {}
+            n => {
+                return Err(format!(
+                    "the plan spec enumerates {} candidates ({} chip kind(s), max-chips {}, \
+                     {} batching and {} autoscale policies), more than the {MAX_CANDIDATES} a \
+                     plan searches",
+                    n.map_or_else(|| "over 2^64".to_string(), |n| n.to_string()),
+                    self.chip_kinds.len(),
+                    self.max_chips,
+                    self.policies.len(),
+                    self.autoscale.len()
+                ))
+            }
+        }
         if self.queue_capacity == 0 {
             return Err("queue-cap must be at least 1 (or `unbounded`)".to_string());
         }
         Ok(())
+    }
+
+    /// The number of candidates the search enumerates (`None` past
+    /// `usize::MAX`): for each fleet size `s`, the `C(kinds + s − 1, s)`
+    /// chip multisets times the batching policies times the autoscale
+    /// policies, less elastic ones whose floor covers the fleet. Runs
+    /// one step per fleet size, so callers bound `max_chips` first.
+    pub(crate) fn candidate_count(&self) -> Option<usize> {
+        let kinds = self.chip_kinds.len();
+        let mut multisets = 1usize;
+        let mut total = 0usize;
+        for size in 1..=self.max_chips {
+            // C(n, s) = C(n − 1, s − 1) · n / s, exact at every step.
+            multisets = multisets.checked_mul(kinds + size - 1)? / size;
+            let autoscale = self
+                .autoscale
+                .iter()
+                .filter(|a| !matches!(a, AutoscalePolicy::Elastic { min_chips, .. } if *min_chips >= size))
+                .count();
+            let fleets = multisets
+                .checked_mul(self.policies.len())?
+                .checked_mul(autoscale)?;
+            total = total.checked_add(fleets)?;
+        }
+        Some(total)
     }
 }
 
@@ -522,6 +577,28 @@ mod tests {
         ] {
             assert!(PlanSpec::parse(bad).is_err(), "`{bad}` should be rejected");
         }
+    }
+
+    #[test]
+    fn plan_spec_bounds_the_search_space() {
+        let base = "rate=2000;slo=p99<5ms;chips=albireo_9:C";
+        assert!(PlanSpec::parse(&format!("{base};max-chips={MAX_CHIPS}")).is_ok());
+        for max in [MAX_CHIPS + 1, 100_000, usize::MAX] {
+            let err = PlanSpec::parse(&format!("{base};max-chips={max}")).unwrap_err();
+            assert!(err.contains(&format!("max-chips {max} is above")), "{err}");
+        }
+        // Three kinds up to 27 chips: C(30, 3) − 1 = 4059 fleets, just
+        // inside the bound; a second policy doubles them past it.
+        let wide = "rate=2000;slo=p99<5ms;chips=albireo_9:C|albireo_27:C|eyeriss;max-chips=27";
+        assert_eq!(PlanSpec::parse(wide).unwrap().candidate_count(), Some(4059));
+        let err = PlanSpec::parse(&format!("{wide};policies=immediate|size:4")).unwrap_err();
+        assert!(err.contains("enumerates 8118 candidates"), "{err}");
+        // Two hundred kinds overflow the count long before 64 chips.
+        let mut spec = PlanSpec::poisson(2000.0, 5.0, "albireo_9:C", MAX_CHIPS);
+        spec.chip_kinds = (0..200).map(|i| format!("kind{i}")).collect();
+        assert_eq!(spec.candidate_count(), None);
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("enumerates over 2^64 candidates"), "{err}");
     }
 
     #[test]

@@ -10,15 +10,16 @@
 //! resume snapshot — and requires every grammar to return rather than
 //! panic: an `Ok` must be a value whose canonical form parses back to
 //! itself with every time finite, and a damaged snapshot must be an
-//! `Err`. A snapshot re-digested around a rewritten chip, network or
-//! class index must resume or be refused — refused whenever the index
-//! is out of range. CI runs it at `PROPTEST_CASES=2048`.
+//! `Err`. A snapshot re-digested around a rewritten field must resume
+//! to the uninterrupted run's report or be refused. CI runs it at
+//! `PROPTEST_CASES=2048`.
 
 use albireo_nn::zoo;
 use albireo_plan::{PlanSpec, SloSpec};
 use albireo_runtime::{
-    resume_checkpointed, simulate_checkpointed, ArrivalProcess, AutoscalePolicy, BatchPolicy,
-    ClassSpec, FaultSpec, FleetConfig, ServeConfig, SimSnapshot, Workload,
+    resume_checkpointed, simulate, simulate_checkpointed, ArrivalProcess, AutoscalePolicy,
+    BatchPolicy, Checkpoint, ClassSpec, FaultSpec, FleetConfig, ServeConfig, ServeOutcome,
+    Workload,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -434,7 +435,7 @@ fn fleet_strategy() -> impl Strategy<Value = String> {
 }
 
 /// One real resume snapshot: a faulted, multi-tenant run with SLO
-/// classes, so the optional alert section is present too.
+/// classes.
 fn snapshot_text() -> &'static str {
     static TEXT: OnceLock<String> = OnceLock::new();
     TEXT.get_or_init(|| {
@@ -449,18 +450,28 @@ fn snapshot_text() -> &'static str {
             text = snap.to_text();
             false
         });
-        assert!(SimSnapshot::parse(&text).is_ok());
+        assert!(Checkpoint::parse(&text).is_ok());
         text
     })
 }
 
-/// An overloaded two-class run: its snapshot holds queued requests and
-/// in-flight batches, so every index a snapshot carries is present.
+/// An overloaded two-class run: it sheds, completes and fires alerts
+/// before its first checkpoint, so every count a snapshot carries is
+/// nonzero.
 fn busy_run() -> (FleetConfig, ServeConfig) {
     let mut cfg = ServeConfig::poisson(40_000.0, 600, 9, 0);
     cfg.workload.mix = vec![(0, 1.0), (1, 1.0)];
     cfg.workload.classes = ClassSpec::parse_list("vip:3:2,batch:1", None).unwrap();
     (FleetConfig::paper_pair(), cfg)
+}
+
+/// [`busy_run`]'s uninterrupted report, as JSON.
+fn busy_report() -> &'static str {
+    static JSON: OnceLock<String> = OnceLock::new();
+    JSON.get_or_init(|| {
+        let (fleet, cfg) = busy_run();
+        simulate(&fleet, &cfg).to_json()
+    })
 }
 
 /// The snapshot of [`busy_run`] at its first checkpoint.
@@ -529,57 +540,62 @@ proptest! {
     ) {
         let text = snapshot_text();
         let cut = at % text.len();
-        prop_assert!(SimSnapshot::parse(&text[..cut]).is_err(), "truncated at {cut}");
+        prop_assert!(Checkpoint::parse(&text[..cut]).is_err(), "truncated at {cut}");
         let mut flipped = text.as_bytes().to_vec();
         flipped[cut] ^= 1 << bit;
         if let Ok(flipped) = String::from_utf8(flipped) {
-            prop_assert!(SimSnapshot::parse(&flipped).is_err(), "bit {bit} of byte {cut}");
+            prop_assert!(Checkpoint::parse(&flipped).is_err(), "bit {bit} of byte {cut}");
         }
         let mutated = mutate(text, &m);
-        prop_assert!(mutated == text || SimSnapshot::parse(&mutated).is_err(), "{m:?}");
+        prop_assert!(mutated == text || Checkpoint::parse(&mutated).is_err(), "{m:?}");
     }
 
-    /// A re-digested snapshot whose chip, network or class index was
-    /// rewritten to anything still parses, and resuming it returns
-    /// rather than panics — with an error whenever the index falls
-    /// outside the fleet or the class table.
+    /// A re-digested snapshot with any field rewritten — to a small
+    /// value, an extreme, a random one or a neighbour of the original,
+    /// optionally after moving it to another boundary `k` with its
+    /// matching instant — resumes to the uninterrupted run's report or
+    /// is refused, by the reader's range checks or by the replay's
+    /// check at the boundary, and never panics.
     #[test]
     fn redigested_indices_resume_or_are_refused(
-        pick in 0usize..1024,
-        warmed in prop::bool::ANY,
-        value in prop_oneof![4 => 0usize..6, 1 => Just(usize::MAX)],
+        pick in 0usize..11,
+        value in prop_oneof![3 => 0u64..6, 1 => Just(u64::MAX), 1 => 0u64..u64::MAX],
+        delta in prop_oneof![1 => Just(None), 3 => (-2i64..=2).prop_map(Some)],
+        boundary in prop_oneof![1 => Just(None), 1 => (1u64..5).prop_map(Some)],
     ) {
         let (fleet, cfg) = busy_run();
         let (body, _) = busy_snapshot_text().rsplit_once("digest ").unwrap();
         let mut lines: Vec<String> = body.lines().map(str::to_string).collect();
-        // Every (line, field, table size) that holds an index: a request's
-        // network and class, a completion's chip.
-        let mut sites = Vec::new();
-        for (i, line) in lines.iter().enumerate() {
-            let fields: Vec<&str> = line.split(' ').collect();
-            match fields[0] {
-                "next_arrival" | "req" if fields.len() == 5 => {
-                    sites.push((i, 3, fleet.models.len()));
-                    sites.push((i, 4, cfg.workload.classes.len()));
-                }
-                "event" if fields[4] == "completion" => sites.push((i, 5, fleet.chips.len())),
-                _ => {}
-            }
+        let hex = |tag: &str| matches!(tag, "fingerprint" | "every" | "at" | "rec_fold");
+        let read = |lines: &[String], tag: &str| -> u64 {
+            let line = lines.iter().find(|l| l.split(' ').next() == Some(tag)).unwrap();
+            let v = line.split_once(' ').unwrap().1;
+            if hex(tag) { u64::from_str_radix(v, 16).unwrap() } else { v.parse().unwrap() }
+        };
+        let write = |lines: &mut Vec<String>, at: usize, v: u64| {
+            let tag = lines[at].split(' ').next().unwrap().to_string();
+            lines[at] = if hex(&tag) { format!("{tag} {v:016x}") } else { format!("{tag} {v}") };
+        };
+        if let Some(k) = boundary {
+            let every = f64::from_bits(read(&lines, "every"));
+            write(&mut lines, 5, k);
+            write(&mut lines, 6, (k as f64 * every).to_bits());
         }
-        prop_assert!(sites.len() >= 6, "the snapshot should hold requests and completions");
-        let (line, field, size) = sites[pick % sites.len()];
-        let mut fields: Vec<String> = lines[line].split(' ').map(str::to_string).collect();
-        fields[field] = value.to_string();
-        if field == 5 && warmed {
-            fields[4] = "warmed".to_string();
-        }
-        lines[line] = fields.join(" ");
+        let old = read(&lines, lines[pick + 1].split(' ').next().unwrap());
+        write(&mut lines, pick + 1, delta.map_or(value, |d| old.wrapping_add_signed(d)));
         let forged = lines.join("\n") + "\n";
         let forged = format!("{forged}digest {:016x}\n", albireo_obs::fnv1a(forged.as_bytes()));
-        let snap = SimSnapshot::parse(&forged).map_err(TestCaseError::fail)?;
-        let resumed = resume_checkpointed(&fleet, &cfg, &snap, 0.0, |_| true);
-        if value >= size {
-            prop_assert!(resumed.is_err(), "index {value} of {size} at `{}`", lines[line]);
+        let unchanged = forged == busy_snapshot_text();
+        let Ok(snap) = Checkpoint::parse(&forged) else {
+            prop_assert!(!unchanged, "the writer's own snapshot is refused");
+            return Ok(());
+        };
+        match resume_checkpointed(&fleet, &cfg, &snap, 0.0, |_| true) {
+            Ok(ServeOutcome::Completed(report)) => {
+                prop_assert_eq!(report.to_json(), busy_report());
+            }
+            Ok(ServeOutcome::Halted { .. }) => prop_assert!(false, "a resume without a callback halted"),
+            Err(e) => prop_assert!(!unchanged, "the writer's own snapshot is refused: {e}"),
         }
     }
 }

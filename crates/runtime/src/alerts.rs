@@ -32,7 +32,7 @@ use albireo_obs::json::{num, Obj};
 /// Ring-buffer buckets per window. 30 buckets keeps the trailing-window
 /// approximation within ~3% of the exact interval while holding O(1)
 /// memory per (class, window).
-pub(crate) const WINDOW_BUCKETS: usize = 30;
+const WINDOW_BUCKETS: usize = 30;
 
 /// Alert events retained per run; later transitions only bump
 /// [`AlertBook::dropped`]. 1024 transitions is far beyond any sane run —
@@ -173,7 +173,7 @@ pub(crate) struct WindowCounts {
     /// Bucket width, s (derived from the policy; not serialized).
     bucket_s: f64,
     /// Absolute index of the newest bucket (`floor(at_s / bucket_s)`).
-    pub(crate) cur: u64,
+    cur: u64,
     /// Per-slot observation counts (`slot = index % WINDOW_BUCKETS`).
     total: [u64; WINDOW_BUCKETS],
     /// Per-slot miss counts, each at most its slot's total.
@@ -235,42 +235,22 @@ impl WindowCounts {
         }
         self.miss_sum as f64 / self.total_sum as f64
     }
-
-    /// `(slot, total, miss)` for every slot holding an observation,
-    /// ascending — the serialized form.
-    pub(crate) fn occupied_slots(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
-        (0..WINDOW_BUCKETS)
-            .filter(|&i| self.total[i] > 0)
-            .map(|i| (i, self.total[i], self.miss[i]))
-    }
-
-    /// Restores one slot's counts from a snapshot, keeping the sums
-    /// exact; `None` when a sum would overflow. `slot < WINDOW_BUCKETS`
-    /// and `miss <= total` are the caller's checks.
-    pub(crate) fn restore_slot(&mut self, slot: usize, total: u64, miss: u64) -> Option<()> {
-        debug_assert!(miss <= total);
-        self.total_sum = (self.total_sum - self.total[slot]).checked_add(total)?;
-        self.miss_sum = (self.miss_sum - self.miss[slot]).checked_add(miss)?;
-        self.total[slot] = total;
-        self.miss[slot] = miss;
-        Some(())
-    }
 }
 
 /// Per-class alert state: four trailing windows and the firing latch of
 /// each rule.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ClassAlertState {
-    pub(crate) fast_short: WindowCounts,
-    pub(crate) fast_long: WindowCounts,
-    pub(crate) slow_short: WindowCounts,
-    pub(crate) slow_long: WindowCounts,
-    pub(crate) fast_firing: bool,
-    pub(crate) slow_firing: bool,
+struct ClassAlertState {
+    fast_short: WindowCounts,
+    fast_long: WindowCounts,
+    slow_short: WindowCounts,
+    slow_long: WindowCounts,
+    fast_firing: bool,
+    slow_firing: bool,
 }
 
 impl ClassAlertState {
-    pub(crate) fn new(policy: &AlertPolicy) -> ClassAlertState {
+    fn new(policy: &AlertPolicy) -> ClassAlertState {
         ClassAlertState {
             fast_short: WindowCounts::new(policy.fast.short_s),
             fast_long: WindowCounts::new(policy.fast.long_s),
@@ -289,13 +269,13 @@ pub(crate) struct AlertBook {
     pub(crate) policy: AlertPolicy,
     /// Aligned with the class table; `None` for best-effort classes.
     /// Empty = alerting disabled (no class carries an SLO).
-    pub(crate) states: Vec<Option<ClassAlertState>>,
+    states: Vec<Option<ClassAlertState>>,
     pub(crate) events: Vec<AlertEvent>,
     pub(crate) dropped: u64,
 }
 
 impl AlertBook {
-    /// A book that tracks nothing (classless runs, parsed placeholders).
+    /// A book that tracks nothing (classless runs).
     pub(crate) fn disabled() -> AlertBook {
         AlertBook {
             policy: AlertPolicy::standard(),
@@ -320,11 +300,6 @@ impl AlertBook {
             events: Vec::new(),
             dropped: 0,
         }
-    }
-
-    /// Whether any class is being tracked.
-    pub(crate) fn is_active(&self) -> bool {
-        !self.states.is_empty()
     }
 
     /// Folds one SLO outcome into the class's windows and evaluates both
@@ -476,12 +451,12 @@ mod tests {
     #[test]
     fn best_effort_classes_are_ignored() {
         let mut book = AlertBook::for_classes(AlertPolicy::standard(), &[None, Some(5.0)]);
-        assert!(book.is_active());
+        assert!(!book.states.is_empty());
         book.observe(0, 1.0, true); // best-effort: no state, no panic
         assert!(book.states[0].is_none());
         assert_eq!(book.fired(0), 0);
         let none = AlertBook::for_classes(AlertPolicy::standard(), &[None, None]);
-        assert!(!none.is_active(), "no SLO anywhere disables the book");
+        assert!(none.states.is_empty(), "no SLO anywhere disables the book");
     }
 
     #[test]
@@ -514,8 +489,6 @@ mod tests {
 #[cfg(test)]
 mod props {
     use super::*;
-    use crate::grammar::Lexer;
-    use crate::snapshot::{parse_window, write_window};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
@@ -525,8 +498,6 @@ mod props {
         Observe(f64, bool),
         /// Step the clock on, then roll the ring without an observation.
         Advance(f64),
-        /// Write the ring as its snapshot line and read it back.
-        RoundTrip,
     }
 
     /// Clock steps: often none, mostly within a bucket, sometimes past
@@ -545,7 +516,6 @@ mod props {
             prop_oneof![
                 8 => (step(), prop::bool::ANY).prop_map(|(dt, miss)| Op::Observe(dt, miss)),
                 2 => step().prop_map(Op::Advance),
-                1 => Just(Op::RoundTrip),
             ],
             0..200,
         )
@@ -568,8 +538,8 @@ mod props {
     }
 
     proptest! {
-        /// After every observe, advance and snapshot round-trip the
-        /// running sums equal the recomputed ring sums.
+        /// After every observe and advance the running sums equal the
+        /// recomputed ring sums.
         #[test]
         fn running_sums_equal_ring_sums(
             window_s in prop_oneof![Just(3.0f64), Just(300.0), 0.5f64..10.0],
@@ -586,16 +556,6 @@ mod props {
                     Op::Advance(dt) => {
                         at_s += dt;
                         w.advance(at_s);
-                    }
-                    Op::RoundTrip => {
-                        let mut line = String::new();
-                        write_window(&mut line, &w);
-                        let mut fields = Lexer::new("snapshot", line.trim_end(), ' ');
-                        prop_assert_eq!(fields.next(), Some("awin"));
-                        let mut back = WindowCounts::new(window_s);
-                        parse_window(fields, &mut back).map_err(TestCaseError::fail)?;
-                        prop_assert_eq!(&back, &w);
-                        w = back;
                     }
                 }
                 sums_match(&w)?;

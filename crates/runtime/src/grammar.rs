@@ -2,11 +2,11 @@
 //!
 //! Every configuration the serving stack accepts is typed as a one-line
 //! spec — fleets, batching and autoscaling policies, fault scenarios,
-//! tenant classes, arrival processes, the planner's SLO and plan lines —
-//! and a resume snapshot is a file of such lines. [`Lexer`] splits one
-//! line into borrowed, trimmed tokens, parses fields through
-//! [`FromStr`], range-checks them, and reports a bad field in a single
-//! format:
+//! tenant classes, arrival processes, the planner's SLO and plan lines.
+//! The `tag value` lines of a checkpoint record are read through the same
+//! lexer. [`Lexer`] splits one line into borrowed, trimmed tokens, parses
+//! fields through [`FromStr`], range-checks them, and reports a bad field
+//! in a single format:
 //!
 //! ```text
 //! <grammar> `<input>`: expected <what> at byte <n>
@@ -114,11 +114,6 @@ impl<'a> Lexer<'a> {
         let token = self.token(what)?;
         let hex = u64::from_str_radix(token, 16);
         hex.map_err(|_| self.expected(token, format_args!("hex {what}")))
-    }
-
-    /// The next token as an `f64` written as its IEEE-754 bits in hex.
-    pub fn bits(&mut self, what: &str) -> Result<f64, String> {
-        self.hex(what).map(f64::from_bits)
     }
 
     /// Reads the token before the next `sep` if the unread input has
@@ -281,7 +276,7 @@ mod tests {
         let mut lx = Lexer::new("snapshot", "class 1 ff - my name", ' ');
         assert_eq!(lx.token("tag").unwrap(), "class");
         assert_eq!(lx.field::<u64>("n").unwrap(), 1);
-        assert_eq!(lx.bits("x").unwrap(), f64::from_bits(0xff));
+        assert_eq!(lx.hex("x").unwrap(), 0xff);
         assert_eq!(lx.token("slo").unwrap(), "-");
         assert_eq!(lx.rest("name").unwrap(), "my name");
         assert!(lx.end().is_ok());

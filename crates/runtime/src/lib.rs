@@ -17,7 +17,7 @@
 //! Pieces:
 //!
 //! * [`workload`] — seeded arrival processes (Poisson, bursty, diurnal,
-//!   flash-crowd, in-memory trace, JSONL trace replay), the request mix,
+//!   flash-crowd, JSONL trace replay), the request mix,
 //!   and multi-tenant request classes with per-class SLO targets; all
 //!   streamed lazily with O(1) generator state;
 //! * [`queue`] — the monotone-run / 4-ary-heap hybrid event queue behind
@@ -30,8 +30,8 @@
 //!   `Accelerator` trait;
 //! * [`policy`] — micro-batching policies and admission control;
 //! * [`grammar`] — the shared lexer every spec grammar (fleet, policy,
-//!   autoscale, fault, class, arrival, snapshot) reads its fields
-//!   through, with one error format;
+//!   autoscale, fault, class, arrival) reads its fields through, with
+//!   one error format;
 //! * [`autoscale`] — fleet provisioning: static idle-power accounting
 //!   and queue-depth-driven elastic spin-up/park with warm-up latency;
 //! * [`alerts`] — deterministic multi-window SLO burn-rate alerting on
@@ -46,8 +46,9 @@
 //!   [`sim::simulate_replay`] over a pre-generated arrival list, and
 //!   [`sim::simulate_checkpointed`] / [`sim::resume_checkpointed`] for
 //!   interruptible runs);
-//! * [`snapshot`] — the versioned, self-digesting checkpoint format
-//!   (`albireo.snapshot/v1`) behind checkpoint/resume;
+//! * [`snapshot`] — the checkpoint callback's view of a run and the
+//!   versioned, self-digesting checkpoint record
+//!   (`albireo.snapshot/v2`) that resume replays the run to;
 //! * [`report`] — service metrics, text/CSV/JSON renderings, digests;
 //! * [`study`] — the replicated (fleet × rate × policy) sweep, fanned
 //!   deterministically through `albireo-parallel`.
@@ -86,7 +87,7 @@ pub use sim::{
     resume_checkpointed, simulate, simulate_checkpointed, simulate_observed, simulate_replay,
     trace_track_names, ServeConfig, ServeOutcome,
 };
-pub use snapshot::{SimSnapshot, SNAPSHOT_SCHEMA};
+pub use snapshot::{Checkpoint, SimSnapshot, SNAPSHOT_SCHEMA};
 pub use study::{
     replicate, run_full_serving_study, run_serving_study, ServingStudyReport, StudyOptions,
     StudyRun,

@@ -144,36 +144,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Every pending entry in pop order, without disturbing the queue —
-    /// the capture half of checkpoint/resume.
-    pub fn sorted_entries(&self) -> Vec<(EventKey, T)>
-    where
-        T: Clone,
-    {
-        let mut out: Vec<(EventKey, T)> =
-            self.run.iter().chain(self.heap.iter()).cloned().collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
-    }
-
-    /// Rebuilds a queue from entries in nondecreasing key order (what
-    /// [`EventQueue::sorted_entries`] produced), restoring the recorded
-    /// high-water mark. Sorted pushes all land in the monotone run, so
-    /// the rebuilt queue pops in exactly the captured order.
-    pub fn from_sorted(entries: Vec<(EventKey, T)>, peak_len: usize) -> EventQueue<T> {
-        let mut q = EventQueue::new();
-        for (key, item) in entries {
-            debug_assert!(
-                q.run.back().is_none_or(|(back, _)| key >= *back),
-                "snapshot entries must be key-sorted"
-            );
-            q.push(key, item);
-        }
-        debug_assert!(q.heap.is_empty(), "sorted restore must not touch the heap");
-        q.peak_len = q.peak_len.max(peak_len);
-        q
-    }
-
     fn pop_heap(&mut self) -> Option<(EventKey, T)> {
         let last = self.heap.len() - 1;
         self.heap.swap(0, last);
@@ -278,27 +248,6 @@ mod tests {
             popped,
             vec![(0.05, 0), (0.1, 2), (0.15, 1), (0.2, 2), (0.3, 1), (0.3, 2)]
         );
-    }
-
-    #[test]
-    fn sorted_round_trip_preserves_pop_order_and_peak() {
-        let mut q = EventQueue::new();
-        for (seq, (t, class)) in [(0.3, 2u8), (0.1, 1), (0.2, 0), (0.1, 3), (0.05, 2)]
-            .into_iter()
-            .enumerate()
-        {
-            q.push(key(t, class, seq as u64), seq);
-        }
-        q.pop();
-        let entries = q.sorted_entries();
-        assert_eq!(entries.len(), 4);
-        assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        let mut restored = EventQueue::from_sorted(entries, q.peak_len());
-        assert_eq!(restored.peak_len(), q.peak_len());
-        while let Some((k, item)) = q.pop() {
-            assert_eq!(restored.pop(), Some((k, item)));
-        }
-        assert!(restored.is_empty());
     }
 
     #[test]

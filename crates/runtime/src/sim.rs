@@ -53,7 +53,7 @@ use crate::fleet::{FleetConfig, ServiceOracle};
 use crate::policy::{AdmissionControl, BatchPolicy};
 use crate::queue::{EventKey, EventQueue};
 use crate::report::{ChipReport, ClassTotals, RequestRecord, RunTotals, ServiceReport};
-use crate::snapshot::SimSnapshot;
+use crate::snapshot::{Checkpoint, SimSnapshot};
 use crate::workload::{Request, Workload};
 use albireo_obs::{fnv1a, track, ArgValue, Obs};
 use std::collections::VecDeque;
@@ -166,8 +166,8 @@ impl fmt::Display for ServeConfig {
 }
 
 /// Queue-resident event payloads. Arrivals are streamed, never queued.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum EventKind {
+#[derive(Debug)]
+enum EventKind {
     Fault(FaultKind),
     Completion {
         chip: usize,
@@ -191,27 +191,27 @@ impl EventKind {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ChipState {
-    pub(crate) online: bool,
-    pub(crate) plcgs_down: usize,
-    pub(crate) busy: bool,
-    pub(crate) busy_s: f64,
-    pub(crate) energy_j: f64,
-    pub(crate) served: u64,
-    pub(crate) batches: u64,
+#[derive(Debug)]
+struct ChipState {
+    online: bool,
+    plcgs_down: usize,
+    busy: bool,
+    busy_s: f64,
+    energy_j: f64,
+    served: u64,
+    batches: u64,
     /// Autoscaling: parked chips are deprovisioned (no power, no work).
-    pub(crate) parked: bool,
+    parked: bool,
     /// Autoscaling: warming chips draw idle power but cannot serve yet.
-    pub(crate) warming: bool,
+    warming: bool,
     /// Provisioned seconds accumulated over completed park cycles (the
     /// open cycle since `provisioned_at_s` is closed at park/end time).
-    pub(crate) provisioned_s: f64,
+    provisioned_s: f64,
     /// Start of the current provisioned interval (meaningful while not
     /// parked).
-    pub(crate) provisioned_at_s: f64,
+    provisioned_at_s: f64,
     /// Elastic spin-ups of this chip.
-    pub(crate) spin_ups: u64,
+    spin_ups: u64,
 }
 
 /// One run's engine state, generic over where its arrivals come from: a
@@ -583,39 +583,41 @@ impl<'a, A: Iterator<Item = Request>> Sim<'a, A> {
         self.try_dispatch(now);
     }
 
-    fn run(self) -> ServiceReport {
-        match self.run_checkpointed(None) {
-            ServeOutcome::Completed(report) => *report,
-            ServeOutcome::Halted { .. } => unreachable!("halting requires a checkpointer"),
+    fn run(mut self) -> ServiceReport {
+        self.advance(None);
+        self.finish()
+    }
+
+    /// Runs to completion, or to the boundary where the checkpoint
+    /// callback halts.
+    fn run_checkpointed(mut self, ckpt: Option<&mut Checkpointer<'_>>) -> ServeOutcome {
+        match self.advance(ckpt) {
+            Some((checkpoints, at_s)) => ServeOutcome::Halted { checkpoints, at_s },
+            None => ServeOutcome::Completed(Box::new(self.finish())),
         }
     }
 
-    /// Captures the full engine state at checkpoint boundary `at_s`.
+    /// The run at checkpoint boundary `at_s`, as the callback sees it.
     /// Everything strictly before the boundary has been applied; events
     /// at or after it are still pending.
-    fn capture(&self, at_s: f64, checkpoints: u64) -> SimSnapshot {
+    fn capture(&self, at_s: f64, checkpoints: u64, every_s: f64) -> SimSnapshot {
         SimSnapshot {
             fingerprint: config_fingerprint(self.fleet, self.cfg),
             requests: self.cfg.requests,
             seed: self.cfg.seed,
+            every_s,
             at_s,
             checkpoints,
-            seq: self.seq,
-            next_arrival: self.next_arrival.clone(),
             totals: self.totals.clone(),
-            queue: self.queue.iter().cloned().collect(),
-            events: self
-                .events
-                .sorted_entries()
-                .into_iter()
-                .map(|(k, kind)| (k.time_bits(), k.class(), k.seq(), kind))
-                .collect(),
-            peak_event_queue: self.events.peak_len(),
-            chips: self.chips.clone(),
+            queued: self.queue.len(),
+            pending_events: self.events.len(),
         }
     }
 
-    fn run_checkpointed(mut self, mut ckpt: Option<Checkpointer<'_>>) -> ServeOutcome {
+    /// Applies events in order until none is left (`None`), or until the
+    /// checkpoint callback halts at a boundary (`Some((checkpoints,
+    /// at_s))`, with the events at or after it still pending).
+    fn advance(&mut self, mut ckpt: Option<&mut Checkpointer<'_>>) -> Option<(u64, f64)> {
         loop {
             // Merge the arrival lookahead against the event queue on the
             // shared `(time, class)` key. Arrivals are the only class-2
@@ -629,7 +631,7 @@ impl<'a, A: Iterator<Item = Request>> Sim<'a, A> {
                 }
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
-                (None, None) => break,
+                (None, None) => return None,
             };
             // Emit any checkpoint boundary the clock is about to cross.
             // Boundaries land *between* event instants: the snapshot sees
@@ -647,12 +649,9 @@ impl<'a, A: Iterator<Item = Request>> Sim<'a, A> {
                         break;
                     }
                     c.emitted += 1;
-                    let snap = self.capture(boundary, c.emitted);
+                    let snap = self.capture(boundary, c.emitted, c.every_s);
                     if !(c.on_checkpoint)(&snap) {
-                        return ServeOutcome::Halted {
-                            checkpoints: c.emitted,
-                            at_s: boundary,
-                        };
+                        return Some((c.emitted, boundary));
                     }
                 }
             }
@@ -695,6 +694,11 @@ impl<'a, A: Iterator<Item = Request>> Sim<'a, A> {
                 }
             }
         }
+    }
+
+    /// Sheds what the drained run left queued and builds the report.
+    fn finish(mut self) -> ServiceReport {
+        let obs = self.obs;
         // Requests stranded in the queue (every chip offline or fully
         // degraded, no event left to free one) are shed, not an error:
         // the service degrades to whatever the surviving fleet completed.
@@ -705,14 +709,9 @@ impl<'a, A: Iterator<Item = Request>> Sim<'a, A> {
         while let Some(r) = self.queue.pop_front() {
             self.shed_request(r.class, end_s);
         }
-        if stranded > 0 && self.obs.is_enabled() {
-            self.obs.counter("serve.shed").add(stranded);
+        if stranded > 0 && obs.is_enabled() {
+            obs.counter("serve.shed").add(stranded);
         }
-        ServeOutcome::Completed(Box::new(self.finish()))
-    }
-
-    fn finish(mut self) -> ServiceReport {
-        let obs = self.obs;
         self.totals.peak_event_queue = self.events.peak_len();
         // Close every open provisioned interval at the makespan, then
         // charge idle power (provisioned seconds minus busy seconds) when
@@ -721,7 +720,6 @@ impl<'a, A: Iterator<Item = Request>> Sim<'a, A> {
         // sums, bit for bit.
         let accounts_idle = self.cfg.autoscale.accounts_idle();
         if accounts_idle {
-            let end_s = self.totals.max_finish_s.max(self.totals.last_arrival_s);
             for (i, state) in self.chips.iter_mut().enumerate() {
                 if !state.parked {
                     state.provisioned_s += end_s - state.provisioned_at_s;
@@ -930,7 +928,7 @@ fn new_sim<'a, A: Iterator<Item = Request>>(
     sim
 }
 
-/// Periodic checkpoint emission state for [`Sim::run_checkpointed`].
+/// Periodic checkpoint emission state for [`Sim::advance`].
 struct Checkpointer<'cb> {
     /// Virtual seconds between checkpoint boundaries.
     every_s: f64,
@@ -946,7 +944,8 @@ pub enum ServeOutcome {
     /// The run finished; the report is identical to [`simulate`]'s.
     Completed(Box<ServiceReport>),
     /// The checkpoint callback returned `false` at this boundary; the
-    /// snapshot it received is the resume point.
+    /// [`SimSnapshot::record`] of the snapshot it received is the
+    /// resume point.
     Halted {
         /// Checkpoints emitted, including the halting one.
         checkpoints: u64,
@@ -956,7 +955,7 @@ pub enum ServeOutcome {
 }
 
 /// FNV-1a over the fleet label and the full config — the identity a
-/// snapshot is bound to. Resume with anything else is refused.
+/// checkpoint is bound to. Resume with anything else is refused.
 pub(crate) fn config_fingerprint(fleet: &FleetConfig, cfg: &ServeConfig) -> u64 {
     fnv1a(format!("{}|{:?}", fleet.label(), cfg).as_bytes())
 }
@@ -964,8 +963,9 @@ pub(crate) fn config_fingerprint(fleet: &FleetConfig, cfg: &ServeConfig) -> u64 
 /// Runs one serving simulation, emitting a [`SimSnapshot`] at every
 /// multiple of `every_s` on the virtual clock. The callback returns
 /// `true` to keep running or `false` to halt at that boundary (after,
-/// e.g., persisting the snapshot). Reports from checkpointed runs are
-/// byte-identical to [`simulate`]'s — checkpoints only read state.
+/// e.g., persisting [`SimSnapshot::record`]). Reports from checkpointed
+/// runs are byte-identical to [`simulate`]'s — checkpoints only read
+/// state.
 pub fn simulate_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
     fleet: &FleetConfig,
     cfg: &ServeConfig,
@@ -983,174 +983,112 @@ pub fn simulate_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
         &obs,
         cfg.workload.stream(cfg.requests, cfg.seed),
     );
-    sim.run_checkpointed(Some(Checkpointer {
+    sim.run_checkpointed(Some(&mut Checkpointer {
         every_s,
         emitted: 0,
         on_checkpoint: &mut on_checkpoint,
     }))
 }
 
-/// Resumes a run from a [`SimSnapshot`] captured by
+/// Resumes a run from a [`Checkpoint`] recorded by
 /// [`simulate_checkpointed`] under the *same* fleet and config.
 ///
-/// The workload stream is re-seeded and fast-forwarded `offered` draws,
-/// then the regenerated lookahead is cross-checked bit for bit against
-/// the snapshot's — a mismatched workload, seed, or request count is
-/// an error, not a silently different run. `every_s > 0` continues
-/// periodic checkpoints on the original boundary grid (it must equal
-/// the interval the snapshot was taken on); `every_s == 0` runs to
-/// completion without further checkpoints.
+/// A run is a pure function of `(fleet, cfg)`, so resume replays it from
+/// t = 0 on the checkpoint's interval, handing the callback nothing up
+/// to the recorded boundary `k`. There it checks the replayed run
+/// against the record — offered, completed and shed counts, the
+/// record digest's fold so far and the alert transition count — so a
+/// changed workload, seed, request count or configuration is an error,
+/// not a silently different run. `every_s > 0` then hands the callback
+/// every later boundary on the original grid (`k × every_s` must be the
+/// recorded instant); `every_s == 0` runs to completion without
+/// further checkpoints.
 ///
 /// The resumed run's [`ServiceReport`] — including its digest and JSON
-/// — is byte-identical to the uninterrupted run's.
+/// — is byte-identical to the uninterrupted run's. Its cost is the
+/// replayed prefix plus the rest: about one checkpointed full run.
 pub fn resume_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
     fleet: &FleetConfig,
     cfg: &ServeConfig,
-    snapshot: &SimSnapshot,
+    checkpoint: &Checkpoint,
     every_s: f64,
     mut on_checkpoint: F,
 ) -> Result<ServeOutcome, String> {
-    if snapshot.requests != cfg.requests {
+    if checkpoint.requests != cfg.requests {
         return Err(format!(
             "snapshot was taken at {} requests, config asks for {}",
-            snapshot.requests, cfg.requests
+            checkpoint.requests, cfg.requests
         ));
     }
-    if snapshot.seed != cfg.seed {
+    if checkpoint.seed != cfg.seed {
         return Err(format!(
             "snapshot was taken with seed {}, config uses {}",
-            snapshot.seed, cfg.seed
+            checkpoint.seed, cfg.seed
         ));
     }
     let expected = config_fingerprint(fleet, cfg);
-    if snapshot.fingerprint != expected {
+    if checkpoint.fingerprint != expected {
         return Err(format!(
             "snapshot fingerprint {:016x} does not match this fleet/config ({expected:016x}) — \
              resume needs the exact original fleet, workload, policy, and fault scenario",
-            snapshot.fingerprint
+            checkpoint.fingerprint
         ));
     }
-    if snapshot.chips.len() != fleet.chips.len() {
+    let k = checkpoint.checkpoint;
+    if every_s > 0.0 && (k as f64 * every_s).to_bits() != checkpoint.at_s.to_bits() {
         return Err(format!(
-            "snapshot holds {} chip(s), fleet has {}",
-            snapshot.chips.len(),
-            fleet.chips.len()
+            "checkpoint interval {} s is off the snapshot's grid (checkpoint {} at {} s) — \
+             resume with the original --checkpoint-every",
+            every_s, k, checkpoint.at_s
         ));
-    }
-    // The engine indexes its chip, network and class tables with these
-    // directly, so a re-digested snapshot may not point past them.
-    for (_, _, _, kind) in &snapshot.events {
-        if let EventKind::Completion { chip } | EventKind::WarmedUp { chip } = *kind {
-            if chip >= fleet.chips.len() {
-                return Err(format!(
-                    "snapshot event names chip {chip}, fleet has {}",
-                    fleet.chips.len()
-                ));
-            }
-        }
-    }
-    // A classless workload tags every request class 0.
-    let classes = snapshot.totals.classes.len().max(1);
-    for r in snapshot.queue.iter().chain(&snapshot.next_arrival) {
-        if r.network >= fleet.models.len() {
-            return Err(format!(
-                "snapshot request {} names network {}, fleet serves {}",
-                r.id,
-                r.network,
-                fleet.models.len()
-            ));
-        }
-        if r.class >= classes {
-            return Err(format!(
-                "snapshot request {} names class {}, workload defines {}",
-                r.id, r.class, classes
-            ));
-        }
-    }
-    let mut stream = cfg.workload.stream(cfg.requests, cfg.seed);
-    {
-        let classes = stream.classes();
-        if classes.len() != snapshot.totals.classes.len() {
-            return Err(format!(
-                "snapshot has {} request class(es), workload defines {}",
-                snapshot.totals.classes.len(),
-                classes.len()
-            ));
-        }
-        for (spec, have) in classes.iter().zip(&snapshot.totals.classes) {
-            if spec.name != have.name || spec.slo_ms != have.slo_ms {
-                return Err(format!(
-                    "request class `{}` does not match the snapshot's `{}`",
-                    spec.name, have.name
-                ));
-            }
-        }
-    }
-    // Fast-forward the stream past every arrival the snapshot consumed,
-    // then cross-check the regenerated lookahead.
-    for i in 0..snapshot.totals.offered {
-        if stream.next().is_none() {
-            return Err(format!(
-                "workload stream ended after {i} request(s) while replaying {} — \
-                 the workload does not match the snapshot",
-                snapshot.totals.offered
-            ));
-        }
-    }
-    let regenerated = stream.next();
-    if regenerated != snapshot.next_arrival {
-        return Err(
-            "replayed workload diverges from the snapshot's arrival lookahead — \
-             the workload or seed does not match"
-                .to_string(),
-        );
-    }
-    let ckpt = if every_s > 0.0 {
-        let grid_at = snapshot.checkpoints as f64 * every_s;
-        if grid_at.to_bits() != snapshot.at_s.to_bits() {
-            return Err(format!(
-                "checkpoint interval {} s is off the snapshot's grid (checkpoint {} at {} s) — \
-                 resume with the original --checkpoint-every",
-                every_s, snapshot.checkpoints, snapshot.at_s
-            ));
-        }
-        Some(Checkpointer {
-            every_s,
-            emitted: snapshot.checkpoints,
-            on_checkpoint: &mut on_checkpoint,
-        })
-    } else {
-        None
-    };
-    let entries = snapshot
-        .events
-        .iter()
-        .map(|(time_bits, class, seq, kind)| {
-            (EventKey::new(*time_bits, *class, *seq), kind.clone())
-        })
-        .collect();
-    // The snapshot's networks were range-checked above.
-    let mut queued = vec![0; fleet.models.len()];
-    for r in &snapshot.queue {
-        queued[r.network] += 1;
     }
     let obs = Obs::disabled();
-    let sim = Sim {
+    let mut sim = new_sim(
         fleet,
         cfg,
-        obs: &obs,
-        oracle: ServiceOracle::new(fleet),
-        events: EventQueue::from_sorted(entries, snapshot.peak_event_queue),
-        seq: snapshot.seq,
-        queue: snapshot.queue.iter().cloned().collect(),
-        queued,
-        batch: Vec::new(),
-        chips: snapshot.chips.clone(),
-        arrivals: stream,
-        next_arrival: snapshot.next_arrival.clone(),
-        totals: snapshot.totals.clone(),
-    };
-    Ok(sim.run_checkpointed(ckpt))
+        &obs,
+        cfg.workload.stream(cfg.requests, cfg.seed),
+    );
+    // Replay to boundary k on the recorded interval, halting there. The
+    // caller saw the earlier boundaries before the run was interrupted.
+    let mut replayed = None;
+    sim.advance(Some(&mut Checkpointer {
+        every_s: checkpoint.every_s,
+        emitted: 0,
+        on_checkpoint: &mut |snap: &SimSnapshot| {
+            if snap.checkpoints < k {
+                return true;
+            }
+            replayed = Some(snap.record());
+            false
+        },
+    }));
+    match replayed {
+        None => {
+            return Err(format!(
+                "the replay ends before checkpoint {k} (t={} s) — the workload does not match \
+                 the snapshot",
+                checkpoint.at_s
+            ))
+        }
+        Some(at_k) if at_k != *checkpoint => {
+            let counts = |c: Checkpoint| (c.offered, c.completed, c.shed, c.rec_fold, c.alerts);
+            return Err(format!(
+                "the replayed run diverges from the snapshot at checkpoint {k}: (offered, \
+                 completed, shed, fold, alerts) {:?} replayed, {:?} recorded — the workload \
+                 does not match the snapshot",
+                counts(at_k),
+                counts(*checkpoint)
+            ));
+        }
+        Some(_) => {}
+    }
+    let mut rest = (every_s > 0.0).then_some(Checkpointer {
+        every_s,
+        emitted: k,
+        on_checkpoint: &mut on_checkpoint,
+    });
+    Ok(sim.run_checkpointed(rest.as_mut()))
 }
 
 /// `(track, label)` pairs for every track a traced serving run uses —
@@ -1790,39 +1728,21 @@ mod tests {
         assert_eq!(*full, baseline, "checkpointing must not perturb alerts");
         assert!(snaps.len() >= 2);
         assert!(
-            snaps.iter().any(|s| !s.totals.alerts.events.is_empty()),
+            snaps.iter().any(|s| !s.alert_events().is_empty()),
             "some boundary must land after the first alert"
         );
         for snap in &snaps {
             let text = snap.to_text();
-            assert!(text.contains("\nalerts "), "alert section present");
-            let restored = SimSnapshot::parse(&text).unwrap();
-            assert_eq!(&restored, snap, "alert state round-trips the wire");
+            assert!(text.contains("\nalerts "), "alert count present");
+            let restored = Checkpoint::parse(&text).unwrap();
+            assert_eq!(restored, snap.record(), "alert count round-trips the wire");
+            assert_eq!(restored.alerts(), snap.alert_events().len());
             let out = resume_checkpointed(&fleet, &cfg, &restored, 0.0, |_| true).unwrap();
             let ServeOutcome::Completed(resumed) = out else {
                 panic!("resume must complete");
             };
             assert_eq!(resumed.alert_events, baseline.alert_events);
             assert_eq!(resumed.to_json(), baseline.to_json());
-        }
-    }
-
-    #[test]
-    fn classless_snapshots_keep_the_prealerting_wire_format() {
-        let fleet = small_fleet();
-        let cfg = ServeConfig::poisson(3000.0, 200, 42, 0);
-        let mut snaps = Vec::new();
-        simulate_checkpointed(&fleet, &cfg, 0.01, |s| {
-            snaps.push(s.to_text());
-            true
-        });
-        assert!(!snaps.is_empty());
-        for text in &snaps {
-            assert!(
-                !text.contains("\nalerts "),
-                "classless snapshots must not grow an alert section"
-            );
-            SimSnapshot::parse(text).unwrap();
         }
     }
 
@@ -1848,8 +1768,8 @@ mod tests {
         for snap in &snaps {
             // Through the wire format, then to completion without further
             // checkpoints: byte-identical report, digest, and JSON.
-            let restored = SimSnapshot::parse(&snap.to_text()).unwrap();
-            assert_eq!(&restored, snap);
+            let restored = Checkpoint::parse(&snap.to_text()).unwrap();
+            assert_eq!(restored, snap.record());
             let out = resume_checkpointed(&fleet, &cfg, &restored, 0.0, |_| true).unwrap();
             let ServeOutcome::Completed(resumed) = out else {
                 panic!("resume must complete");
@@ -1861,7 +1781,7 @@ mod tests {
         // Resuming on the original cadence replays the remaining
         // boundaries exactly.
         let mut tail: Vec<SimSnapshot> = Vec::new();
-        let out = resume_checkpointed(&fleet, &cfg, &snaps[0], every, |s| {
+        let out = resume_checkpointed(&fleet, &cfg, &snaps[0].record(), every, |s| {
             tail.push(s.clone());
             true
         })
@@ -1888,7 +1808,7 @@ mod tests {
         let snap = last.unwrap();
         assert_eq!(snap.checkpoints(), 2);
         assert!(snap.offered() > 0 && snap.offered() < 300);
-        let out = resume_checkpointed(&fleet, &cfg, &snap, 0.02, |_| true).unwrap();
+        let out = resume_checkpointed(&fleet, &cfg, &snap.record(), 0.02, |_| true).unwrap();
         let ServeOutcome::Completed(resumed) = out else {
             panic!("resume must complete");
         };
@@ -1904,7 +1824,7 @@ mod tests {
             snap = Some(s.clone());
             false
         });
-        let snap = snap.unwrap();
+        let snap = snap.unwrap().record();
         let mut wrong_seed = cfg.clone();
         wrong_seed.seed = 43;
         assert!(resume_checkpointed(&fleet, &wrong_seed, &snap, 0.0, |_| true).is_err());
@@ -1950,7 +1870,7 @@ mod tests {
         assert_eq!(*full, baseline);
         assert!(!snaps.is_empty());
         for snap in &snaps {
-            let restored = SimSnapshot::parse(&snap.to_text()).unwrap();
+            let restored = Checkpoint::parse(&snap.to_text()).unwrap();
             let out = resume_checkpointed(&fleet, &cfg, &restored, 0.0, |_| true).unwrap();
             let ServeOutcome::Completed(resumed) = out else {
                 panic!("resume must complete");
@@ -1958,6 +1878,51 @@ mod tests {
             assert_eq!(*resumed, baseline);
             assert_eq!(resumed.to_json(), baseline.to_json());
         }
+    }
+
+    #[test]
+    fn resume_refuses_a_workload_changed_before_the_checkpoint() {
+        let path =
+            std::env::temp_dir().join(format!("albireo_resume_{}.jsonl", std::process::id()));
+        let trace = |first_s: f64| {
+            let mut text = format!("{{\"arrival_s\": {first_s}}}\n");
+            for i in 1..200 {
+                let _ = writeln!(text, "{{\"arrival_s\": {}}}", i as f64 * 2e-4);
+            }
+            std::fs::write(&path, text).unwrap();
+        };
+        trace(0.0);
+        let fleet = small_fleet();
+        let mut cfg = ServeConfig::poisson(5000.0, 200, 7, 0);
+        cfg.workload.process = crate::workload::ArrivalProcess::TraceFile {
+            path: path.to_string_lossy().into_owned(),
+        };
+        let baseline = simulate(&fleet, &cfg);
+        let mut snap = None;
+        let out = simulate_checkpointed(&fleet, &cfg, 0.01, |s| {
+            snap = Some(s.record());
+            s.checkpoints() < 2
+        });
+        assert!(matches!(out, ServeOutcome::Halted { checkpoints: 2, .. }));
+        let snap = snap.unwrap();
+        let resumed = resume_checkpointed(&fleet, &cfg, &snap, 0.0, |_| true).unwrap();
+        assert!(matches!(resumed, ServeOutcome::Completed(r) if *r == baseline));
+        // The first arrival moves: same file, same fingerprint, and the
+        // arrival after the boundary is unchanged too.
+        trace(1e-4);
+        let err = resume_checkpointed(&fleet, &cfg, &snap, 0.0, |_| true).unwrap_err();
+        assert!(
+            err.contains("diverges from the snapshot at checkpoint 2"),
+            "{err}"
+        );
+        // A trace cut short now ends before the recorded boundary.
+        trace(0.0);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let cut: String = text.lines().take(40).map(|l| format!("{l}\n")).collect();
+        std::fs::write(&path, cut).unwrap();
+        let err = resume_checkpointed(&fleet, &cfg, &snap, 0.0, |_| true).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("ends before checkpoint 2"), "{err}");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! were written in — by a user, the `FaultSpec` compiler, or the
 //! repair-crew dispatcher — must never leak into the sorted event order
 //! or, transitively, into a run digest. This is what makes fault specs
-//! safely composable (`FaultScenario::merged`, planner-attached specs)
-//! without re-auditing determinism at every call site.
+//! safely composable (clauses compiled in any order, planner-attached
+//! specs) without re-auditing determinism at every call site.
 
 use albireo_runtime::{simulate, FaultKind, FaultScenario, FleetConfig, ServeConfig};
 use proptest::prelude::*;
