@@ -25,10 +25,10 @@ use std::fmt;
 /// candidate's fleet before its first simulation, so set-up memory
 /// grows with the candidate count times the fleet size; with
 /// [`MAX_CANDIDATES`] this bounds it (DESIGN.md §12).
-pub const MAX_CHIPS: usize = 64;
+pub(crate) const MAX_CHIPS: usize = 64;
 
 /// Most candidates a plan enumerates.
-pub const MAX_CANDIDATES: usize = 4096;
+pub(crate) const MAX_CANDIDATES: usize = 4096;
 
 /// The service-level objective candidates must meet to be feasible.
 ///
