@@ -87,9 +87,9 @@ pub(super) fn parse_arrival(
 /// `albireo serve [...]` — run the multi-chip serving simulation.
 pub(super) fn serve(args: &Args) -> Result<String, CliError> {
     use albireo_runtime::{
-        replicate, resume_checkpointed, simulate_checkpointed, simulate_observed,
-        trace_track_names, AdmissionControl, AlertPolicy, AutoscalePolicy, BatchPolicy, Checkpoint,
-        ClassSpec, FaultSpec, FleetConfig, ServeConfig, ServeOutcome, SimSnapshot, Workload,
+        replicate, resume_checkpointed, simulate_checkpointed, trace_track_names, AdmissionControl,
+        AlertPolicy, AutoscalePolicy, BatchPolicy, Checkpoint, ClassSpec, FaultSpec, FleetConfig,
+        ServeConfig, ServeOutcome, SimSnapshot, Workload,
     };
 
     let requests = args
@@ -317,14 +317,12 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
             }
         }
     } else {
-        let reports = replicate(&fleet, &cfg, replicas, Parallelism::default());
-
-        // Trace capture re-runs replica 0 (same seed, same pure function)
-        // under an enabled Obs, so the replicated reports above stay
-        // byte-for-byte what an untraced run produces.
+        // Replica 0 records into the trace handle; recording does not change
+        // its report, so every report stays byte-for-byte what an untraced
+        // run produces.
         let obs = trace_obs(args);
+        let reports = replicate(&fleet, &cfg, replicas, Parallelism::default(), &obs);
         let trace_note = if obs.is_enabled() {
-            simulate_observed(&fleet, &cfg, &obs);
             let snapshot = obs.snapshot();
             let mut note = config_header.clone();
             note.push_str(&write_trace_outputs(

@@ -625,6 +625,29 @@ fn serve_json_with_trace_embeds_metrics_snapshot() {
 }
 
 #[test]
+fn serve_trace_out_reports_the_plain_run() {
+    let path = temp_path("serve_trace_plain.json");
+    let path_str = path.to_str().unwrap().to_string();
+    for replicas in ["1", "3"] {
+        let base = ["--requests", "90", "--seed", "7", "--replicas", replicas];
+        let plain = exec("serve", &base).unwrap();
+        let traced = exec("serve", &[&base[..], &["--trace-out", &path_str]].concat()).unwrap();
+        // The report, then the trace note lines.
+        let note = traced.strip_prefix(plain.as_str()).expect("report first");
+        assert!(note.contains("trace events"), "{note}");
+    }
+    let base = ["--requests", "90", "--seed", "7", "--json"];
+    let plain = exec("serve", &base).unwrap();
+    let traced = exec("serve", &[&base[..], &["--trace-out", &path_str]].concat()).unwrap();
+    // The traced JSON is the plain JSON plus its `obs` member.
+    let start = traced.find("  \"obs\": {").expect("obs member");
+    let len = traced[start..].find("\n  },\n").expect("obs member end") + "\n  },\n".len();
+    let without_obs = format!("{}{}", &traced[..start], &traced[start + len..]);
+    assert_eq!(without_obs, plain);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn serve_wall_clock_flag_keeps_trace_digest_stable() {
     let path = temp_path("serve_wall.json");
     let path_str = path.to_str().unwrap().to_string();

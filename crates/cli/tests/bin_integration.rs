@@ -641,6 +641,61 @@ fn resume_after_the_trace_changed_exits_2() {
 }
 
 #[test]
+fn resume_after_a_queued_request_changed_exits_2() {
+    let dir = std::env::temp_dir();
+    let trace_path = dir.join(format!(
+        "albireo_resume_queued_{}.jsonl",
+        std::process::id()
+    ));
+    let snap_path = dir.join(format!("albireo_resume_queued_{}.snap", std::process::id()));
+    let (trace, snap) = (trace_path.to_str().unwrap(), snap_path.to_str().unwrap());
+    // 100,000 rps alternating the two networks; `edited` flips line
+    // `edited + 1`'s network.
+    let write_trace = |edited: Option<usize>| {
+        let text: String = (0..300)
+            .map(|i| {
+                let network = (i + usize::from(edited == Some(i))) % 2;
+                format!(
+                    "{{\"arrival_s\": {}, \"network\": {network}}}\n",
+                    i as f64 * 1e-5
+                )
+            })
+            .collect();
+        std::fs::write(&trace_path, text).unwrap();
+    };
+    write_trace(None);
+    let base = [
+        "serve",
+        "--trace-jsonl",
+        trace,
+        "--requests",
+        "300",
+        "--networks",
+        "alexnet,vgg16",
+        "--checkpoint-every",
+        "0.001",
+    ];
+    let mut argv = base.to_vec();
+    argv.extend_from_slice(&["--checkpoint-out", snap, "--halt-after-checkpoints", "1"]);
+    let (_, stderr, ok) = run(&argv);
+    assert!(ok, "{stderr}");
+    // Line 51 is queued at checkpoint 1 (100 offered, 4 completed, 32
+    // shed): no count or completed record covers it yet.
+    write_trace(Some(50));
+    let mut argv = base.to_vec();
+    argv.extend_from_slice(&["--resume", snap]);
+    let (code, stderr) = run_failing(&argv);
+    std::fs::remove_file(&trace_path).ok();
+    std::fs::remove_file(&snap_path).ok();
+    assert_eq!(code, 2, "{stderr}");
+    assert!(
+        stderr.contains("diverges from the snapshot at checkpoint 1"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("arrival_fold"), "{stderr}");
+}
+
+#[test]
 fn plan_with_a_huge_max_chips_exits_2() {
     for max in ["2000", "100000", "18446744073709551615"] {
         let started = std::time::Instant::now();

@@ -263,11 +263,6 @@ impl AnalogEngine {
         self.faults = faults;
     }
 
-    /// Removes all injected faults.
-    pub fn clear_faults(&mut self) {
-        self.faults = FaultSet::new();
-    }
-
     /// The currently injected faults.
     pub fn faults(&self) -> &FaultSet {
         &self.faults
@@ -1246,7 +1241,7 @@ mod fault_tests {
         faults.push(Fault::DeadChannel { column: 1 });
         eng.inject_faults(faults);
         assert_eq!(eng.faults().len(), 1);
-        eng.clear_faults();
+        eng.inject_faults(FaultSet::new());
         assert!(eng.faults().is_empty());
         let recovered = eng.conv2d(&input, &kernels, &spec);
         assert!(recovered.max_abs_diff(&clean) < 1e-12);

@@ -2,15 +2,12 @@
 //!
 //! Energy is computed as the paper does: the chip's device power total
 //! (Table III) integrated over the inference latency, with the memory
-//! subsystem's static power included in that total. Per-layer access
-//! energies are also surfaced for finer studies.
+//! subsystem's static power included in that total.
 
 use crate::area::AreaBreakdown;
 use crate::config::{ChipConfig, TechnologyEstimate};
-use crate::memory::MemoryModel;
 use crate::power::PowerBreakdown;
 use crate::sched::{schedule_model, LayerSchedule};
-use albireo_nn::stats::workload_stats;
 use albireo_nn::Model;
 
 /// Per-layer evaluation result — the canonical
@@ -38,11 +35,6 @@ pub struct NetworkEvaluation {
     pub area_mm2: f64,
     /// Active area (excl. passive distribution), mm².
     pub active_area_mm2: f64,
-    /// Dynamic SRAM energy for the network's data movement, J. The paper's
-    /// Table III folds memory into a static power term; this field exposes
-    /// the per-access model separately (it is ~0.1% of device energy,
-    /// confirming the paper's treatment).
-    pub memory_dynamic_energy_j: f64,
     /// Per-layer results.
     pub per_layer: Vec<LayerEvaluation>,
 }
@@ -69,8 +61,6 @@ impl NetworkEvaluation {
             })
             .collect();
         let latency_s: f64 = per_layer.iter().map(|l| l.latency_s).sum();
-        let mem = MemoryModel::paper();
-        let stats = workload_stats(model, chip.nu);
         NetworkEvaluation {
             network: model.name().to_string(),
             estimate,
@@ -81,7 +71,6 @@ impl NetworkEvaluation {
             total_ops: model.total_ops(),
             area_mm2: area.total_mm2(),
             active_area_mm2: area.active_mm2(),
-            memory_dynamic_energy_j: mem.buffer_access_energy_j(stats.traffic_bytes),
             per_layer,
         }
     }
@@ -143,11 +132,6 @@ impl NetworkEvaluation {
         eval
     }
 
-    /// Total inference energy including the dynamic SRAM traffic, J.
-    pub fn total_energy_j(&self) -> f64 {
-        self.energy_j + self.memory_dynamic_energy_j
-    }
-
     /// Energy-delay product in the paper's units, mJ·ms.
     pub fn edp_mj_ms(&self) -> f64 {
         (self.energy_j * 1e3) * (self.latency_s * 1e3)
@@ -192,17 +176,6 @@ impl NetworkEvaluation {
             .map(|l| l.utilization * l.cycles as f64)
             .sum::<f64>()
             / cycles as f64
-    }
-
-    /// Inference throughput, inferences per second (the architecture has
-    /// no batching: one inference occupies the whole chip).
-    pub fn inferences_per_second(&self) -> f64 {
-        1.0 / self.latency_s
-    }
-
-    /// Energy efficiency, inferences per joule.
-    pub fn inferences_per_joule(&self) -> f64 {
-        1.0 / self.energy_j
     }
 
     /// Energy per wavelength used — the paper's WDM-efficiency metric
@@ -324,22 +297,16 @@ mod tests {
     }
 
     #[test]
-    fn throughput_metrics_are_reciprocal() {
-        let e = eval(TechnologyEstimate::Conservative, &zoo::alexnet());
-        assert!((e.inferences_per_second() * e.latency_s - 1.0).abs() < 1e-12);
-        assert!((e.inferences_per_joule() * e.energy_j - 1.0).abs() < 1e-12);
-        // AlexNet at 0.2 ms ⇒ ~5k inferences/s.
-        assert!((3000.0..10000.0).contains(&e.inferences_per_second()));
-    }
-
-    #[test]
     fn memory_energy_is_negligible_vs_device_energy() {
         // Validates the paper's choice to fold memory into static power:
         // dynamic SRAM traffic is well under 1% of device energy.
-        let e = eval(TechnologyEstimate::Conservative, &zoo::vgg16());
-        assert!(e.memory_dynamic_energy_j > 0.0);
-        assert!(e.memory_dynamic_energy_j < 0.01 * e.energy_j);
-        assert!((e.total_energy_j() - e.energy_j - e.memory_dynamic_energy_j).abs() < 1e-12);
+        let chip = ChipConfig::albireo_9();
+        let model = zoo::vgg16();
+        let e = eval(TechnologyEstimate::Conservative, &model);
+        let traffic = albireo_nn::stats::workload_stats(&model, chip.nu).traffic_bytes;
+        let memory_j = crate::memory::MemoryModel::paper().buffer_access_energy_j(traffic);
+        assert!(memory_j > 0.0);
+        assert!(memory_j < 0.01 * e.energy_j);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! the 16 kB per-PLCG kernel cache footprint (0.092×0.085 mm²), and the
 //! total cache power (0.03 W for Albireo-9 in Table III). This module takes
 //! those reported values as calibration anchors and adds a per-access
-//! dynamic-energy model for sensitivity studies; the substitution is
-//! recorded in DESIGN.md.
+//! dynamic-energy model for the ablation and dataflow studies; the
+//! substitution is recorded in DESIGN.md.
 
 use crate::config::ChipConfig;
 
@@ -24,8 +24,6 @@ pub struct MemoryModel {
     /// Dynamic energy per byte accessed in the global buffer, J
     /// (7 nm SRAM-class value, ~0.2 pJ/byte).
     pub buffer_access_j_per_byte: f64,
-    /// Dynamic energy per byte accessed in a kernel cache, J.
-    pub cache_access_j_per_byte: f64,
 }
 
 impl MemoryModel {
@@ -37,7 +35,6 @@ impl MemoryModel {
             global_buffer_area_m2: 0.59e-3 * 0.34e-3,
             plcg_cache_area_m2: 0.092e-3 * 0.085e-3,
             buffer_access_j_per_byte: 0.2e-12,
-            cache_access_j_per_byte: 0.05e-12,
         }
     }
 
@@ -54,11 +51,6 @@ impl MemoryModel {
     /// Dynamic energy of moving `bytes` through the global buffer, J.
     pub fn buffer_access_energy_j(&self, bytes: u64) -> f64 {
         bytes as f64 * self.buffer_access_j_per_byte
-    }
-
-    /// Dynamic energy of moving `bytes` through a kernel cache, J.
-    pub fn cache_access_energy_j(&self, bytes: u64) -> f64 {
-        bytes as f64 * self.cache_access_j_per_byte
     }
 }
 
@@ -103,6 +95,5 @@ mod tests {
             m.buffer_access_energy_j(1000),
             1000.0 * m.buffer_access_j_per_byte
         );
-        assert!(m.cache_access_energy_j(100) < m.buffer_access_energy_j(100));
     }
 }

@@ -88,12 +88,6 @@ impl PowerDelivery {
         }
         Some(hi)
     }
-
-    /// Total optical (laser) power injected into the chip for a
-    /// per-channel laser power, W.
-    pub fn total_optical_power(&self, laser_power_w: f64) -> f64 {
-        laser_power_w * self.chip.wavelengths_per_plcg() as f64
-    }
 }
 
 #[cfg(test)]
@@ -161,11 +155,5 @@ mod tests {
         let p9 = d9.min_laser_power_for_noise_bits(8.0).unwrap();
         let p27 = d27.min_laser_power_for_noise_bits(8.0).unwrap();
         assert!(p27 > p9);
-    }
-
-    #[test]
-    fn total_optical_power_counts_all_channels() {
-        let d = delivery();
-        assert!((d.total_optical_power(2e-3) - 63.0 * 2e-3).abs() < 1e-12);
     }
 }

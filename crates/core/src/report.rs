@@ -1,4 +1,5 @@
-//! Plain-text table formatting shared by the experiment harness bins.
+//! Plain-text/CSV table and unit formatting shared by the CLI's model
+//! commands and the experiment registry.
 
 /// Formats a table with a header row, aligning columns to their widest cell.
 ///

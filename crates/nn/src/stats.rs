@@ -1,4 +1,4 @@
-//! Workload statistics: memory traffic, arithmetic intensity, and the
+//! Workload statistics: memory traffic and the
 //! data-movement profile that motivates Albireo's depth-first dataflow
 //! (paper §III-B: "data movement can consume magnitudes more energy than
 //! computation").
@@ -77,19 +77,10 @@ pub fn partial_sum_spill_bytes(layer: &LayerInstance, nu: usize) -> u64 {
 /// Network-level workload statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadStats {
-    /// Total MACs.
-    pub macs: u64,
     /// Total bytes moved under Albireo's dataflow.
     pub traffic_bytes: u64,
     /// Partial-sum bytes a non-depth-first dataflow would add.
     pub avoided_partial_bytes: u64,
-    /// Arithmetic intensity, MACs per byte moved.
-    pub macs_per_byte: f64,
-    /// Peak single-layer activation footprint, bytes (sizing the global
-    /// buffer).
-    pub peak_activation_bytes: u64,
-    /// Largest single layer's weights, bytes (sizing the kernel caches).
-    pub peak_weight_bytes: u64,
 }
 
 /// Computes workload statistics for a network under Albireo's dataflow
@@ -97,22 +88,13 @@ pub struct WorkloadStats {
 pub fn workload_stats(model: &Model, nu: usize) -> WorkloadStats {
     let mut traffic = 0u64;
     let mut avoided = 0u64;
-    let mut peak_act = 0u64;
-    let mut peak_weights = 0u64;
     for layer in model.layers() {
-        let t = layer_traffic(layer);
-        traffic += t.total_bytes();
+        traffic += layer_traffic(layer).total_bytes();
         avoided += partial_sum_spill_bytes(layer, nu);
-        peak_act = peak_act.max((layer.input.elements() + layer.output.elements()) as u64);
-        peak_weights = peak_weights.max(layer.params());
     }
     WorkloadStats {
-        macs: model.total_macs(),
         traffic_bytes: traffic,
         avoided_partial_bytes: avoided,
-        macs_per_byte: model.total_macs() as f64 / traffic as f64,
-        peak_activation_bytes: peak_act,
-        peak_weight_bytes: peak_weights,
     }
 }
 
@@ -158,34 +140,24 @@ mod tests {
         assert!(d > 0);
     }
 
+    /// Arithmetic intensity: MACs per byte of `traffic_bytes`.
+    fn macs_per_byte(model: &Model) -> f64 {
+        model.total_macs() as f64 / workload_stats(model, 3).traffic_bytes as f64
+    }
+
     #[test]
     fn vgg_arithmetic_intensity_is_high() {
-        let stats = workload_stats(&zoo::vgg16(), 3);
+        let model = zoo::vgg16();
         // VGG16 reuses each byte ~100× — the parameter-sharing headroom
         // Albireo's broadcast exploits.
-        assert!(stats.macs_per_byte > 50.0, "{}", stats.macs_per_byte);
-        assert!(stats.avoided_partial_bytes > 100_000_000);
+        let intensity = macs_per_byte(&model);
+        assert!(intensity > 50.0, "{intensity}");
+        assert!(workload_stats(&model, 3).avoided_partial_bytes > 100_000_000);
     }
 
     #[test]
     fn mobilenet_intensity_lower_than_vgg() {
-        let vgg = workload_stats(&zoo::vgg16(), 3);
-        let mobile = workload_stats(&zoo::mobilenet(), 3);
-        assert!(mobile.macs_per_byte < vgg.macs_per_byte);
-    }
-
-    #[test]
-    fn peak_activation_fits_a_reasonable_buffer() {
-        // The largest VGG16 layer (conv1_2 in+out) is ~6.4 MB at 8 bits —
-        // streamed through the 256 kB global buffer in tiles.
-        let stats = workload_stats(&zoo::vgg16(), 3);
-        assert_eq!(stats.peak_activation_bytes, (64 + 64) * 224 * 224);
-    }
-
-    #[test]
-    fn peak_weights_identify_fc6() {
-        let stats = workload_stats(&zoo::vgg16(), 3);
-        assert_eq!(stats.peak_weight_bytes, 4096 * 25088);
+        assert!(macs_per_byte(&zoo::mobilenet()) < macs_per_byte(&zoo::vgg16()));
     }
 
     #[test]

@@ -129,18 +129,11 @@ pub fn to_chrome_trace(events: &[Event], track_names: &[(u32, String)]) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{ArgValue, TraceBuffer};
+    use crate::span::TraceBuffer;
 
     fn sample_events() -> Vec<Event> {
         let buf = TraceBuffer::default();
-        buf.record(
-            0,
-            0.001,
-            Phase::Begin,
-            "layer",
-            vec![("idx", ArgValue::U64(0))],
-            None,
-        );
+        buf.record(0, 0.001, Phase::Begin, "layer", vec![("idx", 0)], None);
         buf.record(0, 0.002, Phase::End, "layer", Vec::new(), None);
         buf.record(1, 0.0015, Phase::Instant, "shed", Vec::new(), None);
         buf.record(
@@ -148,7 +141,7 @@ mod tests {
             0.0015,
             Phase::Counter,
             "queue_depth",
-            vec![("depth", ArgValue::U64(3))],
+            vec![("depth", 3)],
             None,
         );
         buf.drain_sorted()
@@ -210,7 +203,7 @@ mod tests {
                 i as f64,
                 Phase::Counter,
                 name,
-                vec![("value", ArgValue::U64(i as u64))],
+                vec![("value", i as u64)],
                 None,
             );
         }

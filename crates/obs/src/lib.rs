@@ -25,11 +25,11 @@
 //!
 //! ## Cost when disabled
 //!
-//! An [`Obs`] starts life either enabled or disabled; every recording
-//! path is guarded by [`Obs::is_enabled`], a single relaxed atomic
-//! load, so instrumented hot loops pay ≤ one branch when observability
-//! is off. Metrics and traces always go through an explicit per-run
-//! `Obs`, so concurrent runs never interleave events.
+//! An [`Obs`] is enabled or disabled for life; every recording path is
+//! guarded by [`Obs::is_enabled`], a plain field read, so instrumented
+//! hot loops pay ≤ one branch when observability is off. Metrics and
+//! traces always go through an explicit per-run `Obs`, so concurrent
+//! runs never interleave events.
 //!
 //! ## Example
 //!
@@ -60,7 +60,7 @@ pub use json::json_escape;
 pub use metrics::{Counter, Gauge, MetricsSnapshot, Registry, SketchCell};
 pub use profile::{PhaseStat, ProfileReport, PROFILE_SCHEMA};
 pub use sketch::{QuantileSketch, RELATIVE_ERROR_BOUND};
-pub use span::{events_digest, ArgValue, Event, Phase, TraceBuffer};
+pub use span::{events_digest, Event, Phase, TraceBuffer};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -102,7 +102,7 @@ pub mod track {
 /// a cheap enabled check.
 #[derive(Debug)]
 pub struct Obs {
-    enabled: AtomicBool,
+    enabled: bool,
     wall_clock: AtomicBool,
     epoch: Instant,
     registry: Registry,
@@ -113,7 +113,7 @@ impl Obs {
     /// A new handle in the given state.
     pub fn new(enabled: bool) -> Obs {
         Obs {
-            enabled: AtomicBool::new(enabled),
+            enabled,
             wall_clock: AtomicBool::new(false),
             epoch: Instant::now(),
             registry: Registry::new(),
@@ -135,12 +135,7 @@ impl Obs {
     /// `if obs.is_enabled() { ... }`.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns recording on or off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.enabled
     }
 
     /// Opts events into carrying wall-clock nanoseconds (diagnostic
@@ -191,7 +186,7 @@ impl Obs {
         begin_s: f64,
         end_s: f64,
         name: &str,
-        args: Vec<(&'static str, ArgValue)>,
+        args: Vec<(&'static str, u64)>,
     ) {
         if !self.is_enabled() {
             return;
@@ -209,7 +204,7 @@ impl Obs {
         track: u32,
         ts_s: f64,
         name: &str,
-        args: Vec<(&'static str, ArgValue)>,
+        args: Vec<(&'static str, u64)>,
     ) {
         if !self.is_enabled() {
             return;
@@ -221,7 +216,7 @@ impl Obs {
 
     /// Records a sampled counter value (Chrome `ph: "C"`) — e.g. the
     /// serving queue depth over virtual time (no-op when disabled).
-    pub fn record_counter_sample(&self, track: u32, ts_s: f64, name: &str, value: ArgValue) {
+    pub fn record_counter_sample(&self, track: u32, ts_s: f64, name: &str, value: u64) {
         if !self.is_enabled() {
             return;
         }
@@ -253,7 +248,8 @@ impl Default for Obs {
     }
 }
 
-/// Records a complete span with explicit virtual begin/end timestamps:
+/// Records a complete span with explicit virtual begin/end timestamps
+/// and integer arguments:
 ///
 /// ```
 /// # let obs = albireo_obs::Obs::enabled();
@@ -269,26 +265,7 @@ macro_rules! span {
             $begin,
             $end,
             $name,
-            vec![$((stringify!($key), $crate::ArgValue::from($value))),*],
-        )
-    };
-}
-
-/// Records a point event at a virtual timestamp:
-///
-/// ```
-/// # let obs = albireo_obs::Obs::enabled();
-/// albireo_obs::instant!(obs, track = 0, ts = 0.5, "shed", queue = 4usize);
-/// ```
-#[macro_export]
-macro_rules! instant {
-    ($obs:expr, track = $track:expr, ts = $ts:expr,
-     $name:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        $obs.record_instant(
-            $track,
-            $ts,
-            $name,
-            vec![$((stringify!($key), $crate::ArgValue::from($value))),*],
+            vec![$((stringify!($key), $value as u64)),*],
         )
     };
 }
@@ -301,8 +278,8 @@ mod tests {
     fn disabled_obs_records_nothing() {
         let obs = Obs::disabled();
         span!(obs, track = 0, begin = 0.0, end = 1.0, "s");
-        instant!(obs, track = 0, ts = 0.5, "i");
-        obs.record_counter_sample(0, 0.5, "q", ArgValue::U64(1));
+        obs.record_instant(0, 0.5, "i", Vec::new());
+        obs.record_counter_sample(0, 0.5, "q", 1);
         assert!(obs.drain_events().is_empty());
     }
 
@@ -321,8 +298,8 @@ mod tests {
         let events = obs.drain_events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].phase, Phase::Begin);
-        assert_eq!(events[0].args[0], ("idx", ArgValue::U64(4)));
-        assert_eq!(events[0].args[1], ("macs", ArgValue::U64(100)));
+        assert_eq!(events[0].args[0], ("idx", 4));
+        assert_eq!(events[0].args[1], ("macs", 100));
         assert_eq!(events[1].phase, Phase::End);
     }
 

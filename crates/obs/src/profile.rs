@@ -3,9 +3,8 @@
 //!
 //! Everything else in `albireo-obs` runs on **virtual** time so that
 //! exports and digests are deterministic. This module is the deliberate
-//! exception: it measures where the *real* CPU time goes, so ROADMAP
-//! item 2 ("make the parallel engine actually fast") can be worked with
-//! measurements instead of guesses. Like the `--wall-clock` span
+//! exception: it measures where the *real* CPU time goes, so speed work
+//! is guided by measurements instead of guesses. Like the `--wall-clock` span
 //! opt-in, profile data is excluded from every determinism digest — a
 //! run with profiling on produces byte-identical reports, goldens, and
 //! digests to a run with it off.

@@ -15,7 +15,6 @@
 //! `(ts_bits, track, phase rank, seq)` — ends before begins at equal
 //! timestamps, so zero-gap adjacent spans nest correctly in viewers.
 
-use crate::json::{Fixed, ToJson};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -61,70 +60,6 @@ impl Phase {
     }
 }
 
-/// A structured argument value attached to an event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArgValue {
-    /// Unsigned integer argument.
-    U64(u64),
-    /// Signed integer argument.
-    I64(i64),
-    /// Floating-point argument.
-    F64(f64),
-}
-
-impl ArgValue {
-    /// Stable bit pattern folded into digests.
-    pub fn bits(self) -> u64 {
-        match self {
-            ArgValue::U64(v) => v,
-            ArgValue::I64(v) => v as u64,
-            ArgValue::F64(v) => v.to_bits(),
-        }
-    }
-}
-
-impl ToJson for ArgValue {
-    /// Integers as themselves; floats with a fixed nine decimals, which
-    /// keeps virtual quantities exact enough and byte-stable.
-    fn write_json(&self, out: &mut String) {
-        match *self {
-            ArgValue::U64(v) => v.write_json(out),
-            ArgValue::I64(v) => v.write_json(out),
-            ArgValue::F64(v) => Fixed(v, 9).write_json(out),
-        }
-    }
-}
-
-impl From<u64> for ArgValue {
-    fn from(v: u64) -> ArgValue {
-        ArgValue::U64(v)
-    }
-}
-
-impl From<usize> for ArgValue {
-    fn from(v: usize) -> ArgValue {
-        ArgValue::U64(v as u64)
-    }
-}
-
-impl From<u32> for ArgValue {
-    fn from(v: u32) -> ArgValue {
-        ArgValue::U64(u64::from(v))
-    }
-}
-
-impl From<i64> for ArgValue {
-    fn from(v: i64) -> ArgValue {
-        ArgValue::I64(v)
-    }
-}
-
-impl From<f64> for ArgValue {
-    fn from(v: f64) -> ArgValue {
-        ArgValue::F64(v)
-    }
-}
-
 /// One recorded trace event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
@@ -139,8 +74,8 @@ pub struct Event {
     pub phase: Phase,
     /// Event (or counter) name.
     pub name: String,
-    /// Structured arguments, in recording order.
-    pub args: Vec<(&'static str, ArgValue)>,
+    /// Integer arguments (indices, sizes, counts), in recording order.
+    pub args: Vec<(&'static str, u64)>,
     /// Opt-in wall-clock nanoseconds since the `Obs` epoch. Excluded
     /// from digests and ordering.
     pub wall_ns: Option<u64>,
@@ -192,7 +127,7 @@ impl TraceBuffer {
         ts_s: f64,
         phase: Phase,
         name: &str,
-        args: Vec<(&'static str, ArgValue)>,
+        args: Vec<(&'static str, u64)>,
         wall_ns: Option<u64>,
     ) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
@@ -257,7 +192,7 @@ pub fn events_digest(events: &[Event]) -> u64 {
         d = crate::fold(d, e.phase.tag());
         for (k, v) in &e.args {
             d = crate::fold(d, crate::fnv1a(k.as_bytes()));
-            d = crate::fold(d, v.bits());
+            d = crate::fold(d, *v);
         }
     }
     d
@@ -302,22 +237,8 @@ mod tests {
     fn digest_ignores_wall_clock() {
         let a = TraceBuffer::default();
         let b = TraceBuffer::default();
-        a.record(
-            0,
-            1.0,
-            Phase::Instant,
-            "x",
-            vec![("k", ArgValue::U64(7))],
-            None,
-        );
-        b.record(
-            0,
-            1.0,
-            Phase::Instant,
-            "x",
-            vec![("k", ArgValue::U64(7))],
-            Some(123),
-        );
+        a.record(0, 1.0, Phase::Instant, "x", vec![("k", 7)], None);
+        b.record(0, 1.0, Phase::Instant, "x", vec![("k", 7)], Some(123));
         assert_eq!(
             events_digest(&a.drain_sorted()),
             events_digest(&b.drain_sorted())

@@ -101,41 +101,18 @@ impl Parallelism {
         }
     }
 
-    /// Whether this policy is exactly one worker.
-    pub fn is_serial(&self) -> bool {
-        self.resolved_threads() <= 1
-    }
-
     /// Runs `f(i)` for every `i in 0..n` and collects the results in
     /// index order. Deterministic: identical output for any thread count.
+    /// This is [`fill_slices`](Parallelism::fill_slices) over one-slot
+    /// items.
     pub fn map_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let workers = self.resolved_threads().min(n.max(1));
-        if workers <= 1 || n <= 1 {
-            return (0..n).map(f).collect();
-        }
         let mut out: Vec<Option<T>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
-        let chunk = n.div_ceil(workers);
-        // Caller-side: dispatch + join wait; worker-side: each band is
-        // its own wall-clock profile root (concurrent time must not
-        // nest under the caller, which already measures the join).
-        let _join = profile::scope("parallel.join");
-        std::thread::scope(|scope| {
-            for (w, slots) in out.chunks_mut(chunk).enumerate() {
-                let f = &f;
-                scope.spawn(move || {
-                    let _chunk = profile::scope("parallel.chunk");
-                    let base = w * chunk;
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(f(base + j));
-                    }
-                });
-            }
-        });
+        self.fill_slices(&mut out, 1, |i, slot| slot[0] = Some(f(i)));
         out.into_iter()
             .map(|slot| slot.expect("worker filled every slot"))
             .collect()
@@ -171,6 +148,9 @@ impl Parallelism {
             return;
         }
         let chunk = n.div_ceil(workers);
+        // Caller-side: dispatch + join wait; worker-side: each band is
+        // its own wall-clock profile root (concurrent time must not
+        // nest under the caller, which already measures the join).
         let _join = profile::scope("parallel.join");
         std::thread::scope(|scope| {
             for (w, band) in data.chunks_mut(chunk * item_len).enumerate() {
@@ -294,7 +274,6 @@ mod tests {
     #[test]
     fn resolved_threads_and_global_default() {
         assert_eq!(Parallelism::serial().resolved_threads(), 1);
-        assert!(Parallelism::serial().is_serial());
         assert_eq!(Parallelism::with_threads(4).resolved_threads(), 4);
         assert!(Parallelism::auto().resolved_threads() >= 1);
     }

@@ -26,32 +26,9 @@ pub fn photon_energy(wavelength_m: f64) -> f64 {
     PLANCK * SPEED_OF_LIGHT / wavelength_m
 }
 
-/// Optical frequency (Hz) corresponding to a vacuum wavelength (m).
-pub fn frequency_of(wavelength_m: f64) -> f64 {
-    SPEED_OF_LIGHT / wavelength_m
-}
-
-/// Vacuum wavelength (m) corresponding to an optical frequency (Hz).
-pub fn wavelength_of(frequency_hz: f64) -> f64 {
-    SPEED_OF_LIGHT / frequency_hz
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn c_band_frequency_is_about_193_thz() {
-        let f = frequency_of(1550e-9);
-        assert!((f - 193.4e12).abs() / 193.4e12 < 0.01, "f = {f}");
-    }
-
-    #[test]
-    fn wavelength_frequency_round_trip() {
-        let lambda = 1550e-9;
-        let back = wavelength_of(frequency_of(lambda));
-        assert!((back - lambda).abs() < 1e-18);
-    }
 
     #[test]
     fn photon_energy_positive_and_decreasing_with_wavelength() {

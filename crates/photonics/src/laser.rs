@@ -8,21 +8,17 @@
 //! the power-delivery analysis report how much efficiency the conservative
 //! device must achieve.
 
-use crate::params::LaserParams;
-use crate::units::rin_dbc_to_linear;
-use crate::{check_positive, check_unit_interval, OpticalParams, Result};
+use crate::{check_positive, check_unit_interval, Result};
 
-/// A laser source: electrical drive power, wall-plug efficiency, and RIN.
+/// A laser source: electrical drive power and wall-plug efficiency. Its
+/// RIN is a noise term ([`crate::noise::NoiseParams`]) and its footprint
+/// an area input (`OpticalParams::laser`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Laser {
     /// Electrical drive power, W.
     electrical_w: f64,
     /// Wall-plug (electrical→optical) efficiency, in `(0, 1]`.
     wall_plug_efficiency: f64,
-    /// RIN power spectral density, dBc/Hz.
-    rin_dbc_per_hz: f64,
-    /// Device footprint, m².
-    area_m2: f64,
 }
 
 impl Laser {
@@ -32,19 +28,13 @@ impl Laser {
     ///
     /// Returns an error if the drive power is non-positive or the
     /// efficiency is outside `(0, 1]`.
-    pub fn new(
-        electrical_w: f64,
-        wall_plug_efficiency: f64,
-        params: &LaserParams,
-    ) -> Result<Laser> {
+    pub fn new(electrical_w: f64, wall_plug_efficiency: f64) -> Result<Laser> {
         check_positive("electrical_w", electrical_w)?;
         check_unit_interval("wall_plug_efficiency", wall_plug_efficiency)?;
         check_positive("wall_plug_efficiency", wall_plug_efficiency)?;
         Ok(Laser {
             electrical_w,
             wall_plug_efficiency,
-            rin_dbc_per_hz: params.rin_dbc_per_hz,
-            area_m2: params.area_m2,
         })
     }
 
@@ -54,7 +44,7 @@ impl Laser {
     ///
     /// Returns an error if `wall_plug_efficiency` is outside `(0, 1]`.
     pub fn conservative(wall_plug_efficiency: f64) -> Result<Laser> {
-        Laser::new(37.5e-3, wall_plug_efficiency, &OpticalParams::paper().laser)
+        Laser::new(37.5e-3, wall_plug_efficiency)
     }
 
     /// Electrical drive power, W.
@@ -62,34 +52,9 @@ impl Laser {
         self.electrical_w
     }
 
-    /// Wall-plug efficiency.
-    pub fn wall_plug_efficiency(&self) -> f64 {
-        self.wall_plug_efficiency
-    }
-
     /// Optical output power, W.
     pub fn optical_w(&self) -> f64 {
         self.electrical_w * self.wall_plug_efficiency
-    }
-
-    /// RIN PSD, dBc/Hz.
-    pub fn rin_dbc_per_hz(&self) -> f64 {
-        self.rin_dbc_per_hz
-    }
-
-    /// RIN-induced optical power standard deviation over a bandwidth, W.
-    pub fn rin_sigma_w(&self, bandwidth_hz: f64) -> f64 {
-        self.optical_w() * (rin_dbc_to_linear(self.rin_dbc_per_hz) * bandwidth_hz).sqrt()
-    }
-
-    /// Electrical power for a *target optical* power at this efficiency, W.
-    pub fn electrical_for_optical(optical_w: f64, wall_plug_efficiency: f64) -> f64 {
-        optical_w / wall_plug_efficiency
-    }
-
-    /// Device footprint, m².
-    pub fn area_m2(&self) -> f64 {
-        self.area_m2
     }
 }
 
@@ -113,26 +78,9 @@ mod tests {
     }
 
     #[test]
-    fn rin_sigma_scales_with_power_and_bandwidth() {
-        let l = Laser::conservative(1.0).unwrap();
-        let s1 = l.rin_sigma_w(5e9);
-        let s2 = l.rin_sigma_w(20e9);
-        assert!((s2 / s1 - 2.0).abs() < 1e-9);
-        // −140 dBc/Hz over 5 GHz: σ/P = sqrt(1e-14·5e9) ≈ 0.71%.
-        assert!((s1 / l.optical_w() - 0.00707).abs() < 1e-4);
-    }
-
-    #[test]
-    fn electrical_for_optical_inverts() {
-        let e = Laser::electrical_for_optical(9.2e-3, 0.25);
-        assert!((e - 36.8e-3).abs() < 1e-6);
-    }
-
-    #[test]
     fn invalid_parameters_rejected() {
         assert!(Laser::conservative(0.0).is_err());
         assert!(Laser::conservative(1.5).is_err());
-        let p = OpticalParams::paper().laser;
-        assert!(Laser::new(0.0, 0.5, &p).is_err());
+        assert!(Laser::new(0.0, 0.5).is_err());
     }
 }

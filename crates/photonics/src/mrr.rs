@@ -4,7 +4,6 @@
 //! each ring demultiplexes its resonant wavelength onto a shared combination
 //! waveguide (positive or negative rail, Fig. 2d). The model implements:
 //!
-//! * resonance condition `λres = n_eff·L/m` (Eq. 3),
 //! * free spectral range `FSR = λ²res/(n_g·L)` (Eq. 7),
 //! * finesse `FSR/FWHM` (Eq. 8),
 //! * FWHM of the double-bus ring (Eq. 9),
@@ -15,17 +14,6 @@
 use crate::waveguide::Waveguide;
 use crate::{check_positive, check_unit_interval, OpticalParams, Result};
 use std::f64::consts::PI;
-
-/// Operating state of a switching ring (paper §II-B2: rings can be "turned
-/// off" by shifting their resonance away from the signal).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RingState {
-    /// The ring is on resonance and drops its wavelength.
-    #[default]
-    On,
-    /// The ring is detuned off resonance and passes its wavelength.
-    Off,
-}
 
 /// A double-bus microring resonator.
 ///
@@ -55,10 +43,6 @@ pub struct Microring {
     wavelength: f64,
     /// Group index of the ring waveguide.
     n_group: f64,
-    /// Effective index of the ring waveguide.
-    n_eff: f64,
-    /// Switching state.
-    state: RingState,
 }
 
 impl Microring {
@@ -67,19 +51,17 @@ impl Microring {
     ///
     /// # Errors
     ///
-    /// Returns an error if `radius` or the indices are non-positive, or if
-    /// `k2` is outside `(0, 1)`.
+    /// Returns an error if `radius`, `wavelength` or the group index is
+    /// non-positive, or if `k2` is outside `(0, 1)`.
     pub fn symmetric(
         radius: f64,
         k2: f64,
         wavelength: f64,
-        n_eff: f64,
         n_group: f64,
         single_pass_a: f64,
     ) -> Result<Microring> {
         check_positive("radius", radius)?;
         check_positive("wavelength", wavelength)?;
-        check_positive("n_eff", n_eff)?;
         check_positive("n_group", n_group)?;
         check_unit_interval("k2", k2)?;
         check_unit_interval("single_pass_a", single_pass_a)?;
@@ -96,8 +78,6 @@ impl Microring {
             single_pass_a,
             wavelength,
             n_group,
-            n_eff,
-            state: RingState::On,
         })
     }
 
@@ -122,7 +102,6 @@ impl Microring {
             params.mrr.radius,
             k2,
             params.wavelength,
-            params.waveguide.n_eff,
             params.waveguide.n_group,
             a,
         )
@@ -142,27 +121,6 @@ impl Microring {
     /// Single-pass amplitude transmission `a`.
     pub fn single_pass_a(&self) -> f64 {
         self.single_pass_a
-    }
-
-    /// Switching state.
-    pub fn state(&self) -> RingState {
-        self.state
-    }
-
-    /// Sets the switching state.
-    pub fn set_state(&mut self, state: RingState) {
-        self.state = state;
-    }
-
-    /// The longitudinal mode number m closest to the design wavelength
-    /// (Eq. 3: `λres = n_eff·L/m`).
-    pub fn mode_number(&self) -> u32 {
-        (self.n_eff * self.circumference / self.wavelength).round() as u32
-    }
-
-    /// Resonant wavelength for the nearest mode, m (Eq. 3).
-    pub fn resonant_wavelength(&self) -> f64 {
-        self.n_eff * self.circumference / f64::from(self.mode_number())
     }
 
     /// Free spectral range, m (Eq. 7).
@@ -212,24 +170,17 @@ impl Microring {
     /// Drop-port power transmission at a wavelength detuning `Δλ` (m) from
     /// resonance.
     ///
-    /// When the ring is [`RingState::Off`], the resonance is modelled as
-    /// shifted by half an FSR (the anti-resonance point), so the nominal
-    /// wavelength passes to the through port.
+    /// A ring is "turned off" (paper §II-B2) by detuning it half an FSR, to
+    /// its anti-resonance point, so the nominal wavelength passes to the
+    /// through port: the analog engine's off-ring leakage is
+    /// `drop_transmission(fsr() / 2.0)`.
     pub fn drop_transmission(&self, delta_lambda: f64) -> f64 {
-        let delta = match self.state {
-            RingState::On => delta_lambda,
-            RingState::Off => delta_lambda + self.fsr() / 2.0,
-        };
-        self.drop_at_phase(self.phase_detuning(delta))
+        self.drop_at_phase(self.phase_detuning(delta_lambda))
     }
 
     /// Through-port power transmission at a wavelength detuning `Δλ` (m).
     pub fn through_transmission(&self, delta_lambda: f64) -> f64 {
-        let delta = match self.state {
-            RingState::On => delta_lambda,
-            RingState::Off => delta_lambda + self.fsr() / 2.0,
-        };
-        self.through_at_phase(self.phase_detuning(delta))
+        self.through_at_phase(self.phase_detuning(delta_lambda))
     }
 
     /// Drop-port power transmission at a round-trip phase detuning (rad).
@@ -370,14 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn resonant_wavelength_near_design() {
-        let r = ring();
-        let lres = r.resonant_wavelength();
-        // The nearest mode is within half an FSR of 1550 nm.
-        assert!((lres - r.wavelength).abs() < r.fsr() / 2.0 + 1e-12);
-    }
-
-    #[test]
     fn near_critical_coupling_drop_peak_is_high() {
         let r = ring();
         assert!(r.drop_peak() > 0.9, "peak = {}", r.drop_peak());
@@ -448,10 +391,11 @@ mod tests {
 
     #[test]
     fn off_state_passes_signal() {
-        let mut r = ring();
-        r.set_state(RingState::Off);
-        assert!(r.drop_transmission(0.0) < 0.01);
-        assert!(r.through_transmission(0.0) > 0.9);
+        // Off is a half-FSR detuning: the nominal wavelength passes.
+        let r = ring();
+        let off = r.fsr() / 2.0;
+        assert!(r.drop_transmission(off) < 0.01);
+        assert!(r.through_transmission(off) > 0.9);
     }
 
     #[test]
@@ -519,15 +463,8 @@ mod tests {
 
     #[test]
     fn invalid_construction_rejected() {
-        assert!(Microring::symmetric(0.0, 0.03, 1550e-9, 2.33, 4.68, 1.0).is_err());
-        assert!(Microring::symmetric(5e-6, 0.0, 1550e-9, 2.33, 4.68, 1.0).is_err());
-        assert!(Microring::symmetric(5e-6, 1.5, 1550e-9, 2.33, 4.68, 1.0).is_err());
-    }
-
-    #[test]
-    fn mode_number_is_physical() {
-        let r = ring();
-        // n_eff·L/λ ≈ 2.33·31.4µm/1550nm ≈ 47.
-        assert!((40..60).contains(&r.mode_number()), "{}", r.mode_number());
+        assert!(Microring::symmetric(0.0, 0.03, 1550e-9, 4.68, 1.0).is_err());
+        assert!(Microring::symmetric(5e-6, 0.0, 1550e-9, 4.68, 1.0).is_err());
+        assert!(Microring::symmetric(5e-6, 1.5, 1550e-9, 4.68, 1.0).is_err());
     }
 }

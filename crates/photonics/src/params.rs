@@ -191,11 +191,6 @@ impl OpticalParams {
     pub fn awg_loss(&self) -> Db {
         Db::loss(self.awg.loss_db)
     }
-
-    /// Insertion loss of one Y-branch as a [`Db`].
-    pub fn ybranch_loss(&self) -> Db {
-        Db::loss(self.ybranch.loss_db)
-    }
 }
 
 impl Default for OpticalParams {
@@ -254,7 +249,6 @@ mod tests {
         assert!(p.mzm_loss().db() < 0.0);
         assert!(p.awg_loss().db() < 0.0);
         assert!(p.star_coupler_loss().db() < 0.0);
-        assert!(p.ybranch_loss().db() < 0.0);
         assert!(p.mrr_drop_loss().db() < 0.0);
     }
 }

@@ -47,16 +47,10 @@ impl Photodiode {
     }
 
     /// Photocurrent for the *total* incident optical power (W) summed over
-    /// all wavelengths — the optical addition step.
+    /// all wavelengths: the PD integrates across wavelengths, so combining
+    /// signals on one waveguide *is* the addition.
     pub fn detect_total(&self, total_power_w: f64) -> f64 {
         self.params.responsivity * total_power_w + self.params.dark_current
-    }
-
-    /// Photocurrent for a set of per-wavelength powers: the PD integrates
-    /// across wavelengths, so combining signals on one waveguide *is* the
-    /// addition.
-    pub fn detect(&self, powers_w: &[f64]) -> f64 {
-        self.detect_total(powers_w.iter().sum())
     }
 
     /// Device footprint, m².
@@ -99,13 +93,8 @@ impl BalancedPd {
         &self.negative
     }
 
-    /// Computes `Iout = R0·Σ P⁺ − R1·Σ P⁻` (Eq. 4). Dark currents cancel
-    /// for a matched pair.
-    pub fn output_current(&self, positive_powers: &[f64], negative_powers: &[f64]) -> f64 {
-        self.positive.detect(positive_powers) - self.negative.detect(negative_powers)
-    }
-
-    /// Output current from pre-summed rail powers.
+    /// Computes `Iout = R0·Σ P⁺ − R1·Σ P⁻` (Eq. 4) from pre-summed rail
+    /// powers. Dark currents cancel for a matched pair.
     pub fn output_current_total(&self, p_pos: f64, p_neg: f64) -> f64 {
         self.positive.detect_total(p_pos) - self.negative.detect_total(p_neg)
     }
@@ -130,29 +119,35 @@ mod tests {
 
     #[test]
     fn detect_sums_wavelengths() {
+        // One detection of the summed power is the per-wavelength
+        // photocurrents added, counting the dark current once.
         let d = pd();
-        let total = d.detect(&[1e-3, 2e-3, 3e-3]);
-        assert!((total - d.detect_total(6e-3)).abs() < 1e-18);
+        let per_wavelength: f64 = [1e-3, 2e-3, 3e-3]
+            .iter()
+            .map(|&p| d.detect_total(p) - d.dark_current())
+            .sum();
+        let total = d.detect_total(6e-3) - d.dark_current();
+        assert!((total - per_wavelength).abs() < 1e-18);
     }
 
     #[test]
     fn balanced_pair_subtracts() {
         let b = BalancedPd::from_params(&OpticalParams::paper());
-        let i = b.output_current(&[2e-3], &[0.5e-3]);
+        let i = b.output_current_total(2e-3, 0.5e-3);
         assert!((i - 1.1 * 1.5e-3).abs() < 1e-12);
     }
 
     #[test]
     fn matched_pair_cancels_dark_current() {
         let b = BalancedPd::from_params(&OpticalParams::paper());
-        let i = b.output_current(&[], &[]);
+        let i = b.output_current_total(0.0, 0.0);
         assert!(i.abs() < 1e-18);
     }
 
     #[test]
     fn negative_rail_dominance_gives_negative_current() {
         let b = BalancedPd::from_params(&OpticalParams::paper());
-        assert!(b.output_current(&[1e-4], &[1e-3]) < 0.0);
+        assert!(b.output_current_total(1e-4, 1e-3) < 0.0);
     }
 
     #[test]

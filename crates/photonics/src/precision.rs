@@ -193,17 +193,6 @@ impl PrecisionModel {
     pub fn with_negative_rail(levels: f64) -> f64 {
         2.0 * levels - 1.0
     }
-
-    /// Whole bits of precision *fully supported* (no decision-boundary
-    /// overlap): `floor(log2(levels))`, as in the paper's 8.81-bit example
-    /// supporting 8 bits.
-    pub fn supported_bits(levels: f64) -> u32 {
-        if levels < 2.0 {
-            0
-        } else {
-            levels.log2().floor() as u32
-        }
-    }
 }
 
 impl Default for PrecisionModel {
@@ -362,14 +351,6 @@ mod tests {
         assert!(combined <= m.noise_limited_levels(20, 2e-3));
         assert!(combined <= m.crosstalk_limited_levels(&ring, 20));
         assert!(combined > 1.0);
-    }
-
-    #[test]
-    fn supported_bits_floor_semantics() {
-        // log2(450) ≈ 8.81 ⇒ the paper says 8 bits fully supported.
-        assert_eq!(PrecisionModel::supported_bits(450.0), 8);
-        assert_eq!(PrecisionModel::supported_bits(1.0), 0);
-        assert_eq!(PrecisionModel::supported_bits(2.0), 1);
     }
 
     #[test]

@@ -119,27 +119,6 @@ impl Sum for Db {
     }
 }
 
-/// Converts dBm to watts.
-///
-/// ```
-/// use albireo_photonics::units::dbm_to_watts;
-/// assert!((dbm_to_watts(0.0) - 1e-3).abs() < 1e-12);
-/// assert!((dbm_to_watts(10.0) - 1e-2).abs() < 1e-12);
-/// ```
-pub fn dbm_to_watts(dbm: f64) -> f64 {
-    1e-3 * 10f64.powf(dbm / 10.0)
-}
-
-/// Converts watts to dBm.
-///
-/// # Panics
-///
-/// Panics if `watts` is not strictly positive.
-pub fn watts_to_dbm(watts: f64) -> f64 {
-    assert!(watts > 0.0, "power must be positive, got {watts}");
-    10.0 * (watts / 1e-3).log10()
-}
-
 /// Converts a RIN power spectral density in dBc/Hz to its linear value
 /// (1/Hz).
 pub fn rin_dbc_to_linear(rin_dbc_per_hz: f64) -> f64 {
@@ -181,14 +160,6 @@ mod tests {
     fn apply_scales_power() {
         let p = Db::loss(10.0).apply(1e-3);
         assert!((p - 1e-4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dbm_round_trip() {
-        for dbm in [-30.0, -3.0, 0.0, 3.0, 20.0] {
-            let back = watts_to_dbm(dbm_to_watts(dbm));
-            assert!((back - dbm).abs() < 1e-9);
-        }
     }
 
     #[test]

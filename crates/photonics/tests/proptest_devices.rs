@@ -3,27 +3,25 @@
 //! physically meaningful parameterization.
 
 use albireo_photonics::link::LinkBudget;
-use albireo_photonics::mrr::{Microring, RingState};
+use albireo_photonics::mrr::Microring;
 use albireo_photonics::noise::NoiseParams;
 use albireo_photonics::photodiode::BalancedPd;
 use albireo_photonics::precision::PrecisionModel;
 use albireo_photonics::thermal::ThermalModel;
-use albireo_photonics::units::{dbm_to_watts, watts_to_dbm, Db};
+use albireo_photonics::units::Db;
 use albireo_photonics::ybranch::{BroadcastTree, YBranch};
 use albireo_photonics::OpticalParams;
 use proptest::prelude::*;
 
 proptest! {
-    /// Turning a ring off always reduces its drop transmission at
-    /// resonance and increases its through transmission.
+    /// Turning a ring off (detuning it half an FSR) always reduces its drop
+    /// transmission and increases its through transmission.
     #[test]
     fn ring_off_state_is_transparent(k2 in 0.01f64..0.3) {
-        let mut ring = Microring::with_k2(&OpticalParams::paper(), k2);
-        let drop_on = ring.drop_transmission(0.0);
-        let through_on = ring.through_transmission(0.0);
-        ring.set_state(RingState::Off);
-        prop_assert!(ring.drop_transmission(0.0) < drop_on);
-        prop_assert!(ring.through_transmission(0.0) > through_on);
+        let ring = Microring::with_k2(&OpticalParams::paper(), k2);
+        let off = ring.fsr() / 2.0;
+        prop_assert!(ring.drop_transmission(off) < ring.drop_transmission(0.0));
+        prop_assert!(ring.through_transmission(off) > ring.through_transmission(0.0));
     }
 
     /// FWHM from Eq. 9 matches the −3 dB width observed in the computed
@@ -80,13 +78,6 @@ proptest! {
         prop_assert!(combined <= model.noise_limited_levels(n, p_mw * 1e-3) + 1e-9);
         prop_assert!(combined <= model.crosstalk_limited_levels(&ring, n) + 1e-9);
         prop_assert!(combined >= 1.0);
-    }
-
-    /// dBm conversions round-trip for any power.
-    #[test]
-    fn dbm_round_trip(dbm in -60.0f64..30.0) {
-        let back = watts_to_dbm(dbm_to_watts(dbm));
-        prop_assert!((back - dbm).abs() < 1e-9);
     }
 
     /// Loss composition in dB equals multiplication in linear domain over

@@ -558,7 +558,7 @@ proptest! {
     /// check at the boundary, and never panics.
     #[test]
     fn redigested_indices_resume_or_are_refused(
-        pick in 0usize..11,
+        pick in 0usize..12,
         value in prop_oneof![3 => 0u64..6, 1 => Just(u64::MAX), 1 => 0u64..u64::MAX],
         delta in prop_oneof![1 => Just(None), 3 => (-2i64..=2).prop_map(Some)],
         boundary in prop_oneof![1 => Just(None), 1 => (1u64..5).prop_map(Some)],
@@ -566,7 +566,9 @@ proptest! {
         let (fleet, cfg) = busy_run();
         let (body, _) = busy_snapshot_text().rsplit_once("digest ").unwrap();
         let mut lines: Vec<String> = body.lines().map(str::to_string).collect();
-        let hex = |tag: &str| matches!(tag, "fingerprint" | "every" | "at" | "rec_fold");
+        let hex = |tag: &str| {
+            matches!(tag, "fingerprint" | "every" | "at" | "rec_fold" | "arrival_fold")
+        };
         let read = |lines: &[String], tag: &str| -> u64 {
             let line = lines.iter().find(|l| l.split(' ').next() == Some(tag)).unwrap();
             let v = line.split_once(' ').unwrap().1;

@@ -23,7 +23,7 @@
 //! [`AlertEvent`] log (capped, with a drop counter) that lands in the
 //! serving report (schema v4) and the `--report-jsonl` stream. Runs are
 //! byte-identical across hosts, thread counts, and interrupt/resume —
-//! the full alert state is captured in `albireo.snapshot/v1` files.
+//! resume replays the run, alert state included, to its checkpoint.
 //! None of this state folds into the run digest: alerting *observes* the
 //! run, it never alters dispatch.
 

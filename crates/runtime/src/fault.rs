@@ -1,22 +1,14 @@
 //! The fault layer: timed availability events applied to the fleet
 //! mid-run, for graceful-degradation studies.
 //!
-//! Two granularities are modelled, mirroring the analog fault-injection
-//! extension (`albireo_core::analog::Fault`):
+//! Two granularities are modelled, mirroring the core engine's analog
+//! fault injection:
 //!
 //! * **chip-level** — a chip goes offline (and may later return): it
 //!   finishes its in-flight batch but accepts no new work;
 //! * **PLCG-level** — `count` of a chip's PLCGs are retired: the chip
 //!   keeps serving from a `ChipConfig` with fewer groups, so service
 //!   times degrade per the dataflow model (`⌈Wm/Ng⌉` grows).
-//!
-//! [`FaultKind::from_analog`] classifies an analog [`FaultSet`] into a
-//! service-level action using the conclusions of the fault-injection
-//! study (EXPERIMENTS.md): a dead *input channel* corrupts every output
-//! the PLCU produces, so the chip must be drained; a dead switching ring
-//! or a stuck MZM confines its damage to one output-column residue
-//! class, so retiring the affected PLCG (one group's worth of capacity)
-//! suffices.
 //!
 //! On top of independent events, [`FaultSpec`] describes **correlated**
 //! scenarios in a fleet-size-generic grammar — rack-scoped failure
@@ -29,7 +21,6 @@
 //! model.
 
 use crate::grammar::Lexer;
-use albireo_core::analog::{Fault, FaultSet};
 use albireo_parallel::{split_seed, stream_id};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,26 +64,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Classifies an analog fault set on `chip` into the service-level
-    /// action the serving layer takes (see module docs). Returns `None`
-    /// for an empty (healthy) set.
-    pub fn from_analog(chip: usize, faults: &FaultSet) -> Option<FaultKind> {
-        if faults.is_empty() {
-            return None;
-        }
-        if faults
-            .as_slice()
-            .iter()
-            .any(|f| matches!(f, Fault::DeadChannel { .. }))
-        {
-            Some(FaultKind::ChipOffline { chip })
-        } else {
-            // DeadRing / StuckMzm: damage is confined to one PLCG's
-            // output columns — retire that one group.
-            Some(FaultKind::PlcgOffline { chip, count: 1 })
-        }
-    }
-
     /// The fleet chip index this event targets.
     pub fn chip(&self) -> usize {
         match *self {
@@ -153,15 +124,6 @@ impl FaultScenario {
         );
         self.events.push(FaultEvent { at_s, kind });
         self
-    }
-
-    /// Adds the service-level consequence of an analog fault set appearing
-    /// on `chip` at `at_s` (no-op for an empty set).
-    pub fn with_analog(self, at_s: f64, chip: usize, faults: &FaultSet) -> FaultScenario {
-        match FaultKind::from_analog(chip, faults) {
-            Some(kind) => self.with(at_s, kind),
-            None => self,
-        }
     }
 
     /// The events in the scenario's **total** order: by time, then kind
@@ -502,37 +464,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn analog_classification_matches_fault_study() {
-        let mut dead_channel = FaultSet::new();
-        dead_channel.push(Fault::DeadChannel { column: 2 });
-        assert_eq!(
-            FaultKind::from_analog(1, &dead_channel),
-            Some(FaultKind::ChipOffline { chip: 1 })
-        );
-        let mut dead_ring = FaultSet::new();
-        dead_ring.push(Fault::DeadRing {
-            row: 0,
-            col: 1,
-            output: 2,
-        });
-        assert_eq!(
-            FaultKind::from_analog(0, &dead_ring),
-            Some(FaultKind::PlcgOffline { chip: 0, count: 1 })
-        );
-        let mut stuck = FaultSet::new();
-        stuck.push(Fault::StuckMzm {
-            row: 0,
-            col: 0,
-            weight: 0.5,
-        });
-        assert_eq!(
-            FaultKind::from_analog(2, &stuck),
-            Some(FaultKind::PlcgOffline { chip: 2, count: 1 })
-        );
-        assert_eq!(FaultKind::from_analog(0, &FaultSet::new()), None);
-    }
-
-    #[test]
     fn scenario_sorts_by_time() {
         let s = FaultScenario::none()
             .with(2.0, FaultKind::ChipOnline { chip: 0 })
@@ -548,15 +479,6 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn negative_fault_time_rejected() {
         let _ = FaultScenario::none().with(-1.0, FaultKind::ChipOffline { chip: 0 });
-    }
-
-    #[test]
-    fn from_analog_empty_set_is_healthy() {
-        assert_eq!(FaultKind::from_analog(0, &FaultSet::new()), None);
-        assert_eq!(FaultKind::from_analog(usize::MAX, &FaultSet::new()), None);
-        // with_analog on an empty set adds nothing.
-        let s = FaultScenario::none().with_analog(1.0, 3, &FaultSet::new());
-        assert!(s.is_empty());
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //!   interruptible runs);
 //! * [`snapshot`] — the checkpoint callback's view of a run and the
 //!   versioned, self-digesting checkpoint record
-//!   (`albireo.snapshot/v2`) that resume replays the run to;
+//!   (`albireo.snapshot/v3`) that resume replays the run to;
 //! * [`report`] — service metrics, text/CSV/JSON renderings, digests;
 //! * [`study`] — the replicated (fleet × rate × policy) sweep, fanned
 //!   deterministically through `albireo-parallel`.

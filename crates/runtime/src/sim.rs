@@ -54,8 +54,8 @@ use crate::policy::{AdmissionControl, BatchPolicy};
 use crate::queue::{EventKey, EventQueue};
 use crate::report::{ChipReport, ClassTotals, RequestRecord, RunTotals, ServiceReport};
 use crate::snapshot::{Checkpoint, SimSnapshot};
-use crate::workload::{Request, Workload};
-use albireo_obs::{fnv1a, track, ArgValue, Obs};
+use crate::workload::{Request, RequestStream, Workload};
+use albireo_obs::{fnv1a, fold, track, Obs};
 use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
@@ -214,6 +214,52 @@ struct ChipState {
     spin_ups: u64,
 }
 
+/// Where a run's arrivals come from. Checkpointed and resumed runs read
+/// their stream through [`Taken`], so each boundary can record every
+/// arrival the run has taken; other sources fold nothing and pay nothing
+/// per arrival.
+trait Arrivals: Iterator<Item = Request> {
+    /// Fold of every arrival taken so far (0 when the source does not
+    /// fold).
+    fn taken_fold(&self) -> u64 {
+        0
+    }
+}
+
+impl Arrivals for RequestStream {}
+
+impl Arrivals for std::iter::Cloned<std::slice::Iter<'_, Request>> {}
+
+/// A stream that folds the id, network, class and arrival-time bits of
+/// each arrival it hands out.
+struct Taken<I> {
+    inner: I,
+    fold: u64,
+}
+
+impl<I: Iterator<Item = Request>> Iterator for Taken<I> {
+    type Item = Request;
+
+    fn next(&mut self) -> Option<Request> {
+        let r = self.inner.next()?;
+        for bits in [
+            r.id,
+            r.network as u64,
+            r.class as u64,
+            r.arrival_s.to_bits(),
+        ] {
+            self.fold = fold(self.fold, bits);
+        }
+        Some(r)
+    }
+}
+
+impl<I: Iterator<Item = Request>> Arrivals for Taken<I> {
+    fn taken_fold(&self) -> u64 {
+        self.fold
+    }
+}
+
 /// One run's engine state, generic over where its arrivals come from: a
 /// lazy [`crate::workload::RequestStream`] or a replayed, pre-generated
 /// list.
@@ -238,7 +284,7 @@ struct Sim<'a, A> {
     totals: RunTotals,
 }
 
-impl<'a, A: Iterator<Item = Request>> Sim<'a, A> {
+impl<'a, A: Arrivals> Sim<'a, A> {
     fn push(&mut self, time_s: f64, kind: EventKind) {
         debug_assert!(time_s.is_finite() && time_s >= 0.0);
         let key = EventKey::new(time_s.to_bits(), kind.class(), self.seq);
@@ -393,17 +439,17 @@ impl<'a, A: Iterator<Item = Request>> Sim<'a, A> {
                     now,
                     "batch_formed",
                     vec![
-                        ("chip", ArgValue::from(chip)),
-                        ("network", ArgValue::from(network)),
-                        ("n", ArgValue::from(batch.len())),
-                        ("queue", ArgValue::from(self.queue.len())),
+                        ("chip", chip as u64),
+                        ("network", network as u64),
+                        ("n", batch.len() as u64),
+                        ("queue", self.queue.len() as u64),
                     ],
                 );
                 self.obs.record_counter_sample(
                     track::DISPATCH,
                     now,
                     "queue_depth",
-                    ArgValue::from(self.queue.len()),
+                    self.queue.len() as u64,
                 );
                 albireo_obs::span!(
                     self.obs,
@@ -491,10 +537,7 @@ impl<'a, A: Iterator<Item = Request>> Sim<'a, A> {
                     track::DISPATCH,
                     now,
                     "scale_up",
-                    vec![
-                        ("chip", ArgValue::from(idx)),
-                        ("queue", ArgValue::from(self.queue.len())),
-                    ],
+                    vec![("chip", idx as u64), ("queue", self.queue.len() as u64)],
                 );
                 self.obs.counter("serve.spin_ups").add(1);
             }
@@ -522,7 +565,7 @@ impl<'a, A: Iterator<Item = Request>> Sim<'a, A> {
                         track::DISPATCH,
                         now,
                         "scale_down",
-                        vec![("chip", ArgValue::from(idx))],
+                        vec![("chip", idx as u64)],
                     );
                 }
             }
@@ -553,10 +596,7 @@ impl<'a, A: Iterator<Item = Request>> Sim<'a, A> {
                     track::DISPATCH,
                     now,
                     "shed",
-                    vec![
-                        ("id", ArgValue::from(req.id)),
-                        ("network", ArgValue::from(req.network)),
-                    ],
+                    vec![("id", req.id), ("network", req.network as u64)],
                 );
                 self.obs.counter("serve.shed").add(1);
             }
@@ -575,7 +615,7 @@ impl<'a, A: Iterator<Item = Request>> Sim<'a, A> {
                     track::DISPATCH,
                     now,
                     "queue_depth",
-                    ArgValue::from(self.queue.len()),
+                    self.queue.len() as u64,
                 );
             }
         }
@@ -608,6 +648,7 @@ impl<'a, A: Iterator<Item = Request>> Sim<'a, A> {
             every_s,
             at_s,
             checkpoints,
+            arrival_fold: self.arrivals.taken_fold(),
             totals: self.totals.clone(),
             queued: self.queue.len(),
             pending_events: self.events.len(),
@@ -670,7 +711,7 @@ impl<'a, A: Iterator<Item = Request>> Sim<'a, A> {
                             track::DISPATCH,
                             now,
                             "fault",
-                            vec![("chip", ArgValue::from(kind.chip()))],
+                            vec![("chip", kind.chip() as u64)],
                         );
                         self.obs.counter("serve.faults").add(1);
                     }
@@ -868,7 +909,7 @@ pub fn simulate_replay(
 
 /// Builds a fresh simulation at virtual time zero over `arrivals`: fault
 /// events queued, arrival lookahead primed.
-fn new_sim<'a, A: Iterator<Item = Request>>(
+fn new_sim<'a, A: Arrivals>(
     fleet: &'a FleetConfig,
     cfg: &'a ServeConfig,
     obs: &'a Obs,
@@ -954,6 +995,14 @@ pub enum ServeOutcome {
     },
 }
 
+/// The run's arrival stream, folded for its checkpoint records.
+fn taken_stream(cfg: &ServeConfig) -> Taken<RequestStream> {
+    Taken {
+        inner: cfg.workload.stream(cfg.requests, cfg.seed),
+        fold: 0,
+    }
+}
+
 /// FNV-1a over the fleet label and the full config — the identity a
 /// checkpoint is bound to. Resume with anything else is refused.
 pub(crate) fn config_fingerprint(fleet: &FleetConfig, cfg: &ServeConfig) -> u64 {
@@ -977,12 +1026,7 @@ pub fn simulate_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
         "checkpoint interval must be positive and finite"
     );
     let obs = Obs::disabled();
-    let sim = new_sim(
-        fleet,
-        cfg,
-        &obs,
-        cfg.workload.stream(cfg.requests, cfg.seed),
-    );
+    let sim = new_sim(fleet, cfg, &obs, taken_stream(cfg));
     sim.run_checkpointed(Some(&mut Checkpointer {
         every_s,
         emitted: 0,
@@ -1043,12 +1087,7 @@ pub fn resume_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
         ));
     }
     let obs = Obs::disabled();
-    let mut sim = new_sim(
-        fleet,
-        cfg,
-        &obs,
-        cfg.workload.stream(cfg.requests, cfg.seed),
-    );
+    let mut sim = new_sim(fleet, cfg, &obs, taken_stream(cfg));
     // Replay to boundary k on the recorded interval, halting there. The
     // caller saw the earlier boundaries before the run was interrupted.
     let mut replayed = None;
@@ -1072,11 +1111,14 @@ pub fn resume_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
             ))
         }
         Some(at_k) if at_k != *checkpoint => {
-            let counts = |c: Checkpoint| (c.offered, c.completed, c.shed, c.rec_fold, c.alerts);
+            let counts = |c: Checkpoint| {
+                let folds = [c.rec_fold, c.arrival_fold];
+                (c.offered, c.completed, c.shed, folds, c.alerts)
+            };
             return Err(format!(
                 "the replayed run diverges from the snapshot at checkpoint {k}: (offered, \
-                 completed, shed, fold, alerts) {:?} replayed, {:?} recorded — the workload \
-                 does not match the snapshot",
+                 completed, shed, [fold, arrival_fold], alerts) {:?} replayed, {:?} recorded — \
+                 the workload does not match the snapshot",
                 counts(at_k),
                 counts(*checkpoint)
             ));
@@ -1923,6 +1965,57 @@ mod tests {
         let err = resume_checkpointed(&fleet, &cfg, &snap, 0.0, |_| true).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(err.contains("ends before checkpoint 2"), "{err}");
+    }
+
+    #[test]
+    fn resume_refuses_an_edit_to_a_request_queued_at_the_checkpoint() {
+        let path = std::env::temp_dir().join(format!(
+            "albireo_resume_queued_{}.jsonl",
+            std::process::id()
+        ));
+        // 100,000 rps alternating AlexNet/VGG16; `edited` flips one
+        // request's network.
+        let trace = |edited: Option<usize>| {
+            let mut text = String::new();
+            for i in 0..300 {
+                let network = (i + usize::from(edited == Some(i))) % 2;
+                let _ = writeln!(
+                    text,
+                    "{{\"arrival_s\": {}, \"network\": {network}}}",
+                    i as f64 * 1e-5
+                );
+            }
+            std::fs::write(&path, text).unwrap();
+        };
+        trace(None);
+        let fleet = small_fleet();
+        let mut cfg = ServeConfig::poisson(5000.0, 300, 42, 0);
+        cfg.workload.process = crate::workload::ArrivalProcess::TraceFile {
+            path: path.to_string_lossy().into_owned(),
+        };
+        let baseline = simulate(&fleet, &cfg);
+        let mut snap = None;
+        let out = simulate_checkpointed(&fleet, &cfg, 0.001, |s| {
+            snap = Some(s.record());
+            false
+        });
+        assert!(matches!(out, ServeOutcome::Halted { checkpoints: 1, .. }));
+        let snap = snap.unwrap();
+        // At the boundary 100 requests are offered, 4 completed and the
+        // newest 32 shed: request 50 is still queued, so neither a count
+        // nor the completed-record fold covers it.
+        let settled = (snap.offered, snap.completed, snap.shed);
+        assert_eq!(settled, (100, 4, 32));
+        let resumed = resume_checkpointed(&fleet, &cfg, &snap, 0.0, |_| true).unwrap();
+        assert!(matches!(resumed, ServeOutcome::Completed(r) if *r == baseline));
+        trace(Some(50));
+        let err = resume_checkpointed(&fleet, &cfg, &snap, 0.0, |_| true).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            err.contains("diverges from the snapshot at checkpoint 1"),
+            "{err}"
+        );
+        assert!(err.contains("arrival_fold"), "{err}");
     }
 
     #[test]

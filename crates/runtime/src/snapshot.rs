@@ -4,7 +4,8 @@
 //! checkpoint does not hold the engine's state. A [`Checkpoint`] records
 //! which boundary of which run it is — the configuration fingerprint,
 //! request count, seed and interval, the boundary's ordinal and instant
-//! — and the counts the run had reached there. Resume
+//! — the counts the run had reached there and a fold of every arrival it
+//! had taken from its stream. Resume
 //! ([`crate::sim::resume_checkpointed`]) replays the run from t = 0 to
 //! that boundary, checks the replayed counts against the record, and
 //! continues; the resumed report is byte-identical to the uninterrupted
@@ -14,7 +15,7 @@
 //! run's streaming accumulators at that instant, rendered as the
 //! progress line, the alert lines and the OpenMetrics view.
 //!
-//! ## Wire format — `albireo.snapshot/v2`
+//! ## Wire format — `albireo.snapshot/v3`
 //!
 //! Line-oriented text, one `tag value` field per line, the two `f64`s as
 //! 16-hex-digit IEEE-754 bit patterns. The final line is
@@ -31,7 +32,7 @@ use std::fmt::Write as _;
 use std::str::FromStr;
 
 /// Schema tag on the first line of every snapshot file.
-pub const SNAPSHOT_SCHEMA: &str = "albireo.snapshot/v2";
+pub const SNAPSHOT_SCHEMA: &str = "albireo.snapshot/v3";
 
 /// One checkpoint boundary of one run, as `--checkpoint-out` writes it:
 /// enough to replay the run to the boundary and check that the replay
@@ -61,6 +62,10 @@ pub struct Checkpoint {
     pub(crate) shed: u64,
     /// The report digest's record section folded so far.
     pub(crate) rec_fold: u64,
+    /// Fold of the id, network, class and arrival-time bits of every
+    /// arrival the run had taken from its stream — the queued and
+    /// in-flight requests included, which no count or record covers yet.
+    pub(crate) arrival_fold: u64,
     /// Alert transitions emitted before the boundary — the cursor that
     /// keeps the alert JSONL stream exactly-once across a resume.
     pub(crate) alerts: usize,
@@ -72,7 +77,7 @@ impl Checkpoint {
         self.alerts
     }
 
-    /// The record's `albireo.snapshot/v2` text, ending with the
+    /// The record's `albireo.snapshot/v3` text, ending with the
     /// self-digest line.
     pub fn to_text(&self) -> String {
         let mut out = String::with_capacity(320);
@@ -88,13 +93,14 @@ impl Checkpoint {
         let _ = writeln!(out, "completed {}", self.completed);
         let _ = writeln!(out, "shed {}", self.shed);
         let _ = writeln!(out, "rec_fold {:016x}", self.rec_fold);
+        let _ = writeln!(out, "arrival_fold {:016x}", self.arrival_fold);
         let _ = writeln!(out, "alerts {}", self.alerts);
         let digest = fnv1a(out.as_bytes());
         let _ = writeln!(out, "digest {digest:016x}");
         out
     }
 
-    /// Parses an `albireo.snapshot/v2` record, verifying the trailing
+    /// Parses an `albireo.snapshot/v3` record, verifying the trailing
     /// self-digest before interpreting a single field.
     pub fn parse(text: &str) -> Result<Checkpoint, String> {
         // Every writer ends the digest line with a newline, so a missing
@@ -164,6 +170,7 @@ impl Checkpoint {
             completed: value(line("completed")?, "completed")?,
             shed: value(line("shed")?, "shed")?,
             rec_fold: hex(line("rec_fold")?, "rec_fold")?,
+            arrival_fold: hex(line("arrival_fold")?, "arrival_fold")?,
             alerts: value(line("alerts")?, "alerts")?,
         };
         if let Some(extra) = lines.next() {
@@ -233,6 +240,9 @@ pub struct SimSnapshot {
     pub(crate) at_s: f64,
     /// How many checkpoints (including this one) the run has emitted.
     pub(crate) checkpoints: u64,
+    /// Fold of every arrival taken from the stream (see
+    /// [`Checkpoint`]).
+    pub(crate) arrival_fold: u64,
     /// Streaming accumulators, including the capped record sample.
     pub(crate) totals: RunTotals,
     /// Requests waiting in the dispatch queue.
@@ -256,11 +266,12 @@ impl SimSnapshot {
             completed: self.totals.rec_count,
             shed: self.totals.shed,
             rec_fold: self.totals.rec_fold,
+            arrival_fold: self.arrival_fold,
             alerts: self.totals.alerts.events.len(),
         }
     }
 
-    /// [`SimSnapshot::record`] as `albireo.snapshot/v2` text.
+    /// [`SimSnapshot::record`] as `albireo.snapshot/v3` text.
     pub fn to_text(&self) -> String {
         self.record().to_text()
     }
@@ -290,11 +301,6 @@ impl SimSnapshot {
         self.totals.shed
     }
 
-    /// Requests waiting in the dispatch queue at the boundary.
-    pub fn queue_len(&self) -> usize {
-        self.queued
-    }
-
     /// Events pending in the DES queue at the boundary.
     pub fn pending_events(&self) -> usize {
         self.pending_events
@@ -308,11 +314,6 @@ impl SimSnapshot {
     /// 99th-percentile latency so far, ms (sketch estimate).
     pub fn p99_ms(&self) -> f64 {
         self.totals.latency_ms.quantile(0.99)
-    }
-
-    /// The configuration fingerprint this snapshot was captured under.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// Burn-rate alert transitions recorded up to this boundary, in
@@ -420,6 +421,7 @@ mod tests {
             every_s: 0.0035,
             at_s: 3.0 * 0.0035,
             checkpoints: 3,
+            arrival_fold: 0x0123_4567_89AB_CDEF,
             totals,
             queued: 1,
             pending_events: 4,
@@ -445,8 +447,8 @@ mod tests {
     fn snapshot_round_trips_byte_exactly() {
         let record = sample().record();
         let text = record.to_text();
-        assert!(text.starts_with("albireo.snapshot/v2\n"));
-        assert_eq!(text.lines().count(), 13, "{text}");
+        assert!(text.starts_with("albireo.snapshot/v3\n"));
+        assert_eq!(text.lines().count(), 14, "{text}");
         let parsed = Checkpoint::parse(&text).expect("parse");
         assert_eq!(parsed, record);
         assert_eq!(parsed.to_text(), text, "re-serialization is byte-stable");
@@ -475,8 +477,13 @@ mod tests {
         let truncated = &text[..text.len() / 2];
         assert!(Checkpoint::parse(truncated).is_err());
         // Another schema tag fails even with a correct digest — the
-        // engine-state format this record replaced among them.
-        for schema in ["albireo.snapshot/v1", "albireo.snapshot/v9"] {
+        // engine-state format and the record without an arrival fold
+        // among them.
+        for schema in [
+            "albireo.snapshot/v1",
+            "albireo.snapshot/v2",
+            "albireo.snapshot/v9",
+        ] {
             let err = Checkpoint::parse(&redigested(&text, SNAPSHOT_SCHEMA, schema)).unwrap_err();
             assert!(err.contains("unsupported snapshot schema"), "{err}");
         }
@@ -506,6 +513,11 @@ mod tests {
             ("seed 42\n", "seed 42 43\n", "expected end of input"),
             ("seed 42\n", "seed -1\n", "expected seed"),
             ("shed 2\n", "", "expected `shed ...`"),
+            (
+                "arrival_fold 0123456789abcdef\n",
+                "",
+                "expected `arrival_fold ...`",
+            ),
             (
                 "alerts 0\n",
                 "alerts 0\nalerts 0\n",
@@ -542,7 +554,6 @@ mod tests {
         assert_eq!(snap.offered(), 10);
         assert_eq!(snap.completed(), 7);
         assert_eq!(snap.shed(), 2);
-        assert_eq!(snap.queue_len(), 1);
         assert_eq!(snap.pending_events(), 4);
         assert_eq!(snap.checkpoints(), 3);
         assert!(snap.p50_ms() > 0.0);

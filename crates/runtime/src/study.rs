@@ -11,10 +11,11 @@
 use crate::fleet::FleetConfig;
 use crate::policy::{AdmissionControl, BatchPolicy};
 use crate::report::ServiceReport;
-use crate::sim::{simulate, ServeConfig};
+use crate::sim::{simulate, simulate_observed, ServeConfig};
 use crate::workload::{ArrivalProcess, Workload};
 use albireo_nn::zoo;
 use albireo_obs::json::{num, Doc, Fixed, Obj};
+use albireo_obs::Obs;
 use albireo_parallel::{split_seed, stream_id, Parallelism};
 
 /// Stream-id pass tag for serving replica seeds (shared by
@@ -24,19 +25,23 @@ pub const SERVE_PASS: u64 = 0xA1B;
 /// Runs `replicas` seeded copies of one configuration in parallel.
 ///
 /// Replica 0 uses `cfg.seed` itself (so a one-replica call reproduces the
-/// plain [`simulate`] run byte-for-byte); replica `r > 0` uses the
-/// derived seed `split_seed(cfg.seed, stream_id(SERVE_PASS, 0, r))`.
+/// plain [`simulate`] run byte-for-byte) and records into `obs`
+/// ([`simulate_observed`]; its report is the same either way); replica
+/// `r > 0` uses the derived seed
+/// `split_seed(cfg.seed, stream_id(SERVE_PASS, 0, r))` and records nothing.
 pub fn replicate(
     fleet: &FleetConfig,
     cfg: &ServeConfig,
     replicas: usize,
     par: Parallelism,
+    obs: &Obs,
 ) -> Vec<ServiceReport> {
     par.map_indexed(replicas, |r| {
-        let mut run = cfg.clone();
-        if r > 0 {
-            run.seed = split_seed(cfg.seed, stream_id(SERVE_PASS, 0, r as u64));
+        if r == 0 {
+            return simulate_observed(fleet, cfg, obs);
         }
+        let mut run = cfg.clone();
+        run.seed = split_seed(cfg.seed, stream_id(SERVE_PASS, 0, r as u64));
         simulate(fleet, &run)
     })
 }
@@ -120,11 +125,10 @@ impl StudyOptions {
     }
 }
 
-/// One run of the study: its cell coordinates plus the full report.
+/// One run of the study: its replica index plus the full report (runs
+/// are stored cell by cell).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StudyRun {
-    /// Flattened cell index.
-    pub cell: usize,
     /// Replica index within the cell.
     pub replica: usize,
     /// The run's service report.
@@ -261,7 +265,6 @@ pub fn run_serving_study(options: &StudyOptions, par: Parallelism) -> ServingStu
             alert: crate::alerts::AlertPolicy::standard(),
         };
         StudyRun {
-            cell,
             replica,
             report: simulate(&options.fleets[fleet_idx], &cfg),
         }
@@ -300,7 +303,9 @@ mod tests {
         let study = run_serving_study(&options, Parallelism::serial());
         let a = &study.runs[0];
         let b = &study.runs[1];
-        assert_eq!(a.cell, b.cell);
+        // Runs are stored cell by cell: the first two are replicas 0 and
+        // 1 of cell 0.
+        assert_eq!((a.replica, b.replica), (0, 1));
         assert_ne!(a.report.seed, b.report.seed);
         assert_ne!(a.report.digest(), b.report.digest());
     }
@@ -310,7 +315,13 @@ mod tests {
         let fleet = FleetConfig::paper_pair();
         let cfg = ServeConfig::poisson(2000.0, 100, 5, 0);
         let base = simulate(&fleet, &cfg);
-        let reps = replicate(&fleet, &cfg, 3, Parallelism::with_threads(4));
+        let reps = replicate(
+            &fleet,
+            &cfg,
+            3,
+            Parallelism::with_threads(4),
+            &Obs::disabled(),
+        );
         assert_eq!(reps.len(), 3);
         assert_eq!(reps[0], base, "replica 0 is the base run");
         assert_ne!(reps[1].digest(), reps[0].digest());

@@ -626,11 +626,6 @@ pub struct RequestStream {
 }
 
 impl RequestStream {
-    /// The workload's class table (empty = one anonymous class).
-    pub fn classes(&self) -> &[ClassSpec] {
-        &self.classes
-    }
-
     /// Next arrival instant plus any per-arrival overrides a trace file
     /// carries: `(time, network override, class override)`.
     fn next_arrival(&mut self) -> Option<(f64, Option<usize>, Option<usize>)> {

@@ -169,40 +169,6 @@ pub fn fully_connected(input_flat: &[f64], weights: &[Vec<f64>]) -> Vec<f64> {
 ///
 /// Panics if the window does not fit the input.
 pub fn max_pool(input: &Tensor3, window: usize, stride: usize) -> Tensor3 {
-    pool(
-        input,
-        window,
-        stride,
-        f64::NEG_INFINITY,
-        |acc, v| acc.max(v),
-        |acc, _| acc,
-    )
-}
-
-/// 2-D average pooling with a square window and stride.
-///
-/// # Panics
-///
-/// Panics if the window does not fit the input.
-pub fn avg_pool(input: &Tensor3, window: usize, stride: usize) -> Tensor3 {
-    pool(
-        input,
-        window,
-        stride,
-        0.0,
-        |acc, v| acc + v,
-        |acc, n| acc / n as f64,
-    )
-}
-
-fn pool(
-    input: &Tensor3,
-    window: usize,
-    stride: usize,
-    init: f64,
-    fold: impl Fn(f64, f64) -> f64,
-    finish: impl Fn(f64, usize) -> f64,
-) -> Tensor3 {
     let (az, ay, ax) = input.dims();
     let by = output_extent(ay, window, 0, stride);
     let bx = output_extent(ax, window, 0, stride);
@@ -210,19 +176,17 @@ fn pool(
     for z in 0..az {
         for yb in 0..by {
             for xb in 0..bx {
-                let mut acc = init;
-                let mut n = 0;
+                let mut acc = f64::NEG_INFINITY;
                 for wy in 0..window {
                     for wx in 0..window {
                         let y = yb * stride + wy;
                         let x = xb * stride + wx;
                         if y < ay && x < ax {
-                            acc = fold(acc, input[(z, y, x)]);
-                            n += 1;
+                            acc = acc.max(input[(z, y, x)]);
                         }
                     }
                 }
-                out.set(z, yb, xb, finish(acc, n));
+                out.set(z, yb, xb, acc);
             }
         }
     }
@@ -422,13 +386,6 @@ mod tests {
         let out = max_pool(&input, 2, 2);
         assert_eq!(out.dims(), (1, 1, 1));
         assert_eq!(out[(0, 0, 0)], 5.0);
-    }
-
-    #[test]
-    fn avg_pool_averages() {
-        let input = Tensor3::from_vec(1, 2, 2, vec![1.0, 5.0, 3.0, 3.0]);
-        let out = avg_pool(&input, 2, 2);
-        assert_eq!(out[(0, 0, 0)], 3.0);
     }
 
     #[test]
