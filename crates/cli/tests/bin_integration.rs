@@ -851,3 +851,50 @@ fn plan_refuses_arrivals_it_cannot_hold_with_exit_2() {
         );
     }
 }
+
+#[test]
+fn a_deadline_that_rounds_to_infinity_still_finishes() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let trace_path = dir.join(format!("albireo_inf_deadline_{pid}.jsonl"));
+    let progress_path = dir.join(format!("albireo_inf_deadline_{pid}.progress.jsonl"));
+    let stdout_path = dir.join(format!("albireo_inf_deadline_{pid}.out"));
+    // The first request's deadline, 1e308 + 1e308, rounds to +∞; the
+    // second arrival ends the stream, which flushes the queue.
+    std::fs::write(
+        &trace_path,
+        "{\"arrival_s\": 1e308}\n{\"arrival_s\": 1.5e308}\n",
+    )
+    .unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_albireo"))
+        .args(["serve", "--trace-jsonl", trace_path.to_str().unwrap()])
+        .args(["--requests", "2", "--policy", "deadline_s:1e308:8"])
+        .args(["--checkpoint-every", "1e306", "--report-jsonl"])
+        .arg(&progress_path)
+        .stdout(std::fs::File::create(&stdout_path).unwrap())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let started = std::time::Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break Some(status);
+        }
+        if started.elapsed() > std::time::Duration::from_secs(60) {
+            child.kill().ok();
+            child.wait().ok();
+            break None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let progress = std::fs::read_to_string(&progress_path).unwrap_or_default();
+    let stdout = std::fs::read_to_string(&stdout_path).unwrap_or_default();
+    for path in [&trace_path, &progress_path, &stdout_path] {
+        std::fs::remove_file(path).ok();
+    }
+    let status = status.expect("the run ends within a minute");
+    assert!(status.success(), "{status}: {stdout}");
+    assert!(stdout.contains("completed 2  shed 0"), "{stdout}");
+    // One line per boundary up to the second arrival's, 150 × 1e306.
+    assert_eq!(progress.lines().count(), 150);
+}

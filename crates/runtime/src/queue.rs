@@ -8,8 +8,9 @@
 //! the queue cheap for DES workloads:
 //!
 //! * **Monotone run.** Discrete-event simulators push most events in
-//!   nondecreasing key order (timers derived as `arrival + constant`,
-//!   faults pre-sorted, completions from a monotone clock). A push whose
+//!   nondecreasing key order (the one deadline timer at the FIFO queue
+//!   head's `arrival + max_wait`, faults pre-sorted, completions from a
+//!   monotone clock). A push whose
 //!   key is ≥ the newest run entry appends to a `VecDeque` — O(1), cache
 //!   linear, no sifting. This is the calendar-queue insight (events
 //!   arrive roughly in time order) without its bucket-width tuning

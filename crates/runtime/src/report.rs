@@ -258,7 +258,8 @@ pub struct ServiceReport {
     /// Deepest the queue got.
     pub max_queue_depth: usize,
     /// High-water mark of the DES event queue — with streamed arrivals
-    /// this stays O(fleet + in-flight), not O(requests).
+    /// and one `deadline` timer this stays O(fleet + faults), not
+    /// O(requests) or O(rate × `max_wait`).
     pub peak_event_queue: usize,
     /// Occupied latency-sketch buckets (bounded by
     /// `QuantileSketch::MAX_BUCKETS` regardless of run length).

@@ -13,9 +13,9 @@
 //!   **timers**;
 //! * `sequence` — insertion order, making the whole ordering total.
 //!
-//! Internal events (faults, completions, timers) live in the
-//! [`crate::queue::EventQueue`] hybrid. **Arrivals never enter the
-//! queue**: the request stream is generated lazily
+//! Internal events (faults, completions, warm-ups, the deadline timer)
+//! live in the [`crate::queue::EventQueue`] hybrid. **Arrivals never
+//! enter the queue**: the request stream is generated lazily
 //! ([`crate::workload::RequestStream`]) and merged against the queue
 //! head one lookahead request at a time — arrivals are the only class-2
 //! events and the stream yields them in nondecreasing time order, so the
@@ -27,6 +27,14 @@
 //! no per-request memory beyond the (capped) record sample.
 //! [`simulate_replay`] merges a pre-generated arrival list the same way,
 //! for callers that run one stream many times.
+//!
+//! Under `deadline` batching at most **one timer** is pending, armed for
+//! the queue head's deadline when a dispatch attempt finds the head not
+//! ready, and re-armed for the next waiting head when it fires. Only the
+//! head's deadline can make a batch ready, and every other event that
+//! changes readiness already attempts a dispatch, so the timers the
+//! engine once queued for every other admitted request changed nothing
+//! (DESIGN.md §8). `immediate` and `size:N` runs never arm one.
 //!
 //! Because the ordering is total and every stochastic choice draws from
 //! the seeded workload generator, a run is a pure function of
@@ -176,6 +184,7 @@ enum EventKind {
     WarmedUp {
         chip: usize,
     },
+    /// The queue head's `deadline` (the one armed timer).
     Timer,
 }
 
@@ -281,6 +290,10 @@ struct Sim<'a, A> {
     arrivals: A,
     /// Lookahead request — the next arrival not yet merged into the run.
     next_arrival: Option<Request>,
+    /// Whether the one `deadline` timer is in `events`. It is armed for
+    /// the queue head of its time, whose deadline is never later than
+    /// the current head's.
+    timer_armed: bool,
     totals: RunTotals,
 }
 
@@ -412,6 +425,7 @@ impl<'a, A: Arrivals> Sim<'a, A> {
     fn try_dispatch(&mut self, now: f64) {
         loop {
             if !self.head_ready(now) {
+                self.arm_deadline();
                 return;
             }
             let network = self.queue.front().expect("head exists").network;
@@ -477,6 +491,26 @@ impl<'a, A: Arrivals> Sim<'a, A> {
             }
             self.batch = batch;
             self.push(now + busy, EventKind::Completion { chip });
+        }
+    }
+
+    /// Under `deadline`, arms the one timer for the queue head unless a
+    /// timer is pending already; DESIGN.md §8 shows why a pending timer
+    /// is never late. It fires at the expression `head_ready` compares
+    /// against, so readiness stays bitwise exact. A deadline that rounds
+    /// to +∞ gets no timer: no instant reaches it, and the end of the
+    /// stream flushes the head.
+    fn arm_deadline(&mut self) {
+        let BatchPolicy::Deadline { max_wait_s, .. } = self.cfg.policy else {
+            return;
+        };
+        let Some(head) = self.queue.front() else {
+            return;
+        };
+        let deadline_s = head.arrival_s + max_wait_s;
+        if !self.timer_armed && deadline_s.is_finite() {
+            self.timer_armed = true;
+            self.push(deadline_s, EventKind::Timer);
         }
     }
 
@@ -601,12 +635,6 @@ impl<'a, A: Arrivals> Sim<'a, A> {
                 self.obs.counter("serve.shed").add(1);
             }
         } else {
-            if let BatchPolicy::Deadline { max_wait_s, .. } = self.cfg.policy {
-                // The timer recomputes the readiness deadline with the
-                // same expression head_ready uses, so the comparison is
-                // exact.
-                self.push(req.arrival_s + max_wait_s, EventKind::Timer);
-            }
             self.queued[req.network] += 1;
             self.queue.push_back(req);
             self.totals.max_queue_depth = self.totals.max_queue_depth.max(self.queue.len());
@@ -731,6 +759,9 @@ impl<'a, A: Arrivals> Sim<'a, A> {
                     self.autoscale_down(now);
                 }
                 EventKind::Timer => {
+                    // Dispatches what the head's deadline readied and
+                    // re-arms the timer for the head left waiting.
+                    self.timer_armed = false;
                     self.try_dispatch(now);
                 }
             }
@@ -960,6 +991,7 @@ fn new_sim<'a, A: Arrivals>(
             .collect(),
         arrivals,
         next_arrival: None,
+        timer_armed: false,
         totals: RunTotals::with_alerts(classes, cfg.alert),
     };
     for fault in cfg.faults.sorted_events() {
@@ -2022,7 +2054,7 @@ mod tests {
     fn event_queue_stays_shallow_with_streamed_arrivals() {
         // The historical engine held every arrival in the heap, so peak
         // depth was O(requests). Streamed arrivals keep it at
-        // O(fleet + faults + pending timers).
+        // O(fleet + faults), plus the one deadline timer.
         let fleet = small_fleet();
         let report = simulate(&fleet, &ServeConfig::poisson(3000.0, 2000, 42, 0));
         assert_eq!(report.offered, 2000);
@@ -2032,6 +2064,46 @@ mod tests {
             report.peak_event_queue
         );
         assert!(report.sketch_buckets > 0);
+    }
+
+    #[test]
+    fn deadline_runs_keep_one_timer_pending() {
+        // A 50 ms wait at 5,000 rps: one timer per admitted request would
+        // keep about 250 pending, and run on for 50 ms after the last
+        // completion.
+        let fleet = small_fleet();
+        let mut cfg = ServeConfig::poisson(5000.0, 2000, 42, 0);
+        cfg.policy = BatchPolicy::Deadline {
+            max_wait_s: 0.05,
+            max_size: 8,
+        };
+        cfg.admission = AdmissionControl::unbounded();
+        let report = simulate(&fleet, &cfg);
+        assert_eq!(report.completed, 2000);
+        // A completion per chip and the one armed timer.
+        let cap = fleet.chips.len() + 1;
+        assert!(
+            report.peak_event_queue <= cap,
+            "{}",
+            report.peak_event_queue
+        );
+        let last_finish_s = report
+            .records
+            .iter()
+            .map(|r| r.finish_s)
+            .fold(0.0, f64::max);
+        let out = simulate_checkpointed(&fleet, &cfg, 0.001, |s| {
+            assert!(s.pending_events() <= cap, "{}", s.pending_events());
+            if s.at_s() > last_finish_s {
+                assert_eq!(
+                    s.pending_events(),
+                    1,
+                    "only the armed timer outlives the run"
+                );
+            }
+            true
+        });
+        assert!(matches!(out, ServeOutcome::Completed(r) if *r == report));
     }
 }
 

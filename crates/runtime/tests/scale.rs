@@ -3,15 +3,20 @@
 //! The scale contract (DESIGN.md §11): a run's resident state is
 //! O(fleet + in-flight work), never O(requests). The observable proxies
 //! are exact and deterministic — `peak_event_queue` is the event queue's
-//! high-water mark, `sketch_buckets` the quantile sketch's occupied
-//! bucket count (bounded by `MAX_BUCKETS` for any stream), and
-//! `record_cap: 0` keeps the per-request record sample empty. The
-//! default test proves the bounds at 10⁵ requests; the `#[ignore]`d one
-//! is the full 10⁶-request smoke CI runs in release mode.
+//! high-water mark (one completion or warm-up per chip, the scheduled
+//! faults and at most one `deadline` timer, whatever the rate or
+//! `max_wait`), `sketch_buckets` the quantile sketch's occupied bucket
+//! count (bounded by `MAX_BUCKETS` for any stream), and `record_cap: 0`
+//! keeps the per-request record sample empty. The default tests prove
+//! the bounds at 10⁵ requests, under immediate dispatch and under
+//! `deadline` batching; the `#[ignore]`d one is the full 10⁶-request
+//! smoke CI runs in release mode.
 
-use albireo_runtime::{simulate, AdmissionControl, ClassSpec, FleetConfig, ServeConfig};
+use albireo_runtime::{
+    simulate, AdmissionControl, BatchPolicy, ClassSpec, FleetConfig, ServeConfig,
+};
 
-/// Queue-depth ceiling: a handful of completions/timers per chip plus
+/// Queue-depth ceiling: a completion per chip, a deadline timer and the
 /// scheduled faults — far below any O(requests) regression.
 const PEAK_EVENT_CAP: usize = 64;
 
@@ -52,6 +57,18 @@ fn hundred_thousand_requests_run_in_bounded_memory() {
     // Determinism holds at scale: a second run is byte-identical.
     let again = simulate(&fleet, &scale_cfg(requests));
     assert_eq!(report, again);
+}
+
+#[test]
+fn deadline_batching_keeps_one_timer_pending_at_scale() {
+    // Timers armed per admitted request would hold about rate × max_wait
+    // = 500 of them at once.
+    let fleet = FleetConfig::paper_pair();
+    let requests = 100_000;
+    let mut cfg = scale_cfg(requests);
+    cfg.policy = BatchPolicy::parse("deadline_s:0.1:8").unwrap();
+    let report = simulate(&fleet, &cfg);
+    assert_bounded(&report, requests);
 }
 
 #[test]
