@@ -52,11 +52,6 @@ impl Photodiode {
     pub fn detect_total(&self, total_power_w: f64) -> f64 {
         self.params.responsivity * total_power_w + self.params.dark_current
     }
-
-    /// Device footprint, m².
-    pub fn area_m2(&self) -> f64 {
-        self.params.area_m2
-    }
 }
 
 /// A balanced photodiode pair implementing signed accumulation (Fig. 2d).
