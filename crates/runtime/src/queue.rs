@@ -10,11 +10,10 @@
 //! * **Monotone run.** Discrete-event simulators push most events in
 //!   nondecreasing key order (the one deadline timer at the FIFO queue
 //!   head's `arrival + max_wait`, faults pre-sorted, completions from a
-//!   monotone clock). A push whose
-//!   key is ≥ the newest run entry appends to a `VecDeque` — O(1), cache
-//!   linear, no sifting. This is the calendar-queue insight (events
-//!   arrive roughly in time order) without its bucket-width tuning
-//!   problem.
+//!   monotone clock). A push whose key is ≥ the newest run entry
+//!   appends to a `VecDeque` — O(1), cache linear, no sifting. This is
+//!   the calendar-queue insight (events arrive roughly in time order)
+//!   without its bucket-width tuning problem.
 //! * **4-ary heap.** Out-of-order pushes go to a 4-ary implicit min-heap:
 //!   half the tree depth of a binary heap, and the four children share a
 //!   cache line of keys, so deep queues cost fewer, cheaper levels.

@@ -32,9 +32,9 @@
 //! the queue head's deadline when a dispatch attempt finds the head not
 //! ready, and re-armed for the next waiting head when it fires. Only the
 //! head's deadline can make a batch ready, and every other event that
-//! changes readiness already attempts a dispatch, so the timers the
-//! engine once queued for every other admitted request changed nothing
-//! (DESIGN.md §8). `immediate` and `size:N` runs never arm one.
+//! changes readiness already attempts a dispatch, so a timer for any
+//! other request would fire with nothing to do (DESIGN.md §8).
+//! `immediate` and `size:N` runs never arm one.
 //!
 //! Because the ordering is total and every stochastic choice draws from
 //! the seeded workload generator, a run is a pure function of

@@ -52,23 +52,16 @@ fn assert_bounded(report: &albireo_runtime::ServiceReport, requests: usize) {
 fn hundred_thousand_requests_run_in_bounded_memory() {
     let fleet = FleetConfig::paper_pair();
     let requests = 100_000;
-    let report = simulate(&fleet, &scale_cfg(requests));
-    assert_bounded(&report, requests);
-    // Determinism holds at scale: a second run is byte-identical.
-    let again = simulate(&fleet, &scale_cfg(requests));
-    assert_eq!(report, again);
-}
-
-#[test]
-fn deadline_batching_keeps_one_timer_pending_at_scale() {
-    // Timers armed per admitted request would hold about rate × max_wait
-    // = 500 of them at once.
-    let fleet = FleetConfig::paper_pair();
-    let requests = 100_000;
-    let mut cfg = scale_cfg(requests);
-    cfg.policy = BatchPolicy::parse("deadline_s:0.1:8").unwrap();
-    let report = simulate(&fleet, &cfg);
-    assert_bounded(&report, requests);
+    // Under deadline batching, a timer per admitted request would keep
+    // about rate × max_wait = 500 of them pending at once.
+    for policy in ["immediate", "deadline_s:0.1:8"] {
+        let mut cfg = scale_cfg(requests);
+        cfg.policy = BatchPolicy::parse(policy).unwrap();
+        let report = simulate(&fleet, &cfg);
+        assert_bounded(&report, requests);
+        // Determinism holds at scale: a second run is byte-identical.
+        assert_eq!(report, simulate(&fleet, &cfg), "{policy}");
+    }
 }
 
 #[test]
