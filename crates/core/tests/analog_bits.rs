@@ -13,6 +13,11 @@
 //! all-zero group input, a pass whose kernel band is all zero under a stuck
 //! MZM, column chunks in several groups, and a 40-channel depthwise layer.
 //! A kernel change that moves a single output bit on any branch fails here.
+//!
+//! A fourth table pins the FC path, `AnalogEngine::dot`, the same way:
+//! lengths around Albireo-9's `Nm·Nu = 27`-term chunk and one of 4,096,
+//! signed weights, an all-zero weight row and an all-negative one, under
+//! noise and crosstalk at three converter widths.
 
 use albireo_core::analog::{AnalogEngine, AnalogSimConfig, ChannelAllocation, Fault, FaultSet};
 use albireo_core::config::ChipConfig;
@@ -21,7 +26,7 @@ use albireo_parallel::Parallelism;
 use albireo_tensor::conv::ConvSpec;
 use albireo_tensor::{Tensor3, Tensor4};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// One grouped convolution of the grid.
 struct Shape {
@@ -490,4 +495,81 @@ fn edge_shape_bits_match_the_pinned_digests() {
 #[test]
 fn group_and_pass_bits_match_the_pinned_digests() {
     check_digests(&group_cases(), GROUP_PINNED);
+}
+
+/// The operands of the `dot` pins: signed weights at lengths 1, 26, 27,
+/// 28 and 4,096 (a chunk less one term, one chunk, a chunk and one
+/// term, and 152 chunks, the last short), then an all-zero weight row
+/// and an all-negative one of 28 terms.
+fn dot_cases() -> Vec<(Vec<f64>, Vec<f64>)> {
+    let mut rng = StdRng::seed_from_u64(0xD07);
+    let mut draw = |n: usize, w: fn(f64) -> f64| -> (Vec<f64>, Vec<f64>) {
+        let a = (0..n).map(|_| rng.random::<f64>()).collect();
+        let w = (0..n).map(|_| w(rng.random::<f64>())).collect();
+        (a, w)
+    };
+    let mut cases: Vec<_> = [1, 26, 27, 28, 4096]
+        .into_iter()
+        .map(|n| draw(n, |u| 2.0 * u - 1.0))
+        .collect();
+    cases.push(draw(27, |_| 0.0));
+    cases.push(draw(28, |u| -u));
+    cases
+}
+
+/// Fold of every [`dot_cases`] result, per `a<ADC bits> n<noise>
+/// x<crosstalk>`; recorded from the per-detection Box–Muller transform.
+/// Allocation and compensation do not reach the FC path.
+const DOT_PINNED: &[(&str, u64)] = &[
+    ("a8 n0 x0", 0xe7fdb9330968cdf2),
+    ("a8 n0 x1", 0xe7c203b9768d10cb),
+    ("a8 n1 x0", 0xd174d24c11d7b4b9),
+    ("a8 n1 x1", 0x0b11fd8554ac34b9),
+    ("a16 n0 x0", 0x66dcb59afc82b186),
+    ("a16 n0 x1", 0xf89800acb87ab9d1),
+    ("a16 n1 x0", 0x5243421ef12ab347),
+    ("a16 n1 x1", 0x524343ea4a306661),
+    ("a63 n0 x0", 0xc7416192ef634609),
+    ("a63 n0 x1", 0xb978ce4a27aa5019),
+    ("a63 n1 x0", 0x98f413b9456383fe),
+    ("a63 n1 x1", 0x7d7299f436cb0bec),
+];
+
+#[test]
+fn dot_bits_match_the_pinned_digests() {
+    let chip = ChipConfig::albireo_9();
+    let cases = dot_cases();
+    let mut configurations = 0;
+    let mut mismatches = Vec::new();
+    for adc_bits in [8, 16, 63] {
+        for noise in [false, true] {
+            for crosstalk in [false, true] {
+                configurations += 1;
+                let cfg = AnalogSimConfig {
+                    adc_bits,
+                    enable_noise: noise,
+                    enable_crosstalk: crosstalk,
+                    ..AnalogSimConfig::default()
+                };
+                let engine = AnalogEngine::new(&chip, cfg);
+                let digest = cases.iter().fold(0xD07_B175_u64, |d, (a, w)| {
+                    fold(d, engine.dot(a, w).to_bits())
+                });
+                let label = format!("a{adc_bits} n{} x{}", u8::from(noise), u8::from(crosstalk));
+                let pinned = DOT_PINNED.iter().find(|(l, _)| *l == label).map(|p| p.1);
+                if Some(digest) != pinned {
+                    mismatches.push(format!(
+                        "    (\"{label}\", 0x{digest:016x}), // pinned {pinned:016x?}"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} of {configurations} configurations moved:\n{}",
+        mismatches.len(),
+        mismatches.join("\n")
+    );
+    assert_eq!(DOT_PINNED.len(), configurations, "one pinned digest each");
 }
