@@ -32,6 +32,8 @@ use albireo_tensor::conv::ConvSpec;
 use albireo_tensor::{output_extent, Tensor3, Tensor4};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::f64::consts::{LN_2, TAU};
+use std::sync::OnceLock;
 
 /// Configuration of the analog simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -304,24 +306,94 @@ impl AnalogEngine {
             .drop_at_phase(self.ring.phase_detuning(slots * spacing))
     }
 
+    /// The converter of a detection whose full scale is `full_scale_terms`
+    /// terms at the channel power.
+    fn adc(&self, full_scale_terms: usize) -> Adc {
+        let r = self.pd.positive().responsivity();
+        let i_fs = r * self.p_channel * self.main_gain * full_scale_terms as f64;
+        Adc::new(i_fs, self.cfg.adc_bits, full_scale_terms)
+    }
+
+    /// The balanced pair's noise-free output current, A.
+    fn current(&self, p_pos: f64, p_neg: f64) -> f64 {
+        self.pd.output_current_total(p_pos, p_neg)
+    }
+
+    /// The receiver noise variance, A², at rail powers `p_pos` and `p_neg`.
+    fn variance(&self, p_pos: f64, p_neg: f64) -> f64 {
+        let r = self.pd.positive().responsivity();
+        let n = self.chip.wavelengths_per_plcu();
+        self.noise.total_variance(r * (p_pos + p_neg), n)
+    }
+
+    /// The exact code of a noisy detection: the Box–Muller sample of
+    /// `uniforms`, scaled by the noise σ, added to the current before the
+    /// converter.
+    fn noisy_code(&self, adc: &Adc, p_pos: f64, p_neg: f64, uniforms: (f64, f64)) -> i64 {
+        let sigma = self.variance(p_pos, p_neg).sqrt();
+        adc.code(self.current(p_pos, p_neg) + sigma * box_muller(uniforms))
+    }
+
     /// Converts rail powers to a balanced, noise-sampled, ADC-quantized
     /// *normalized* dot-product value. Noise is drawn from the caller's
-    /// per-work-item generator.
-    fn detect(&self, p_pos: f64, p_neg: f64, full_scale_terms: usize, rng: &mut StdRng) -> f64 {
-        let r = self.pd.positive().responsivity();
-        let mut current = self.pd.output_current_total(p_pos, p_neg);
-        if self.cfg.enable_noise {
-            let n = self.chip.wavelengths_per_plcu();
-            let sigma = self.noise.total_sigma(r * (p_pos + p_neg), n);
-            current += sigma * sample_standard_normal(rng);
+    /// per-work-item generator; the exact transform runs only when
+    /// [`Adc::decide`] cannot fix the code.
+    fn detect(&self, adc: &Adc, p_pos: f64, p_neg: f64, rng: &mut StdRng) -> f64 {
+        let code = if self.cfg.enable_noise {
+            let uniforms = uniforms(rng);
+            let current = self.current(p_pos, p_neg);
+            match adc.decide(current, self.variance(p_pos, p_neg), uniforms) {
+                (code, true) => code,
+                (_, false) => self.noisy_code(adc, p_pos, p_neg, uniforms),
+            }
+        } else {
+            adc.code(self.current(p_pos, p_neg))
+        };
+        adc.normalized(code)
+    }
+
+    /// Detects every field of one (block, Nu-group) tile into `detected`:
+    /// the first `cols` lanes of each output row, row `yb` drawing from
+    /// `rngs[yb]` in field order, with the bits [`AnalogEngine::detect`]
+    /// gives one field at a time. With noise on it runs in two passes,
+    /// so no detection branches on the outcome: the first draws every
+    /// field's uniforms, stores the code [`Adc::decide`] returns and
+    /// appends the field to `pending`, advancing the list's end only when
+    /// the code was not decided; the second runs the exact transform over
+    /// the fields left pending and overwrites their codes.
+    fn detect_tile(
+        &self,
+        adc: &Adc,
+        (p_pos, p_neg): (&[f64], &[f64]),
+        rngs: &mut [StdRng],
+        (row_len, cols): (usize, usize),
+        detected: &mut [f64],
+        pending: &mut [(usize, (f64, f64))],
+    ) {
+        let fields = |yb: usize| yb * row_len..yb * row_len + cols;
+        if !self.cfg.enable_noise {
+            for (yb, rng) in rngs.iter_mut().enumerate() {
+                for j in fields(yb) {
+                    detected[j] = self.detect(adc, p_pos[j], p_neg[j], rng);
+                }
+            }
+            return;
         }
-        // ADC over ±full scale.
-        let i_fs = r * self.p_channel * self.main_gain * full_scale_terms as f64;
-        let max_code = (1i64 << (self.cfg.adc_bits - 1)) - 1;
-        let code = ((current / i_fs) * max_code as f64).round() as i64;
-        let code = code.clamp(-max_code, max_code);
-        // Back to the normalized dot-product domain.
-        code as f64 / max_code as f64 * full_scale_terms as f64
+        let mut open = 0;
+        for (yb, rng) in rngs.iter_mut().enumerate() {
+            for j in fields(yb) {
+                let uniforms = uniforms(rng);
+                let current = self.current(p_pos[j], p_neg[j]);
+                let (code, decided) =
+                    adc.decide(current, self.variance(p_pos[j], p_neg[j]), uniforms);
+                detected[j] = adc.normalized(code);
+                pending[open] = (j, uniforms);
+                open += usize::from(!decided);
+            }
+        }
+        for &(j, uniforms) in &pending[..open] {
+            detected[j] = adc.normalized(self.noisy_code(adc, p_pos[j], p_neg[j], uniforms));
+        }
     }
 
     /// Computes a signed dot product `a · w` through the analog datapath
@@ -343,6 +415,7 @@ impl AnalogEngine {
             return 0.0;
         }
         let chunk = self.chip.plcu.nm * self.chip.nu;
+        let adc = self.adc(chunk);
         let mut acc = 0.0;
         for (ci, (ac, wc)) in a.chunks(chunk).zip(w.chunks(chunk)).enumerate() {
             // Each Nm·Nu chunk is one detection event with its own derived
@@ -378,7 +451,7 @@ impl AnalogEngine {
                         * self.p_channel;
                 }
             }
-            acc += self.detect(p_pos, p_neg, chunk, &mut rng);
+            acc += self.detect(&adc, p_pos, p_neg, &mut rng);
         }
         acc * a_max * w_max
     }
@@ -453,6 +526,7 @@ impl AnalogEngine {
         let nu = self.chip.nu;
         let leak = plan.leak.as_deref();
         let kernels_per_group = wm / groups;
+        let adc = self.adc(plan.full_scale_terms);
 
         self.par
             .fill_slices(out.as_mut_slice(), (by * bx).max(1), |m, outputs| {
@@ -463,10 +537,12 @@ impl AnalogEngine {
                 // field `d` of row `yb` is lane `yb·row_len + d`, and lanes
                 // `t ≥ cols` are never read. `excess` is the predicted
                 // crosstalk (signed rail power) for digital pre-compensation.
-                let mut scratch = vec![0.0; 8 * by * row_len];
+                let mut scratch = vec![0.0; 9 * by * row_len];
                 let mut tiles = scratch.chunks_exact_mut(by * row_len);
-                let [pos, neg, ideal_pos, ideal_neg, p_pos, p_neg, excess, totals] =
-                    std::array::from_fn(|_| tiles.next().expect("eight tiles"));
+                let [pos, neg, ideal_pos, ideal_neg, p_pos, p_neg, excess, detected, totals] =
+                    std::array::from_fn(|_| tiles.next().expect("nine tiles"));
+                // The fields whose noisy code awaits the exact transform.
+                let mut pending = vec![(0, (0.0, 0.0)); by * row_len];
                 for pass in &plan.passes[g] {
                     // Every output row's noise stream. Each draws in its own
                     // (block, Nu-group, field) order, so interleaving the
@@ -516,16 +592,18 @@ impl AnalogEngine {
                             }
                             drop(rails_prof);
                             let _detect_prof = albireo_obs::profile::scope("analog.detect");
-                            for (yb, rng) in rngs.iter_mut().enumerate() {
+                            let rails = (&*p_pos, &*p_neg);
+                            let tile = (row_len, cols);
+                            self.detect_tile(&adc, rails, &mut rngs, tile, detected, &mut pending);
+                            for yb in 0..by {
                                 for j in yb * row_len..yb * row_len + cols {
-                                    let mut detected =
-                                        self.detect(p_pos[j], p_neg[j], plan.full_scale_terms, rng);
+                                    let mut value = detected[j];
                                     if plan.ideal.is_some() {
                                         // Subtract the predicted interference
                                         // in the normalized dot-product domain.
-                                        detected -= excess[j] / (self.p_channel * self.main_gain);
+                                        value -= excess[j] / (self.p_channel * self.main_gain);
                                     }
-                                    totals[j] += detected;
+                                    totals[j] += value;
                                 }
                             }
                             z0 += group;
@@ -911,14 +989,134 @@ impl ConvPlan {
     }
 }
 
-/// Box-Muller standard-normal sample.
-fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+/// The two uniforms of one Box–Muller sample. A pair whose `u1` is not
+/// above `f64::MIN_POSITIVE` (the generator's `0.0`) is discarded and
+/// drawn again.
+fn uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     loop {
         let u1: f64 = rng.random::<f64>();
         let u2: f64 = rng.random::<f64>();
         if u1 > f64::MIN_POSITIVE {
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            return (u1, u2);
         }
+    }
+}
+
+/// Box–Muller standard-normal sample of [`uniforms`].
+fn box_muller((u1, u2): (f64, f64)) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// `|y|`, the noise-free position in codes, below which [`CELL_MARGIN`]
+/// covers the float pipeline's rounding: `2^20` codes, far past the
+/// 8- and 16-bit converters' ranges.
+const Y_LIMIT: f64 = (1u64 << 20) as f64;
+
+/// Absolute margin, in codes, kept between a noisy position and its cell's
+/// edge. The quantizer's last three roundings (the add, the divide by
+/// `i_fs` and the scaling to codes) and the two in `y` move a position by
+/// at most `5·2^−53·|y|`, under `2^−30` below [`Y_LIMIT`]; `2^−28` also
+/// covers the cell test's own roundings.
+const CELL_MARGIN: f64 = 1.0 / (1u64 << 28) as f64;
+
+/// Absolute floor under the `|cos 2πu2|` bound: the rounding of `2π` and
+/// of `2π·u2` moves the argument by under `7·10^−16`, and the bound's
+/// distance to `{¼, ¾}` is itself computed within `2^−54`.
+const COS_FLOOR: f64 = 1.0 / (1u64 << 46) as f64;
+
+/// Relative slack on the squared noise bound. It covers libm's `ln` and
+/// `cos` (each under 1 ulp, `2^−52` relative), the `2^−53` roundings of
+/// the transform, of `σ` and `σ·z`, and of the bound's own products, and
+/// the radius table's rounding (under `2^−47`): about `2^−46` in all.
+const BOUND_SLACK: f64 = 1.0 + 1.0 / (1u64 << 40) as f64;
+
+/// The top 16 bits (sign, exponent, first mantissa nibble) of `2^−16`,
+/// the first bin of [`radius_bounds`].
+const FIRST_BIN: usize = (1023 - 16) << 4;
+
+/// Upper bounds on `−2·ln u1`, the square of the Box–Muller radius, by
+/// the top 16 bits of `u1` less [`FIRST_BIN`]. Entry `16·(16 − k) + j`
+/// covers the `u1` in `[2^−k, 2^(1−k))` whose top mantissa nibble is `j`,
+/// where `ln u1 ≥ −k·ln 2 + ln(1 + j/16)`, for `k` from 1 to 16. The last
+/// entry, `+∞`, takes every `u1` below `2^−16`, which no bound passes.
+fn radius_bounds() -> &'static [f64; 257] {
+    static BOUNDS: OnceLock<[f64; 257]> = OnceLock::new();
+    BOUNDS.get_or_init(|| {
+        let mut bounds = [f64::INFINITY; 257];
+        for (i, bound) in bounds[..256].iter_mut().enumerate() {
+            let (k, j) = (16 - i / 16, i % 16);
+            *bound = 2.0 * (k as f64 * LN_2 - (1.0 + j as f64 / 16.0).ln());
+        }
+        bounds
+    })
+}
+
+/// One call's analog-to-digital converter: `±max_code` codes over a full
+/// scale of `i_fs`, and the scales [`Adc::decide`] reads.
+#[derive(Debug, Clone, Copy)]
+struct Adc {
+    /// Full-scale current, A.
+    i_fs: f64,
+    max_code: i64,
+    /// The full scale in dot-product terms, which a code is scaled to.
+    full_scale_terms: usize,
+    /// Codes per ampere, `max_code / i_fs`.
+    codes_per_amp: f64,
+    /// Its square times [`BOUND_SLACK`]: takes a current variance to an
+    /// upper bound on the variance in codes².
+    variance_scale: f64,
+    /// [`radius_bounds`].
+    radius: &'static [f64; 257],
+}
+
+impl Adc {
+    fn new(i_fs: f64, adc_bits: u32, full_scale_terms: usize) -> Adc {
+        let max_code = (1i64 << (adc_bits - 1)) - 1;
+        let codes_per_amp = max_code as f64 / i_fs;
+        Adc {
+            i_fs,
+            max_code,
+            full_scale_terms,
+            codes_per_amp,
+            variance_scale: codes_per_amp * codes_per_amp * BOUND_SLACK,
+            radius: radius_bounds(),
+        }
+    }
+
+    /// The code of `current` over `±` full scale: rounded half away from
+    /// zero, then clamped to the code range.
+    fn code(&self, current: f64) -> i64 {
+        let code = ((current / self.i_fs) * self.max_code as f64).round() as i64;
+        code.clamp(-self.max_code, self.max_code)
+    }
+
+    /// A code back in the normalized dot-product domain.
+    fn normalized(&self, code: i64) -> f64 {
+        code as f64 / self.max_code as f64 * self.full_scale_terms as f64
+    }
+
+    /// The code of a noisy detection, `code(current + σ·z)` with `σ² =
+    /// variance` and `z` the [`box_muller`] sample of `uniforms`, when a
+    /// bound on `|z|` read off the uniforms already fixes it: then
+    /// `(code, true)`. The noise-free position `y` sits in the cell of one
+    /// integer; if `σ·|z|` cannot reach that cell's edge, less
+    /// [`CELL_MARGIN`], the converter returns that integer (DESIGN.md
+    /// §17). Otherwise `(_, false)`: only the exact transform can tell.
+    /// The test has no branch, and a NaN fails it.
+    fn decide(&self, current: f64, variance: f64, (u1, u2): (f64, f64)) -> (i64, bool) {
+        let y = current * self.codes_per_amp;
+        // Round half away from zero by truncation; a `y` within rounding
+        // of a half-integer has no room left below.
+        let cell = (y + 0.5f64.copysign(y)) as i64;
+        let room = (0.5 - (y - cell as f64).abs() - CELL_MARGIN).max(0.0);
+        // |z|² ≤ radius²·cos², each bound read off one uniform.
+        let bin = ((u1.to_bits() >> 48) as usize)
+            .wrapping_sub(FIRST_BIN)
+            .min(256);
+        let cos = (TAU * ((u2 - 0.5).abs() - 0.25).abs() + COS_FLOOR).min(1.0);
+        let spread = variance * self.variance_scale * self.radius[bin] * (cos * cos);
+        let decided = (y.abs() < Y_LIMIT) & (spread < room * room);
+        (cell.clamp(-self.max_code, self.max_code), decided)
     }
 }
 
@@ -1582,5 +1780,144 @@ mod plane_tests {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod adc_props {
+    //! [`Adc::decide`] against the exact transform it skips: whenever it
+    //! decides a code, that code must be the converter's code of the
+    //! Box–Muller sample, for 8-, 16- and 63-bit converters, random
+    //! operands and the edges of every bound.
+
+    use super::*;
+    use proptest::prop_assert_eq;
+    use proptest::test_runner::{run, TestCaseError};
+    use proptest::TestRng;
+
+    /// One detection: converter, noise-free position in codes, noise σ in
+    /// codes, and the pair of uniforms.
+    #[derive(Debug)]
+    struct Case {
+        adc_bits: u32,
+        i_fs: f64,
+        y: f64,
+        sigma: f64,
+        uniforms: (f64, f64),
+    }
+
+    /// A draw from `[lo, hi)`.
+    fn between(rng: &mut TestRng, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * rng.unit_f64()
+    }
+
+    /// One of `n` choices.
+    fn pick(rng: &mut TestRng, n: u64) -> u64 {
+        rng.next_u64() % n
+    }
+
+    fn case(rng: &mut TestRng) -> Case {
+        // The 63-bit converter's range reaches past `Y_LIMIT`.
+        let adc_bits = [8, 16, 63][pick(rng, 3) as usize];
+        let max_code = ((1i64 << (adc_bits - 1)) - 1) as f64;
+        let i_fs = 10f64.powf(between(rng, -7.0, -1.0));
+        let sign = if pick(rng, 2) == 0 { 1.0 } else { -1.0 };
+        let y = match pick(rng, 4) {
+            // Anywhere in the range and a little past it.
+            0 => between(rng, -1.2, 1.2) * max_code,
+            // Within 1e−12 to 1e−6 of a half-integer, either side.
+            1 => {
+                let n = (between(rng, -1.1, 1.1) * max_code).floor();
+                n + 0.5 + sign * 10f64.powf(between(rng, -12.0, -6.0))
+            }
+            // Up to 2^50, past `Y_LIMIT` and all but the 63-bit code
+            // range: one to three floats from a half-integer, where the
+            // quantizer's roundings are as wide as the gap.
+            2 => {
+                let mut y = (sign * 2f64.powf(between(rng, 7.0, 50.0))).floor() + 0.5;
+                let up = pick(rng, 2) == 0;
+                for _ in 0..=pick(rng, 3) {
+                    y = if up { y.next_up() } else { y.next_down() };
+                }
+                y
+            }
+            // Near an integer, zero included.
+            _ => {
+                let n = (between(rng, -1.0, 1.0) * max_code).round();
+                n + sign * 10f64.powf(between(rng, -16.0, -1.0))
+            }
+        };
+        let u1 = match pick(rng, 4) {
+            0 => {
+                let k = 1 + pick(rng, 60) as i32;
+                2f64.powi(-k)
+            }
+            1 => {
+                let k = 1 + pick(rng, 60) as i32;
+                2f64.powi(-k).next_down()
+            }
+            2 => f64::MIN_POSITIVE * between(rng, 1.0, 4.0).next_up(),
+            // As the generator draws it, a multiple of 2^−53, not 0.
+            _ => rng.unit_f64().max(f64::EPSILON / 2.0),
+        };
+        let u2 = match pick(rng, 2) {
+            0 => {
+                let at: f64 = [0.0, 0.25, 0.5, 0.75][pick(rng, 4) as usize];
+                match pick(rng, 3) {
+                    0 if at > 0.0 => at.next_down(),
+                    1 => at.next_up(),
+                    _ => at,
+                }
+            }
+            _ => rng.unit_f64(),
+        };
+        let z = box_muller((u1, u2)).abs();
+        let sigma = match pick(rng, 8) {
+            0 => 0.0,
+            // `σ·|z|` at the distance to the nearer cell edge, within
+            // 1e−12 to 1e−3 relative, either side.
+            1 | 2 => {
+                let edge = 0.5 - (y - y.round()).abs();
+                edge / z * (1.0 + sign * 10f64.powf(between(rng, -12.0, -3.0)))
+            }
+            _ => 10f64.powf(between(rng, -4.0, 0.5)),
+        };
+        Case {
+            adc_bits,
+            i_fs,
+            y,
+            sigma,
+            uniforms: (u1, u2),
+        }
+    }
+
+    /// Checks one case; returns whether it was decided.
+    fn check(case: &Case) -> Result<bool, TestCaseError> {
+        let adc = Adc::new(case.i_fs, case.adc_bits, 27);
+        let current = case.y / adc.codes_per_amp;
+        let variance = (case.sigma / adc.codes_per_amp).powi(2);
+        let exact = adc.code(current + variance.sqrt() * box_muller(case.uniforms));
+        let (code, decided) = adc.decide(current, variance, case.uniforms);
+        if decided {
+            prop_assert_eq!(code, exact);
+        }
+        Ok(decided)
+    }
+
+    #[test]
+    fn a_decided_code_is_the_exact_code() {
+        let (mut decided, mut pending) = (0u64, 0u64);
+        run("a_decided_code_is_the_exact_code", |rng| {
+            let case = case(rng);
+            let outcome = check(&case).map(|d| {
+                decided += u64::from(d);
+                pending += u64::from(!d);
+            });
+            (outcome, format!("{case:?}"))
+        });
+        assert!(
+            decided > 0 && pending > 0,
+            "both outcomes must occur: {decided} decided, {pending} pending"
+        );
     }
 }

@@ -128,13 +128,18 @@ impl PreparedNoise {
         i_pd * i_pd * self.rin_linear * self.params.bandwidth_hz / n_channels as f64
     }
 
+    /// Total noise variance (A²): the three sources' variances, summed in
+    /// the order [`PreparedNoise::total_sigma`] takes its root of.
+    pub fn total_variance(&self, i_pd: f64, n_channels: usize) -> f64 {
+        self.params.shot_variance(i_pd)
+            + self.thermal_variance
+            + self.rin_variance(i_pd, n_channels)
+    }
+
     /// Total noise standard deviation (A); see
     /// [`NoiseParams::total_sigma`].
     pub fn total_sigma(&self, i_pd: f64, n_channels: usize) -> f64 {
-        (self.params.shot_variance(i_pd)
-            + self.thermal_variance
-            + self.rin_variance(i_pd, n_channels))
-        .sqrt()
+        self.total_variance(i_pd, n_channels).sqrt()
     }
 }
 
@@ -198,9 +203,15 @@ mod tests {
         let n = NoiseParams::paper().with_bandwidth(8e9);
         let prepared = n.prepared();
         for i_pd in [0.0, 1e-9, 3.7e-6, 2.2e-4, 0.1] {
-            let direct =
-                (n.shot_variance(i_pd) + n.thermal_variance() + n.rin_variance(i_pd, 21)).sqrt();
-            assert_eq!(prepared.total_sigma(i_pd, 21).to_bits(), direct.to_bits());
+            let variance = n.shot_variance(i_pd) + n.thermal_variance() + n.rin_variance(i_pd, 21);
+            assert_eq!(
+                prepared.total_variance(i_pd, 21).to_bits(),
+                variance.to_bits()
+            );
+            assert_eq!(
+                prepared.total_sigma(i_pd, 21).to_bits(),
+                variance.sqrt().to_bits()
+            );
         }
     }
 
