@@ -852,6 +852,33 @@ fn plan_refuses_arrivals_it_cannot_hold_with_exit_2() {
     }
 }
 
+/// Spawns the binary with `args`, its stdout written to `stdout`, and
+/// kills it if it has not exited after `seconds`: `None` then.
+fn run_killed_after(
+    args: &[&str],
+    stdout: &std::path::Path,
+    seconds: u64,
+) -> Option<std::process::ExitStatus> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_albireo"))
+        .args(args)
+        .stdout(std::fs::File::create(stdout).unwrap())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let started = std::time::Instant::now();
+    loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            return Some(status);
+        }
+        if started.elapsed() > std::time::Duration::from_secs(seconds) {
+            child.kill().ok();
+            child.wait().ok();
+            return None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+}
+
 #[test]
 fn a_deadline_that_rounds_to_infinity_still_finishes() {
     let dir = std::env::temp_dir();
@@ -866,27 +893,23 @@ fn a_deadline_that_rounds_to_infinity_still_finishes() {
         "{\"arrival_s\": 1e308}\n{\"arrival_s\": 1.5e308}\n",
     )
     .unwrap();
-    let mut child = Command::new(env!("CARGO_BIN_EXE_albireo"))
-        .args(["serve", "--trace-jsonl", trace_path.to_str().unwrap()])
-        .args(["--requests", "2", "--policy", "deadline_s:1e308:8"])
-        .args(["--checkpoint-every", "1e306", "--report-jsonl"])
-        .arg(&progress_path)
-        .stdout(std::fs::File::create(&stdout_path).unwrap())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("binary runs");
-    let started = std::time::Instant::now();
-    let status = loop {
-        if let Some(status) = child.try_wait().unwrap() {
-            break Some(status);
-        }
-        if started.elapsed() > std::time::Duration::from_secs(60) {
-            child.kill().ok();
-            child.wait().ok();
-            break None;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
+    let status = run_killed_after(
+        &[
+            "serve",
+            "--trace-jsonl",
+            trace_path.to_str().unwrap(),
+            "--requests",
+            "2",
+            "--policy",
+            "deadline_s:1e308:8",
+            "--checkpoint-every",
+            "1e306",
+            "--report-jsonl",
+            progress_path.to_str().unwrap(),
+        ],
+        &stdout_path,
+        60,
+    );
     let progress = std::fs::read_to_string(&progress_path).unwrap_or_default();
     let stdout = std::fs::read_to_string(&stdout_path).unwrap_or_default();
     for path in [&trace_path, &progress_path, &stdout_path] {
@@ -897,4 +920,70 @@ fn a_deadline_that_rounds_to_infinity_still_finishes() {
     assert!(stdout.contains("completed 2  shed 0"), "{stdout}");
     // One line per boundary up to the second arrival's, 150 × 1e306.
     assert_eq!(progress.lines().count(), 150);
+}
+
+#[test]
+fn a_warm_up_that_rounds_to_infinity_still_finishes() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let trace_path = dir.join(format!("albireo_inf_warmup_{pid}.jsonl"));
+    let progress_path = dir.join(format!("albireo_inf_warmup_{pid}.progress.jsonl"));
+    let stdout_path = dir.join(format!("albireo_inf_warmup_{pid}.out"));
+    // Chip 0 serves all five requests; the queue spins chip 1 up, whose
+    // warm-up, from 1e308 s plus 1e308 s, never ends.
+    let arrivals: String = ["1e308", "1.1e308", "1.2e308", "1.3e308", "1.4e308"]
+        .iter()
+        .map(|t| format!("{{\"arrival_s\": {t}}}\n"))
+        .collect();
+    std::fs::write(&trace_path, arrivals).unwrap();
+    let status = run_killed_after(
+        &[
+            "serve",
+            "--trace-jsonl",
+            trace_path.to_str().unwrap(),
+            "--requests",
+            "5",
+            "--autoscale",
+            "elastic:1:1e308:1",
+            "--checkpoint-every",
+            "1e306",
+            "--report-jsonl",
+            progress_path.to_str().unwrap(),
+        ],
+        &stdout_path,
+        20,
+    );
+    let progress = std::fs::read_to_string(&progress_path).unwrap_or_default();
+    let stdout = std::fs::read_to_string(&stdout_path).unwrap_or_default();
+    for path in [&trace_path, &progress_path, &stdout_path] {
+        std::fs::remove_file(path).ok();
+    }
+    let status = status.expect("the run ends within 20 s");
+    assert!(status.success(), "{status}: {stdout}");
+    assert!(stdout.contains("completed 5  shed 0"), "{stdout}");
+    // One line per boundary up to the last arrival's, 140 × 1e306.
+    assert_eq!(progress.lines().count(), 140);
+}
+
+#[test]
+fn a_repair_that_rounds_to_infinity_leaves_its_chip_down() {
+    // Seed 6's one repair, at a 1e308 s mean, ends past f64::MAX.
+    let faults = "fail:0@0.001,crews:1:1e308:6";
+    let (stdout, stderr, ok) = run(&["serve", "--requests", "200", "--faults", faults]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("OFFLINE"), "{stdout}");
+    assert!(stdout.contains("completed 200  shed 0"), "{stdout}");
+    let (stdout, stderr, ok) = run(&[
+        "plan",
+        "--slo",
+        "p99<5",
+        "--requests",
+        "200",
+        "--max-chips",
+        "2",
+        "--faults",
+        faults,
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(!stdout.is_empty());
 }

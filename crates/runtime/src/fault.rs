@@ -341,7 +341,10 @@ impl FaultSpec {
 }
 
 /// Assigns every chip failure in `scenario` to one of `crews` repair
-/// crews and appends the resulting [`FaultKind::ChipOnline`] events.
+/// crews and appends the resulting [`FaultKind::ChipOnline`] events. A
+/// repair whose end rounds to +∞ (a mean the grammar accepts, such as
+/// `1e308`) schedules no event: its chip stays down and its crew stays
+/// busy, as a repair that never ends would leave them.
 fn dispatch_crews(scenario: FaultScenario, crews: usize, mean_s: f64, seed: u64) -> FaultScenario {
     let mut rng = StdRng::seed_from_u64(split_seed(seed, stream_id(REPAIR_PASS, 0, 0)));
     // `free_at[i]` = when crew `i` can start its next repair.
@@ -361,7 +364,9 @@ fn dispatch_crews(scenario: FaultScenario, crews: usize, mean_s: f64, seed: u64)
         let u: f64 = rng.random();
         let done_s = start_s + -(1.0 - u).ln() * mean_s;
         free_at[crew] = done_s;
-        out = out.with(done_s, FaultKind::ChipOnline { chip });
+        if done_s.is_finite() {
+            out = out.with(done_s, FaultKind::ChipOnline { chip });
+        }
     }
     out
 }
@@ -645,5 +650,44 @@ mod tests {
                 .fold(0.0, f64::max)
         };
         assert!(last(&fast) <= last(&a));
+    }
+
+    #[test]
+    fn a_repair_that_never_ends_leaves_its_chip_down_and_its_crew_busy() {
+        // At a 1e308 s mean, a repair ends past f64::MAX whenever its
+        // exponential draw exceeds about 1.8, as seed 6's first does.
+        let down = FaultSpec::parse("fail:0@0.001,crews:1:1e308:6")
+            .unwrap()
+            .compile(2);
+        assert_eq!(down.events().len(), 1, "no repair event: {down:?}");
+        // One crew works three failures in chip order; after a repair
+        // that never ends it starts no other, so the repaired chips are a
+        // prefix of the three, each at a finite time.
+        let mut prefixes = Vec::new();
+        for seed in 1..=12 {
+            let scenario = FaultSpec::parse(&format!("rack:0-2@0.01,crews:1:1e308:{seed}"))
+                .unwrap()
+                .compile(4);
+            let repaired: Vec<usize> = scenario
+                .sorted_events()
+                .iter()
+                .filter_map(|e| match e.kind {
+                    FaultKind::ChipOnline { chip } => {
+                        assert!(e.at_s.is_finite(), "seed {seed}: {e:?}");
+                        Some(chip)
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                repaired,
+                (0..repaired.len()).collect::<Vec<_>>(),
+                "seed {seed}"
+            );
+            prefixes.push(repaired.len());
+        }
+        // Seeds whose first, second or third repair never ends, and one
+        // whose three repairs all end.
+        assert_eq!(prefixes, [2, 2, 2, 1, 1, 0, 1, 3, 2, 0, 1, 1]);
     }
 }

@@ -544,7 +544,9 @@ impl<'a, A: Arrivals> Sim<'a, A> {
     /// pending requests per chip already warming (so in-flight warm-ups
     /// discount further spin-ups), unpark the lowest-indexed parked chip
     /// and schedule its warm-up completion. A pure function of DES state
-    /// at an event instant, so determinism is untouched.
+    /// at an event instant, so determinism is untouched. A warm-up whose
+    /// end rounds to +∞ gets no event: no instant reaches it, so the chip
+    /// stays warming, as `arm_deadline` leaves such a deadline unarmed.
     fn autoscale_up(&mut self, now: f64) {
         let AutoscalePolicy::Elastic {
             up_depth, warmup_s, ..
@@ -565,7 +567,10 @@ impl<'a, A: Arrivals> Sim<'a, A> {
             c.warming = true;
             c.provisioned_at_s = now;
             c.spin_ups += 1;
-            self.push(now + warmup_s, EventKind::WarmedUp { chip: idx });
+            let warm_s = now + warmup_s;
+            if warm_s.is_finite() {
+                self.push(warm_s, EventKind::WarmedUp { chip: idx });
+            }
             if self.obs.is_enabled() {
                 self.obs.record_instant(
                     track::DISPATCH,
