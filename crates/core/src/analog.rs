@@ -314,11 +314,6 @@ impl AnalogEngine {
         Adc::new(i_fs, self.cfg.adc_bits, full_scale_terms)
     }
 
-    /// The balanced pair's noise-free output current, A.
-    fn current(&self, p_pos: f64, p_neg: f64) -> f64 {
-        self.pd.output_current_total(p_pos, p_neg)
-    }
-
     /// The receiver noise variance, A², at rail powers `p_pos` and `p_neg`.
     fn variance(&self, p_pos: f64, p_neg: f64) -> f64 {
         let r = self.pd.positive().responsivity();
@@ -331,7 +326,7 @@ impl AnalogEngine {
     /// converter.
     fn noisy_code(&self, adc: &Adc, p_pos: f64, p_neg: f64, uniforms: (f64, f64)) -> i64 {
         let sigma = self.variance(p_pos, p_neg).sqrt();
-        adc.code(self.current(p_pos, p_neg) + sigma * box_muller(uniforms))
+        adc.code(self.pd.output_current_total(p_pos, p_neg) + sigma * box_muller(uniforms))
     }
 
     /// Converts rail powers to a balanced, noise-sampled, ADC-quantized
@@ -341,13 +336,13 @@ impl AnalogEngine {
     fn detect(&self, adc: &Adc, p_pos: f64, p_neg: f64, rng: &mut StdRng) -> f64 {
         let code = if self.cfg.enable_noise {
             let uniforms = uniforms(rng);
-            let current = self.current(p_pos, p_neg);
+            let current = self.pd.output_current_total(p_pos, p_neg);
             match adc.decide(current, self.variance(p_pos, p_neg), uniforms) {
                 (code, true) => code,
                 (_, false) => self.noisy_code(adc, p_pos, p_neg, uniforms),
             }
         } else {
-            adc.code(self.current(p_pos, p_neg))
+            adc.code(self.pd.output_current_total(p_pos, p_neg))
         };
         adc.normalized(code)
     }
@@ -383,7 +378,7 @@ impl AnalogEngine {
         for (yb, rng) in rngs.iter_mut().enumerate() {
             for j in fields(yb) {
                 let uniforms = uniforms(rng);
-                let current = self.current(p_pos[j], p_neg[j]);
+                let current = self.pd.output_current_total(p_pos[j], p_neg[j]);
                 let (code, decided) =
                     adc.decide(current, self.variance(p_pos[j], p_neg[j]), uniforms);
                 detected[j] = adc.normalized(code);
