@@ -1048,7 +1048,7 @@ fn radius_bounds() -> &'static [f64; 257] {
 
 /// One call's analog-to-digital converter: `±max_code` codes over a full
 /// scale of `i_fs`, and the scales [`Adc::decide`] reads.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct Adc {
     /// Full-scale current, A.
     i_fs: f64,
