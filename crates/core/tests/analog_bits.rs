@@ -188,6 +188,18 @@ fn three_faults() -> FaultSet {
     set
 }
 
+/// [`three_faults`] less its dead ring: every switching ring stays live.
+fn live_ring_faults() -> FaultSet {
+    let mut set = FaultSet::new();
+    set.push(Fault::StuckMzm {
+        row: 0,
+        col: 2,
+        weight: 0.5,
+    })
+    .push(Fault::DeadChannel { column: 3 });
+    set
+}
+
 /// Every configuration of the grid, labelled `<allocation> a<ADC bits>
 /// c<compensation> n<noise> x<crosstalk> f<faults>` with each switch 0
 /// or 1. Besides the paper's 8-bit converter, a 63-bit one quantizes
@@ -227,6 +239,35 @@ fn grid() -> Vec<(String, AnalogSimConfig, FaultSet)> {
                             out.push((label, cfg, faults));
                         }
                     }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The contiguous allocation under [`live_ring_faults`], labelled
+/// `a<ADC bits> c<compensation> n<noise> x<crosstalk>`.
+fn live_ring_grid() -> Vec<(String, AnalogSimConfig, FaultSet)> {
+    let mut out = Vec::new();
+    for adc_bits in [8, 63] {
+        for compensation in [false, true] {
+            for noise in [false, true] {
+                for crosstalk in [false, true] {
+                    let cfg = AnalogSimConfig {
+                        adc_bits,
+                        enable_noise: noise,
+                        enable_crosstalk: crosstalk,
+                        crosstalk_compensation: compensation,
+                        ..AnalogSimConfig::default()
+                    };
+                    let label = format!(
+                        "a{adc_bits} c{} n{} x{}",
+                        u8::from(compensation),
+                        u8::from(noise),
+                        u8::from(crosstalk),
+                    );
+                    out.push((label, cfg, live_ring_faults()));
                 }
             }
         }
@@ -442,12 +483,37 @@ const GROUP_PINNED: &[(&str, u64)] = &[
     ("interleaved a63 c1 n1 x1 f1", 0x1c70f0368e32ba62),
 ];
 
-/// Folds every output bit of `cases` under each configuration of the
-/// grid, at one and at two threads, and asserts each digest equals its
+/// The fold of [`cases`] over [`SHAPES`] under [`live_ring_grid`],
+/// recorded from the kernel that multiplied every rail term by its ring's
+/// `1.0`/`0.0` factor.
+const LIVE_RING_PINNED: &[(&str, u64)] = &[
+    ("a8 c0 n0 x0", 0x11e0fb6b1736b7fc),
+    ("a8 c0 n0 x1", 0x92cd4b5371832bd5),
+    ("a8 c0 n1 x0", 0x52b3aa4a0954b531),
+    ("a8 c0 n1 x1", 0x5868df09fd8dba71),
+    ("a8 c1 n0 x0", 0x11e0fb6b1736b7fc),
+    ("a8 c1 n0 x1", 0x8b6863b77c39cfa9),
+    ("a8 c1 n1 x0", 0x52b3aa4a0954b531),
+    ("a8 c1 n1 x1", 0x06846b81fd12ceef),
+    ("a63 c0 n0 x0", 0x6964a43e820f785d),
+    ("a63 c0 n0 x1", 0x4be89848caeb46a3),
+    ("a63 c0 n1 x0", 0xb63da5b1ebb59f1a),
+    ("a63 c0 n1 x1", 0x3313da04a431dbd8),
+    ("a63 c1 n0 x0", 0x6964a43e820f785d),
+    ("a63 c1 n0 x1", 0x767e7bf5303ea296),
+    ("a63 c1 n1 x0", 0xb63da5b1ebb59f1a),
+    ("a63 c1 n1 x1", 0xbbbb4b5832501a10),
+];
+
+/// Folds every output bit of `cases` under each configuration of
+/// `grid`, at one and at two threads, and asserts each digest equals its
 /// `pinned` entry; a mismatch prints the replacement lines.
-fn check_digests(cases: &[(Tensor3, Tensor4, ConvSpec, usize)], pinned: &[(&str, u64)]) {
+fn check_digests(
+    cases: &[(Tensor3, Tensor4, ConvSpec, usize)],
+    grid: Vec<(String, AnalogSimConfig, FaultSet)>,
+    pinned: &[(&str, u64)],
+) {
     let chip = ChipConfig::albireo_9();
-    let grid = grid();
     let configurations = grid.len();
     let mut mismatches = Vec::new();
     for (label, cfg, faults) in grid {
@@ -484,17 +550,22 @@ fn check_digests(cases: &[(Tensor3, Tensor4, ConvSpec, usize)], pinned: &[(&str,
 
 #[test]
 fn conv2d_grouped_bits_match_the_pinned_digests() {
-    check_digests(&cases(&SHAPES, 0xB175), PINNED);
+    check_digests(&cases(&SHAPES, 0xB175), grid(), PINNED);
 }
 
 #[test]
 fn edge_shape_bits_match_the_pinned_digests() {
-    check_digests(&edge_cases(), EDGE_PINNED);
+    check_digests(&edge_cases(), grid(), EDGE_PINNED);
 }
 
 #[test]
 fn group_and_pass_bits_match_the_pinned_digests() {
-    check_digests(&group_cases(), GROUP_PINNED);
+    check_digests(&group_cases(), grid(), GROUP_PINNED);
+}
+
+#[test]
+fn live_ring_fault_bits_match_the_pinned_digests() {
+    check_digests(&cases(&SHAPES, 0xB175), live_ring_grid(), LIVE_RING_PINNED);
 }
 
 /// The operands of the `dot` pins: signed weights at lengths 1, 26, 27,
