@@ -10,7 +10,9 @@
 //!
 //! Each leaf is classified by clock (DESIGN.md §15). Only wall-clock
 //! leaves participate in the gate: times regress upward, throughput and
-//! speedup regress downward. Virtual-clock leaves — the serving DES's
+//! speedup regress downward. A profile phase's `total_ns` and `self_ns`
+//! sum over its `calls`, and two runs make different numbers of calls,
+//! so the gate compares them per call. Virtual-clock leaves — the serving DES's
 //! latency quantiles and goodput, which digests already pin — are model
 //! outputs: a difference is reported as `model output changed`, never
 //! as a regression. Everything else (counts, digests, energy models,
@@ -22,16 +24,22 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Wall-clock leaf names (the last `.`-separated path segment) where
-/// larger is slower: run and phase times, per-call extremes.
+/// larger is slower: run times and a phase's time per call.
 const LOWER_IS_BETTER: &[&str] = &[
     "wall_ms",
     "serial_wall_ms",
     "disabled_ms",
     "enabled_ms",
-    "total_ns",
-    "self_ns",
-    "max_ns",
+    "total_ns_per_call",
+    "self_ns_per_call",
 ];
+
+/// Leaves that sum over their row's `calls`: gated only as
+/// `<leaf>_per_call`, which [`per_call`] derives. A row without `calls`
+/// (a profile's `roots`, which repeat their phase rows) leaves them
+/// ungated. A phase's `min_ns` and `max_ns` time single calls, which one
+/// preemption moves, so they are not gated either.
+const PER_CALL: &[&str] = &["total_ns", "self_ns"];
 
 /// Wall-clock leaf names where larger is faster: throughput and speedup.
 const HIGHER_IS_BETTER: &[&str] = &["speedup", "candidates_per_s", "sim_requests_per_s"];
@@ -106,6 +114,22 @@ fn clock(path: &str) -> Option<Clock> {
     }
 }
 
+/// `values` plus `<row>.<leaf>_per_call` for every [`PER_CALL`] leaf
+/// whose row has a positive `calls`.
+fn per_call(mut values: BTreeMap<String, f64>) -> BTreeMap<String, f64> {
+    let derived: Vec<(String, f64)> = values
+        .iter()
+        .filter_map(|(path, &sum)| {
+            let (row, leaf) = path.rsplit_once('.')?;
+            let calls = *values.get(&format!("{row}.calls"))?;
+            (PER_CALL.contains(&leaf) && calls > 0.0)
+                .then(|| (format!("{path}_per_call"), sum / calls))
+        })
+        .collect();
+    values.extend(derived);
+    values
+}
+
 fn classified(values: BTreeMap<String, f64>) -> BTreeMap<String, (f64, Clock)> {
     values
         .into_iter()
@@ -124,8 +148,8 @@ impl PerfDiff {
         }
         let old = jsonv::parse(old).map_err(|e| format!("old file: {e}"))?;
         let new = jsonv::parse(new).map_err(|e| format!("new file: {e}"))?;
-        let old = classified(old.flatten_numbers());
-        let mut new = classified(new.flatten_numbers());
+        let old = classified(per_call(old.flatten_numbers()));
+        let mut new = classified(per_call(new.flatten_numbers()));
         let slack = threshold_pct / 100.0;
         let mut rows = Vec::new();
         let mut model_changes = Vec::new();
@@ -337,7 +361,10 @@ mod tests {
         let d = PerfDiff::compare(old, &slow, 25.0).unwrap();
         let reg: Vec<&DiffRow> = d.regressions().collect();
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg[0].metric, "phases.evaluate.tensor.im2col.total_ns");
+        assert_eq!(
+            reg[0].metric,
+            "phases.evaluate.tensor.im2col.total_ns_per_call"
+        );
         assert_eq!(
             PerfDiff::compare(old, old, 0.0)
                 .unwrap()
@@ -345,6 +372,54 @@ mod tests {
                 .count(),
             0
         );
+    }
+
+    /// Two profiles of the same code: the committed `BENCH_profile.json`
+    /// rows of `analog.plan` and `analog.detect` before and after a change
+    /// that sped detection up, where the faster build ran more calls in
+    /// the same time target.
+    fn profile(plan: (u64, u64), detect: (u64, u64, u64)) -> String {
+        format!(
+            r#"{{"schema": "albireo.profile/v1",
+            "roots": [{{"name": "analog_conv", "total_ns": {root}, "self_ns": 800024, "coverage": 0.99}}],
+            "phases": [
+                {{"path": "analog_conv/analog.conv2d/analog.plan", "calls": {}, "total_ns": {}, "self_ns": {}, "min_ns": 30852, "max_ns": 46503}},
+                {{"path": "analog_conv/analog.conv2d/analog.detect", "calls": {}, "total_ns": {}, "self_ns": {}, "min_ns": 935, "max_ns": {}}}
+            ]}}"#,
+            plan.0,
+            plan.1,
+            plan.1,
+            detect.0,
+            detect.1,
+            detect.1,
+            detect.2,
+            root = plan.1 + detect.1,
+        )
+    }
+
+    #[test]
+    fn profile_phases_are_compared_per_call() {
+        let old = profile((119, 4_754_106), (15_232, 63_168_184, 70_550));
+        let new = profile((175, 5_610_541), (22_400, 43_235_871, 1_530_435));
+        let d = PerfDiff::compare(&old, &new, 10.0).unwrap();
+        assert_eq!(d.regressions().count(), 0, "{}", d.render_text());
+        let plan = d
+            .rows
+            .iter()
+            .find(|r| r.metric == "phases.analog_conv/analog.conv2d/analog.plan.total_ns_per_call")
+            .expect("plan time per call is gated");
+        assert!((plan.old - 39_950.5).abs() < 0.1 && (plan.new - 32_060.2).abs() < 0.1);
+        // Sums, single-call extremes and the roots' totals are not gated.
+        assert!(d.rows.iter().all(|r| r.metric.ends_with("_ns_per_call")));
+        assert_eq!(d.rows.len(), 4);
+        // The same runs with twice the calls compare equal; twice the time
+        // in as many calls regresses.
+        let doubled = profile((238, 9_508_212), (30_464, 126_336_368, 70_550));
+        let d = PerfDiff::compare(&old, &doubled, 0.0).unwrap();
+        assert_eq!(d.regressions().count(), 0, "{}", d.render_text());
+        let slower = profile((119, 9_508_212), (15_232, 126_336_368, 70_550));
+        let d = PerfDiff::compare(&old, &slower, 25.0).unwrap();
+        assert_eq!(d.regressions().count(), 4);
     }
 
     #[test]

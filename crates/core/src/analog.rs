@@ -323,16 +323,21 @@ impl AnalogEngine {
 
     /// The exact code of a noisy detection: the Box–Muller sample of
     /// `uniforms`, scaled by the noise σ, added to the current before the
-    /// converter.
+    /// converter. [`Adc::refine`] fixes it from an approximate sample when
+    /// it can; otherwise the transform runs.
     fn noisy_code(&self, adc: &Adc, p_pos: f64, p_neg: f64, uniforms: (f64, f64)) -> i64 {
+        let current = self.pd.output_current_total(p_pos, p_neg);
         let sigma = self.variance(p_pos, p_neg).sqrt();
-        adc.code(self.pd.output_current_total(p_pos, p_neg) + sigma * box_muller(uniforms))
+        match adc.refine(current, sigma, uniforms) {
+            (code, true) => code,
+            (_, false) => adc.code(current + sigma * box_muller(uniforms)),
+        }
     }
 
     /// Converts rail powers to a balanced, noise-sampled, ADC-quantized
     /// *normalized* dot-product value. Noise is drawn from the caller's
-    /// per-work-item generator; the exact transform runs only when
-    /// [`Adc::decide`] cannot fix the code.
+    /// per-work-item generator; [`AnalogEngine::noisy_code`] runs only
+    /// when [`Adc::decide`] cannot fix the code.
     fn detect(&self, adc: &Adc, p_pos: f64, p_neg: f64, rng: &mut StdRng) -> f64 {
         let code = if self.cfg.enable_noise {
             let uniforms = uniforms(rng);
@@ -354,8 +359,9 @@ impl AnalogEngine {
     /// so no detection branches on the outcome: the first draws every
     /// field's uniforms, stores the code [`Adc::decide`] returns and
     /// appends the field to `pending`, advancing the list's end only when
-    /// the code was not decided; the second runs the exact transform over
-    /// the fields left pending and overwrites their codes.
+    /// the code was not decided; the second runs
+    /// [`AnalogEngine::noisy_code`] over the fields left pending and
+    /// overwrites their codes.
     fn detect_tile(
         &self,
         adc: &Adc,
@@ -639,6 +645,8 @@ impl AnalogEngine {
 /// accumulates its cycle's terms in the same `(r, k)` order (DESIGN.md
 /// §17).
 struct ConvPlan {
+    /// Kernel rows.
+    wy: usize,
     /// Kernel columns.
     wx: usize,
     stride: usize,
@@ -661,8 +669,9 @@ struct ConvPlan {
     passes: Vec<Vec<Pass>>,
     /// Live switching rings as `1.0`/`0.0` factors, `[r][k][yb][t]`: ring
     /// `(r, k, t)` tiled over the output rows, `0.0` where it is dead and
-    /// on the lanes `t ≥ nd_eff` no field reads.
-    live: Vec<f64>,
+    /// on the lanes `t ≥ nd_eff` no field reads. Present only when the
+    /// fault set kills a ring the plan reads.
+    live: Option<Vec<f64>>,
     /// Dropped power per unit weight and channel power: `[z][block][py][t]`.
     plane: Vec<f64>,
     /// The same with crosstalk off, for compensation's reference pass;
@@ -767,22 +776,31 @@ impl ConvPlan {
                 passes
             })
             .collect();
-        let mut live = Vec::with_capacity(wy * wx * by * row_len);
-        for rk in 0..wy * wx {
-            let start = live.len();
-            live.extend((0..row_len).map(|t| {
-                let dead = t >= nd_eff || faults.ring_dead(rk / wx, rk % wx, t);
-                if dead {
-                    0.0
-                } else {
-                    1.0
+        // The plan reads rings `(r, k, t)` with `t < nd_eff`.
+        let ring_read = |r: usize, k: usize, t: usize| r < wy && k < wx && t < nd_eff;
+        let kills_a_ring = faults.as_slice().iter().any(
+            |f| matches!(*f, Fault::DeadRing { row, col, output } if ring_read(row, col, output)),
+        );
+        let live = kills_a_ring.then(|| {
+            let mut live = Vec::with_capacity(wy * wx * by * row_len);
+            for rk in 0..wy * wx {
+                let start = live.len();
+                live.extend((0..row_len).map(|t| {
+                    let dead = t >= nd_eff || faults.ring_dead(rk / wx, rk % wx, t);
+                    if dead {
+                        0.0
+                    } else {
+                        1.0
+                    }
+                }));
+                for _ in 1..by {
+                    live.extend_from_within(start..start + row_len);
                 }
-            }));
-            for _ in 1..by {
-                live.extend_from_within(start..start + row_len);
             }
-        }
+            live
+        });
         let mut plan = ConvPlan {
+            wy,
             wx,
             stride,
             nd_eff,
@@ -896,7 +914,9 @@ impl ConvPlan {
     /// output row at once, overwriting `pos` and `neg` (`[yb][t]`) with
     /// each field's positive and negative rail powers. Each weight is read
     /// once and swept over the whole tile. Compensation's reference pass
-    /// reads the crosstalk-off plane with no `leak` source.
+    /// reads the crosstalk-off plane with no `leak` source. Weights and
+    /// mask rows are indexed `r·Wx + k`, so a channel costs no integer
+    /// divide.
     fn tile_rails(
         &self,
         plane: &[f64],
@@ -910,9 +930,10 @@ impl ConvPlan {
         neg.fill(0.0);
         let tile = self.by * self.row_len;
         let base = (z * self.blocks + block) * self.py * self.row_len;
-        let rows = weights.chunks(self.wx);
-        for (r, (weights, live)) in rows.zip(self.live.chunks(self.wx * tile)).enumerate() {
-            for (k, (&w, live)) in weights.iter().zip(live.chunks(tile)).enumerate() {
+        for r in 0..self.wy {
+            for k in 0..self.wx {
+                let rk = r * self.wx + k;
+                let w = weights[rk];
                 if w == 0.0 {
                     // Its sweep would add only `±0.0`: a decomposition pass
                     // costs its unmasked weights alone.
@@ -927,7 +948,14 @@ impl ConvPlan {
                     (&mut *neg, &mut *pos)
                 };
                 let sources = (&plane[at..], leak.map(|leak| &leak[at..]));
-                self.sweep(rail, opposite, sources, live, cols, w.abs().min(1.0));
+                let mag = w.abs().min(1.0);
+                match &self.live {
+                    Some(live) => {
+                        let live = &live[rk * tile..][..tile];
+                        self.sweep(rail, opposite, sources, live, cols, mag);
+                    }
+                    None => self.sweep(rail, opposite, sources, AllLive, cols, mag),
+                }
             }
         }
     }
@@ -935,23 +963,25 @@ impl ConvPlan {
     /// Adds one weight's terms into every field of the tile: the rail
     /// gets `plane·mag·p_channel·live` and, with a `leak` source, the
     /// opposite rail gets `leak·mag·off_leakage·p_channel·live` in the same
-    /// loop. At stride 1 the fields are one contiguous run of
-    /// `(by − 1)·row_len + cols` lanes, whose sources sit at the same
-    /// offsets in the planes; at stride above 1 they are lane 0 of each
-    /// row, the source stepping `stride` padded rows. The two rails are
-    /// separate tiles, so each lane still adds the tile's weights in order;
-    /// each is its own `&mut` parameter so the compiler knows they do not
-    /// alias (in one tuple argument the loop ran slower).
+    /// loop, or the same terms without `·live` under [`AllLive`]. At
+    /// stride 1 the fields are one contiguous run of `(by − 1)·row_len +
+    /// cols` lanes, whose sources sit at the same offsets in the planes; at
+    /// stride above 1 they are lane 0 of each row, the source stepping
+    /// `stride` padded rows. The two rails are separate tiles, so each lane
+    /// still adds the tile's weights in order; each is its own `&mut`
+    /// parameter so the compiler knows they do not alias (in one tuple
+    /// argument the loop ran slower).
     ///
     /// A dead ring's or gap lane's `×0.0` turns a term into `±0.0`, which
     /// leaves a sum that started at `+0.0` unchanged, so the masks cost no
-    /// branch and move no bit.
-    fn sweep(
+    /// branch and move no bit. Without a mask the gap lanes take terms,
+    /// but nothing reads a lane `t ≥ cols`.
+    fn sweep<L: Live>(
         &self,
         rail: &mut [f64],
         opposite: &mut [f64],
         (plane, leak): (&[f64], Option<&[f64]>),
-        live: &[f64],
+        live: L,
         cols: usize,
         mag: f64,
     ) {
@@ -960,27 +990,66 @@ impl ConvPlan {
             // Indexing slices cut to one length vectorizes; the zipped
             // iterator form of this loop measured slower.
             let n = (self.by - 1) * self.row_len + cols;
-            let (rail, plane, live) = (&mut rail[..n], &plane[..n], &live[..n]);
+            let (rail, plane, live) = (&mut rail[..n], &plane[..n], live.prefix(n));
             if let Some(leak) = leak {
                 let (opposite, leak) = (&mut opposite[..n], &leak[..n]);
                 for j in 0..n {
-                    rail[j] += plane[j] * mag * p * live[j];
-                    opposite[j] += leak[j] * mag * off * p * live[j];
+                    rail[j] += live.apply(plane[j] * mag * p, j);
+                    opposite[j] += live.apply(leak[j] * mag * off * p, j);
                 }
             } else {
                 for j in 0..n {
-                    rail[j] += plane[j] * mag * p * live[j];
+                    rail[j] += live.apply(plane[j] * mag * p, j);
                 }
             }
         } else {
             for yb in 0..self.by {
                 let (j, s) = (yb * self.row_len, yb * self.stride * self.row_len);
-                rail[j] += plane[s] * mag * p * live[j];
+                rail[j] += live.apply(plane[s] * mag * p, j);
                 if let Some(leak) = leak {
-                    opposite[j] += leak[s] * mag * off * p * live[j];
+                    opposite[j] += live.apply(leak[s] * mag * off * p, j);
                 }
             }
         }
+    }
+}
+
+/// The dead-ring factors a [`ConvPlan::sweep`] multiplies its terms by,
+/// one per lane of the tile.
+trait Live: Copy {
+    /// The factors of the first `n` lanes.
+    fn prefix(self, n: usize) -> Self;
+    /// `term` times lane `j`'s factor.
+    fn apply(self, term: f64, j: usize) -> f64;
+}
+
+/// One ring's `1.0`/`0.0` factors, a row of [`ConvPlan::live`].
+impl Live for &[f64] {
+    #[inline(always)]
+    fn prefix(self, n: usize) -> Self {
+        &self[..n]
+    }
+
+    #[inline(always)]
+    fn apply(self, term: f64, j: usize) -> f64 {
+        term * self[j]
+    }
+}
+
+/// No ring the plan reads is dead: every term goes in as it is, which is
+/// what `×1.0` gave.
+#[derive(Debug, Clone, Copy)]
+struct AllLive;
+
+impl Live for AllLive {
+    #[inline(always)]
+    fn prefix(self, _: usize) -> Self {
+        self
+    }
+
+    #[inline(always)]
+    fn apply(self, term: f64, _: usize) -> f64 {
+        term
     }
 }
 
@@ -1002,6 +1071,76 @@ fn box_muller((u1, u2): (f64, f64)) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
+/// Knots per unit of [`BoxMullerTables`]: mantissas `1 + j/128` and
+/// angles `2πk/128`.
+const KNOTS: usize = 128;
+
+/// The tables [`approx_box_muller`] reads, built once.
+#[derive(Debug)]
+struct BoxMullerTables {
+    /// `(ln x_j, 1/x_j)` at the mantissa knots `x_j = 1 + j/128`, `j` in
+    /// `0..=128`, with `ln(x_j/2)` from `j = 64` on: a mantissa rounded to
+    /// such a knot counts one power of two fewer, so a `u1` in `[¾, 1)`
+    /// adds no multiple of `ln 2` to cancel.
+    ln: [(f64, f64); KNOTS + 1],
+    /// `(cos 2πk/128, sin 2πk/128)`, `k` in `0..=128`.
+    trig: [(f64, f64); KNOTS + 1],
+}
+
+fn box_muller_tables() -> &'static BoxMullerTables {
+    static TABLES: OnceLock<BoxMullerTables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let step = 1.0 / KNOTS as f64;
+        BoxMullerTables {
+            ln: std::array::from_fn(|j| {
+                let knot = 1.0 + j as f64 * step;
+                let ln = if j < KNOTS / 2 {
+                    knot.ln()
+                } else {
+                    (knot / 2.0).ln()
+                };
+                (ln, 1.0 / knot)
+            }),
+            trig: std::array::from_fn(|k| {
+                let angle = TAU * (k as f64 * step);
+                (angle.cos(), angle.sin())
+            }),
+        }
+    })
+}
+
+/// An approximation of [`box_muller`] within [`Z_TOLERANCE`]`·(1 + |z̃|)`
+/// of the libm-computed sample, for the `u1` above `f64::MIN_POSITIVE`
+/// and the `u2` in `[0, 1)` that [`uniforms`] returns (DESIGN.md §17).
+/// `ln u1` is `u1`'s exponent times `ln 2` plus the table's `ln` at the
+/// nearest mantissa knot and five terms of `ln(1 + t)` about it;
+/// `cos 2πu2` is the table's cos and sin at the nearest angle knot,
+/// turned by `h = 2π(u2 − k/128)` with cos and sin of `h` to `h⁶` and `h⁵`.
+/// It calls no libm function and divides nothing.
+fn approx_box_muller(tables: &BoxMullerTables, (u1, u2): (f64, f64)) -> f64 {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    const ONE: u64 = 1023 << 52;
+    let step = 1.0 / KNOTS as f64;
+    let bits = u1.to_bits();
+    let j = ((bits & MANTISSA) + (1 << 44)) >> 45;
+    let (ln_knot, recip) = tables.ln[j as usize];
+    let mantissa = f64::from_bits(bits & MANTISSA | ONE);
+    // Exact: the mantissa lies within half a knot step of its knot.
+    let t = (mantissa - (1.0 + j as f64 * step)) * recip;
+    let series = t * (1.0 + t * (-0.5 + t * (1.0 / 3.0 + t * (-0.25 + t * 0.2))));
+    let exponent = (bits >> 52) as i64 - 1023 + i64::from(j >= KNOTS as u64 / 2);
+    let ln_u1 = exponent as f64 * LN_2 + (ln_knot + series);
+    // `u2·128` is exact, and so is its distance to the nearest knot.
+    let x = u2 * KNOTS as f64;
+    let k = (x + 0.5) as usize;
+    let (cos_k, sin_k) = tables.trig[k];
+    let h = (x - k as f64) * (TAU * step);
+    let h2 = h * h;
+    let cos_h = 1.0 + h2 * (-0.5 + h2 * (1.0 / 24.0 - h2 * (1.0 / 720.0)));
+    let sin_h = h * (1.0 + h2 * (-1.0 / 6.0 + h2 * (1.0 / 120.0)));
+    (-2.0 * ln_u1).sqrt() * (cos_k * cos_h - sin_k * sin_h)
+}
+
 /// `|y|`, the noise-free position in codes, below which [`CELL_MARGIN`]
 /// covers the float pipeline's rounding: `2^20` codes, far past the
 /// 8- and 16-bit converters' ranges.
@@ -1018,6 +1157,16 @@ const CELL_MARGIN: f64 = 1.0 / (1u64 << 28) as f64;
 /// of `2π·u2` moves the argument by under `7·10^−16`, and the bound's
 /// distance to `{¼, ¾}` is itself computed within `2^−54`.
 const COS_FLOOR: f64 = 1.0 / (1u64 << 46) as f64;
+
+/// `ε` of [`Adc::refine`]: its approximate sample `z̃` is within
+/// `ε·(1 + |z̃|)` of the libm-computed one. The tables, the series and the
+/// roundings of both samples keep the error under `10^−12·(1 + |z̃|)`
+/// (DESIGN.md §17).
+const Z_TOLERANCE: f64 = 1e-7;
+
+/// The widest converter whose [`Adc::normalized`] values are a table:
+/// `2^12 − 1` entries, 255 at the paper's 8 bits.
+const VALUE_TABLE_BITS: u32 = 12;
 
 /// Relative slack on the squared noise bound. It covers libm's `ln` and
 /// `cos` (each under 1 ulp, `2^−52` relative), the `2^−53` roundings of
@@ -1047,7 +1196,8 @@ fn radius_bounds() -> &'static [f64; 257] {
 }
 
 /// One call's analog-to-digital converter: `±max_code` codes over a full
-/// scale of `i_fs`, and the scales [`Adc::decide`] reads.
+/// scale of `i_fs`, and the scales and tables [`Adc::decide`] and
+/// [`Adc::refine`] read.
 #[derive(Debug)]
 struct Adc {
     /// Full-scale current, A.
@@ -1062,20 +1212,35 @@ struct Adc {
     variance_scale: f64,
     /// [`radius_bounds`].
     radius: &'static [f64; 257],
+    /// [`box_muller_tables`].
+    tables: &'static BoxMullerTables,
+    /// [`Adc::normalized`] of every code from `−max_code` up, for
+    /// converters of at most [`VALUE_TABLE_BITS`] bits; empty for wider
+    /// ones.
+    values: Vec<f64>,
 }
 
 impl Adc {
     fn new(i_fs: f64, adc_bits: u32, full_scale_terms: usize) -> Adc {
         let max_code = (1i64 << (adc_bits - 1)) - 1;
         let codes_per_amp = max_code as f64 / i_fs;
-        Adc {
+        let mut adc = Adc {
             i_fs,
             max_code,
             full_scale_terms,
             codes_per_amp,
             variance_scale: codes_per_amp * codes_per_amp * BOUND_SLACK,
             radius: radius_bounds(),
+            tables: box_muller_tables(),
+            values: Vec::new(),
+        };
+        if adc_bits <= VALUE_TABLE_BITS {
+            // Each entry is the expression's own value.
+            adc.values = (-max_code..=max_code)
+                .map(|code| adc.normalized(code))
+                .collect();
         }
+        adc
     }
 
     /// The code of `current` over `±` full scale: rounded half away from
@@ -1085,9 +1250,14 @@ impl Adc {
         code.clamp(-self.max_code, self.max_code)
     }
 
-    /// A code back in the normalized dot-product domain.
+    /// A code back in the normalized dot-product domain: a table read,
+    /// or for a converter wider than [`VALUE_TABLE_BITS`] the divide the
+    /// table was built with.
     fn normalized(&self, code: i64) -> f64 {
-        code as f64 / self.max_code as f64 * self.full_scale_terms as f64
+        match self.values.get((code + self.max_code) as usize) {
+            Some(&value) => value,
+            None => code as f64 / self.max_code as f64 * self.full_scale_terms as f64,
+        }
     }
 
     /// The code of a noisy detection, `code(current + σ·z)` with `σ² =
@@ -1111,6 +1281,28 @@ impl Adc {
         let cos = (TAU * ((u2 - 0.5).abs() - 0.25).abs() + COS_FLOOR).min(1.0);
         let spread = variance * self.variance_scale * self.radius[bin] * (cos * cos);
         let decided = (y.abs() < Y_LIMIT) & (spread < room * room);
+        (cell.clamp(-self.max_code, self.max_code), decided)
+    }
+
+    /// Tier 2, for a detection [`Adc::decide`] left pending: the code of
+    /// `current + sigma·z` when the [`approx_box_muller`] sample `z̃`
+    /// already fixes it, as `(code, true)`. The noisy position
+    /// `p = y + s·z̃` in codes, with `s = σ·M/i_fs`, sits in the cell of
+    /// one integer; if `p` is farther than `s·ε·(1 + |z̃|)` plus
+    /// [`CELL_MARGIN`] from both of the cell's edges, the exact sample's
+    /// position lies in that cell too (DESIGN.md §17). Otherwise
+    /// `(_, false)`: only the transform can tell. As in `decide`, `|y|`
+    /// must be under [`Y_LIMIT`], the test has no branch, and a NaN
+    /// fails it.
+    fn refine(&self, current: f64, sigma: f64, uniforms: (f64, f64)) -> (i64, bool) {
+        let y = current * self.codes_per_amp;
+        let s = sigma * self.codes_per_amp;
+        let z = approx_box_muller(self.tables, uniforms);
+        let p = y + s * z;
+        let cell = (p + 0.5f64.copysign(p)) as i64;
+        let room = 0.5 - (p - cell as f64).abs();
+        let margin = s * (Z_TOLERANCE * (1.0 + z.abs())) + CELL_MARGIN;
+        let decided = (y.abs() < Y_LIMIT) & (room > margin);
         (cell.clamp(-self.max_code, self.max_code), decided)
     }
 }
@@ -1780,13 +1972,13 @@ mod plane_tests {
 
 #[cfg(test)]
 mod adc_props {
-    //! [`Adc::decide`] against the exact transform it skips: whenever it
-    //! decides a code, that code must be the converter's code of the
-    //! Box–Muller sample, for 8-, 16- and 63-bit converters, random
-    //! operands and the edges of every bound.
+    //! [`Adc::decide`] and [`Adc::refine`] against the exact transform
+    //! they skip: whenever either decides a code, that code must be the
+    //! converter's code of the Box–Muller sample, for 8-, 16- and 63-bit
+    //! converters, random operands and the edges of every bound and
+    //! table.
 
     use super::*;
-    use proptest::prop_assert_eq;
     use proptest::test_runner::{run, TestCaseError};
     use proptest::TestRng;
 
@@ -1809,6 +2001,52 @@ mod adc_props {
     /// One of `n` choices.
     fn pick(rng: &mut TestRng, n: u64) -> u64 {
         rng.next_u64() % n
+    }
+
+    /// `x` moved by up to `ulps` floats either way.
+    fn nudge(rng: &mut TestRng, x: f64, ulps: u64) -> f64 {
+        let (up, steps) = (pick(rng, 2) == 0, pick(rng, ulps + 1));
+        (0..steps).fold(x, |x, _| if up { x.next_up() } else { x.next_down() })
+    }
+
+    /// A `u1` above `f64::MIN_POSITIVE` and below 1: at and just below
+    /// powers of two, near `f64::MIN_POSITIVE`, within a few ulps of 1, of
+    /// an `ln` knot of [`BoxMullerTables`] or of the point halfway between
+    /// two knots where the nearest knot changes, or as the generator draws
+    /// it.
+    fn u1(rng: &mut TestRng) -> f64 {
+        let k = 1 + pick(rng, 60) as i32;
+        match pick(rng, 6) {
+            0 => 2f64.powi(-k),
+            1 => 2f64.powi(-k).next_down(),
+            2 => f64::MIN_POSITIVE * between(rng, 1.0, 4.0).next_up(),
+            3 => 1.0 - (1 + pick(rng, 4)) as f64 * (f64::EPSILON / 2.0),
+            4 => {
+                let j = pick(rng, KNOTS as u64 + 1) as f64;
+                let half = if pick(rng, 2) == 0 { 0.0 } else { 0.5 };
+                let mantissa = (1.0 + (j + half) / KNOTS as f64).min(2.0);
+                nudge(rng, mantissa * 2f64.powi(-k), 3).min(1.0f64.next_down())
+            }
+            // As the generator draws it, a multiple of 2^−53, not 0.
+            _ => rng.unit_f64().max(f64::EPSILON / 2.0),
+        }
+    }
+
+    /// A `u2` in `[0, 1)`: at 0, ¼, ½ and ¾ or one ulp off, at a cos knot
+    /// `k/128` of [`BoxMullerTables`] or halfway between two, one ulp
+    /// off, or as the generator draws it.
+    fn u2(rng: &mut TestRng) -> f64 {
+        match pick(rng, 3) {
+            0 => {
+                let at: f64 = [0.0, 0.25, 0.5, 0.75][pick(rng, 4) as usize];
+                nudge(rng, at, 1).max(0.0)
+            }
+            1 => {
+                let knot = (pick(rng, 2 * KNOTS as u64) as f64) / (2 * KNOTS) as f64;
+                nudge(rng, knot, 1).max(0.0)
+            }
+            _ => rng.unit_f64(),
+        }
     }
 
     fn case(rng: &mut TestRng) -> Case {
@@ -1842,38 +2080,28 @@ mod adc_props {
                 n + sign * 10f64.powf(between(rng, -16.0, -1.0))
             }
         };
-        let u1 = match pick(rng, 4) {
-            0 => {
-                let k = 1 + pick(rng, 60) as i32;
-                2f64.powi(-k)
-            }
-            1 => {
-                let k = 1 + pick(rng, 60) as i32;
-                2f64.powi(-k).next_down()
-            }
-            2 => f64::MIN_POSITIVE * between(rng, 1.0, 4.0).next_up(),
-            // As the generator draws it, a multiple of 2^−53, not 0.
-            _ => rng.unit_f64().max(f64::EPSILON / 2.0),
-        };
-        let u2 = match pick(rng, 2) {
-            0 => {
-                let at: f64 = [0.0, 0.25, 0.5, 0.75][pick(rng, 4) as usize];
-                match pick(rng, 3) {
-                    0 if at > 0.0 => at.next_down(),
-                    1 => at.next_up(),
-                    _ => at,
-                }
-            }
-            _ => rng.unit_f64(),
-        };
-        let z = box_muller((u1, u2)).abs();
-        let sigma = match pick(rng, 8) {
+        let uniforms = (u1(rng), u2(rng));
+        let z = box_muller(uniforms);
+        let sigma = match pick(rng, 10) {
             0 => 0.0,
             // `σ·|z|` at the distance to the nearer cell edge, within
             // 1e−12 to 1e−3 relative, either side.
             1 | 2 => {
                 let edge = 0.5 - (y - y.round()).abs();
-                edge / z * (1.0 + sign * 10f64.powf(between(rng, -12.0, -3.0)))
+                edge / z.abs() * (1.0 + sign * 10f64.powf(between(rng, -12.0, -3.0)))
+            }
+            // The noisy position `y + σ·z` within 1e−12 to 1e−6 of one of
+            // the first three half-integers on the noise's side, either
+            // side of it.
+            3 | 4 => {
+                let cells = pick(rng, 3) as f64;
+                let edge = if z > 0.0 {
+                    (y + 0.5).floor() + 0.5 + cells
+                } else {
+                    (y - 0.5).ceil() - 0.5 - cells
+                };
+                let target = edge + sign * 10f64.powf(between(rng, -12.0, -6.0));
+                ((target - y) / z).abs()
             }
             _ => 10f64.powf(between(rng, -4.0, 0.5)),
         };
@@ -1882,37 +2110,78 @@ mod adc_props {
             i_fs,
             y,
             sigma,
-            uniforms: (u1, u2),
+            uniforms,
         }
     }
 
-    /// Checks one case; returns whether it was decided.
-    fn check(case: &Case) -> Result<bool, TestCaseError> {
+    /// Which tier fixed a case's code.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Tier {
+        /// [`Adc::decide`].
+        Bound,
+        /// [`Adc::refine`], for a case the bound left pending.
+        Refined,
+        /// Neither: the transform.
+        Libm,
+    }
+
+    /// Checks one case against both tiers, each on its own, and returns
+    /// the tier that fixes its code in the engine's order.
+    fn check(case: &Case) -> Result<Tier, TestCaseError> {
         let adc = Adc::new(case.i_fs, case.adc_bits, 27);
         let current = case.y / adc.codes_per_amp;
         let variance = (case.sigma / adc.codes_per_amp).powi(2);
-        let exact = adc.code(current + variance.sqrt() * box_muller(case.uniforms));
-        let (code, decided) = adc.decide(current, variance, case.uniforms);
-        if decided {
-            prop_assert_eq!(code, exact);
+        let sigma = variance.sqrt();
+        let exact = adc.code(current + sigma * box_muller(case.uniforms));
+        let (bound, decided) = adc.decide(current, variance, case.uniforms);
+        let (refined, by_tier_2) = adc.refine(current, sigma, case.uniforms);
+        for (tier, code, fixed) in [("bound", bound, decided), ("tier 2", refined, by_tier_2)] {
+            if fixed && code != exact {
+                return Err(TestCaseError::fail(format!(
+                    "the {tier} gave {code}, the transform {exact}"
+                )));
+            }
         }
-        Ok(decided)
+        Ok(match (decided, by_tier_2) {
+            (true, _) => Tier::Bound,
+            (false, true) => Tier::Refined,
+            (false, false) => Tier::Libm,
+        })
     }
 
     #[test]
     fn a_decided_code_is_the_exact_code() {
-        let (mut decided, mut pending) = (0u64, 0u64);
+        let mut tiers = [0u64; 3];
         run("a_decided_code_is_the_exact_code", |rng| {
             let case = case(rng);
-            let outcome = check(&case).map(|d| {
-                decided += u64::from(d);
-                pending += u64::from(!d);
-            });
+            let outcome = check(&case).map(|tier| tiers[tier as usize] += 1);
             (outcome, format!("{case:?}"))
         });
         assert!(
-            decided > 0 && pending > 0,
-            "both outcomes must occur: {decided} decided, {pending} pending"
+            tiers.iter().all(|&n| n > 0),
+            "all three outcomes must occur: {} by the bound, {} by tier 2, {} by the transform",
+            tiers[0],
+            tiers[1],
+            tiers[2]
         );
+    }
+
+    /// The error [`approx_box_muller`] is documented to stay under, a
+    /// hundred-thousandth of [`Z_TOLERANCE`].
+    const APPROX_ERROR: f64 = 1e-12;
+
+    #[test]
+    fn the_approximate_sample_is_within_its_tolerance() {
+        let tables = box_muller_tables();
+        run("the_approximate_sample_is_within_its_tolerance", |rng| {
+            let uniforms = (u1(rng), u2(rng));
+            let (approx, exact) = (approx_box_muller(tables, uniforms), box_muller(uniforms));
+            let outcome = if (approx - exact).abs() <= APPROX_ERROR * (1.0 + approx.abs()) {
+                Ok(())
+            } else {
+                Err(TestCaseError::fail(format!("{approx:e} vs {exact:e}")))
+            };
+            (outcome, format!("{uniforms:?}"))
+        });
     }
 }

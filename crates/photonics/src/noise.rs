@@ -53,6 +53,7 @@ impl NoiseParams {
     }
 
     /// Shot-noise current variance (A²) at photocurrent `i_pd` (Eq. 5).
+    #[inline]
     pub fn shot_variance(&self, i_pd: f64) -> f64 {
         2.0 * ELEMENTARY_CHARGE * i_pd.abs() * self.bandwidth_hz
     }
@@ -123,6 +124,7 @@ impl PreparedNoise {
     /// # Panics
     ///
     /// Panics if `n_channels` is zero.
+    #[inline]
     pub fn rin_variance(&self, i_pd: f64, n_channels: usize) -> f64 {
         assert!(n_channels > 0, "need at least one wavelength channel");
         i_pd * i_pd * self.rin_linear * self.params.bandwidth_hz / n_channels as f64
@@ -130,6 +132,8 @@ impl PreparedNoise {
 
     /// Total noise variance (A²): the three sources' variances, summed in
     /// the order [`PreparedNoise::total_sigma`] takes its root of.
+    /// Inlined: the analog engine evaluates it once per detection.
+    #[inline]
     pub fn total_variance(&self, i_pd: f64, n_channels: usize) -> f64 {
         self.params.shot_variance(i_pd)
             + self.thermal_variance
