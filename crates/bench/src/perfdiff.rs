@@ -12,12 +12,12 @@
 //! leaves participate in the gate: times regress upward, throughput and
 //! speedup regress downward. A profile phase's `total_ns` and `self_ns`
 //! sum over its `calls`, and two runs make different numbers of calls,
-//! so the gate compares them per call. Virtual-clock leaves — the serving DES's
-//! latency quantiles and goodput, which digests already pin — are model
-//! outputs: a difference is reported as `model output changed`, never
-//! as a regression. Everything else (counts, digests, energy models,
-//! configuration echoes) is ignored — the gate judges measured
-//! performance, not simulated physics.
+//! so the gate compares them per call. Virtual-clock leaves — the
+//! serving DES's latency quantiles and goodput, which digests already
+//! pin — are model outputs: a difference is reported as `model output
+//! changed`, never as a regression. Everything else (counts, digests,
+//! energy models, configuration echoes) is ignored — the gate judges
+//! measured performance, not simulated physics.
 
 use albireo_obs::jsonv;
 use std::collections::BTreeMap;

@@ -1036,8 +1036,8 @@ impl Live for &[f64] {
     }
 }
 
-/// No ring the plan reads is dead: every term goes in as it is, which is
-/// what `×1.0` gave.
+/// No ring the plan reads is dead: every term goes in as it is, exactly
+/// the term times `1.0`.
 #[derive(Debug, Clone, Copy)]
 struct AllLive;
 
@@ -1125,7 +1125,8 @@ fn approx_box_muller(tables: &BoxMullerTables, (u1, u2): (f64, f64)) -> f64 {
     let j = ((bits & MANTISSA) + (1 << 44)) >> 45;
     let (ln_knot, recip) = tables.ln[j as usize];
     let mantissa = f64::from_bits(bits & MANTISSA | ONE);
-    // Exact: the mantissa lies within half a knot step of its knot.
+    // The subtraction is exact: the mantissa lies within half a knot
+    // step of its knot.
     let t = (mantissa - (1.0 + j as f64 * step)) * recip;
     let series = t * (1.0 + t * (-0.5 + t * (1.0 / 3.0 + t * (-0.25 + t * 0.2))));
     let exponent = (bits >> 52) as i64 - 1023 + i64::from(j >= KNOTS as u64 / 2);
