@@ -18,6 +18,11 @@
 //! lengths around Albireo-9's `Nm·Nu = 27`-term chunk and one of 4,096,
 //! signed weights, an all-zero weight row and an all-negative one, under
 //! noise and crosstalk at three converter widths.
+//!
+//! Two more tables run the eight shapes under a stuck MZM and a dead
+//! channel: one with every switching ring live, and one with a dead ring
+//! over a column the dead channel leaves live, so the ring mask is pinned
+//! with crosstalk off too.
 
 use albireo_core::analog::{AnalogEngine, AnalogSimConfig, ChannelAllocation, Fault, FaultSet};
 use albireo_core::config::ChipConfig;
@@ -200,6 +205,21 @@ fn live_ring_faults() -> FaultSet {
     set
 }
 
+/// [`live_ring_faults`] plus a dead ring on multicast column 1 (output 0
+/// + kernel column 1), which the dead channel leaves live. The
+/// benchmark's dead ring sits on column 3, which its own dead channel
+/// already zeroes, so only this set pins the ring mask with crosstalk
+/// off.
+fn live_column_ring_faults() -> FaultSet {
+    let mut set = live_ring_faults();
+    set.push(Fault::DeadRing {
+        row: 1,
+        col: 1,
+        output: 0,
+    });
+    set
+}
+
 /// Every configuration of the grid, labelled `<allocation> a<ADC bits>
 /// c<compensation> n<noise> x<crosstalk> f<faults>` with each switch 0
 /// or 1. Besides the paper's 8-bit converter, a 63-bit one quantizes
@@ -246,9 +266,9 @@ fn grid() -> Vec<(String, AnalogSimConfig, FaultSet)> {
     out
 }
 
-/// The contiguous allocation under [`live_ring_faults`], labelled
-/// `a<ADC bits> c<compensation> n<noise> x<crosstalk>`.
-fn live_ring_grid() -> Vec<(String, AnalogSimConfig, FaultSet)> {
+/// The contiguous allocation under `faults`, labelled `a<ADC bits>
+/// c<compensation> n<noise> x<crosstalk>`.
+fn live_ring_grid(faults: FaultSet) -> Vec<(String, AnalogSimConfig, FaultSet)> {
     let mut out = Vec::new();
     for adc_bits in [8, 63] {
         for compensation in [false, true] {
@@ -267,7 +287,7 @@ fn live_ring_grid() -> Vec<(String, AnalogSimConfig, FaultSet)> {
                         u8::from(noise),
                         u8::from(crosstalk),
                     );
-                    out.push((label, cfg, live_ring_faults()));
+                    out.push((label, cfg, faults.clone()));
                 }
             }
         }
@@ -483,9 +503,9 @@ const GROUP_PINNED: &[(&str, u64)] = &[
     ("interleaved a63 c1 n1 x1 f1", 0x1c70f0368e32ba62),
 ];
 
-/// The fold of [`cases`] over [`SHAPES`] under [`live_ring_grid`],
-/// recorded from the kernel that multiplied every rail term by its ring's
-/// `1.0`/`0.0` factor.
+/// The fold of [`cases`] over [`SHAPES`] under [`live_ring_grid`] of
+/// [`live_ring_faults`], recorded from the kernel that multiplied every
+/// rail term by its ring's `1.0`/`0.0` factor.
 const LIVE_RING_PINNED: &[(&str, u64)] = &[
     ("a8 c0 n0 x0", 0x11e0fb6b1736b7fc),
     ("a8 c0 n0 x1", 0x92cd4b5371832bd5),
@@ -503,6 +523,28 @@ const LIVE_RING_PINNED: &[(&str, u64)] = &[
     ("a63 c1 n0 x1", 0x767e7bf5303ea296),
     ("a63 c1 n1 x0", 0xb63da5b1ebb59f1a),
     ("a63 c1 n1 x1", 0xbbbb4b5832501a10),
+];
+
+/// The fold of [`cases`] over [`SHAPES`] under [`live_ring_grid`] of
+/// [`live_column_ring_faults`], recorded from the kernel with the
+/// mask-free sweep.
+const LIVE_COLUMN_RING_PINNED: &[(&str, u64)] = &[
+    ("a8 c0 n0 x0", 0x9e420bace83dd710),
+    ("a8 c0 n0 x1", 0x371395b6f9db52b3),
+    ("a8 c0 n1 x0", 0xbb17b9af477b2108),
+    ("a8 c0 n1 x1", 0x953fd8be9107b8ce),
+    ("a8 c1 n0 x0", 0x9e420bace83dd710),
+    ("a8 c1 n0 x1", 0xe9cefbc2eb4eb72f),
+    ("a8 c1 n1 x0", 0xbb17b9af477b2108),
+    ("a8 c1 n1 x1", 0x522fb993476e878f),
+    ("a63 c0 n0 x0", 0x410a32b51afa17e1),
+    ("a63 c0 n0 x1", 0x5850e5b761f357cc),
+    ("a63 c0 n1 x0", 0x8541135dd3a3fe81),
+    ("a63 c0 n1 x1", 0xcf38bad4619b0a7f),
+    ("a63 c1 n0 x0", 0x410a32b51afa17e1),
+    ("a63 c1 n0 x1", 0x7849c4d379ba25db),
+    ("a63 c1 n1 x0", 0x8541135dd3a3fe81),
+    ("a63 c1 n1 x1", 0x3c0afaf0a14603ed),
 ];
 
 /// Folds every output bit of `cases` under each configuration of
@@ -565,7 +607,20 @@ fn group_and_pass_bits_match_the_pinned_digests() {
 
 #[test]
 fn live_ring_fault_bits_match_the_pinned_digests() {
-    check_digests(&cases(&SHAPES, 0xB175), live_ring_grid(), LIVE_RING_PINNED);
+    let grid = live_ring_grid(live_ring_faults());
+    check_digests(&cases(&SHAPES, 0xB175), grid, LIVE_RING_PINNED);
+}
+
+#[test]
+fn a_dead_ring_on_a_live_column_moves_the_bits_without_crosstalk() {
+    let grid = live_ring_grid(live_column_ring_faults());
+    check_digests(&cases(&SHAPES, 0xB175), grid, LIVE_COLUMN_RING_PINNED);
+    for (label, digest) in LIVE_COLUMN_RING_PINNED {
+        if label.ends_with("x0") {
+            let without_ring = LIVE_RING_PINNED.iter().find(|(l, _)| l == label);
+            assert_ne!(Some(digest), without_ring.map(|(_, d)| d), "{label}");
+        }
+    }
 }
 
 /// The operands of the `dot` pins: signed weights at lengths 1, 26, 27,
