@@ -965,6 +965,161 @@ fn a_warm_up_that_rounds_to_infinity_still_finishes() {
     assert_eq!(progress.lines().count(), 140);
 }
 
+/// Writes `arrivals` as a JSONL trace under a per-process name.
+fn trace_file(name: &str, arrivals: &[&str]) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("albireo_{name}_{}.jsonl", std::process::id()));
+    let text: String = arrivals
+        .iter()
+        .map(|t| format!("{{\"arrival_s\": {t}}}\n"))
+        .collect();
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+/// A per-process scratch path for one output of the test `name`.
+fn out_path(name: &str, what: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("albireo_{name}_{}.{what}", std::process::id()))
+}
+
+#[test]
+fn an_idle_gap_writes_one_checkpoint_line() {
+    // 10⁹ s at 1 ms per checkpoint is 10¹² boundaries with no event
+    // between them; only the last one before the second arrival is
+    // written.
+    let trace = trace_file("idle_gap", &["0", "1e9"]);
+    let (progress, stdout) = (
+        out_path("idle_gap", "progress"),
+        out_path("idle_gap", "out"),
+    );
+    let status = run_killed_after(
+        &[
+            "serve",
+            "--trace-jsonl",
+            trace.to_str().unwrap(),
+            "--requests",
+            "2",
+            "--checkpoint-every",
+            "0.001",
+            "--report-jsonl",
+            progress.to_str().unwrap(),
+        ],
+        &stdout,
+        10,
+    );
+    let lines = std::fs::read_to_string(&progress).unwrap_or_default();
+    let out = std::fs::read_to_string(&stdout).unwrap_or_default();
+    for path in [&trace, &progress, &stdout] {
+        std::fs::remove_file(path).ok();
+    }
+    let status = status.expect("the run ends within 10 s");
+    assert!(status.success(), "{status}: {out}");
+    assert!(out.contains("completed 2  shed 0"), "{out}");
+    assert_eq!(lines.lines().count(), 1, "{lines}");
+    assert!(lines.contains("\"checkpoint\": 1000000000000,"), "{lines}");
+}
+
+#[test]
+fn a_halt_and_resume_across_idle_gaps_reproduce_the_run() {
+    // Ten arrivals with gaps of up to 3.8 s: at 1 ms per checkpoint the
+    // run crosses 7,000 boundaries, most of them idle. The halt asks for
+    // checkpoint 700, which the gap before 1.0 s skips, so the run stops
+    // at the first one after it.
+    let arrivals = [
+        "0", "0.25", "0.6", "1.0", "1.05", "1.9", "2.4", "2.45", "3.2", "7.0",
+    ];
+    let trace = trace_file("gap_resume", &arrivals);
+    let paths = ["whole", "split", "snapshot", "a", "b", "c"].map(|w| out_path("gap_resume", w));
+    let [whole, split, snapshot, out_a, out_b, out_c] =
+        paths.each_ref().map(|p| p.to_str().unwrap());
+    let serve = |extra: &[&str], stdout: &str| {
+        let mut argv = vec![
+            "serve",
+            "--trace-jsonl",
+            trace.to_str().unwrap(),
+            "--requests",
+            "10",
+            "--checkpoint-every",
+            "0.001",
+        ];
+        argv.extend_from_slice(extra);
+        let status = run_killed_after(&argv, std::path::Path::new(stdout), 10);
+        assert!(
+            status.expect("the run ends within 10 s").success(),
+            "{argv:?}"
+        );
+        std::fs::read_to_string(stdout).unwrap()
+    };
+    let report = serve(&["--report-jsonl", whole, "--json"], out_a);
+    let halted = serve(
+        &[
+            "--report-jsonl",
+            split,
+            "--checkpoint-out",
+            snapshot,
+            "--halt-after-checkpoints",
+            "700",
+        ],
+        out_b,
+    );
+    let resumed = serve(
+        &["--report-jsonl", split, "--resume", snapshot, "--json"],
+        out_c,
+    );
+    let (whole_lines, split_lines) = (
+        std::fs::read_to_string(whole).unwrap(),
+        std::fs::read_to_string(split).unwrap(),
+    );
+    for path in paths.iter().chain([&trace]) {
+        std::fs::remove_file(path).ok();
+    }
+    assert!(
+        halted.contains("halted after checkpoint 1000 (t=1s)"),
+        "{halted}"
+    );
+    assert_eq!(report, resumed);
+    assert_eq!(whole_lines, split_lines);
+    // One line per arrival after a gap. Completions end 0.25 ms after
+    // their arrivals and cross no boundary, except at 1.9 s: boundary
+    // 1900 rounds to 1.9000000000000001 s, past that arrival.
+    assert_eq!(whole_lines.lines().count(), 10, "{whole_lines}");
+}
+
+#[test]
+fn a_checkpoint_interval_past_u64_ordinals_still_finishes() {
+    // The first arrival sits on boundary 202 of 5e-324 s; the boundary
+    // before its completion, 0.25 ms later, would be about the 5·10²⁰th,
+    // past any u64 ordinal, so the series ends there.
+    let trace = trace_file("tiny_every", &["1e-321", "1"]);
+    let (progress, stdout) = (
+        out_path("tiny_every", "progress"),
+        out_path("tiny_every", "out"),
+    );
+    let status = run_killed_after(
+        &[
+            "serve",
+            "--trace-jsonl",
+            trace.to_str().unwrap(),
+            "--requests",
+            "2",
+            "--checkpoint-every",
+            "5e-324",
+            "--report-jsonl",
+            progress.to_str().unwrap(),
+        ],
+        &stdout,
+        10,
+    );
+    let lines = std::fs::read_to_string(&progress).unwrap_or_default();
+    let out = std::fs::read_to_string(&stdout).unwrap_or_default();
+    for path in [&trace, &progress, &stdout] {
+        std::fs::remove_file(path).ok();
+    }
+    let status = status.expect("the run ends within 10 s");
+    assert!(status.success(), "{status}: {out}");
+    assert!(out.contains("completed 2  shed 0"), "{out}");
+    assert!(lines.lines().count() <= 1, "{lines}");
+}
+
 #[test]
 fn a_repair_that_rounds_to_infinity_leaves_its_chip_down() {
     // Seed 6's one repair, at a 1e308 s mean, ends past f64::MAX.
