@@ -206,7 +206,7 @@ fn live_ring_faults() -> FaultSet {
 }
 
 /// [`live_ring_faults`] plus a dead ring on multicast column 1 (output 0
-/// + kernel column 1), which the dead channel leaves live. The
+/// and kernel column 1), which the dead channel leaves live. The
 /// benchmark's dead ring sits on column 3, which its own dead channel
 /// already zeroes, so only this set pins the ring mask with crosstalk
 /// off.
