@@ -119,9 +119,11 @@ FLEET CHIP KINDS (serve --fleet, plan --chips):
 
 CHECKPOINTING (serve):
     --checkpoint-every S snapshots the simulation every S simulated
-    seconds to --checkpoint-out FILE (overwritten each time) and/or
+    seconds (an idle stretch gets one snapshot, and the numbers jump
+    across it) to --checkpoint-out FILE (overwritten each time) and/or
     appends one progress line per checkpoint to --report-jsonl FILE.
-    --halt-after-checkpoints N stops cleanly after the Nth snapshot;
+    --halt-after-checkpoints N stops cleanly at the first snapshot
+    numbered N or more;
     --resume FILE restarts from a snapshot and produces a report
     byte-identical to the uninterrupted run (digests match).
 

@@ -20,9 +20,8 @@
 //!   flash-crowd, JSONL trace replay), the request mix,
 //!   and multi-tenant request classes with per-class SLO targets; all
 //!   streamed lazily with O(1) generator state;
-//! * [`queue`] — the monotone-run / 4-ary-heap hybrid event queue behind
-//!   the engine (O(1) pushes for in-order keys, byte-identical pop order
-//!   to the historical `BinaryHeap`);
+//! * [`queue`] — the packed `(time, class, sequence)` event key, and the
+//!   entry type of the engine's `std` `BinaryHeap` of pending events;
 //! * [`fleet`] — chip specs, the fleet, and the
 //!   [`fleet::ServiceOracle`]: dispatch tables (each chip's compute
 //!   groups and supported networks, read once per run) plus memoized
@@ -81,7 +80,7 @@ pub use autoscale::AutoscalePolicy;
 pub use fault::{FaultEvent, FaultKind, FaultScenario, FaultSpec};
 pub use fleet::{ChipSpec, FleetConfig, ServiceCost, ServiceOracle};
 pub use policy::{AdmissionControl, BatchPolicy};
-pub use queue::{EventKey, EventQueue};
+pub use queue::EventKey;
 pub use report::{ChipReport, ClassReport, RequestRecord, ServiceReport};
 pub use sim::{
     resume_checkpointed, simulate, simulate_checkpointed, simulate_observed, simulate_replay,

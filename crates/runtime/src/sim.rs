@@ -14,15 +14,17 @@
 //! * `sequence` — insertion order, making the whole ordering total.
 //!
 //! Internal events (faults, completions, warm-ups, the deadline timer)
-//! live in the [`crate::queue::EventQueue`] hybrid. **Arrivals never
-//! enter the queue**: the request stream is generated lazily
-//! ([`crate::workload::RequestStream`]) and merged against the queue
-//! head one lookahead request at a time — arrivals are the only class-2
-//! events and the stream yields them in nondecreasing time order, so the
-//! merged order is exactly the historical all-events-in-one-heap order
-//! while the engine holds O(fleet + in-flight) state instead of
-//! O(requests). Latency statistics accumulate into a
-//! `QuantileSketch` + running sums (`RunTotals`), and
+//! wait in a `std` `BinaryHeap`, smallest key first. `Sim::push` is the
+//! one place that judges an event time: it panics on a negative or NaN
+//! time and schedules nothing at +∞, an instant no run reaches.
+//! **Arrivals never enter the queue**: the request stream is generated
+//! lazily ([`crate::workload::RequestStream`]) and merged against the
+//! queue head one lookahead request at a time — arrivals are the only
+//! class-2 events and the stream yields them in nondecreasing time
+//! order, so the merged order is exactly the historical
+//! all-events-in-one-heap order while the engine holds O(fleet +
+//! in-flight) state instead of O(requests). Latency statistics
+//! accumulate into a `QuantileSketch` + running sums (`RunTotals`), and
 //! the run digest folds incrementally, so a 10⁶–10⁷-request run needs
 //! no per-request memory beyond the (capped) record sample.
 //! [`simulate_replay`] merges a pre-generated arrival list the same way,
@@ -59,12 +61,12 @@ use crate::autoscale::AutoscalePolicy;
 use crate::fault::{FaultKind, FaultScenario};
 use crate::fleet::{FleetConfig, ServiceOracle};
 use crate::policy::{AdmissionControl, BatchPolicy};
-use crate::queue::{EventKey, EventQueue};
+use crate::queue::{EventKey, Pending};
 use crate::report::{ChipReport, ClassTotals, RequestRecord, RunTotals, ServiceReport};
 use crate::snapshot::{Checkpoint, SimSnapshot};
 use crate::workload::{Request, RequestStream, Workload};
 use albireo_obs::{fnv1a, fold, track, Obs};
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -278,7 +280,10 @@ struct Sim<'a, A> {
     obs: &'a Obs,
     /// Dispatch tables and memoized costs, built once per run.
     oracle: ServiceOracle,
-    events: EventQueue<EventKind>,
+    /// Pending internal events, popped smallest key first.
+    events: BinaryHeap<Pending<EventKind>>,
+    /// The deepest `events` has been, reported as `peak_event_queue`.
+    peak_events: usize,
     seq: u64,
     queue: VecDeque<Request>,
     /// Queued requests per fleet model: `queue`'s requests of network
@@ -298,11 +303,20 @@ struct Sim<'a, A> {
 }
 
 impl<'a, A: Arrivals> Sim<'a, A> {
-    fn push(&mut self, time_s: f64, kind: EventKind) {
-        debug_assert!(time_s.is_finite() && time_s >= 0.0);
+    /// Schedules `kind` at `time_s`, the one place that judges an event
+    /// time. An event at +∞ would never fire, so it is not scheduled and
+    /// `false` comes back; a negative or NaN time panics.
+    fn push(&mut self, time_s: f64, kind: EventKind) -> bool {
+        assert!(time_s >= 0.0, "event time {time_s} s is negative or NaN");
+        if time_s == f64::INFINITY {
+            return false;
+        }
+        let _prof = albireo_obs::profile::scope("runtime.queue.push");
         let key = EventKey::new(time_s.to_bits(), kind.class(), self.seq);
         self.seq += 1;
-        self.events.push(key, kind);
+        self.events.push(Pending { key, item: kind });
+        self.peak_events = self.peak_events.max(self.events.len());
+        true
     }
 
     /// Pulls the next arrival, validating its coordinates against the
@@ -498,8 +512,8 @@ impl<'a, A: Arrivals> Sim<'a, A> {
     /// timer is pending already; DESIGN.md §8 shows why a pending timer
     /// is never late. It fires at the expression `head_ready` compares
     /// against, so readiness stays bitwise exact. A deadline that rounds
-    /// to +∞ gets no timer: no instant reaches it, and the end of the
-    /// stream flushes the head.
+    /// to +∞ gets no timer (`push` refuses it): no instant reaches it,
+    /// and the end of the stream flushes the head.
     fn arm_deadline(&mut self) {
         let BatchPolicy::Deadline { max_wait_s, .. } = self.cfg.policy else {
             return;
@@ -508,9 +522,8 @@ impl<'a, A: Arrivals> Sim<'a, A> {
             return;
         };
         let deadline_s = head.arrival_s + max_wait_s;
-        if !self.timer_armed && deadline_s.is_finite() {
-            self.timer_armed = true;
-            self.push(deadline_s, EventKind::Timer);
+        if !self.timer_armed {
+            self.timer_armed = self.push(deadline_s, EventKind::Timer);
         }
     }
 
@@ -545,8 +558,8 @@ impl<'a, A: Arrivals> Sim<'a, A> {
     /// discount further spin-ups), unpark the lowest-indexed parked chip
     /// and schedule its warm-up completion. A pure function of DES state
     /// at an event instant, so determinism is untouched. A warm-up whose
-    /// end rounds to +∞ gets no event: no instant reaches it, so the chip
-    /// stays warming, as `arm_deadline` leaves such a deadline unarmed.
+    /// end rounds to +∞ gets no event (`push` refuses it): no instant
+    /// reaches it, so the chip stays warming.
     fn autoscale_up(&mut self, now: f64) {
         let AutoscalePolicy::Elastic {
             up_depth, warmup_s, ..
@@ -567,10 +580,7 @@ impl<'a, A: Arrivals> Sim<'a, A> {
             c.warming = true;
             c.provisioned_at_s = now;
             c.spin_ups += 1;
-            let warm_s = now + warmup_s;
-            if warm_s.is_finite() {
-                self.push(warm_s, EventKind::WarmedUp { chip: idx });
-            }
+            self.push(now + warmup_s, EventKind::WarmedUp { chip: idx });
             if self.obs.is_enabled() {
                 self.obs.record_instant(
                     track::DISPATCH,
@@ -699,34 +709,38 @@ impl<'a, A: Arrivals> Sim<'a, A> {
             // one-heap total order exactly: cross-class ties resolve by
             // class, and same-class ties only arise within one side,
             // where insertion order is already preserved.
-            let take_arrival = match (&self.next_arrival, self.events.peek_key()) {
-                (Some(r), Some(k)) => {
-                    (r.arrival_s.to_bits(), ARRIVAL_CLASS) < (k.time_bits(), k.class())
+            let (take_arrival, t) = match (&self.next_arrival, self.events.peek()) {
+                (Some(r), Some(e)) => {
+                    let arrival = (r.arrival_s.to_bits(), ARRIVAL_CLASS);
+                    if arrival < (e.key.time_bits(), e.key.class()) {
+                        (true, r.arrival_s)
+                    } else {
+                        (false, e.key.time_s())
+                    }
                 }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
+                (Some(r), None) => (true, r.arrival_s),
+                (None, Some(e)) => (false, e.key.time_s()),
                 (None, None) => return None,
             };
-            // Emit any checkpoint boundary the clock is about to cross.
-            // Boundaries land *between* event instants: the snapshot sees
-            // every effect strictly before `boundary` and none at or
-            // after it, so a same-instant tie never splits.
+            // Hand out the last checkpoint boundary the clock is about to
+            // cross, numbered by its ordinal: the boundaries an idle gap
+            // skips would only repeat its state. Boundaries land
+            // *between* event instants: the snapshot sees every effect
+            // strictly before the boundary and none at or after it, so a
+            // same-instant tie never splits.
             if let Some(c) = ckpt.as_mut() {
-                let t = if take_arrival {
-                    self.next_arrival.as_ref().expect("checked above").arrival_s
-                } else {
-                    self.events.peek_key().expect("checked above").time_s()
-                };
-                loop {
-                    let boundary = (c.emitted + 1) as f64 * c.every_s;
-                    if t < boundary {
-                        break;
+                match last_boundary(t, c.every_s) {
+                    Some(k) if k > c.last => {
+                        c.last = k;
+                        let at_s = k as f64 * c.every_s;
+                        let snap = self.capture(at_s, k, c.every_s);
+                        if !(c.on_checkpoint)(&snap) {
+                            return Some((k, at_s));
+                        }
                     }
-                    c.emitted += 1;
-                    let snap = self.capture(boundary, c.emitted, c.every_s);
-                    if !(c.on_checkpoint)(&snap) {
-                        return Some((c.emitted, boundary));
-                    }
+                    Some(_) => {}
+                    // Past `u64` ordinals no boundary can be numbered.
+                    None => ckpt = None,
                 }
             }
             if take_arrival {
@@ -735,7 +749,10 @@ impl<'a, A: Arrivals> Sim<'a, A> {
                 self.on_arrival(req);
                 continue;
             }
-            let (key, kind) = self.events.pop().expect("checked above");
+            let Pending { key, item: kind } = {
+                let _prof = albireo_obs::profile::scope("runtime.queue.pop");
+                self.events.pop().expect("checked above")
+            };
             let now = key.time_s();
             match kind {
                 EventKind::Fault(kind) => {
@@ -789,7 +806,7 @@ impl<'a, A: Arrivals> Sim<'a, A> {
         if stranded > 0 && obs.is_enabled() {
             obs.counter("serve.shed").add(stranded);
         }
-        self.totals.peak_event_queue = self.events.peak_len();
+        self.totals.peak_event_queue = self.peak_events;
         // Close every open provisioned interval at the makespan, then
         // charge idle power (provisioned seconds minus busy seconds) when
         // the policy accounts for it. Under `AutoscalePolicy::None`
@@ -973,7 +990,8 @@ fn new_sim<'a, A: Arrivals>(
         cfg,
         obs,
         oracle: ServiceOracle::new(fleet),
-        events: EventQueue::new(),
+        events: BinaryHeap::new(),
+        peak_events: 0,
         seq: 0,
         queue: VecDeque::new(),
         queued: vec![0; fleet.models.len()],
@@ -1006,14 +1024,39 @@ fn new_sim<'a, A: Arrivals>(
     sim
 }
 
-/// Periodic checkpoint emission state for [`Sim::advance`].
+/// Periodic checkpoint state for [`Sim::advance`].
 struct Checkpointer<'cb> {
     /// Virtual seconds between checkpoint boundaries.
     every_s: f64,
-    /// Boundaries emitted so far (resume continues the count).
-    emitted: u64,
+    /// Ordinal of the last boundary handed to the callback: 0 before the
+    /// first, the record's on resume.
+    last: u64,
     /// Receives each snapshot; returning `false` halts the run.
     on_checkpoint: &'cb mut dyn FnMut(&SimSnapshot) -> bool,
+}
+
+/// The ordinal `k` of the last checkpoint boundary at or before `t`: the
+/// largest `k` with `k × every_s ≤ t`, the product rounded as the
+/// boundary's `at_s` is. `None` when that `k` has no `u64`.
+fn last_boundary(t: f64, every_s: f64) -> Option<u64> {
+    const U64_END: f64 = 18_446_744_073_709_551_616.0;
+    let at = |k: u64| k as f64 * every_s;
+    let q = (t / every_s).floor();
+    if q >= U64_END {
+        return None;
+    }
+    // The quotient's rounding can put `q` a step off either way.
+    let mut k = q as u64;
+    while k > 0 && at(k) > t {
+        k -= 1;
+    }
+    loop {
+        match k.checked_add(1) {
+            Some(next) if at(next) <= t => k = next,
+            Some(_) => return Some(k),
+            None => return (U64_END * every_s > t).then_some(k),
+        }
+    }
 }
 
 /// How a checkpointed serving run ended.
@@ -1025,7 +1068,8 @@ pub enum ServeOutcome {
     /// [`SimSnapshot::record`] of the snapshot it received is the
     /// resume point.
     Halted {
-        /// Checkpoints emitted, including the halting one.
+        /// The halting checkpoint's ordinal `k`: its boundary is
+        /// `k × every_s`.
         checkpoints: u64,
         /// The boundary's virtual time, s.
         at_s: f64,
@@ -1046,12 +1090,16 @@ pub(crate) fn config_fingerprint(fleet: &FleetConfig, cfg: &ServeConfig) -> u64 
     fnv1a(format!("{}|{:?}", fleet.label(), cfg).as_bytes())
 }
 
-/// Runs one serving simulation, emitting a [`SimSnapshot`] at every
-/// multiple of `every_s` on the virtual clock. The callback returns
-/// `true` to keep running or `false` to halt at that boundary (after,
-/// e.g., persisting [`SimSnapshot::record`]). Reports from checkpointed
-/// runs are byte-identical to [`simulate`]'s — checkpoints only read
-/// state.
+/// Runs one serving simulation, handing the callback a [`SimSnapshot`]
+/// at checkpoint boundaries, the multiples `k × every_s` of the virtual
+/// clock. Before each event that crosses boundaries, the callback gets
+/// the last of them, numbered by its ordinal `k`; the ones before it
+/// would repeat its state, so an idle gap costs one snapshot and the
+/// ordinals jump across it. A boundary whose ordinal does not fit a
+/// `u64` ends the series. The callback returns `true` to keep running
+/// or `false` to halt at that boundary (after, e.g., persisting
+/// [`SimSnapshot::record`]). Reports from checkpointed runs are
+/// byte-identical to [`simulate`]'s — checkpoints only read state.
 pub fn simulate_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
     fleet: &FleetConfig,
     cfg: &ServeConfig,
@@ -1066,7 +1114,7 @@ pub fn simulate_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
     let sim = new_sim(fleet, cfg, &obs, taken_stream(cfg));
     sim.run_checkpointed(Some(&mut Checkpointer {
         every_s,
-        emitted: 0,
+        last: 0,
         on_checkpoint: &mut on_checkpoint,
     }))
 }
@@ -1081,9 +1129,9 @@ pub fn simulate_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
 /// record digest's fold so far and the alert transition count — so a
 /// changed workload, seed, request count or configuration is an error,
 /// not a silently different run. `every_s > 0` then hands the callback
-/// every later boundary on the original grid (`k × every_s` must be the
-/// recorded instant); `every_s == 0` runs to completion without
-/// further checkpoints.
+/// the later boundaries on that grid as [`simulate_checkpointed`] does
+/// (`k × every_s` must be the recorded instant); `every_s == 0` runs to
+/// completion without further checkpoints.
 ///
 /// The resumed run's [`ServiceReport`] — including its digest and JSON
 /// — is byte-identical to the uninterrupted run's. Its cost is the
@@ -1130,7 +1178,7 @@ pub fn resume_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
     let mut replayed = None;
     sim.advance(Some(&mut Checkpointer {
         every_s: checkpoint.every_s,
-        emitted: 0,
+        last: 0,
         on_checkpoint: &mut |snap: &SimSnapshot| {
             if snap.checkpoints < k {
                 return true;
@@ -1164,7 +1212,7 @@ pub fn resume_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
     }
     let mut rest = (every_s > 0.0).then_some(Checkpointer {
         every_s,
-        emitted: k,
+        last: k,
         on_checkpoint: &mut on_checkpoint,
     });
     Ok(sim.run_checkpointed(rest.as_mut()))
@@ -1892,6 +1940,73 @@ mod tests {
             panic!("resume must complete");
         };
         assert_eq!(*resumed, baseline);
+    }
+
+    #[test]
+    fn last_boundary_is_the_largest_ordinal_at_or_before_t() {
+        // 3 × 0.1 rounds to 0.30000000000000004, past 0.3.
+        assert_eq!(last_boundary(0.3, 0.1), Some(2));
+        assert_eq!(last_boundary(1.0, 0.001), Some(1000));
+        assert_eq!(last_boundary(0.0, 0.001), Some(0));
+        assert_eq!(last_boundary(1e9, 0.001), Some(1_000_000_000_000));
+        // 2^64 boundaries of 5e-324 s end before 1e-304 s.
+        assert_eq!(last_boundary(1e-321, 5e-324), Some(202));
+        assert_eq!(last_boundary(1e-3, 5e-324), None);
+        for every_s in [0.001, 0.1, 0.3, 1.0 / 3.0, 7e-5, 1e300] {
+            for i in 0..2000u32 {
+                // On a boundary, one float either side of it, and inside
+                // an interval.
+                let on = f64::from(i) * every_s;
+                let below = f64::from_bits(on.to_bits().saturating_sub(1));
+                for t in [on, f64::from_bits(on.to_bits() + 1), below, on * 1.37] {
+                    let k = last_boundary(t, every_s).unwrap();
+                    assert!(k as f64 * every_s <= t, "{t} / {every_s}: {k}");
+                    assert!((k + 1) as f64 * every_s > t, "{t} / {every_s}: {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn peak_len_tracks_the_high_water_mark() {
+        // Ten faults wait from t = 0, and the run only pops them: the
+        // peak is ten while the queue ends empty.
+        let fleet = small_fleet();
+        let mut cfg = ServeConfig::poisson(1000.0, 0, 42, 0);
+        cfg.faults = (1..=10).fold(FaultScenario::none(), |s, i| {
+            s.with(f64::from(i), FaultKind::PlcgOffline { chip: 0, count: 1 })
+        });
+        let obs = Obs::disabled();
+        let mut sim = new_sim(&fleet, &cfg, &obs, taken_stream(&cfg));
+        assert_eq!((sim.events.len(), sim.peak_events), (10, 10));
+        assert_eq!(sim.advance(None), None);
+        assert_eq!((sim.events.len(), sim.peak_events), (0, 10));
+        assert_eq!(sim.finish().peak_event_queue, 10);
+    }
+
+    #[test]
+    fn push_schedules_nothing_at_infinity() {
+        let fleet = small_fleet();
+        let cfg = ServeConfig::poisson(1000.0, 0, 42, 0);
+        let obs = Obs::disabled();
+        let mut sim = new_sim(&fleet, &cfg, &obs, taken_stream(&cfg));
+        assert!(!sim.push(f64::INFINITY, EventKind::Timer));
+        assert_eq!((sim.events.len(), sim.seq, sim.peak_events), (0, 0, 0));
+        assert!(sim.push(f64::MAX, EventKind::Timer));
+        assert_eq!((sim.events.len(), sim.seq, sim.peak_events), (1, 1, 1));
+    }
+
+    #[test]
+    fn push_panics_on_a_negative_or_nan_time() {
+        for time_s in [-1e-300, f64::NEG_INFINITY, f64::NAN] {
+            let pushed = std::panic::catch_unwind(|| {
+                let fleet = small_fleet();
+                let cfg = ServeConfig::poisson(1000.0, 0, 42, 0);
+                let obs = Obs::disabled();
+                new_sim(&fleet, &cfg, &obs, taken_stream(&cfg)).push(time_s, EventKind::Timer)
+            });
+            assert!(pushed.is_err(), "{time_s}");
+        }
     }
 
     #[test]

@@ -238,7 +238,7 @@ pub struct SimSnapshot {
     /// The checkpoint boundary on the virtual clock, s. Every event
     /// strictly before this instant has been applied.
     pub(crate) at_s: f64,
-    /// How many checkpoints (including this one) the run has emitted.
+    /// This checkpoint's ordinal `k`: `at_s` is `k × every_s`.
     pub(crate) checkpoints: u64,
     /// Fold of every arrival taken from the stream (see
     /// [`Checkpoint`]).
@@ -281,7 +281,8 @@ impl SimSnapshot {
         self.at_s
     }
 
-    /// Checkpoints emitted so far, including this one.
+    /// This checkpoint's ordinal `k`, the boundary `k × every_s`.
+    /// Ordinals jump across intervals in which no event happened.
     pub fn checkpoints(&self) -> u64 {
         self.checkpoints
     }

@@ -1,91 +1,12 @@
-//! Property tests pinning the hybrid event queue to its reference
-//! semantics: pop order must equal the `BinaryHeap<Reverse<_>>` the
-//! serving engine used historically, on arbitrary push/pop interleavings
-//! — including same-timestamp, same-class ties, which only the insertion
-//! sequence number separates. This is the contract that lets the engine
-//! swap queue implementations without moving a single event in any run.
+//! Property tests pinning the packed event key to the order the serving
+//! engine's event heap relies on: the `u128` packing round-trips its
+//! three fields, and comparing packed keys equals comparing the
+//! `(time, class, seq)` triples lexicographically.
 
-use albireo_runtime::{EventKey, EventQueue};
+use albireo_runtime::EventKey;
 use proptest::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// An event stream: `(time, class, payload)` triples. Times draw from a
-/// small pool so same-timestamp ties are common, not rare; classes span
-/// the engine's four; interleave decides when pops happen.
-fn stream() -> impl Strategy<Value = Vec<(f64, u8, bool)>> {
-    prop::collection::vec(
-        (
-            prop_oneof![
-                4 => (0u32..20).prop_map(|t| t as f64 * 0.125),
-                2 => 0.0f64..10.0,
-                1 => Just(0.0f64),
-            ],
-            0u8..4,
-            // true = also pop one event after this push
-            prop::bool::ANY,
-        ),
-        0..200,
-    )
-}
 
 proptest! {
-    /// Interleaved pushes and pops pop in exactly the reference
-    /// BinaryHeap order at every step.
-    #[test]
-    fn pop_order_equals_binary_heap_reference(ops in stream()) {
-        let mut hybrid: EventQueue<u64> = EventQueue::new();
-        let mut reference: BinaryHeap<Reverse<(u64, u8, u64)>> = BinaryHeap::new();
-        for (seq, &(t, class, pop_after)) in ops.iter().enumerate() {
-            let seq = seq as u64;
-            hybrid.push(EventKey::new(t.to_bits(), class, seq), seq);
-            reference.push(Reverse((t.to_bits(), class, seq)));
-            if pop_after {
-                let got = hybrid.pop();
-                let want = reference.pop();
-                match (got, want) {
-                    (Some((k, payload)), Some(Reverse((tb, c, s)))) => {
-                        prop_assert_eq!(k.time_bits(), tb);
-                        prop_assert_eq!(k.class(), c);
-                        prop_assert_eq!(k.seq(), s);
-                        prop_assert_eq!(payload, s);
-                    }
-                    (None, None) => {}
-                    (g, w) => prop_assert!(false, "mismatch: {:?} vs {:?}", g, w),
-                }
-            }
-        }
-        // Drain the remainder in lockstep.
-        while let Some(Reverse((tb, c, s))) = reference.pop() {
-            let (k, payload) = hybrid.pop().expect("hybrid drained early");
-            prop_assert_eq!((k.time_bits(), k.class(), k.seq()), (tb, c, s));
-            prop_assert_eq!(payload, s);
-        }
-        prop_assert!(hybrid.is_empty());
-        prop_assert_eq!(hybrid.peek_key(), None);
-    }
-
-    /// `peek_key` always agrees with the next pop, and `len` tracks the
-    /// population exactly.
-    #[test]
-    fn peek_agrees_with_pop(ops in stream()) {
-        let mut q: EventQueue<()> = EventQueue::new();
-        let mut expected_len = 0usize;
-        for (i, &(t, class, pop_after)) in ops.iter().enumerate() {
-            q.push(EventKey::new(t.to_bits(), class, i as u64), ());
-            expected_len += 1;
-            prop_assert_eq!(q.len(), expected_len);
-            if pop_after {
-                let peeked = q.peek_key();
-                let popped = q.pop().map(|(k, _)| k);
-                prop_assert_eq!(peeked, popped);
-                expected_len -= 1;
-                prop_assert_eq!(q.len(), expected_len);
-            }
-        }
-        prop_assert!(q.peak_len() >= q.len());
-    }
-
     /// Keys round-trip their three fields through the u128 packing for
     /// every representable (time, class, seq) triple the engine can emit.
     #[test]
