@@ -311,9 +311,9 @@ impl<'a, A: Arrivals> Sim<'a, A> {
         if time_s == f64::INFINITY {
             return false;
         }
-        let _prof = albireo_obs::profile::scope("runtime.queue.push");
         let key = EventKey::new(time_s.to_bits(), kind.class(), self.seq);
         self.seq += 1;
+        let _prof = albireo_obs::profile::scope("runtime.queue.push");
         self.events.push(Pending { key, item: kind });
         self.peak_events = self.peak_events.max(self.events.len());
         true
@@ -1037,12 +1037,12 @@ struct Checkpointer<'cb> {
 
 /// The ordinal `k` of the last checkpoint boundary at or before `t`: the
 /// largest `k` with `k × every_s ≤ t`, the product rounded as the
-/// boundary's `at_s` is. `None` when that `k` has no `u64`.
+/// boundary's `at_s` is. `None` once the boundaries outrun `u64`
+/// ordinals.
 fn last_boundary(t: f64, every_s: f64) -> Option<u64> {
-    const U64_END: f64 = 18_446_744_073_709_551_616.0;
     let at = |k: u64| k as f64 * every_s;
     let q = (t / every_s).floor();
-    if q >= U64_END {
+    if q >= 18_446_744_073_709_551_616.0 {
         return None;
     }
     // The quotient's rounding can put `q` a step off either way.
@@ -1050,13 +1050,10 @@ fn last_boundary(t: f64, every_s: f64) -> Option<u64> {
     while k > 0 && at(k) > t {
         k -= 1;
     }
-    loop {
-        match k.checked_add(1) {
-            Some(next) if at(next) <= t => k = next,
-            Some(_) => return Some(k),
-            None => return (U64_END * every_s > t).then_some(k),
-        }
+    while at(k.checked_add(1)?) <= t {
+        k += 1;
     }
+    Some(k)
 }
 
 /// How a checkpointed serving run ended.
